@@ -92,6 +92,10 @@ class RunSpec:
             for key in ("t_bins", "x_bins"):
                 if int(self.heatmap.get(key, 0)) < 1:
                     raise SpecError(f"heatmap.{key}: must be a positive integer")
+            x_min = float(self.heatmap.get("x_min", -6.0))
+            x_max = float(self.heatmap.get("x_max", 6.0))
+            if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
+                raise SpecError("heatmap.x_min, heatmap.x_max: need finite x_min < x_max")
         return self
 
     @classmethod

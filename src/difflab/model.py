@@ -9,10 +9,9 @@ point masses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .schedule import NoiseSchedule
 
@@ -35,6 +34,9 @@ class GaussianMixtureModel:
     weights: np.ndarray     # (K,), non-negative, sums to 1
     means: np.ndarray       # (K, D)
     variances: np.ndarray   # (K,), isotropic per component, >= 0
+    # derived once for the predictor: log weights (-inf where 0) and |mu_k|^2
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    mean_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
@@ -44,13 +46,20 @@ class GaussianMixtureModel:
         var = np.atleast_1d(np.asarray(self.variances, dtype=float))
         if mu.ndim != 2 or mu.shape[0] != w.size or var.shape != w.shape:
             raise ValueError("weights, means and variances must agree on the component count")
+        for arr, name in ((w, "weights"), (mu, "means"), (var, "variances")):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite (no NaN or inf)")
         if np.any(w < 0.0):
             raise ValueError("weights must be non-negative")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         if np.any(var < 0.0):
             raise ValueError("variances must be non-negative")
-        for arr, name in ((w, "weights"), (mu, "means"), (var, "variances")):
+        with np.errstate(divide="ignore"):
+            log_w = np.log(w)
+        stored = ((w, "weights"), (mu, "means"), (var, "variances"),
+                  (log_w, "log_weights"), (np.sum(mu * mu, axis=1), "mean_sq_norms"))
+        for arr, name in stored:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -93,13 +102,20 @@ def _marginal_params(gmm: GaussianMixtureModel, alpha: float):
     return sa, gmm.means * sa, s2
 
 
-def _log_responsibilities(gmm, x, sa, s2):
-    x = np.asarray(x, dtype=float)
-    diff = x[..., None, :] - sa * gmm.means          # (..., K, D)
-    sq = np.sum(diff * diff, axis=-1)                # (..., K)
-    log_w = np.where(gmm.weights > 0.0, np.log(np.where(gmm.weights > 0.0, gmm.weights, 1.0)), -np.inf)
-    log_p = log_w - 0.5 * sq / s2 - 0.5 * gmm.D * (np.log(s2) + _LOG_2PI)
-    return log_p, diff
+def _log_joint(gmm, sq, s2):
+    """log w_k + log N(x_n; sqrt(alpha) mu_k, s2_k I), shape (K, N), from the
+    squared distances sq[k, n] = |x_n - sqrt(alpha) mu_k|^2.
+
+    Components run along axis 0, so reductions over them are contiguous.
+    """
+    return (gmm.log_weights - 0.5 * gmm.D * (np.log(s2) + _LOG_2PI))[:, None] \
+        - 0.5 * sq / s2[:, None]
+
+
+def _logsumexp(log_p):
+    """log(sum_k exp(log_p[k])) over axis 0, with max subtraction."""
+    top = np.max(log_p, axis=0)
+    return top + np.log(np.sum(np.exp(log_p - top), axis=0))
 
 
 def analytic_eps(gmm: GaussianMixtureModel, x, t: int,
@@ -107,20 +123,27 @@ def analytic_eps(gmm: GaussianMixtureModel, x, t: int,
     """Bayes-optimal noise prediction for the noised mixture marginal at step t.
 
     Equals -sqrt(1 - alpha_t) times the score of log p_t, which is the target a
-    perfectly trained eps-predictor converges to.
+    perfectly trained eps-predictor converges to. With responsibilities r_k and
+    posterior gains g_k = sqrt(alpha) var_k / s2_k, the posterior mean is
+    x0_hat = sum_k r_k ((1 - sqrt(alpha) g_k) mu_k + g_k x); point masses are
+    the g_k = 0 case.
     """
     a = _check_t(schedule, t)
     if a >= 1.0:
         raise ValueError("analytic_eps undefined at alpha_t = 1 (no noise present)")
     x = np.asarray(x, dtype=float)
     sa, _, s2 = _marginal_params(gmm, a)
-    log_p, diff = _log_responsibilities(gmm, x, sa, s2)
-    # responsibilities in log space with max subtraction, stable at large t
-    log_r = log_p - logsumexp(log_p, axis=-1, keepdims=True)
-    r = np.exp(log_r)                                 # (..., K)
-    gain = sa * gmm.variances / s2                    # (K,)
-    post_mean = gmm.means + gain[:, None] * diff      # (..., K, D)
-    x0_hat = np.sum(r[..., None] * post_mean, axis=-2)
+    xf = x.reshape(-1, gmm.D)                                       # (N, D)
+    # |x - sa mu_k|^2 expanded: one matmul, no (K, N, D) difference array
+    sq = (np.einsum("nd,nd->n", xf, xf) - (2.0 * sa) * (gmm.means @ xf.T)
+          + ((sa * sa) * gmm.mean_sq_norms)[:, None])               # (K, N)
+    log_p = _log_joint(gmm, sq, s2)
+    # responsibilities: softmax with max subtraction, stable at large t
+    r = np.exp(log_p - np.max(log_p, axis=0))
+    r /= np.sum(r, axis=0)
+    gain = sa * gmm.variances / s2                                  # (K,)
+    x0_hat = r.T @ ((1.0 - sa * gain)[:, None] * gmm.means) + (gain @ r)[:, None] * xf
+    x0_hat = x0_hat.reshape(x.shape)
     eps_hat = (x - sa * x0_hat) / np.sqrt(1.0 - a)
     return NoisePrediction(eps_hat=eps_hat, x0_hat=x0_hat)
 
@@ -133,8 +156,11 @@ def log_density_t(gmm: GaussianMixtureModel, x, t: int,
     if np.any(s2 <= 0.0):
         raise ValueError("density undefined: zero-variance component with no noise added")
     x = np.asarray(x, dtype=float)
-    log_p, _ = _log_responsibilities(gmm, x, sa, s2)
-    return logsumexp(log_p, axis=-1)
+    # direct differences: the expanded square of analytic_eps cancels digits
+    # where s2 is small, and this function is off the per-step path
+    diff = x.reshape(-1, gmm.D) - sa * gmm.means[:, None, :]       # (K, N, D)
+    log_p = _log_joint(gmm, np.sum(diff * diff, axis=-1), s2)
+    return _logsumexp(log_p).reshape(x.shape[:-1])[()]
 
 
 def noised_mixture(gmm: GaussianMixtureModel, t: int,

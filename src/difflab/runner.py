@@ -175,26 +175,32 @@ def compute_metrics(result: RunResult, model: GaussianMixtureModel, seed: int) -
     return out
 
 
+# Rows are formatted here rather than by csv.writer: "%.17g" gives the same
+# text as format(v, ".17g"), no field needs quoting, and rows end in "\r\n"
+# as csv.writer's do. Rows go out in chunks so no whole-file string is built.
+_ROWS_PER_WRITE = 4096
+
+
 def _write_samples_csv(path, samples: np.ndarray) -> None:
     D = samples.shape[1] if samples.ndim == 2 else 1
+    fmt = "%d" + ",%.17g" * D + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain_id"] + [f"x{d}" for d in range(D)])
-        for i, row in enumerate(samples):
-            writer.writerow([i] + [_fmt(v) for v in row])
+        fh.write(",".join(["chain_id"] + [f"x{d}" for d in range(D)]) + "\r\n")
+        for lo in range(0, samples.shape[0], _ROWS_PER_WRITE):
+            chunk = samples[lo:lo + _ROWS_PER_WRITE].tolist()
+            fh.write("".join([fmt % (i, *row) for i, row in enumerate(chunk, lo)]))
 
 
 def _write_trajectories_csv(path, trajs: list[Trajectory], D: int) -> None:
+    fmt = "%d,%d,%d" + ",%.17g" * (2 * D) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chain_id", "step_index", "t"]
-                        + [f"x{d}" for d in range(D)]
-                        + [f"x0_hat{d}" for d in range(D)])
+        fh.write(",".join(["chain_id", "step_index", "t"]
+                          + [f"x{d}" for d in range(D)]
+                          + [f"x0_hat{d}" for d in range(D)]) + "\r\n")
         for i, tr in enumerate(trajs):
-            for k in range(tr.xs.shape[0]):
-                writer.writerow([i, k, int(tr.ts[k])]
-                                + [_fmt(v) for v in tr.xs[k]]
-                                + [_fmt(v) for v in tr.x0_hats[k]])
+            values = np.concatenate([tr.xs, tr.x0_hats], axis=1).tolist()
+            fh.write("".join([fmt % (i, k, t, *row)
+                              for k, (t, row) in enumerate(zip(tr.ts.tolist(), values))]))
 
 
 def execute_run(spec: RunSpec, out_dir, threads: int | None = None) -> RunResult:

@@ -19,6 +19,7 @@ import numpy as np
 from .model import GaussianMixtureModel, analytic_eps
 
 __all__ = [
+    "SecondMomentError",
     "ETA_DETERMINISTIC",
     "ETA_DDPM_UNIT",
     "ETA_DDPM_HAT",
@@ -40,6 +41,11 @@ _ETA_MODES = (ETA_DETERMINISTIC, ETA_DDPM_UNIT, ETA_DDPM_HAT)
 
 # tolerance for clamping float cancellation in 1 - a_prev - sigma^2
 _CLAMP = 1e-12
+
+
+class SecondMomentError(ArithmeticError):
+    """The adaptive sampler's second-moment accumulator v is no longer
+    positive (zero or NaN), so m / (sqrt(v) + zeta) is not a scaled step."""
 
 
 def _sigma_from_alphas(alpha_t: float, alpha_prev: float, eta_mode: str) -> float:
@@ -226,7 +232,11 @@ def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
         if config.v_norm == "mean_sq":
             sq = sq / dxb.shape[-1]
         v_new = (1.0 - config.c) * state.v + config.c * sq
-        assert np.all(v_new > 0.0), "second-moment accumulator must stay positive"
+        if not np.all(v_new > 0.0):
+            raise SecondMomentError(
+                f"second-moment accumulator v is not positive at t={t} "
+                f"(c={config.c}, zeta={config.zeta}); with c=1, v is the last "
+                "squared increment, which is 0 when the step moves no chain")
         a_coef, b_coef = config.coeffs(schedule.steps_from_top(t), schedule.n_steps)
         m_new = a_coef * state.m + b_coef * dxb
         x_bar_new = state.x_bar + m_new / (np.sqrt(v_new)[..., None] + config.zeta)

@@ -2,8 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import difflab
 
 from difflab.cli import main
 
@@ -127,3 +133,37 @@ def test_zero_chains_warns(spec_file, tmp_path, capsys):
     assert main(["run", str(spec_file), "--out-dir", str(out),
                  "--chains", "0"]) == 0
     assert "n_chains=0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,text", [("weights", "[NaN, 1.0]"),
+                                        ("means", "[[-2.0], [1e400]]"),
+                                        ("variances", "[0.0, Infinity]")])
+def test_non_finite_model_exits_2_before_running(spec_file, tmp_path, capsys, field, text):
+    spec = json.loads(spec_file.read_text())
+    spec["model"][field] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec).replace('"@"', text))
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "finite" in err
+    assert not (out / "samples.csv").exists()
+
+
+def test_cli_import_and_point_mass_run_load_no_scipy(spec_file, tmp_path):
+    # scipy is imported lazily, only by the paths that need it
+    code = (
+        "import sys\n"
+        "import difflab.cli\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')], 'on import'\n"
+        f"assert difflab.cli.main(['run', {str(spec_file)!r}, '--out-dir', "
+        f"{str(tmp_path / 'out')!r}]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    src = str(Path(difflab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from difflab.config import RunSpec, SpecError, SweepSpec
+from difflab.metrics import build_heatmap
 from difflab.model import GaussianMixtureModel
-from difflab.runner import execute_run, execute_sweep, run_chains
-from difflab.samplers import SamplerConfig, run_chain
+from difflab.runner import (_write_samples_csv, _write_trajectories_csv,
+                            execute_run, execute_sweep, run_chains)
+from difflab.samplers import SamplerConfig, Trajectory, run_chain
 from difflab.schedule import linear_beta_schedule, respace
 
 
@@ -63,6 +65,10 @@ def test_runspec_invalid_values():
     d["model"]["weights"] = [0.5, 0.6]
     with pytest.raises(SpecError):
         RunSpec.from_dict(d)
+    for bad in ({"x_min": 6, "x_max": -6}, {"x_min": 1.0, "x_max": 1.0},
+                {"x_min": float("-inf")}):
+        with pytest.raises(SpecError, match="heatmap"):
+            RunSpec.from_dict(base_spec_dict(heatmap={"t_bins": 4, "x_bins": 8, **bad}))
 
 
 def test_runspec_builds_respaced_schedule():
@@ -157,6 +163,24 @@ def test_run_chains_heatmap_counts_conserved():
     assert res.heatmap.counts.sum() == n * sched.n_steps
 
 
+def test_run_chains_heatmap_matches_build_heatmap():
+    # the in-run accumulation and build_heatmap over the recorded trajectories
+    # must bin every point into the same cell
+    gmm = two_point()
+    sched = respace(linear_beta_schedule(100, 1e-3, 0.05), 30, "quadratic")
+    n = 300
+    heat = {"t_bins": 7, "x_bins": 24, "x_min": -3.0, "x_max": 5.0}
+    res = run_chains(gmm, sched, SamplerConfig(), n, seed=4,
+                     trajectory_chains=n, heatmap=heat)
+    assert len(res.trajectories) == n
+    grid = build_heatmap(res.trajectories, t_bins=7, x_bins=24, x_range=(-3.0, 5.0),
+                         t_range=(0.0, float(sched.top_t())))
+    assert np.array_equal(res.heatmap.t_edges, grid.t_edges)
+    assert np.array_equal(res.heatmap.x_edges, grid.x_edges)
+    assert np.array_equal(res.heatmap.counts, grid.counts)
+    assert grid.counts.sum() == n * sched.n_steps
+
+
 def test_respaced_k_equals_t_matches_full_schedule():
     gmm = two_point()
     full = linear_beta_schedule(100, 1e-3, 0.05)
@@ -168,6 +192,48 @@ def test_respaced_k_equals_t_matches_full_schedule():
 
 
 # --- file emission --------------------------------------------------------
+
+_SPECIAL_VALUES = [float("nan"), float("inf"), float("-inf"), -0.0, 1e-320, 0.1, -7.0]
+
+
+def _reference_rows(path, header, rows):
+    """csv.writer with format(v, ".17g") floats, as the writers once were."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for ints, floats in rows:
+            writer.writerow(list(ints) + [format(v, ".17g") for v in floats])
+
+
+@pytest.mark.parametrize("D", [1, 16])
+def test_samples_csv_bytes_match_csv_writer_reference(tmp_path, D):
+    rng = np.random.default_rng(D)
+    samples = rng.standard_normal((5000, D)) * 10.0 ** rng.integers(-300, 300, (5000, D))
+    samples.flat[:len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
+    _write_samples_csv(tmp_path / "got.csv", samples)
+    _reference_rows(tmp_path / "ref.csv", ["chain_id"] + [f"x{d}" for d in range(D)],
+                    [((i,), row) for i, row in enumerate(samples)])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("D", [1, 16])
+def test_trajectories_csv_bytes_match_csv_writer_reference(tmp_path, D):
+    rng = np.random.default_rng(D)
+    trajs = []
+    for _ in range(3):
+        xs = rng.standard_normal((20, D))
+        x0 = rng.standard_normal((20, D)) * 1e-310
+        xs.flat[:len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
+        trajs.append(Trajectory(ts=np.arange(19, -1, -1), xs=xs, x0_hats=x0,
+                                increments=np.zeros_like(xs)))
+    _write_trajectories_csv(tmp_path / "got.csv", trajs, D)
+    header = (["chain_id", "step_index", "t"] + [f"x{d}" for d in range(D)]
+              + [f"x0_hat{d}" for d in range(D)])
+    _reference_rows(tmp_path / "ref.csv", header,
+                    [((i, k, int(tr.ts[k])), list(tr.xs[k]) + list(tr.x0_hats[k]))
+                     for i, tr in enumerate(trajs) for k in range(20)])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
 
 def test_execute_run_outputs(tmp_path):
     spec = RunSpec.from_dict(base_spec_dict(

@@ -1,13 +1,16 @@
 """Distributional and trajectory metrics."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from difflab.metrics import (build_heatmap, mixture_quantile, mode_statistics,
-                             sliced_w1, trajectory_total_variation,
-                             wasserstein1_1d)
+from scipy.stats import wasserstein_distance
+
+from difflab.metrics import (HeatmapGrid, bin_trajectory_points, build_heatmap,
+                             mixture_quantile, mode_statistics, sliced_w1,
+                             trajectory_total_variation, wasserstein1_1d)
 from difflab.model import GaussianMixtureModel
 from difflab.samplers import Trajectory
 from difflab.schedule import linear_beta_schedule
@@ -158,3 +161,73 @@ def test_mode_statistics():
     assert stats[1]["mean_abs_dev"] == pytest.approx(0.075)
     with pytest.raises(ValueError):
         mode_statistics(np.array([]), [-2.0])
+
+
+def _reference_bin(ts, xs, t_edges, x_edges, counts):
+    """The digitize + add.at binning the arithmetic path must reproduce."""
+    def clipped(values, edges):
+        return np.clip(np.digitize(values, edges) - 1, 0, len(edges) - 2)
+    np.add.at(counts, (clipped(ts, t_edges), clipped(xs, x_edges)), 1)
+
+
+@pytest.mark.parametrize("x_range,x_bins", [((-6.0, 6.0), 120), ((-2.0, 4.0), 3),
+                                             ((0.1, 0.7), 1), ((-1e-3, 2e-3), 7)])
+def test_bin_trajectory_points_matches_digitize_reference(x_range, x_bins):
+    rng = np.random.default_rng(x_bins)
+    t_edges = np.linspace(0.0, 200.0, 101)
+    x_edges = np.linspace(x_range[0], x_range[1], x_bins + 1)
+    span = x_range[1] - x_range[0]
+    specials = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0]
+    xs = np.concatenate([
+        rng.uniform(x_range[0] - span, x_range[1] + span, 5000),
+        x_edges, np.nextafter(x_edges, np.inf), np.nextafter(x_edges, -np.inf), specials])
+    ts = np.concatenate([rng.integers(0, 201, xs.size - t_edges.size),
+                         t_edges]).astype(float)
+    ts[:len(specials)] = specials
+    got = np.zeros((100, x_bins), dtype=np.int64)
+    ref = np.zeros_like(got)
+    bin_trajectory_points(ts, xs[:, None], t_edges, x_edges, got)
+    _reference_bin(ts, xs, t_edges, x_edges, ref)
+    assert np.array_equal(got, ref)
+    bin_trajectory_points(ts, xs, t_edges, x_edges, got)     # accumulates in place
+    assert np.array_equal(got, 2 * ref)
+
+
+def test_bin_trajectory_points_rejects_uneven_edges():
+    counts = np.zeros((1, 3), dtype=np.int64)
+    for x_edges in (np.array([0.0, 1.0, 2.5, 3.0]), np.linspace(1.0, 0.0, 4)):
+        with pytest.raises(ValueError):
+            bin_trajectory_points([0.5], [0.5], np.array([0.0, 1.0]), x_edges, counts)
+
+
+def test_heatmap_csv_bytes_match_csv_writer_reference(tmp_path):
+    t_edges = np.array([0.0, 1e-320, 0.1, 200.0])
+    x_edges = np.array([-6.0, -0.0, 1.0 / 3.0, 6.0])
+    counts = np.arange(9, dtype=np.int64).reshape(3, 3) * 12345
+    path = tmp_path / "heatmap.csv"
+    HeatmapGrid(t_edges=t_edges, x_edges=x_edges, counts=counts).to_csv(path)
+    ref = tmp_path / "reference.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t_lo", "t_hi", "x_lo", "x_hi", "count"])
+        for i in range(3):
+            for j in range(3):
+                writer.writerow([format(t_edges[i], ".17g"), format(t_edges[i + 1], ".17g"),
+                                 format(x_edges[j], ".17g"), format(x_edges[j + 1], ".17g"),
+                                 int(counts[i, j])])
+    assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("D", [2, 16])
+def test_sliced_w1_matches_per_projection_scipy(D):
+    rng = np.random.default_rng(D)
+    a = rng.standard_normal((300, D))
+    b = rng.standard_normal((300, D)) * 1.5 + 0.3
+    got = sliced_w1(a, b, 32, np.random.default_rng(9))
+    dirs = np.random.default_rng(9).standard_normal((32, D))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    ref = np.mean([wasserstein_distance(a @ d, b @ d) for d in dirs])
+    assert got == pytest.approx(ref, rel=1e-12)
+    # unequal sizes take the scipy path
+    assert sliced_w1(a, b[:200], 32, np.random.default_rng(9)) == pytest.approx(
+        np.mean([wasserstein_distance(a @ d, b[:200] @ d) for d in dirs]), rel=1e-12)

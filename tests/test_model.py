@@ -3,6 +3,7 @@ closed-form optimal noise predictor."""
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from difflab.model import (GaussianMixtureModel, analytic_eps, forward_sample,
                            log_density_t, noised_mixture, score_x, score_xbar)
@@ -32,6 +33,17 @@ def test_constructor_validation():
         GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[-1.0])
     with pytest.raises(ValueError):
         GaussianMixtureModel(weights=[0.5, 0.5], means=[[0.0]], variances=[1.0, 1.0])
+    nan, inf = float("nan"), float("inf")
+    # non-finite parameters: a NaN weight passes both the sign and the sum check
+    for weights, means, variances in (
+            ([nan, 1.0], [[0.0], [1.0]], [1.0, 1.0]),
+            ([0.5, 0.5], [[0.0], [1e400]], [1.0, 1.0]),
+            ([0.5, 0.5], [[0.0], [-inf]], [1.0, 1.0]),
+            ([0.5, 0.5], [[0.0], [nan]], [1.0, 1.0]),
+            ([0.5, 0.5], [[0.0], [1.0]], [inf, 1.0]),
+            ([0.5, 0.5], [[0.0], [1.0]], [1.0, nan])):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianMixtureModel(weights=weights, means=means, variances=variances)
 
 
 def test_1d_means_promoted_to_column():
@@ -161,3 +173,51 @@ def test_batched_inputs_broadcast():
     assert pred.eps_hat.shape == (4, 7, 3)
     single = analytic_eps(gmm, x[2, 3], 20, sched)
     assert np.allclose(pred.eps_hat[2, 3], single.eps_hat)
+
+
+def _reference_eps(gmm, x, t, schedule):
+    """The broadcast formula: (..., K, D) differences and scipy's logsumexp."""
+    a = schedule.alpha(t)
+    sa, s2 = np.sqrt(a), a * gmm.variances + (1.0 - a)
+    diff = x[..., None, :] - sa * gmm.means
+    sq = np.sum(diff * diff, axis=-1)
+    log_w = np.where(gmm.weights > 0.0,
+                     np.log(np.where(gmm.weights > 0.0, gmm.weights, 1.0)), -np.inf)
+    log_p = log_w - 0.5 * sq / s2 - 0.5 * gmm.D * (np.log(s2) + np.log(2.0 * np.pi))
+    r = np.exp(log_p - logsumexp(log_p, axis=-1, keepdims=True))
+    gain = sa * gmm.variances / s2
+    x0_hat = np.sum(r[..., None] * (gmm.means + gain[:, None] * diff), axis=-2)
+    return (x - sa * x0_hat) / np.sqrt(1.0 - a), x0_hat, logsumexp(log_p, axis=-1)
+
+
+@pytest.mark.parametrize("D", [1, 16])
+@pytest.mark.parametrize("K", [1, 2, 8])
+@pytest.mark.parametrize("point_masses", [False, True])
+def test_analytic_eps_matches_broadcast_reference(D, K, point_masses):
+    rng = np.random.default_rng(100 * D + 10 * K + point_masses)
+    sched = linear_beta_schedule(100, 1e-4, 0.05)
+    for trial in range(4):
+        w = rng.uniform(0.1, 1.0, K)
+        if K > 1 and trial % 2:
+            w[0] = 0.0                                   # a zero-weight component
+        dirs = rng.standard_normal((K, D))
+        means = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) \
+            * rng.uniform(0.0, 100.0, (K, 1))            # |mu| up to 100
+        variances = np.zeros(K) if point_masses else rng.uniform(0.0, 4.0, K)
+        if not point_masses and K > 1:
+            variances[-1] = 0.0                          # one point mass in the mix
+        gmm = GaussianMixtureModel(weights=w / w.sum(), means=means, variances=variances)
+        for t in range(1, sched.T + 1):
+            a = sched.alpha(t)
+            comp = rng.integers(0, K, 64)
+            x = np.sqrt(a) * means[comp] + np.sqrt(1.0 - a) * rng.standard_normal((64, D))
+            # points between two components, where the responsibilities split
+            lam = rng.uniform(0.0, 1.0, (8, 1))
+            x[:8] = np.sqrt(a) * (lam * means[comp[:8]] + (1.0 - lam) * means[comp[8:16]])
+            pred = analytic_eps(gmm, x, t, sched)
+            eps_ref, x0_ref, log_dens_ref = _reference_eps(gmm, x, t, sched)
+            assert np.max(np.abs(pred.eps_hat - eps_ref)) <= 1e-9
+            assert np.max(np.abs(pred.x0_hat - x0_ref)) <= 1e-9
+            if not point_masses:
+                got = log_density_t(gmm, x, t, sched)
+                assert np.allclose(got, log_dens_ref, rtol=1e-9, atol=1e-9)

@@ -7,7 +7,8 @@ import pytest
 
 from difflab.model import GaussianMixtureModel, analytic_eps
 from difflab.samplers import (ETA_DDPM_HAT, ETA_DDPM_UNIT, ETA_DETERMINISTIC,
-                              ChainState, SamplerConfig, adaptive_momentum_step,
+                              ChainState, SamplerConfig, SecondMomentError,
+                              _step_core, adaptive_momentum_step,
                               ddim_step, increment, predicted_x0, run_chain,
                               sigma, vanilla_step)
 from difflab.schedule import NoiseSchedule, linear_beta_schedule
@@ -233,6 +234,19 @@ def test_second_moment_stays_positive():
     while state.t > 0:
         state = adaptive_momentum_step(state, gmm, sched, cfg, rng)
         assert np.all(state.v > 0.0)
+
+
+def test_zero_second_moment_raises_named_error():
+    # c=1 makes v the last squared increment; at x_bar = 0 on a point mass at 0
+    # the deterministic increment is 0, so v reaches 0. A valid config, so this
+    # must be a named error, not an assert that -O would strip.
+    gmm = GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[0.0])
+    sched = linear_beta_schedule(20, 1e-3, 0.05)
+    cfg = SamplerConfig(method="adaptive", eta_mode=ETA_DETERMINISTIC, c=1.0)
+    state = ChainState(t=sched.top_t(), x_bar=np.zeros((3, 1)), m=np.zeros((3, 1)),
+                       v=np.ones(3))
+    with pytest.raises(SecondMomentError, match=r"c=1\.0, zeta=1e-08"):
+        _step_core(state, gmm, sched, cfg, np.zeros((3, 1)))
 
 
 def test_vanilla_step_leaves_momentum_untouched():
