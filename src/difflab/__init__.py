@@ -6,17 +6,13 @@ __version__ = "0.1.0"
 
 from .model import (GaussianMixtureModel, NoisePrediction, analytic_eps,
                     forward_sample, log_density_t)
-from .samplers import (ChainState, SamplerConfig, Trajectory,
-                       adaptive_momentum_step, ddim_step, increment, run_chain,
-                       sigma, vanilla_step)
-from .schedule import (NoiseSchedule, RespacedSchedule, linear_beta_schedule,
-                       respace)
+from .samplers import ChainState, SamplerConfig, StepPlan, Trajectory, sigma
+from .schedule import NoiseSchedule, linear_beta_schedule, respace
 
 __all__ = [
     "GaussianMixtureModel", "NoisePrediction", "analytic_eps",
     "forward_sample", "log_density_t",
-    "ChainState", "SamplerConfig", "Trajectory", "adaptive_momentum_step",
-    "ddim_step", "increment", "run_chain", "sigma", "vanilla_step",
-    "NoiseSchedule", "RespacedSchedule", "linear_beta_schedule", "respace",
+    "ChainState", "SamplerConfig", "StepPlan", "Trajectory", "sigma",
+    "NoiseSchedule", "linear_beta_schedule", "respace",
     "__version__",
 ]

@@ -97,10 +97,9 @@ def cmd_verify(args) -> int:
 def cmd_schedules_dump(args) -> int:
     spec = RunSpec.from_json(_resolve_spec_path(args.spec))
     sched = spec.build_schedule()
-    parent = getattr(sched, "parent", sched)
     out = args.out if args.out is not None else "schedule.csv"
-    parent.to_csv(out)
-    print(f"schedule ({parent.T} steps) written to {out}")
+    sched.to_csv(out)
+    print(f"schedule ({sched.T} steps) written to {out}")
     return 0
 
 

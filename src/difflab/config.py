@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from .model import GaussianMixtureModel
-from .samplers import SamplerConfig
-from .schedule import NoiseSchedule, RespacedSchedule, linear_beta_schedule, respace
+from .samplers import SamplerConfig, StepPlan
+from .schedule import NoiseSchedule, linear_beta_schedule, respace
 
 __all__ = ["RunSpec", "SweepSpec", "SpecError"]
 
@@ -30,6 +30,21 @@ def _get(d: dict, key: str, path: str, default=_sentinel):
     if default is _sentinel:
         raise SpecError(f"missing required field '{path}.{key}'")
     return default
+
+
+def _section(d: dict, key: str, path: str) -> dict:
+    value = _get(d, key, path)
+    if not isinstance(value, dict):
+        raise SpecError(f"{key}: must be an object, not {type(value).__name__}")
+    return value
+
+
+def _as(kind, value, name: str):
+    """kind(value), with a failed conversion reported against the field name."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"{name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -64,7 +79,7 @@ class RunSpec:
         except ValueError as exc:
             raise SpecError(f"model: {exc}") from exc
 
-    def build_schedule(self):
+    def build_schedule(self) -> NoiseSchedule:
         try:
             sched = linear_beta_schedule(self.T, self.beta_start, self.beta_end,
                                          alpha_zero=self.alpha_zero)
@@ -82,48 +97,62 @@ class RunSpec:
 
     def validate(self) -> "RunSpec":
         self.build_model()
-        self.build_schedule()
-        self.build_sampler_config()
+        schedule = self.build_schedule()
+        config = self.build_sampler_config()
+        try:
+            StepPlan.build(schedule, config)
+        except ValueError as exc:
+            raise SpecError(f"sampler.eta_mode: {exc}") from exc
         if self.n_chains < 0:
             raise SpecError("n_chains: must be non-negative")
+        if self.seed < 0:
+            raise SpecError("seed: must be non-negative")
         if self.threads < 1:
             raise SpecError("threads: must be positive")
         if self.heatmap is not None:
             for key in ("t_bins", "x_bins"):
-                if int(self.heatmap.get(key, 0)) < 1:
+                if _as(int, self.heatmap.get(key, 0), f"heatmap.{key}") < 1:
                     raise SpecError(f"heatmap.{key}: must be a positive integer")
-            x_min = float(self.heatmap.get("x_min", -6.0))
-            x_max = float(self.heatmap.get("x_max", 6.0))
+            x_min = _as(float, self.heatmap.get("x_min", -6.0), "heatmap.x_min")
+            x_max = _as(float, self.heatmap.get("x_max", 6.0), "heatmap.x_max")
             if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
                 raise SpecError("heatmap.x_min, heatmap.x_max: need finite x_min < x_max")
         return self
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunSpec":
-        model = _get(d, "model", "spec")
-        sched = _get(d, "schedule", "spec")
+        if not isinstance(d, dict):
+            raise SpecError(f"spec: must be an object, not {type(d).__name__}")
+        model = _section(d, "model", "spec")
+        sched = _section(d, "schedule", "spec")
         means = model.get("means")
         if means is None:
             raise SpecError("missing required field 'spec.model.means'")
-        means = tuple(tuple(np.atleast_1d(np.asarray(m, dtype=float))) for m in means)
+        try:
+            means = tuple(tuple(np.atleast_1d(np.asarray(m, dtype=float))) for m in means)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"model.means: {exc}") from exc
+        respace_k = sched.get("respace_k")
+        trajectory_chains = d.get("trajectory_chains")
         spec = cls(
-            weights=tuple(_get(model, "weights", "model")),
+            weights=_as(tuple, _get(model, "weights", "model"), "model.weights"),
             means=means,
-            variances=tuple(_get(model, "variances", "model")),
-            T=int(_get(sched, "T", "schedule")),
-            beta_start=float(_get(sched, "beta_start", "schedule")),
-            beta_end=float(_get(sched, "beta_end", "schedule")),
-            alpha_zero=float(sched.get("alpha_zero", 1.0)),
-            respace_k=(int(sched["respace_k"]) if sched.get("respace_k") is not None else None),
+            variances=_as(tuple, _get(model, "variances", "model"), "model.variances"),
+            T=_as(int, _get(sched, "T", "schedule"), "schedule.T"),
+            beta_start=_as(float, _get(sched, "beta_start", "schedule"), "schedule.beta_start"),
+            beta_end=_as(float, _get(sched, "beta_end", "schedule"), "schedule.beta_end"),
+            alpha_zero=_as(float, sched.get("alpha_zero", 1.0), "schedule.alpha_zero"),
+            respace_k=(_as(int, respace_k, "schedule.respace_k")
+                       if respace_k is not None else None),
             respace_mode=sched.get("respace_mode", "uniform"),
-            sampler=dict(d.get("sampler", {})),
-            n_chains=int(d.get("n_chains", 1000)),
-            seed=int(d.get("seed", 0)),
-            threads=int(d.get("threads", 1)),
+            sampler=_as(dict, d.get("sampler", {}), "sampler"),
+            n_chains=_as(int, d.get("n_chains", 1000), "n_chains"),
+            seed=_as(int, d.get("seed", 0), "seed"),
+            threads=_as(int, d.get("threads", 1), "threads"),
             trajectories=bool(d.get("trajectories", True)),
-            trajectory_chains=(int(d["trajectory_chains"])
-                               if d.get("trajectory_chains") is not None else None),
-            heatmap=(dict(d["heatmap"]) if d.get("heatmap") else None),
+            trajectory_chains=(_as(int, trajectory_chains, "trajectory_chains")
+                               if trajectory_chains is not None else None),
+            heatmap=(_as(dict, d["heatmap"], "heatmap") if d.get("heatmap") else None),
             metrics=bool(d.get("metrics", True)),
         )
         return spec.validate()
@@ -185,24 +214,33 @@ class SweepSpec:
             raise SpecError("sweep.values: must be non-empty")
         if self.seeds_per_cell < 1:
             raise SpecError("sweep.seeds_per_cell: must be positive")
+        if self.base.n_chains < 1:
+            raise SpecError("sweep.base.n_chains: must be positive")
+        for value in self.values:   # a bad cell fails before the first one runs
+            self.cell_spec(value, 0).validate()
 
     def cell_spec(self, value, seed_offset: int) -> RunSpec:
+        """The run spec of one cell; every value was validated with the sweep,
+        and a non-negative seed offset keeps the seed valid."""
         base = self.base
+        name = f"sweep.values ({self.axis})"
         if self.axis == "K":
-            spec = replace(base, respace_k=int(value))
+            spec = replace(base, respace_k=_as(int, value, name))
         elif self.axis == "eta_mode":
             spec = replace(base, sampler={**base.sampler, "eta_mode": str(value)})
         else:
-            spec = replace(base, sampler={**base.sampler, self.axis: float(value)})
-        return replace(spec, seed=base.seed + seed_offset).validate()
+            spec = replace(base, sampler={**base.sampler, self.axis: _as(float, value, name)})
+        return replace(spec, seed=base.seed + seed_offset)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
+        if not isinstance(d, dict):
+            raise SpecError(f"sweep: must be an object, not {type(d).__name__}")
         return cls(
             base=RunSpec.from_dict(_get(d, "base", "sweep")),
             axis=str(_get(d, "axis", "sweep")),
-            values=tuple(_get(d, "values", "sweep")),
-            seeds_per_cell=int(d.get("seeds_per_cell", 1)),
+            values=_as(tuple, _get(d, "values", "sweep"), "sweep.values"),
+            seeds_per_cell=_as(int, d.get("seeds_per_cell", 1), "sweep.seeds_per_cell"),
         )
 
     @classmethod

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ from .config import RunSpec, SweepSpec
 from .metrics import (HeatmapGrid, bin_trajectory_points, mode_statistics,
                       sliced_w1, wasserstein1_1d)
 from .model import GaussianMixtureModel
-from .samplers import ChainState, SamplerConfig, Trajectory, _step_core
+from .samplers import ChainState, SamplerConfig, StepPlan, Trajectory, _step_core
 
 __all__ = ["RunResult", "run_chains", "execute_run", "execute_sweep"]
 
@@ -48,10 +47,10 @@ def _chain_noise(seed: int, index: int, n_steps: int, D: int) -> np.ndarray:
 
 
 def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
-               seed: int, lo: int, hi: int, n_record: int,
+               plan: StepPlan, seed: int, lo: int, hi: int, n_record: int,
                heat_edges) -> tuple:
     n = hi - lo
-    K = schedule.n_steps
+    K = plan.K
     D = model.D
     noise = np.empty((n, K + 1, D))
     for i in range(n):
@@ -59,7 +58,6 @@ def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
     state = ChainState.init(noise[:, 0, :], schedule)
 
     n_rec = max(0, min(hi, n_record) - lo)
-    rec_ts = np.empty(K, dtype=int)
     rec_xs = np.empty((n_rec, K, D)) if n_rec else None
     rec_x0 = np.empty((n_rec, K, D)) if n_rec else None
     rec_dx = np.empty((n_rec, K, D)) if n_rec else None
@@ -71,27 +69,25 @@ def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
         t_edges, x_edges = heat_edges
         counts = np.zeros((len(t_edges) - 1, len(x_edges) - 1), dtype=np.int64)
 
-    for k, (t, t_prev) in enumerate(schedule.transitions()):
-        eps = noise[:, k + 1, :] if t_prev > 0 else np.zeros((n, D))
-        state, x_next, x0_hat, dxb = _step_core(state, model, schedule, config, eps)
+    for k in range(K):
+        state, x_next, x0_hat, dxb = _step_core(state, model, schedule, config,
+                                                noise[:, k + 1, :], plan, k)
         if prev_x is not None:
             tv += np.linalg.norm(x_next - prev_x, axis=-1)
         prev_x = x_next
-        rec_ts[k] = t_prev
         if n_rec:
             rec_xs[:, k] = x_next[:n_rec]
             rec_x0[:, k] = x0_hat[:n_rec]
             rec_dx[:, k] = dxb[:n_rec]
         if counts is not None:
-            bin_trajectory_points(np.full(n, t_prev, dtype=float), x_next,
+            bin_trajectory_points(np.full(n, plan.t_prev[k], dtype=float), x_next,
                                   t_edges, x_edges, counts)
 
     trajs = [
-        Trajectory(ts=rec_ts.copy(), xs=rec_xs[i], x0_hats=rec_x0[i], increments=rec_dx[i])
+        Trajectory(ts=plan.t_prev.copy(), xs=rec_xs[i], x0_hats=rec_x0[i], increments=rec_dx[i])
         for i in range(n_rec)
     ]
-    samples = math.sqrt(schedule.alpha(0)) * state.x_bar
-    return lo, samples, tv, trajs, counts
+    return lo, prev_x, tv, trajs, counts     # the last step's x_{t-1} is x_0
 
 
 def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
@@ -100,7 +96,7 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
                heatmap: dict | None = None) -> RunResult:
     """Execute n_chains reverse chains with per-chain seeded noise streams."""
     D = model.D
-    K = schedule.n_steps
+    plan = StepPlan.build(schedule, config)
     if trajectory_chains is None:
         trajectory_chains = n_chains if config.record_trajectory else 0
     heat_edges = None
@@ -108,7 +104,7 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
     if heatmap is not None:
         if D != 1:
             raise ValueError("heatmaps are for 1D runs")
-        t_edges = np.linspace(0.0, float(schedule.top_t()), int(heatmap["t_bins"]) + 1)
+        t_edges = np.linspace(0.0, float(schedule.tau[-1]), int(heatmap["t_bins"]) + 1)
         x_edges = np.linspace(float(heatmap.get("x_min", -6.0)),
                               float(heatmap.get("x_max", 6.0)),
                               int(heatmap["x_bins"]) + 1)
@@ -123,7 +119,7 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
 
     def work(block):
         lo, hi = block
-        return _run_block(model, schedule, config, seed, lo, hi,
+        return _run_block(model, schedule, config, plan, seed, lo, hi,
                           trajectory_chains, heat_edges)
 
     if threads > 1 and len(blocks) > 1:

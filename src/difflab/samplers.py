@@ -1,9 +1,12 @@
 """Reverse samplers: the generalized (DDIM-family) step, plus momentum and
 adaptive-momentum variants operating in the rescaled space x_bar = x / sqrt(alpha).
 
-Momentum and second-moment scaling apply on every transition except the last:
-the final step (t_prev == 0) is the plain generalized step for every method, so
-with alpha(0) = 1 each chain ends on its last predicted clean sample.
+A ``StepPlan`` holds every per-transition coefficient of one (schedule,
+SamplerConfig) pair, and ``_step_core`` applies one of its rows. The plan owns
+the per-transition policy: momentum and second-moment scaling apply on every
+transition except the last, and the final step (t_prev == 0) is the plain,
+noiseless generalized step for every method, so with alpha(0) = 1 each chain
+ends on its last predicted clean sample.
 
 All step math broadcasts over leading batch dimensions; a single chain is the
 (D,) special case.
@@ -12,7 +15,7 @@ All step math broadcasts over leading batch dimensions; a single chain is the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,14 +27,10 @@ __all__ = [
     "ETA_DDPM_UNIT",
     "ETA_DDPM_HAT",
     "SamplerConfig",
+    "StepPlan",
     "ChainState",
     "Trajectory",
     "sigma",
-    "ddim_step",
-    "increment",
-    "vanilla_step",
-    "adaptive_momentum_step",
-    "run_chain",
 ]
 
 ETA_DETERMINISTIC = "deterministic"   # eta = 0
@@ -48,78 +47,28 @@ class SecondMomentError(ArithmeticError):
     positive (zero or NaN), so m / (sqrt(v) + zeta) is not a scaled step."""
 
 
-def _sigma_from_alphas(alpha_t: float, alpha_prev: float, eta_mode: str) -> float:
-    if alpha_t >= alpha_prev:
-        raise ValueError("need alpha_t < alpha_prev (noise must increase with t)")
+def _sigma_from_alphas(alpha_t, alpha_prev, eta_mode: str):
+    """Noise scale of the generalized reverse step, for alpha_t < alpha_prev;
+    floats or arrays of alphas."""
     step_var = 1.0 - alpha_t / alpha_prev
     if eta_mode == ETA_DETERMINISTIC:
-        return 0.0
+        return 0.0 * step_var
     if eta_mode == ETA_DDPM_UNIT:
-        return math.sqrt((1.0 - alpha_prev) / (1.0 - alpha_t) * step_var)
+        return np.sqrt((1.0 - alpha_prev) / (1.0 - alpha_t) * step_var)
     if eta_mode == ETA_DDPM_HAT:
         # eta_hat cancels the leading factor, leaving sqrt(1 - a_t/a_prev);
         # at the alpha_zero=1 boundary eta_hat itself is 0/0, resolved as 0
         # so the final step returns the predicted x0.
-        if alpha_prev >= 1.0:
-            return 0.0
-        return math.sqrt(step_var)
+        return np.sqrt(step_var) * (alpha_prev < 1.0)
     raise ValueError(f"unknown eta mode {eta_mode!r}")
 
 
 def sigma(schedule, t_hi: int, t_lo: int, eta_mode: str) -> float:
     """Noise scale of the generalized reverse step from t_hi to t_lo."""
-    return _sigma_from_alphas(schedule.alpha(t_hi), schedule.alpha(t_lo), eta_mode)
-
-
-def _dir_coeff(alpha_prev: float, sig: float) -> float:
-    """sqrt(1 - alpha_prev - sigma^2), clamping float-level cancellation."""
-    val = 1.0 - alpha_prev - sig * sig
-    if val < 0.0:
-        if val < -_CLAMP:
-            raise ValueError(
-                f"1 - alpha_prev - sigma^2 = {val} < 0: invalid eta/sigma combination"
-            )
-        val = 0.0
-    return math.sqrt(val)
-
-
-def predicted_x0(x_t, eps_hat, alpha_t: float) -> np.ndarray:
-    return (np.asarray(x_t) - math.sqrt(1.0 - alpha_t) * np.asarray(eps_hat)) / math.sqrt(alpha_t)
-
-
-def ddim_step(x_t, eps_hat, eps_noise, schedule, t: int, eta_mode: str,
-              t_prev: int | None = None) -> np.ndarray:
-    """One generalized reverse step in data space.
-
-    x_{t-1} = sqrt(a_prev) x0_hat + sqrt(1 - a_prev - sigma^2) eps_hat + sigma eps_noise
-    """
-    if t_prev is None:
-        t_prev = schedule.prev_t(t)
-    a_t = schedule.alpha(t)
-    a_p = schedule.alpha(t_prev)
-    sig = _sigma_from_alphas(a_t, a_p, eta_mode)
-    x0_hat = predicted_x0(x_t, eps_hat, a_t)
-    return (
-        math.sqrt(a_p) * x0_hat
-        + _dir_coeff(a_p, sig) * np.asarray(eps_hat)
-        + sig * np.asarray(eps_noise)
-    )
-
-
-def _increment_coeffs(a_t: float, a_p: float, eta_mode: str) -> tuple[float, float]:
-    """(mu, noise coefficient) of the x_bar increment."""
-    sig = _sigma_from_alphas(a_t, a_p, eta_mode)
-    mu = _dir_coeff(a_p, sig) / math.sqrt(a_p) - math.sqrt((1.0 - a_t) / a_t)
-    return mu, sig / math.sqrt(a_p)
-
-
-def increment(x_bar, eps_hat, eps_noise, schedule, t: int, eta_mode: str,
-              t_prev: int | None = None) -> np.ndarray:
-    """The per-step increment d x_bar; the vanilla update is x_bar + d x_bar."""
-    if t_prev is None:
-        t_prev = schedule.prev_t(t)
-    mu, nc = _increment_coeffs(schedule.alpha(t), schedule.alpha(t_prev), eta_mode)
-    return mu * np.asarray(eps_hat) + nc * np.asarray(eps_noise)
+    alpha_t, alpha_prev = schedule.alpha(t_hi), schedule.alpha(t_lo)
+    if alpha_t >= alpha_prev:
+        raise ValueError("need alpha_t < alpha_prev (noise must increase with t)")
+    return float(_sigma_from_alphas(alpha_t, alpha_prev, eta_mode))
 
 
 @dataclass(frozen=True)
@@ -169,18 +118,76 @@ class SamplerConfig:
     def momentum(cls, b: float, eta_mode: str = ETA_DDPM_UNIT, **kw) -> "SamplerConfig":
         return cls(method="adaptive", eta_mode=eta_mode, b=b, c=0.0, zeta=0.0, **kw)
 
-    def coeffs(self, step_index: int, n_steps: int) -> tuple[float, float]:
-        """(a_t, b_t) for the step with 0-based index from the chain start."""
+    def coeffs(self, step_index, n_steps: int) -> tuple:
+        """(a_t, b_t) for the step with 0-based index from the chain start;
+        elementwise when step_index is an array."""
         b_t = self.b
         if self.b_schedule == "linear_ramp" and n_steps > 1:
             b_t = self.b * step_index / (n_steps - 1)
         if self.a_override is not None:
             a_t = self.a_override
         elif self.a_rule == "spherical":
-            a_t = math.sqrt(1.0 - b_t * b_t)
+            a_t = np.sqrt(1.0 - b_t * b_t)
         else:
             a_t = 1.0 - b_t
         return a_t, b_t
+
+
+@dataclass(frozen=True)
+class StepPlan:
+    """Per-transition coefficients of one (schedule, SamplerConfig) pair.
+
+    Row k is the k-th reverse step, from t[k] down to t_prev[k]. In x_bar
+    space the step's increment is d x_bar = mu eps_hat + noise eps, with
+    mu = sqrt(1 - a_prev - sigma^2) / sqrt(a_prev) - sqrt((1 - a_t) / a_t) and
+    noise = sigma / sqrt(a_prev). Rows flagged ``plain`` take x_bar + d x_bar;
+    the others take the momentum + second-moment update with (a[k], b[k]).
+    """
+
+    t: np.ndarray                # (K,) int, from tau[-1] down to tau[0]
+    t_prev: np.ndarray           # (K,) int, 0 on the last row
+    sqrt_alpha: np.ndarray       # sqrt(alpha(t))
+    sqrt_alpha_prev: np.ndarray  # sqrt(alpha(t_prev))
+    mu: np.ndarray               # drift coefficient of eps_hat
+    noise: np.ndarray            # coefficient of the noise draw; 0 on the last row
+    a: np.ndarray                # momentum coefficients, SamplerConfig.coeffs(k, K)
+    b: np.ndarray
+    plain: np.ndarray            # bool: every row for vanilla, the last row always
+
+    @property
+    def K(self) -> int:
+        return int(self.t.size)
+
+    @classmethod
+    def build(cls, schedule, config: SamplerConfig) -> "StepPlan":
+        """Raises ValueError, naming t, where the eta mode does not fit the
+        schedule. The schedule's alphas decrease along tau and alpha(0)
+        exceeds them all, so every row has alpha_t < alpha_prev."""
+        tau = np.array(schedule.tau)
+        t = tau[::-1]
+        t_prev = np.concatenate(([0], tau[:-1]))[::-1]
+        alphas = np.concatenate(([schedule.alpha_zero], schedule.alphas_cum))  # alphas[t]
+        a_t, a_p = alphas[t], alphas[t_prev]
+        sig = _sigma_from_alphas(a_t, a_p, config.eta_mode)
+        dir_sq = 1.0 - a_p - sig * sig
+        bad = dir_sq < -_CLAMP
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"1 - alpha_prev - sigma^2 = {dir_sq[k]:.2g} < 0 at t={t[k]}: "
+                f"eta mode {config.eta_mode!r} does not fit this schedule")
+        # clamp float-level cancellation
+        dir_coeff = np.sqrt(np.where(dir_sq < 0.0, 0.0, dir_sq))
+        sqrt_a_p = np.sqrt(a_p)
+        noise = sig / sqrt_a_p
+        noise[-1] = 0.0     # the final step is noiseless
+        a, b = config.coeffs(np.arange(t.size), t.size)
+        plain = np.full(t.size, config.method == "vanilla")
+        plain[-1] = True    # and plain for every method
+        return cls(t=t, t_prev=t_prev, sqrt_alpha=np.sqrt(a_t), sqrt_alpha_prev=sqrt_a_p,
+                   mu=dir_coeff / sqrt_a_p - np.sqrt((1.0 - a_t) / a_t), noise=noise,
+                   a=np.full(t.size, a, dtype=float), b=np.full(t.size, b, dtype=float),
+                   plain=plain)
 
 
 @dataclass(frozen=True)
@@ -194,7 +201,7 @@ class ChainState:
 
     @classmethod
     def init(cls, x_T, schedule) -> "ChainState":
-        t = schedule.top_t()
+        t = schedule.tau[-1]
         x_T = np.asarray(x_T, dtype=float)
         x_bar = x_T / math.sqrt(schedule.alpha(t))
         return cls(t=t, x_bar=x_bar, m=np.zeros_like(x_bar),
@@ -212,19 +219,14 @@ class Trajectory:
 
 
 def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
-               config: SamplerConfig, eps_noise):
-    """Shared step math; returns (new state, x_{t-1}, x0_hat, d x_bar)."""
-    t = state.t
-    t_prev = schedule.prev_t(t)
-    a_t = schedule.alpha(t)
-    a_p = schedule.alpha(t_prev)
-    x_t = math.sqrt(a_t) * state.x_bar
-    pred = analytic_eps(model, x_t, t, schedule)
-    mu, nc = _increment_coeffs(a_t, a_p, config.eta_mode)
-    dxb = mu * pred.eps_hat + nc * eps_noise
+               config: SamplerConfig, eps_noise, plan: StepPlan, k: int):
+    """Row k of ``plan`` (built from this schedule and config) applied to
+    ``state``; returns (new state, x_{t-1}, x0_hat, d x_bar)."""
+    t = int(plan.t[k])
+    pred = analytic_eps(model, plan.sqrt_alpha[k] * state.x_bar, t, schedule)
+    dxb = plan.mu[k] * pred.eps_hat + plan.noise[k] * eps_noise
 
-    if config.method == "vanilla" or t_prev == 0:
-        # the final transition is the plain step onto the predicted x0
+    if plan.plain[k]:
         x_bar_new = state.x_bar + dxb
         m_new, v_new = state.m, state.v
     else:
@@ -237,54 +239,8 @@ def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
                 f"second-moment accumulator v is not positive at t={t} "
                 f"(c={config.c}, zeta={config.zeta}); with c=1, v is the last "
                 "squared increment, which is 0 when the step moves no chain")
-        a_coef, b_coef = config.coeffs(schedule.steps_from_top(t), schedule.n_steps)
-        m_new = a_coef * state.m + b_coef * dxb
+        m_new = plan.a[k] * state.m + plan.b[k] * dxb
         x_bar_new = state.x_bar + m_new / (np.sqrt(v_new)[..., None] + config.zeta)
 
-    new_state = ChainState(t=t_prev, x_bar=x_bar_new, m=m_new, v=v_new)
-    x_next = math.sqrt(a_p) * x_bar_new
-    return new_state, x_next, pred.x0_hat, dxb
-
-
-def _draw_noise(state: ChainState, schedule, rng) -> np.ndarray:
-    # Algorithm convention: the noise draw is zeroed on the final step.
-    if schedule.prev_t(state.t) == 0:
-        return np.zeros_like(state.x_bar)
-    return rng.standard_normal(state.x_bar.shape)
-
-
-def vanilla_step(state: ChainState, model: GaussianMixtureModel, schedule,
-                 config: SamplerConfig, rng) -> ChainState:
-    """One reverse step of the plain generalized sampler; m and v untouched."""
-    cfg = config if config.method == "vanilla" else replace(config, method="vanilla")
-    new_state, _, _, _ = _step_core(state, model, schedule, cfg, _draw_noise(state, schedule, rng))
-    return new_state
-
-def adaptive_momentum_step(state: ChainState, model: GaussianMixtureModel, schedule,
-                           config: SamplerConfig, rng) -> ChainState:
-    """One reverse step with momentum and adaptive second-moment scaling."""
-    cfg = config if config.method == "adaptive" else replace(config, method="adaptive")
-    new_state, _, _, _ = _step_core(state, model, schedule, cfg, _draw_noise(state, schedule, rng))
-    return new_state
-
-
-def run_chain(model: GaussianMixtureModel, schedule, config: SamplerConfig,
-              x_T, rng) -> tuple[np.ndarray, Trajectory | None]:
-    """Run one full reverse chain from x_T; returns x_0 and optionally its trajectory."""
-    state = ChainState.init(x_T, schedule)
-    record = config.record_trajectory
-    ts, xs, x0s, dxbs = [], [], [], []
-    for _ in range(schedule.n_steps):
-        eps_noise = _draw_noise(state, schedule, rng)
-        state, x_next, x0_hat, dxb = _step_core(state, model, schedule, config, eps_noise)
-        if record:
-            ts.append(state.t)
-            xs.append(x_next)
-            x0s.append(x0_hat)
-            dxbs.append(dxb)
-    traj = None
-    if record:
-        traj = Trajectory(ts=np.array(ts), xs=np.array(xs),
-                          x0_hats=np.array(x0s), increments=np.array(dxbs))
-    x0 = math.sqrt(schedule.alpha(0)) * state.x_bar
-    return x0, traj
+    new_state = ChainState(t=int(plan.t_prev[k]), x_bar=x_bar_new, m=m_new, v=v_new)
+    return new_state, plan.sqrt_alpha_prev[k] * x_bar_new, pred.x0_hat, dxb

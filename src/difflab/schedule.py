@@ -9,13 +9,13 @@ returns the predicted clean sample exactly).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "NoiseSchedule",
-    "RespacedSchedule",
     "linear_beta_schedule",
     "respace",
 ]
@@ -23,11 +23,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise rates and their cumulative signal products."""
+    """Per-step noise rates, their cumulative signal products, and the
+    increasing timestep subsequence ``tau`` that the reverse sampler visits.
+
+    The full schedule is tau = (1, ..., T); ``respace`` picks a shorter tau
+    over the same arrays, so every alpha is an exact read of ``alphas_cum``.
+    """
 
     betas: np.ndarray          # shape (T,), betas[t-1] = beta_t
     alphas_cum: np.ndarray     # shape (T,), alphas_cum[t-1] = prod_{i<=t}(1-beta_i)
     alpha_zero: float = 1.0
+    tau: tuple | None = None   # 1-based, strictly increasing, ends at T; None = 1..T
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=float)
@@ -50,13 +56,32 @@ class NoiseSchedule:
         betas.flags.writeable = False
         alphas.flags.writeable = False
 
+        T = betas.size
+        if self.tau is None:
+            tau = tuple(range(1, T + 1))
+        else:
+            tau = tuple(np.asarray(self.tau, dtype=np.int64).tolist())
+            if len(tau) == 0:
+                raise ValueError("tau must be non-empty")
+            if np.any(np.diff(tau) <= 0):
+                raise ValueError("tau must be strictly increasing")
+            if tau[0] < 1 or tau[-1] != T:
+                raise ValueError("tau must lie in [1, T] and end at T")
+        object.__setattr__(self, "tau", tau)
+
+    @cached_property
+    def _index(self) -> dict:
+        """Position of each timestep in tau."""
+        return dict(zip(self.tau, range(len(self.tau))))
+
     @property
     def T(self) -> int:
         return int(self.betas.size)
 
     @property
-    def n_steps(self) -> int:
-        return self.T
+    def K(self) -> int:
+        """Number of reverse transitions, one per element of tau."""
+        return len(self.tau)
 
     def beta(self, t: int) -> float:
         if not 1 <= t <= self.T:
@@ -64,111 +89,32 @@ class NoiseSchedule:
         return float(self.betas[t - 1])
 
     def alpha(self, t: int) -> float:
-        """Cumulative alpha at timestep t; alpha(0) is the boundary value."""
+        """Cumulative alpha at timestep t in tau; alpha(0) is the boundary value."""
         if t == 0:
             return float(self.alpha_zero)
-        if not 1 <= t <= self.T:
-            raise ValueError(f"timestep {t} outside [0, {self.T}]")
+        if t not in self._index:
+            raise ValueError(f"timestep {t} is not in the schedule's subsequence")
         return float(self.alphas_cum[t - 1])
 
     def prev_t(self, t: int) -> int:
-        if not 1 <= t <= self.T:
-            raise ValueError(f"timestep {t} outside [1, {self.T}]")
-        return t - 1
-
-    def top_t(self) -> int:
-        return self.T
-
-    def transitions(self) -> list[tuple[int, int]]:
-        """Reverse-order (t, t_prev) pairs, from (T, T-1) down to (1, 0)."""
-        return [(t, t - 1) for t in range(self.T, 0, -1)]
-
-    def steps_from_top(self, t: int) -> int:
-        return self.T - t
+        """The timestep the reverse step from t lands on (0 after tau[0])."""
+        k = self._index.get(t)
+        if k is None:
+            raise ValueError(f"timestep {t} is not in the schedule's subsequence")
+        return self.tau[k - 1] if k > 0 else 0
 
     def to_csv(self, path) -> None:
+        """All T rates of the full schedule, whatever the subsequence."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "beta", "alpha_cum"])
             for t in range(1, self.T + 1):
-                writer.writerow([t, format(self.beta(t), ".17g"), format(self.alpha(t), ".17g")])
+                writer.writerow([t, format(self.beta(t), ".17g"),
+                                 format(float(self.alphas_cum[t - 1]), ".17g")])
 
 
-@dataclass(frozen=True)
-class RespacedSchedule:
-    """A strictly increasing subsequence of a parent schedule's timesteps.
-
-    The reverse sampler iterates over adjacent (tau_k, tau_{k-1}) pairs; the
-    alpha values are exact reads from the parent, never recomputed.
-    """
-
-    parent: NoiseSchedule
-    tau: tuple = field(default_factory=tuple)  # 1-based, strictly increasing, ends at T
-    alphas_tau: np.ndarray = None
-
-    def __post_init__(self):
-        tau = tuple(int(t) for t in self.tau)
-        object.__setattr__(self, "tau", tau)
-        if len(tau) == 0:
-            raise ValueError("tau must be non-empty")
-        if any(b <= a for a, b in zip(tau, tau[1:])):
-            raise ValueError("tau must be strictly increasing")
-        if tau[0] < 1 or tau[-1] != self.parent.T:
-            raise ValueError("tau must lie in [1, T] and end at T")
-        alphas = np.array([self.parent.alphas_cum[t - 1] for t in tau])
-        if self.alphas_tau is not None and not np.array_equal(
-            np.asarray(self.alphas_tau), alphas
-        ):
-            raise ValueError("alphas_tau must be exact reads from the parent")
-        alphas.flags.writeable = False
-        object.__setattr__(self, "alphas_tau", alphas)
-        object.__setattr__(self, "_index", {t: k for k, t in enumerate(tau)})
-
-    @property
-    def K(self) -> int:
-        return len(self.tau)
-
-    @property
-    def T(self) -> int:
-        # timesteps keep their parent labels, so the valid range is the parent's
-        return self.parent.T
-
-    @property
-    def n_steps(self) -> int:
-        return self.K
-
-    @property
-    def alpha_zero(self) -> float:
-        return self.parent.alpha_zero
-
-    def alpha(self, t: int) -> float:
-        if t == 0:
-            return float(self.parent.alpha_zero)
-        k = self._index.get(t)
-        if k is None:
-            raise ValueError(f"timestep {t} is not part of the respaced subsequence")
-        return float(self.alphas_tau[k])
-
-    def prev_t(self, t: int) -> int:
-        k = self._index.get(t)
-        if k is None:
-            raise ValueError(f"timestep {t} is not part of the respaced subsequence")
-        return self.tau[k - 1] if k > 0 else 0
-
-    def top_t(self) -> int:
-        return self.tau[-1]
-
-    def transitions(self) -> list[tuple[int, int]]:
-        pairs = []
-        for k in range(self.K - 1, -1, -1):
-            pairs.append((self.tau[k], self.tau[k - 1] if k > 0 else 0))
-        return pairs
-
-    def steps_from_top(self, t: int) -> int:
-        k = self._index.get(t)
-        if k is None:
-            raise ValueError(f"timestep {t} is not part of the respaced subsequence")
-        return self.K - 1 - k
+# benchmarks/tracer.py wraps both names; this alias keeps traced runs working.
+RespacedSchedule = NoiseSchedule
 
 
 def linear_beta_schedule(T: int, beta_start: float, beta_end: float,
@@ -183,7 +129,7 @@ def linear_beta_schedule(T: int, beta_start: float, beta_end: float,
     return NoiseSchedule(betas=betas, alphas_cum=alphas, alpha_zero=alpha_zero)
 
 
-def respace(schedule: NoiseSchedule, K: int, mode: str = "uniform") -> RespacedSchedule:
+def respace(schedule: NoiseSchedule, K: int, mode: str = "uniform") -> NoiseSchedule:
     """Select K timesteps out of T, always including T itself."""
     T = schedule.T
     if not 1 <= K <= T:
@@ -201,4 +147,4 @@ def respace(schedule: NoiseSchedule, K: int, mode: str = "uniform") -> RespacedS
         tau = raw
     else:
         raise ValueError(f"unknown respacing mode {mode!r}")
-    return RespacedSchedule(parent=schedule, tau=tuple(tau))
+    return replace(schedule, tau=tuple(tau))

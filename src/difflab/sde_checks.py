@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model as gm
 from .model import GaussianMixtureModel
-from .samplers import ETA_DDPM_UNIT, _increment_coeffs, _sigma_from_alphas
+from .samplers import ETA_DDPM_UNIT, SamplerConfig, StepPlan
 
 __all__ = [
     "FrictionMapping",
@@ -77,6 +77,7 @@ def drift_consistency(schedule, gmm: GaussianMixtureModel, n_points: int, rng) -
     """
     T = schedule.T
     ts = np.arange(1, T + 1)
+    plan = StepPlan.build(schedule, SamplerConfig.vanilla(ETA_DDPM_UNIT))  # row T - t
     drift_mis = np.zeros(T)
     diff_ratio = np.full(T, np.nan)
     sde_ratio = np.full(T, np.nan)
@@ -88,13 +89,12 @@ def drift_consistency(schedule, gmm: GaussianMixtureModel, n_points: int, rng) -
         x = _sample_marginal(gmm, a_t, n_points, rng)
         x_bar = x / math.sqrt(a_t)
         eps_hat = gm.analytic_eps(gmm, x, int(t), schedule).eps_hat
-        mu, _ = _increment_coeffs(a_t, a_p, ETA_DDPM_UNIT)
-        drift_step = mu * eps_hat
+        drift_step = plan.mu[T - t] * eps_hat
         drift_sde = (beta / a_t) * gm.score_xbar(gmm, x_bar, int(t), schedule)
         scale = max(float(np.max(np.abs(drift_sde))), 1e-300)
         drift_mis[t - 1] = float(np.max(np.abs(drift_step - drift_sde))) / scale
 
-        exact = _sigma_from_alphas(a_t, a_p, ETA_DDPM_UNIT) / math.sqrt(a_p)
+        exact = float(plan.noise[T - t])
         closed_sq = (1.0 - beta) * (1.0 - beta - a_t) * beta / ((1.0 - a_t) * a_t)
         if exact > 0.0 and closed_sq > 0.0:
             diff_ratio[t - 1] = math.sqrt(closed_sq) / exact

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -167,3 +168,71 @@ def test_cli_import_and_point_mass_run_load_no_scipy(spec_file, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _toy_fig4(**sampler):
+    spec = json.loads(resources.files("difflab").joinpath("specs", "toy_fig4.json")
+                      .read_text())
+    spec["sampler"].update(sampler)
+    spec["n_chains"] = 16
+    return spec
+
+
+@pytest.mark.parametrize("respace_k", [None, 20], ids=["full", "respaced"])
+def test_eta_mode_misfit_exits_2_before_running(tmp_path, capsys, respace_k):
+    # ddpm_hat needs a non-expanding per-step rate; on toy_fig4's linear ramp
+    # the step plan cannot be built, so the spec is rejected up front
+    spec = _toy_fig4(eta_mode="ddpm_hat")
+    spec["schedule"]["respace_k"] = respace_k
+    path = tmp_path / "hat.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: sampler.eta_mode:" in err and "at t=" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis,values", [("eta_mode", ["ddpm_unit", "ddpm_hat"]),
+                                         ("K", [10, 500])])
+def test_sweep_bad_cell_exits_2_before_any_cell_runs(tmp_path, capsys, axis, values):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"base": _toy_fig4(), "axis": axis, "values": values}))
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out-dir", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("model", 5, "model"),
+    ("schedule", {"T": "abc", "beta_start": 1e-3, "beta_end": 0.05}, "schedule.T"),
+    ("heatmap", {"t_bins": "x", "x_bins": 4}, "heatmap.t_bins"),
+    ("sampler", 5, "sampler"),
+    ("n_chains", "many", "n_chains"),
+    ("seed", [1], "seed"),
+])
+def test_wrong_type_exits_2_naming_field(spec_file, tmp_path, capsys, key, value, field):
+    spec = json.loads(spec_file.read_text())
+    spec[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2(spec_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(spec_file), "--out-dir", str(out), "--seed", "-1"]) == 2
+    assert "error: seed:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_without_chains_exits_2(spec_file, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"base": json.loads(spec_file.read_text()),
+                                "axis": "b", "values": [0.1]}))
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out-dir", str(out), "--chains", "0"]) == 2
+    assert "error: sweep.base.n_chains: must be positive" in capsys.readouterr().err
+    assert not out.exists()

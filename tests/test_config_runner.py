@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from difflab.config import RunSpec, SpecError, SweepSpec
-from difflab.metrics import build_heatmap
+from difflab.metrics import build_heatmap, trajectory_total_variation
 from difflab.model import GaussianMixtureModel
 from difflab.runner import (_write_samples_csv, _write_trajectories_csv,
                             execute_run, execute_sweep, run_chains)
-from difflab.samplers import SamplerConfig, Trajectory, run_chain
+from difflab.samplers import SamplerConfig, Trajectory
 from difflab.schedule import linear_beta_schedule, respace
 
 
@@ -57,6 +57,8 @@ def test_runspec_missing_field_names_path():
 def test_runspec_invalid_values():
     with pytest.raises(SpecError):
         RunSpec.from_dict(base_spec_dict(n_chains=-1))
+    with pytest.raises(SpecError, match="seed: must be non-negative"):
+        RunSpec.from_dict(base_spec_dict(seed=-1))
     d = base_spec_dict()
     d["sampler"] = {"method": "vanilla", "b": 7.0}
     with pytest.raises(SpecError):
@@ -76,8 +78,8 @@ def test_runspec_builds_respaced_schedule():
     d["schedule"]["respace_k"] = 10
     spec = RunSpec.from_dict(d)
     sched = spec.build_schedule()
-    assert sched.n_steps == 10
-    assert sched.top_t() == 50
+    assert sched.K == 10
+    assert sched.tau[-1] == 50
 
 
 def test_sweepspec_validation():
@@ -91,18 +93,24 @@ def test_sweepspec_validation():
         SweepSpec.from_dict({"base": base, "axis": "gamma", "values": [1]})
     with pytest.raises(SpecError):
         SweepSpec.from_dict({"base": base, "axis": "b", "values": []})
+    with pytest.raises(SpecError, match="sweep.base.n_chains: must be positive"):
+        SweepSpec.from_dict({"base": {**base, "n_chains": 0}, "axis": "b",
+                             "values": [0.1]})
+    # every cell is validated when the sweep is built, not when it runs
+    with pytest.raises(SpecError, match="sampler"):
+        SweepSpec.from_dict({"base": base, "axis": "c", "values": [0.1, 2.0]})
 
 
 def test_sweepspec_k_axis():
     sweep = SweepSpec.from_dict({"base": base_spec_dict(), "axis": "K",
                                  "values": [10, 25]})
-    assert sweep.cell_spec(10, 0).build_schedule().n_steps == 10
+    assert sweep.cell_spec(10, 0).build_schedule().K == 10
 
 
 # --- batch runner ---------------------------------------------------------
 
-def test_run_chains_matches_single_chain_loop():
-    # the vectorized block runner reproduces per-chain run_chain exactly
+def test_run_chains_matches_single_chain_loop(drive_chains):
+    # the vectorized block runner reproduces each chain stepped on its own
     gmm = two_point()
     sched = linear_beta_schedule(30, 1e-3, 0.05)
     cfg = SamplerConfig(method="adaptive", b=0.3, c=0.01)
@@ -110,18 +118,8 @@ def test_run_chains_matches_single_chain_loop():
     res = run_chains(gmm, sched, cfg, n_chains=5, seed=seed)
     for i in range(5):
         rng = np.random.default_rng([seed, i])
-        noise = rng.standard_normal((sched.n_steps + 1, 1))
-
-        class Replay:
-            def __init__(self):
-                self.k = 1
-
-            def standard_normal(self, shape):
-                out = np.broadcast_to(noise[self.k], shape).copy()
-                self.k += 1
-                return out
-
-        x0, _ = run_chain(gmm, sched, cfg, noise[0], Replay())
+        noise = rng.standard_normal((sched.K + 1, 1))
+        x0, _ = drive_chains(gmm, sched, cfg, noise[0], lambda k, shape: noise[k + 1])
         assert np.allclose(res.samples[i], x0, rtol=0, atol=1e-12)
 
 
@@ -160,7 +158,7 @@ def test_run_chains_heatmap_counts_conserved():
     n = 40
     res = run_chains(gmm, sched, SamplerConfig.vanilla(), n, seed=2,
                      heatmap={"t_bins": 5, "x_bins": 12, "x_min": -6, "x_max": 6})
-    assert res.heatmap.counts.sum() == n * sched.n_steps
+    assert res.heatmap.counts.sum() == n * sched.K
 
 
 def test_run_chains_heatmap_matches_build_heatmap():
@@ -174,11 +172,28 @@ def test_run_chains_heatmap_matches_build_heatmap():
                      trajectory_chains=n, heatmap=heat)
     assert len(res.trajectories) == n
     grid = build_heatmap(res.trajectories, t_bins=7, x_bins=24, x_range=(-3.0, 5.0),
-                         t_range=(0.0, float(sched.top_t())))
+                         t_range=(0.0, float(sched.tau[-1])))
     assert np.array_equal(res.heatmap.t_edges, grid.t_edges)
     assert np.array_equal(res.heatmap.x_edges, grid.x_edges)
     assert np.array_equal(res.heatmap.counts, grid.counts)
-    assert grid.counts.sum() == n * sched.n_steps
+    assert grid.counts.sum() == n * sched.K
+
+
+@pytest.mark.parametrize("D", [1, 2])
+@pytest.mark.parametrize("respaced", [False, True], ids=["full", "respaced"])
+def test_run_chains_tv_matches_trajectory_total_variation(D, respaced):
+    # the in-run total variation and trajectory_total_variation over the
+    # recorded trajectories must agree for every chain
+    gmm = two_point() if D == 1 else GaussianMixtureModel(
+        weights=[0.4, 0.6], means=[[-2.0, 1.0], [3.0, -1.0]], variances=[0.0, 0.3])
+    sched = linear_beta_schedule(80, 1e-3, 0.05)
+    if respaced:
+        sched = respace(sched, 20, "quadratic")
+    n = 60
+    res = run_chains(gmm, sched, SamplerConfig(), n, seed=6, trajectory_chains=n)
+    ref = np.array([trajectory_total_variation(tr) for tr in res.trajectories])
+    assert ref.shape == (n,)
+    assert np.allclose(res.tv, ref, rtol=1e-12, atol=0.0)
 
 
 def test_respaced_k_equals_t_matches_full_schedule():

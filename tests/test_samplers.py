@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from difflab.model import GaussianMixtureModel, analytic_eps
+from difflab.runner import run_chains
 from difflab.samplers import (ETA_DDPM_HAT, ETA_DDPM_UNIT, ETA_DETERMINISTIC,
                               ChainState, SamplerConfig, SecondMomentError,
-                              _step_core, adaptive_momentum_step,
-                              ddim_step, increment, predicted_x0, run_chain,
-                              sigma, vanilla_step)
-from difflab.schedule import NoiseSchedule, linear_beta_schedule
+                              StepPlan, _step_core, sigma)
+from difflab.schedule import NoiseSchedule, linear_beta_schedule, respace
 
 
 def pair_schedule():
@@ -23,6 +22,14 @@ def pair_schedule():
 def two_point():
     return GaussianMixtureModel(weights=[0.5, 0.5], means=[[-2.0], [4.0]],
                                 variances=[0.0, 0.0])
+
+
+def ddim_reference(x_t, eps_hat, eps_noise, a_t, a_p, sig):
+    """The generalized reverse step in data space, written out by hand:
+    x_{t-1} = sqrt(a_p) x0_hat + sqrt(1 - a_p - sigma^2) eps_hat + sigma eps."""
+    x0_hat = (x_t - math.sqrt(1.0 - a_t) * eps_hat) / math.sqrt(a_t)
+    return (math.sqrt(a_p) * x0_hat + math.sqrt(max(1.0 - a_p - sig * sig, 0.0)) * eps_hat
+            + sig * eps_noise)
 
 
 # --- noise scale sigma --------------------------------------------------
@@ -60,69 +67,88 @@ def test_sigma_rejects_non_increasing_noise():
 def test_increment_frozen_example():
     # alpha_t=0.5, alpha_prev=0.8, eta=0, eps_hat=1:
     # mu = sqrt(0.2/0.8) - sqrt(0.5/0.5) = -0.5
-    sched = pair_schedule()
-    dxb = increment(np.array([0.0]), np.array([1.0]), np.array([0.0]),
-                    sched, 2, ETA_DETERMINISTIC)
-    assert dxb[0] == pytest.approx(-0.5, rel=1e-14)
+    plan = StepPlan.build(pair_schedule(), SamplerConfig.vanilla(ETA_DETERMINISTIC))
+    assert (plan.t[0], plan.t_prev[0]) == (2, 1)
+    assert plan.mu[0] == pytest.approx(-0.5, rel=1e-14)
+    assert plan.noise[0] == 0.0
 
 
 def test_ddim_step_increment_identity():
-    # x_{t-1}/sqrt(a_prev) - x_t/sqrt(a_t) equals the x_bar increment
+    # the data-space generalized step equals the kernel's x_bar increment:
+    # x_{t-1}/sqrt(a_prev) - x_t/sqrt(a_t) = d x_bar
+    gmm = GaussianMixtureModel(weights=[0.4, 0.6], means=[[-1.0, 2.0], [3.0, 0.0]],
+                               variances=[0.3, 0.0])
     ramp = linear_beta_schedule(50, 1e-3, 0.05)
     flat = linear_beta_schedule(50, 0.03, 0.03)   # eta_hat needs a_t/a_p >= a_p
     rng = np.random.default_rng(2)
     for eta, sched in ((ETA_DETERMINISTIC, ramp), (ETA_DDPM_UNIT, ramp),
                        (ETA_DDPM_HAT, flat)):
+        cfg = SamplerConfig.vanilla(eta)
+        plan = StepPlan.build(sched, cfg)
         for _ in range(20):
             t = int(rng.integers(2, 51))
-            x_t = rng.uniform(-3, 3, 2)
-            eps_hat = rng.standard_normal(2)
+            k = sched.T - t
+            state = ChainState(t=t, x_bar=rng.uniform(-3, 3, 2), m=np.zeros(2),
+                               v=np.ones(()))
             eps = rng.standard_normal(2)
-            x_prev = ddim_step(x_t, eps_hat, eps, sched, t, eta)
+            _, x_prev, _, dxb = _step_core(state, gmm, sched, cfg, eps, plan, k)
             a_t, a_p = sched.alpha(t), sched.alpha(t - 1)
-            dxb = increment(x_t / math.sqrt(a_t), eps_hat, eps, sched, t, eta)
-            lhs = x_prev / math.sqrt(a_p) - x_t / math.sqrt(a_t)
+            x_t = plan.sqrt_alpha[k] * state.x_bar
+            eps_hat = analytic_eps(gmm, x_t, t, sched).eps_hat
+            ref = ddim_reference(x_t, eps_hat, eps, a_t, a_p, sigma(sched, t, t - 1, eta))
+            assert np.allclose(x_prev, ref, rtol=0, atol=1e-10)
+            lhs = ref / math.sqrt(a_p) - x_t / math.sqrt(a_t)
             assert np.allclose(lhs, dxb, rtol=0, atol=1e-10)
 
 
-def test_predicted_x0_inverts_forward():
+def test_predicted_x0_inverts_forward(drive_chains):
+    # with the exact eps of a point mass, the plain final step t=1 -> 0 is
+    # (x_t - sqrt(1-a) eps) / sqrt(a), which inverts the forward noising
     a = 0.37
+    sched = NoiseSchedule(betas=[1.0 - a], alphas_cum=[a])
     x0 = np.array([1.5, -0.3])
+    gmm = GaussianMixtureModel(weights=[1.0], means=[x0], variances=[0.0])
     eps = np.array([0.2, 2.0])
     x_t = math.sqrt(a) * x0 + math.sqrt(1 - a) * eps
-    assert np.allclose(predicted_x0(x_t, eps, a), x0, atol=1e-14)
+    got, _ = drive_chains(gmm, sched, SamplerConfig.vanilla(ETA_DDPM_UNIT), x_t,
+                          lambda k, shape: np.full(shape, 5.0))
+    assert np.allclose(got, x0, atol=1e-14)
 
 
-def test_deterministic_point_mass_telescopes_to_mode():
+def test_deterministic_point_mass_telescopes_to_mode(drive_chains):
     # perfect predictor on one point mass: eta=0 lands exactly on the mode
     gmm = GaussianMixtureModel(weights=[1.0], means=[[1.7]], variances=[0.0])
     sched = linear_beta_schedule(100, 1e-3, 0.05)
     rng = np.random.default_rng(0)
-    for x_T in (-5.0, 0.0, 3.2):
-        x0, _ = run_chain(gmm, sched, SamplerConfig.vanilla(ETA_DETERMINISTIC),
-                          np.array([x_T]), rng)
-        assert abs(x0[0] - 1.7) < 1e-10
+    x0, _ = drive_chains(gmm, sched, SamplerConfig.vanilla(ETA_DETERMINISTIC),
+                         np.array([[-5.0], [0.0], [3.2]]),
+                         lambda k, shape: rng.standard_normal(shape))
+    assert np.all(np.abs(x0[:, 0] - 1.7) < 1e-10)
 
 
-def test_deterministic_chain_ignores_rng():
+def test_deterministic_chain_ignores_rng(drive_chains):
     gmm = two_point()
     sched = linear_beta_schedule(30, 1e-3, 0.05)
     x_T = np.array([0.4])
-    a, _ = run_chain(gmm, sched, SamplerConfig.vanilla(ETA_DETERMINISTIC),
-                     x_T, np.random.default_rng(1))
-    b, _ = run_chain(gmm, sched, SamplerConfig.vanilla(ETA_DETERMINISTIC),
-                     x_T, np.random.default_rng(999))
-    assert np.array_equal(a, b)
+    cfg = SamplerConfig.vanilla(ETA_DETERMINISTIC)
+    runs = []
+    for seed in (1, 999):
+        rng = np.random.default_rng(seed)
+        runs.append(drive_chains(gmm, sched, cfg, x_T,
+                                 lambda k, shape: rng.standard_normal(shape))[0])
+    assert np.array_equal(runs[0], runs[1])
 
 
 def test_final_step_is_noiseless():
-    # the t=1 -> 0 transition zeroes its noise draw, so with alpha(0)=1 the
-    # final state is exactly the last predicted x0
+    # the t=1 -> 0 transition weights its noise draw by 0, so with alpha(0)=1
+    # the final state is exactly the last predicted x0
     gmm = two_point()
     sched = linear_beta_schedule(20, 1e-3, 0.05)
     cfg = SamplerConfig.vanilla(ETA_DDPM_UNIT, record_trajectory=True)
-    x0, traj = run_chain(gmm, sched, cfg, np.array([0.3]), np.random.default_rng(4))
-    assert np.allclose(x0, traj.x0_hats[-1], atol=1e-12)
+    res = run_chains(gmm, sched, cfg, 4, seed=4)
+    assert StepPlan.build(sched, cfg).noise[-1] == 0.0
+    for x0, traj in zip(res.samples, res.trajectories):
+        assert np.allclose(x0, traj.x0_hats[-1], atol=1e-12)
 
 
 _FINAL_STEP_CONFIGS = {
@@ -141,7 +167,6 @@ def test_final_step_is_noiseless_for_every_method(method, eta, respaced):
     # adaptive included, so every chain ends on its last predicted x0.
     # eta_hat needs a non-expanding per-step rate, so its cases run on a
     # constant-rate schedule.
-    from difflab.schedule import respace
     gmm = two_point()
     if eta == ETA_DDPM_HAT:
         sched = linear_beta_schedule(40, 0.03, 0.03)
@@ -150,9 +175,10 @@ def test_final_step_is_noiseless_for_every_method(method, eta, respaced):
     if respaced:
         sched = respace(sched, 10)
     cfg = _FINAL_STEP_CONFIGS[method](eta)
-    x0, traj = run_chain(gmm, sched, cfg, np.array([0.3]), np.random.default_rng(4))
-    assert traj.ts[-1] == 0
-    assert np.allclose(x0, traj.x0_hats[-1], rtol=0, atol=1e-12)
+    res = run_chains(gmm, sched, cfg, 4, seed=4)
+    for x0, traj in zip(res.samples, res.trajectories):
+        assert traj.ts[-1] == 0
+        assert np.allclose(x0, traj.x0_hats[-1], rtol=0, atol=1e-12)
 
 
 # --- coefficient rules ---------------------------------------------------
@@ -213,27 +239,25 @@ def test_degenerate_adaptive_equals_vanilla():
     # b=1, spherical (a=0), c=0, zeta=0 collapses the update to x_bar + dxb
     gmm = two_point()
     sched = linear_beta_schedule(40, 1e-3, 0.05)
-    degen = SamplerConfig(method="adaptive", b=1.0, c=0.0, zeta=0.0)
     for eta in (ETA_DETERMINISTIC, ETA_DDPM_UNIT):
-        for seed in range(5):
-            x_T = np.random.default_rng(seed).standard_normal(1)
-            van, _ = run_chain(gmm, sched, SamplerConfig.vanilla(eta), x_T,
-                               np.random.default_rng(100 + seed))
-            from dataclasses import replace
-            ada, _ = run_chain(gmm, sched, replace(degen, eta_mode=eta), x_T,
-                               np.random.default_rng(100 + seed))
-            assert np.max(np.abs(van - ada)) <= 1e-12
+        degen = SamplerConfig(method="adaptive", eta_mode=eta, b=1.0, c=0.0, zeta=0.0)
+        van = run_chains(gmm, sched, SamplerConfig.vanilla(eta), 5, seed=100).samples
+        ada = run_chains(gmm, sched, degen, 5, seed=100).samples
+        assert np.max(np.abs(van - ada)) <= 1e-12
 
 
 def test_second_moment_stays_positive():
     gmm = two_point()
     sched = linear_beta_schedule(60, 1e-3, 0.05)
     cfg = SamplerConfig(method="adaptive", b=0.3, c=0.05)
+    plan = StepPlan.build(sched, cfg)
     state = ChainState.init(np.random.default_rng(7).standard_normal((16, 1)), sched)
     rng = np.random.default_rng(8)
-    while state.t > 0:
-        state = adaptive_momentum_step(state, gmm, sched, cfg, rng)
+    for k in range(plan.K):
+        state, _, _, _ = _step_core(state, gmm, sched, cfg,
+                                    rng.standard_normal(state.x_bar.shape), plan, k)
         assert np.all(state.v > 0.0)
+    assert state.t == 0
 
 
 def test_zero_second_moment_raises_named_error():
@@ -243,17 +267,22 @@ def test_zero_second_moment_raises_named_error():
     gmm = GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[0.0])
     sched = linear_beta_schedule(20, 1e-3, 0.05)
     cfg = SamplerConfig(method="adaptive", eta_mode=ETA_DETERMINISTIC, c=1.0)
-    state = ChainState(t=sched.top_t(), x_bar=np.zeros((3, 1)), m=np.zeros((3, 1)),
+    state = ChainState(t=sched.tau[-1], x_bar=np.zeros((3, 1)), m=np.zeros((3, 1)),
                        v=np.ones(3))
     with pytest.raises(SecondMomentError, match=r"c=1\.0, zeta=1e-08"):
-        _step_core(state, gmm, sched, cfg, np.zeros((3, 1)))
+        _step_core(state, gmm, sched, cfg, np.zeros((3, 1)),
+                   StepPlan.build(sched, cfg), 0)
 
 
 def test_vanilla_step_leaves_momentum_untouched():
     gmm = two_point()
     sched = linear_beta_schedule(10, 1e-3, 0.05)
+    cfg = SamplerConfig.vanilla()
+    plan = StepPlan.build(sched, cfg)
+    assert plan.plain.all()
     state = ChainState.init(np.array([0.5]), sched)
-    nxt = vanilla_step(state, gmm, sched, SamplerConfig.vanilla(), np.random.default_rng(0))
+    nxt, _, _, _ = _step_core(state, gmm, sched, cfg,
+                              np.random.default_rng(0).standard_normal(1), plan, 0)
     assert nxt.t == 9
     assert np.array_equal(nxt.m, state.m)
     assert np.array_equal(nxt.v, state.v)
@@ -263,7 +292,8 @@ def test_trajectory_recording_shapes():
     gmm = two_point()
     sched = linear_beta_schedule(25, 1e-3, 0.05)
     cfg = SamplerConfig(method="adaptive", b=0.2, record_trajectory=True)
-    x0, traj = run_chain(gmm, sched, cfg, np.array([0.1]), np.random.default_rng(9))
+    res = run_chains(gmm, sched, cfg, 1, seed=9)
+    x0, traj = res.samples[0], res.trajectories[0]
     assert traj.xs.shape == (25, 1)
     assert traj.x0_hats.shape == (25, 1)
     assert traj.increments.shape == (25, 1)
@@ -273,10 +303,9 @@ def test_trajectory_recording_shapes():
 
 def test_respaced_chain_runs_and_uses_subsequence():
     gmm = two_point()
-    from difflab.schedule import respace
     sub = respace(linear_beta_schedule(100, 1e-3, 0.05), 10)
     cfg = SamplerConfig.vanilla(record_trajectory=True)
-    x0, traj = run_chain(gmm, sub, cfg, np.array([0.2]), np.random.default_rng(10))
+    traj = run_chains(gmm, sub, cfg, 1, seed=10).trajectories[0]
     assert traj.xs.shape[0] == 10
     assert list(traj.ts) == [90, 80, 70, 60, 50, 40, 30, 20, 10, 0]
 
@@ -284,12 +313,13 @@ def test_respaced_chain_runs_and_uses_subsequence():
 def test_mu_is_negative_for_unit_eta():
     # for eta=1, mu = (a_t - a_p) / (a_p sqrt(1-a_t) sqrt(a_t)) < 0
     sched = linear_beta_schedule(100, 1e-3, 0.05)
+    plan = StepPlan.build(sched, SamplerConfig.vanilla(ETA_DDPM_UNIT))
     for t in (2, 50, 100):
         a_t, a_p = sched.alpha(t), sched.alpha(t - 1)
-        dxb = increment(np.zeros(1), np.ones(1), np.zeros(1), sched, t, ETA_DDPM_UNIT)
+        mu = plan.mu[sched.T - t]
         closed = (a_t - a_p) / (a_p * math.sqrt(1 - a_t) * math.sqrt(a_t))
-        assert dxb[0] < 0.0
-        assert dxb[0] == pytest.approx(closed, rel=1e-10)
+        assert mu < 0.0
+        assert mu == pytest.approx(closed, rel=1e-10)
 
 
 def test_analytic_eps_drives_steps_consistently():
@@ -300,12 +330,9 @@ def test_analytic_eps_drives_steps_consistently():
     x_t = np.array([0.9])
     eps_hat = analytic_eps(gmm, x_t, t, sched).eps_hat
     eps = np.array([0.7])
-    manual = ddim_step(x_t, eps_hat, eps, sched, t, ETA_DDPM_UNIT)
+    manual = ddim_reference(x_t, eps_hat, eps, sched.alpha(t), sched.alpha(t - 1),
+                            sigma(sched, t, t - 1, ETA_DDPM_UNIT))
+    cfg = SamplerConfig.vanilla()
     state = ChainState.init(x_t, sched)
-
-    class FixedRng:
-        def standard_normal(self, shape):
-            return np.broadcast_to(eps, shape).copy()
-
-    nxt = vanilla_step(state, gmm, sched, SamplerConfig.vanilla(), FixedRng())
+    nxt, _, _, _ = _step_core(state, gmm, sched, cfg, eps, StepPlan.build(sched, cfg), 0)
     assert np.allclose(math.sqrt(sched.alpha(29)) * nxt.x_bar, manual, atol=1e-12)

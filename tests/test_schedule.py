@@ -1,12 +1,19 @@
 """Noise-schedule construction, validation, respacing, and CSV dumps."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from difflab.schedule import (NoiseSchedule, RespacedSchedule,
-                              linear_beta_schedule, respace)
+from difflab.samplers import SamplerConfig, StepPlan
+from difflab.schedule import NoiseSchedule, linear_beta_schedule, respace
+
+
+def transitions(schedule):
+    """The (t, t_prev) pairs of the step plan's rows, in reverse order."""
+    plan = StepPlan.build(schedule, SamplerConfig())
+    return list(zip(plan.t.tolist(), plan.t_prev.tolist()))
 
 
 def test_linear_schedule_endpoints_and_monotonicity():
@@ -62,11 +69,13 @@ def test_timestep_bounds_checked():
 
 def test_transitions_cover_reverse_chain():
     sched = linear_beta_schedule(5, 1e-3, 0.05)
-    assert sched.transitions() == [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]
-    assert sched.top_t() == 5
+    assert sched.tau == (1, 2, 3, 4, 5)
+    assert transitions(sched) == [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]
+    assert sched.tau[-1] == 5
     assert sched.prev_t(3) == 2
-    assert sched.steps_from_top(5) == 0
-    assert sched.steps_from_top(1) == 4
+    # row k of the plan is k steps from the top
+    assert transitions(sched)[0][0] == 5
+    assert transitions(sched)[4][0] == 1
 
 
 def test_uniform_respacing_frozen_tau():
@@ -74,8 +83,8 @@ def test_uniform_respacing_frozen_tau():
     sub = respace(sched, 25, "uniform")
     assert sub.tau == tuple(range(40, 1001, 40))
     assert sub.K == 25
-    assert sub.n_steps == 25
-    assert sub.top_t() == 1000
+    assert StepPlan.build(sub, SamplerConfig()).K == 25
+    assert sub.tau[-1] == 1000
 
 
 def test_respaced_alphas_are_exact_parent_reads():
@@ -91,7 +100,7 @@ def test_respaced_transitions_and_prev():
     sched = linear_beta_schedule(100, 1e-3, 0.05)
     sub = respace(sched, 4, "uniform")
     assert sub.tau == (25, 50, 75, 100)
-    assert sub.transitions() == [(100, 75), (75, 50), (50, 25), (25, 0)]
+    assert transitions(sub) == [(100, 75), (75, 50), (50, 25), (25, 0)]
     assert sub.prev_t(25) == 0
     with pytest.raises(ValueError):
         sub.alpha(30)  # not in the subsequence
@@ -115,8 +124,8 @@ def test_quadratic_respacing_valid_and_endpoint_fixed():
 def test_respace_k_equals_t_is_identity():
     sched = linear_beta_schedule(50, 1e-3, 0.05)
     sub = respace(sched, 50, "uniform")
-    assert sub.tau == tuple(range(1, 51))
-    assert np.array_equal(sub.alphas_tau, sched.alphas_cum)
+    assert sub.tau == tuple(range(1, 51)) == sched.tau
+    assert np.array_equal([sub.alpha(t) for t in sub.tau], sched.alphas_cum)
 
 
 def test_respace_bounds():
@@ -132,11 +141,13 @@ def test_respace_bounds():
 def test_respaced_schedule_rejects_bad_tau():
     sched = linear_beta_schedule(50, 1e-3, 0.05)
     with pytest.raises(ValueError):
-        RespacedSchedule(parent=sched, tau=(10, 10, 50))    # not increasing
+        replace(sched, tau=(10, 10, 50))    # not increasing
     with pytest.raises(ValueError):
-        RespacedSchedule(parent=sched, tau=(10, 20))        # missing endpoint
+        replace(sched, tau=(10, 20))        # missing endpoint
     with pytest.raises(ValueError):
-        RespacedSchedule(parent=sched, tau=())
+        replace(sched, tau=())
+    with pytest.raises(ValueError):
+        replace(sched, tau=(0, 50))         # below t = 1
 
 
 def test_schedule_csv_roundtrip(tmp_path):
