@@ -2,6 +2,7 @@
 
 Commands: run, sweep, verify, schedules dump. Flags can also be supplied via
 environment variables prefixed DIFFLAB_ (e.g. DIFFLAB_SEED=3 difflab run ...).
+Exit status: 2 for bad input, found before any chain runs; 1 for a failed check or run.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .config import RunSpec, SpecError, SweepSpec
+from .config import RunSpec, SpecError, SweepSpec, _as
 from .runner import execute_run, execute_sweep
+from .samplers import SecondMomentError
 from .verification import run_all_checks
 
 ENV_PREFIX = "DIFFLAB_"
@@ -36,19 +38,17 @@ def _resolve_spec_path(arg: str) -> Path:
 
 
 def _apply_run_overrides(spec: RunSpec, args) -> RunSpec:
-    seed = args.seed if args.seed is not None else _env("seed")
-    chains = args.chains if args.chains is not None else _env("chains")
-    threads = args.threads if args.threads is not None else _env("threads")
-    no_traj = args.no_trajectories or _env("no_trajectories") not in (None, "", "0")
-    if seed is not None:
-        spec = replace(spec, seed=int(seed))
-    if chains is not None:
-        spec = replace(spec, n_chains=int(chains))
-    if threads is not None:
-        spec = replace(spec, threads=int(threads))
-    if no_traj:
-        spec = replace(spec, trajectories=False)
-    return spec.validate()
+    """The spec with each flag, or else its DIFFLAB_ variable, in place of its value."""
+    changes = {}
+    for name, field in (("seed", "seed"), ("chains", "n_chains"), ("threads", "threads")):
+        value = getattr(args, name)
+        if value is None and _env(name) is not None:
+            value = _as(int, _env(name), ENV_PREFIX + name.upper())
+        if value is not None:
+            changes[field] = value
+    if args.no_trajectories or _env("no_trajectories") not in (None, "", "0"):
+        changes["trajectories"] = False
+    return spec.with_overrides(**changes)
 
 
 def _out_dir(args) -> Path:
@@ -70,9 +70,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     sweep = SweepSpec.from_json(_resolve_spec_path(args.spec))
-    base = _apply_run_overrides(sweep.base, args)
-    sweep = SweepSpec(base=base, axis=sweep.axis, values=sweep.values,
-                      seeds_per_cell=sweep.seeds_per_cell)
+    sweep = replace(sweep, base=_apply_run_overrides(sweep.base, args))
     out = _out_dir(args)
     rows = execute_sweep(sweep, out)
     print(f"swept {sweep.axis} over {list(sweep.values)} "
@@ -147,9 +145,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
+    except (SpecError, OSError, SecondMomentError) as exc:
+        # a bad spec, flag or variable; the file system; a run that diverged
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, SpecError) else 1
 
 
 if __name__ == "__main__":

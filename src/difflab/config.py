@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .metrics import heatmap_grid
 from .model import GaussianMixtureModel
 from .samplers import SamplerConfig, StepPlan
 from .schedule import NoiseSchedule, linear_beta_schedule, respace
@@ -15,6 +15,8 @@ from .schedule import NoiseSchedule, linear_beta_schedule, respace
 __all__ = ["RunSpec", "SweepSpec", "SpecError"]
 
 SWEEP_AXES = ("b", "c", "eta_mode", "K")
+_SPEC_FIELDS = ("model", "schedule", "sampler", "n_chains", "seed", "threads",
+                "trajectories", "trajectory_chains", "heatmap", "metrics")
 
 
 class SpecError(ValueError):
@@ -32,11 +34,18 @@ def _get(d: dict, key: str, path: str, default=_sentinel):
     return default
 
 
-def _section(d: dict, key: str, path: str) -> dict:
+def _section(d: dict, key: str, path: str, fields: tuple) -> dict:
     value = _get(d, key, path)
     if not isinstance(value, dict):
         raise SpecError(f"{key}: must be an object, not {type(value).__name__}")
+    _known(value, fields, f"{key}.")
     return value
+
+
+def _known(d: dict, keys: tuple, path: str) -> None:
+    for key in d:
+        if key not in keys:
+            raise SpecError(f"{path}{key}: unknown field")
 
 
 def _as(kind, value, name: str):
@@ -96,7 +105,7 @@ class RunSpec:
             raise SpecError(f"sampler: {exc}") from exc
 
     def validate(self) -> "RunSpec":
-        self.build_model()
+        model = self.build_model()
         schedule = self.build_schedule()
         config = self.build_sampler_config()
         try:
@@ -109,22 +118,23 @@ class RunSpec:
             raise SpecError("seed: must be non-negative")
         if self.threads < 1:
             raise SpecError("threads: must be positive")
+        if self.trajectory_chains is not None and self.trajectory_chains < 0:
+            raise SpecError("trajectory_chains: must be non-negative")
         if self.heatmap is not None:
-            for key in ("t_bins", "x_bins"):
-                if _as(int, self.heatmap.get(key, 0), f"heatmap.{key}") < 1:
-                    raise SpecError(f"heatmap.{key}: must be a positive integer")
-            x_min = _as(float, self.heatmap.get("x_min", -6.0), "heatmap.x_min")
-            x_max = _as(float, self.heatmap.get("x_max", 6.0), "heatmap.x_max")
-            if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
-                raise SpecError("heatmap.x_min, heatmap.x_max: need finite x_min < x_max")
+            try:
+                heatmap_grid(self.heatmap, schedule.tau[-1], model.D)
+            except ValueError as exc:
+                raise SpecError(str(exc)) from exc
         return self
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunSpec":
         if not isinstance(d, dict):
             raise SpecError(f"spec: must be an object, not {type(d).__name__}")
-        model = _section(d, "model", "spec")
-        sched = _section(d, "schedule", "spec")
+        _known(d, _SPEC_FIELDS, "")
+        model = _section(d, "model", "spec", ("weights", "means", "variances"))
+        sched = _section(d, "schedule", "spec", ("T", "beta_start", "beta_end", "alpha_zero",
+                                                 "respace_k", "respace_mode"))
         means = model.get("means")
         if means is None:
             raise SpecError("missing required field 'spec.model.means'")
@@ -236,6 +246,7 @@ class SweepSpec:
     def from_dict(cls, d: dict) -> "SweepSpec":
         if not isinstance(d, dict):
             raise SpecError(f"sweep: must be an object, not {type(d).__name__}")
+        _known(d, ("base", "axis", "values", "seeds_per_cell"), "sweep.")
         return cls(
             base=RunSpec.from_dict(_get(d, "base", "sweep")),
             axis=str(_get(d, "axis", "sweep")),

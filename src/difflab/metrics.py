@@ -24,6 +24,7 @@ __all__ = [
     "mixture_quantile",
     "sliced_w1",
     "trajectory_total_variation",
+    "heatmap_grid",
     "build_heatmap",
     "bin_trajectory_points",
     "mode_statistics",
@@ -110,27 +111,27 @@ def sliced_w1(samples_a, samples_b, n_projections: int, rng) -> float:
 
 
 def trajectory_total_variation(traj: Trajectory, space: str = "x",
-                               schedule=None) -> float:
-    """Sum of step-to-step distances along a recorded trajectory.
+                               schedule=None) -> np.ndarray:
+    """Per-chain sum of step-to-step distances along recorded trajectories, (n_rec,).
 
-    space "x" measures in data space; "x_bar" rescales each point by
-    1/sqrt(alpha_t) first (requires the schedule used for the run).
+    Step lengths are added in step order, as the runner adds them. space "x"
+    measures in data space; "x_bar" rescales each point by 1/sqrt(alpha_t)
+    first (requires the schedule used for the run).
     """
-    xs = np.asarray(traj.xs, dtype=float)
-    if xs.size == 0:
+    pts = np.asarray(traj.xs, dtype=float)
+    if pts.size == 0:
         raise ValueError("empty trajectory")
-    if space == "x":
-        pts = xs
-    elif space == "x_bar":
+    if space == "x_bar":
         if schedule is None:
             raise ValueError("x_bar total variation requires the schedule")
         alphas = np.array([schedule.alpha(int(t)) for t in traj.ts])
-        pts = xs / np.sqrt(alphas)[:, None]
-    else:
+        pts = pts / np.sqrt(alphas)[:, None]
+    elif space != "x":
         raise ValueError(f"unknown space {space!r}")
-    if pts.shape[0] < 2:
-        return 0.0
-    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=-1)))
+    tv = np.zeros(pts.shape[0])
+    for k in range(1, pts.shape[1]):
+        tv += np.linalg.norm(pts[:, k] - pts[:, k - 1], axis=-1)
+    return tv
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,8 @@ def _uniform_bin(values, edges):
 
 
 def bin_trajectory_points(ts, xs, t_edges, x_edges, counts) -> None:
-    """Accumulate (t, x) points into an existing counts matrix in place.
+    """Accumulate (t, x) points into an existing counts matrix in place; ts is
+    one t per point, or a scalar t that every point shares.
 
     Edges must be evenly spaced, as np.linspace builds them; values outside
     the edges clip into the first or last bin.
@@ -190,24 +192,45 @@ def bin_trajectory_points(ts, xs, t_edges, x_edges, counts) -> None:
     counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
 
 
-def build_heatmap(trajectories, t_bins: int, x_bins: int,
+def heatmap_grid(heatmap: dict, t_max: float, D: int) -> HeatmapGrid:
+    """The empty grid of a run's heatmap setting {"t_bins", "x_bins", "x_min" = -6,
+    "x_max" = 6}, with t over [0, t_max]; raises ValueError naming the field at fault."""
+    value = {"t_bins": 0, "x_bins": 0, "x_min": -6.0, "x_max": 6.0}   # type and default
+    for key, raw in heatmap.items():
+        if key not in value:
+            raise ValueError(f"heatmap.{key}: unknown field")
+        try:
+            value[key] = type(value[key])(raw)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"heatmap.{key}: {exc}") from exc
+    t_bins, x_bins, x_min, x_max = value.values()
+    for key, bins in (("t_bins", t_bins), ("x_bins", x_bins)):
+        if bins < 1:
+            raise ValueError(f"heatmap.{key}: must be a positive integer")
+    if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
+        raise ValueError("heatmap.x_min, heatmap.x_max: need finite x_min < x_max")
+    if D != 1:
+        raise ValueError(f"heatmap: heatmaps are for 1D runs, not D={D}")
+    return HeatmapGrid(t_edges=np.linspace(0.0, float(t_max), t_bins + 1),
+                       x_edges=np.linspace(x_min, x_max, x_bins + 1),
+                       counts=np.zeros((t_bins, x_bins), dtype=np.int64))
+
+
+def build_heatmap(traj: Trajectory, t_bins: int, x_bins: int,
                   x_range: tuple[float, float] = (-6.0, 6.0),
                   t_range: tuple[float, float] | None = None) -> HeatmapGrid:
     """Histogram recorded 1D trajectories over (t, x); out-of-range x clips into edge bins."""
-    trajectories = list(trajectories)
-    if not trajectories:
+    if traj.xs.shape[0] == 0:
         raise ValueError("no trajectories given")
-    if trajectories[0].xs.shape[-1] != 1:
+    if traj.xs.shape[-1] != 1:
         raise ValueError("heatmaps are for 1D trajectories")
     if t_range is None:
-        t_max = max(float(np.max(tr.ts)) for tr in trajectories)
-        t_range = (0.0, t_max + 1.0)
+        t_range = (0.0, float(np.max(traj.ts)) + 1.0)
     t_edges = np.linspace(t_range[0], t_range[1], t_bins + 1)
     x_edges = np.linspace(x_range[0], x_range[1], x_bins + 1)
     counts = np.zeros((t_bins, x_bins), dtype=np.int64)
-    for tr in trajectories:
-        bin_trajectory_points(np.broadcast_to(tr.ts, tr.xs.shape[:1]), tr.xs,
-                              t_edges, x_edges, counts)
+    bin_trajectory_points(np.broadcast_to(traj.ts, traj.xs.shape[:2]).ravel(), traj.xs,
+                          t_edges, x_edges, counts)
     return HeatmapGrid(t_edges=t_edges, x_edges=x_edges, counts=counts)
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .config import RunSpec, SweepSpec
-from .metrics import (HeatmapGrid, bin_trajectory_points, mode_statistics,
-                      sliced_w1, wasserstein1_1d)
+from .metrics import (HeatmapGrid, bin_trajectory_points, heatmap_grid,
+                      mode_statistics, sliced_w1, wasserstein1_1d)
 from .model import GaussianMixtureModel
 from .samplers import ChainState, SamplerConfig, StepPlan, Trajectory, _step_core
 
@@ -36,7 +36,7 @@ def _fmt(v: float) -> str:
 class RunResult:
     samples: np.ndarray                 # (n, D)
     tv: np.ndarray                      # (n,) per-chain total variation, data space
-    trajectories: list[Trajectory]      # first `trajectory_chains` chains
+    trajectories: Trajectory            # the first `trajectory_chains` chains
     heatmap: HeatmapGrid | None
     metrics: dict | None = None
 
@@ -47,8 +47,9 @@ def _chain_noise(seed: int, index: int, n_steps: int, D: int) -> np.ndarray:
 
 
 def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
-               plan: StepPlan, seed: int, lo: int, hi: int, n_record: int,
-               heat_edges) -> tuple:
+               plan: StepPlan, seed: int, lo: int, hi: int, result: RunResult):
+    """Step chains lo..hi-1, writing their rows of the result's samples, tv and
+    trajectories in place; returns their heatmap counts (None without a heatmap)."""
     n = hi - lo
     K = plan.K
     D = model.D
@@ -57,92 +58,57 @@ def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
         noise[i] = _chain_noise(seed, lo + i, K, D)
     state = ChainState.init(noise[:, 0, :], schedule)
 
-    n_rec = max(0, min(hi, n_record) - lo)
-    rec_xs = np.empty((n_rec, K, D)) if n_rec else None
-    rec_x0 = np.empty((n_rec, K, D)) if n_rec else None
-    rec_dx = np.empty((n_rec, K, D)) if n_rec else None
-
-    tv = np.zeros(n)
+    record, grid = result.trajectories, result.heatmap
+    n_rec = max(0, min(hi, record.xs.shape[0]) - lo)
+    tv = result.tv[lo:hi]   # a view: the block adds into its own rows
     prev_x = None
-    counts = None
-    if heat_edges is not None:
-        t_edges, x_edges = heat_edges
-        counts = np.zeros((len(t_edges) - 1, len(x_edges) - 1), dtype=np.int64)
+    counts = None if grid is None else np.zeros_like(grid.counts)
 
     for k in range(K):
-        state, x_next, x0_hat, dxb = _step_core(state, model, schedule, config,
-                                                noise[:, k + 1, :], plan, k)
+        state, x_next, x0_hat, _ = _step_core(state, model, schedule, config,
+                                              noise[:, k + 1, :], plan, k)
         if prev_x is not None:
             tv += np.linalg.norm(x_next - prev_x, axis=-1)
         prev_x = x_next
         if n_rec:
-            rec_xs[:, k] = x_next[:n_rec]
-            rec_x0[:, k] = x0_hat[:n_rec]
-            rec_dx[:, k] = dxb[:n_rec]
+            record.xs[lo:lo + n_rec, k] = x_next[:n_rec]
+            record.x0_hats[lo:lo + n_rec, k] = x0_hat[:n_rec]
         if counts is not None:
-            bin_trajectory_points(np.full(n, plan.t_prev[k], dtype=float), x_next,
-                                  t_edges, x_edges, counts)
+            bin_trajectory_points(plan.t_prev[k], x_next, grid.t_edges, grid.x_edges, counts)
 
-    trajs = [
-        Trajectory(ts=plan.t_prev.copy(), xs=rec_xs[i], x0_hats=rec_x0[i], increments=rec_dx[i])
-        for i in range(n_rec)
-    ]
-    return lo, prev_x, tv, trajs, counts     # the last step's x_{t-1} is x_0
+    result.samples[lo:hi] = prev_x     # the last step's x_{t-1} is x_0
+    return counts
 
 
 def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
                n_chains: int, seed: int, threads: int = 1,
-               trajectory_chains: int | None = None,
+               trajectory_chains: int = 0,
                heatmap: dict | None = None) -> RunResult:
-    """Execute n_chains reverse chains with per-chain seeded noise streams."""
+    """Run n_chains reverse chains on seeded noise; record the first trajectory_chains."""
     D = model.D
     plan = StepPlan.build(schedule, config)
-    if trajectory_chains is None:
-        trajectory_chains = n_chains if config.record_trajectory else 0
-    heat_edges = None
-    grid = None
-    if heatmap is not None:
-        if D != 1:
-            raise ValueError("heatmaps are for 1D runs")
-        t_edges = np.linspace(0.0, float(schedule.tau[-1]), int(heatmap["t_bins"]) + 1)
-        x_edges = np.linspace(float(heatmap.get("x_min", -6.0)),
-                              float(heatmap.get("x_max", 6.0)),
-                              int(heatmap["x_bins"]) + 1)
-        heat_edges = (t_edges, x_edges)
+    n_rec = min(trajectory_chains, n_chains)
+    result = RunResult(
+        samples=np.zeros((n_chains, D)), tv=np.zeros(n_chains),
+        trajectories=Trajectory(ts=plan.t_prev.copy(), xs=np.empty((n_rec, plan.K, D)),
+                                x0_hats=np.empty((n_rec, plan.K, D))),
+        heatmap=None if heatmap is None else heatmap_grid(heatmap, schedule.tau[-1], D))
 
-    samples = np.zeros((n_chains, D))
-    tv = np.zeros(n_chains)
-    trajs: list[Trajectory] = []
-    total_counts = None
+    def work(lo):
+        return _run_block(model, schedule, config, plan, seed, lo,
+                          min(lo + _BLOCK, n_chains), result)
 
-    blocks = [(lo, min(lo + _BLOCK, n_chains)) for lo in range(0, n_chains, _BLOCK)]
-
-    def work(block):
-        lo, hi = block
-        return _run_block(model, schedule, config, plan, seed, lo, hi,
-                          trajectory_chains, heat_edges)
-
-    if threads > 1 and len(blocks) > 1:
+    starts = range(0, n_chains, _BLOCK)
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, blocks))
+            counts = list(pool.map(work, starts))
     else:
-        results = [work(b) for b in blocks]
+        counts = [work(lo) for lo in starts]
 
-    for lo, s, t, tr, counts in sorted(results, key=lambda r: r[0]):
-        hi = lo + s.shape[0]
-        samples[lo:hi] = s
-        tv[lo:hi] = t
-        trajs.extend(tr)
-        if counts is not None:
-            total_counts = counts if total_counts is None else total_counts + counts
-
-    if heat_edges is not None:
-        if total_counts is None:
-            total_counts = np.zeros((len(heat_edges[0]) - 1, len(heat_edges[1]) - 1),
-                                    dtype=np.int64)
-        grid = HeatmapGrid(t_edges=heat_edges[0], x_edges=heat_edges[1],
-                           counts=total_counts)
-    return RunResult(samples=samples, tv=tv, trajectories=trajs, heatmap=grid)
+    if result.heatmap is not None:
+        for block_counts in counts:     # integer sums: the same in any order
+            result.heatmap.counts[:] += block_counts
+    return result
 
 
 def compute_metrics(result: RunResult, model: GaussianMixtureModel, seed: int) -> dict:
@@ -187,16 +153,18 @@ def _write_samples_csv(path, samples: np.ndarray) -> None:
             fh.write("".join([fmt % (i, *row) for i, row in enumerate(chunk, lo)]))
 
 
-def _write_trajectories_csv(path, trajs: list[Trajectory], D: int) -> None:
+def _write_trajectories_csv(path, traj: Trajectory) -> None:
+    D = traj.xs.shape[2]
     fmt = "%d,%d,%d" + ",%.17g" * (2 * D) + "\r\n"
+    ts = traj.ts.tolist()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["chain_id", "step_index", "t"]
                           + [f"x{d}" for d in range(D)]
                           + [f"x0_hat{d}" for d in range(D)]) + "\r\n")
-        for i, tr in enumerate(trajs):
-            values = np.concatenate([tr.xs, tr.x0_hats], axis=1).tolist()
+        for i, (xs, x0_hats) in enumerate(zip(traj.xs, traj.x0_hats)):
+            rows = np.concatenate([xs, x0_hats], axis=1).tolist()
             fh.write("".join([fmt % (i, k, t, *row)
-                              for k, (t, row) in enumerate(zip(tr.ts.tolist(), values))]))
+                              for k, (t, row) in enumerate(zip(ts, rows))]))
 
 
 def execute_run(spec: RunSpec, out_dir, threads: int | None = None) -> RunResult:
@@ -217,7 +185,7 @@ def execute_run(spec: RunSpec, out_dir, threads: int | None = None) -> RunResult
 
     _write_samples_csv(out / "samples.csv", result.samples)
     if spec.trajectories:
-        _write_trajectories_csv(out / "trajectories.csv", result.trajectories, model.D)
+        _write_trajectories_csv(out / "trajectories.csv", result.trajectories)
     if result.heatmap is not None:
         result.heatmap.to_csv(out / "heatmap.csv")
     if spec.metrics:
@@ -243,8 +211,7 @@ def execute_sweep(sweep: SweepSpec, out_dir, threads: int | None = None) -> list
             result = run_chains(model, spec.build_schedule(),
                                 spec.build_sampler_config(), spec.n_chains,
                                 spec.seed,
-                                threads=threads if threads is not None else spec.threads,
-                                trajectory_chains=0)
+                                threads=threads if threads is not None else spec.threads)
             met = compute_metrics(result, model, spec.seed)
             rows.append({
                 "axis": sweep.axis, "value": value, "seed": spec.seed,

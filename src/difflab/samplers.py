@@ -90,7 +90,6 @@ class SamplerConfig:
     c: float = 0.01
     zeta: float = 1e-8
     v_norm: str = "mean_sq"           # ||dxb||^2 / D; "raw_l2sq" keeps the raw norm
-    record_trajectory: bool = False
 
     def __post_init__(self):
         if self.method not in ("vanilla", "adaptive"):
@@ -210,12 +209,11 @@ class ChainState:
 
 @dataclass
 class Trajectory:
-    """Recorded reverse trajectory of one chain."""
+    """Recorded reverse trajectories of the first n_rec chains of a run."""
 
-    ts: np.ndarray          # t after each step (t_prev labels), length = steps taken
-    xs: np.ndarray          # x_{t-1} per step, data space, (steps, D)
-    x0_hats: np.ndarray     # predicted clean sample per step, (steps, D)
-    increments: np.ndarray  # d x_bar per step, (steps, D)
+    ts: np.ndarray          # (K,) t after each step (the t_prev labels)
+    xs: np.ndarray          # (n_rec, K, D) x_{t-1} per chain and step, data space
+    x0_hats: np.ndarray     # (n_rec, K, D) predicted clean sample per chain and step
 
 
 def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,

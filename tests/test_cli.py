@@ -236,3 +236,79 @@ def test_sweep_without_chains_exits_2(spec_file, tmp_path, capsys):
     assert main(["sweep", str(path), "--out-dir", str(out), "--chains", "0"]) == 2
     assert "error: sweep.base.n_chains: must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("model", {"weights": [1.0], "means": [[0.0, 1.0]], "variances": [0.1]}, "heatmap"),
+    ("trajectory_chains", -3, "trajectory_chains"),
+], ids=["heatmap-on-2d", "negative-trajectory-chains"])
+def test_bad_record_setting_exits_2_before_running(spec_file, tmp_path, capsys,
+                                                   key, value, field):
+    spec = json.loads(spec_file.read_text())
+    spec["heatmap"] = {"t_bins": 4, "x_bins": 6}
+    spec[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out-dir", str(out)]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key,field", [
+    (None, "n_chain", "n_chain"),
+    ("model", "weight", "model.weight"),
+    ("schedule", "t", "schedule.t"),
+    ("heatmap", "xbins", "heatmap.xbins"),
+    ("sampler", "record_trajectory", "sampler"),
+])
+def test_unknown_spec_key_exits_2_naming_it(spec_file, tmp_path, capsys, section, key, field):
+    spec = json.loads(spec_file.read_text())
+    spec["heatmap"] = {"t_bins": 4, "x_bins": 6}
+    (spec if section is None else spec[section])[key] = 10
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}:" in err and key in err
+    assert not out.exists()
+
+
+def test_unknown_sweep_key_exits_2_naming_it(spec_file, tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"base": json.loads(spec_file.read_text()),
+                                "axis": "b", "values": [0.1], "seed_per_cell": 2}))
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out-dir", str(out)]) == 2
+    assert "error: sweep.seed_per_cell: unknown field" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["SEED", "CHAINS", "THREADS"])
+def test_non_integer_env_var_exits_2_naming_it(spec_file, tmp_path, capsys, monkeypatch,
+                                               name):
+    monkeypatch.setenv(f"DIFFLAB_{name}", "abc")
+    out = tmp_path / "out"
+    assert main(["run", str(spec_file), "--out-dir", str(out)]) == 2
+    assert f"error: DIFFLAB_{name}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_dir_naming_a_file_exits_1_with_one_line(spec_file, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", str(spec_file), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_diverged_run_exits_1_with_one_line(spec_file, tmp_path, capsys, monkeypatch):
+    from difflab.samplers import SecondMomentError
+
+    def diverge(*args, **kwargs):
+        raise SecondMomentError("second-moment accumulator v is not positive at t=3")
+    monkeypatch.setattr("difflab.cli.execute_run", diverge)
+    assert main(["run", str(spec_file), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        "error: second-moment accumulator v is not positive at t=3\n"

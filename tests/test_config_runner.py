@@ -149,7 +149,7 @@ def test_run_chains_zero_chains():
     res = run_chains(gmm, sched, SamplerConfig.vanilla(), 0, seed=0)
     assert res.samples.shape == (0, 1)
     assert res.tv.shape == (0,)
-    assert res.trajectories == []
+    assert res.trajectories.xs.shape == (0, sched.K, 1)
 
 
 def test_run_chains_heatmap_counts_conserved():
@@ -170,7 +170,7 @@ def test_run_chains_heatmap_matches_build_heatmap():
     heat = {"t_bins": 7, "x_bins": 24, "x_min": -3.0, "x_max": 5.0}
     res = run_chains(gmm, sched, SamplerConfig(), n, seed=4,
                      trajectory_chains=n, heatmap=heat)
-    assert len(res.trajectories) == n
+    assert res.trajectories.xs.shape == (n, sched.K, 1)
     grid = build_heatmap(res.trajectories, t_bins=7, x_bins=24, x_range=(-3.0, 5.0),
                          t_range=(0.0, float(sched.tau[-1])))
     assert np.array_equal(res.heatmap.t_edges, grid.t_edges)
@@ -183,17 +183,18 @@ def test_run_chains_heatmap_matches_build_heatmap():
 @pytest.mark.parametrize("respaced", [False, True], ids=["full", "respaced"])
 def test_run_chains_tv_matches_trajectory_total_variation(D, respaced):
     # the in-run total variation and trajectory_total_variation over the
-    # recorded trajectories must agree for every chain
+    # recorded trajectories must agree bit for bit for every chain, in one
+    # block and across two
     gmm = two_point() if D == 1 else GaussianMixtureModel(
         weights=[0.4, 0.6], means=[[-2.0, 1.0], [3.0, -1.0]], variances=[0.0, 0.3])
     sched = linear_beta_schedule(80, 1e-3, 0.05)
     if respaced:
         sched = respace(sched, 20, "quadratic")
-    n = 60
-    res = run_chains(gmm, sched, SamplerConfig(), n, seed=6, trajectory_chains=n)
-    ref = np.array([trajectory_total_variation(tr) for tr in res.trajectories])
-    assert ref.shape == (n,)
-    assert np.allclose(res.tv, ref, rtol=1e-12, atol=0.0)
+    for n in (60, 2100):
+        res = run_chains(gmm, sched, SamplerConfig(), n, seed=6, trajectory_chains=n)
+        ref = trajectory_total_variation(res.trajectories)
+        assert ref.shape == (n,)
+        assert np.array_equal(res.tv, ref)
 
 
 def test_respaced_k_equals_t_matches_full_schedule():
@@ -234,19 +235,17 @@ def test_samples_csv_bytes_match_csv_writer_reference(tmp_path, D):
 @pytest.mark.parametrize("D", [1, 16])
 def test_trajectories_csv_bytes_match_csv_writer_reference(tmp_path, D):
     rng = np.random.default_rng(D)
-    trajs = []
-    for _ in range(3):
-        xs = rng.standard_normal((20, D))
-        x0 = rng.standard_normal((20, D)) * 1e-310
-        xs.flat[:len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
-        trajs.append(Trajectory(ts=np.arange(19, -1, -1), xs=xs, x0_hats=x0,
-                                increments=np.zeros_like(xs)))
-    _write_trajectories_csv(tmp_path / "got.csv", trajs, D)
+    xs = rng.standard_normal((3, 20, D))
+    x0 = rng.standard_normal((3, 20, D)) * 1e-310
+    for i in range(3):
+        xs[i].flat[:len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
+    traj = Trajectory(ts=np.arange(19, -1, -1), xs=xs, x0_hats=x0)
+    _write_trajectories_csv(tmp_path / "got.csv", traj)
     header = (["chain_id", "step_index", "t"] + [f"x{d}" for d in range(D)]
               + [f"x0_hat{d}" for d in range(D)])
     _reference_rows(tmp_path / "ref.csv", header,
-                    [((i, k, int(tr.ts[k])), list(tr.xs[k]) + list(tr.x0_hats[k]))
-                     for i, tr in enumerate(trajs) for k in range(20)])
+                    [((i, k, int(traj.ts[k])), list(xs[i, k]) + list(x0[i, k]))
+                     for i in range(3) for k in range(20)])
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -278,6 +277,7 @@ def test_execute_run_outputs(tmp_path):
     with open(tmp_path / "manifest.json") as fh:
         man = json.load(fh)
     assert man["spec"] == spec.to_dict()
+    assert RunSpec.from_dict(man["spec"]) == spec
     assert "version" in man
 
 

@@ -95,30 +95,33 @@ def test_sliced_w1_properties():
         sliced_w1(a[:, :1], a[:, :1], 8, rng)
 
 
+def _record(ts, *chains):
+    """A batched record of the given (K, D) trajectories."""
+    xs = np.stack([np.asarray(c, dtype=float) for c in chains])
+    return Trajectory(ts=np.asarray(ts), xs=xs, x0_hats=np.zeros_like(xs))
+
+
 def test_trajectory_total_variation_straight_line():
     # K equal steps of length h: TV = K * h regardless of direction
     xs = np.linspace(0, 3, 7)[:, None]
-    traj = Trajectory(ts=np.arange(6, -1, -1), xs=xs,
-                      x0_hats=np.zeros_like(xs), increments=np.zeros_like(xs))
-    assert trajectory_total_variation(traj) == pytest.approx(3.0, rel=1e-12)
+    tv = trajectory_total_variation(_record(np.arange(6, -1, -1), xs, -xs))
+    assert tv.shape == (2,)
+    assert tv == pytest.approx([3.0, 3.0], rel=1e-12)
 
 
 def test_trajectory_total_variation_zigzag_exceeds_displacement():
     xs = np.array([[0.0], [1.0], [0.0], [1.0]])
-    traj = Trajectory(ts=np.array([3, 2, 1, 0]), xs=xs,
-                      x0_hats=np.zeros_like(xs), increments=np.zeros_like(xs))
-    assert trajectory_total_variation(traj) == pytest.approx(3.0)
+    tv = trajectory_total_variation(_record([3, 2, 1, 0], xs))
+    assert tv.shape == (1,)
+    assert tv[0] == pytest.approx(3.0)
 
 
 def test_trajectory_total_variation_xbar_space():
     sched = linear_beta_schedule(10, 1e-3, 0.05)
-    ts = np.array([2, 1])
-    xs = np.array([[1.0], [1.0]])
-    traj = Trajectory(ts=ts, xs=xs, x0_hats=np.zeros_like(xs),
-                      increments=np.zeros_like(xs))
+    traj = _record([2, 1], [[1.0], [1.0]], [[2.0], [2.0]])
     expected = abs(1 / math.sqrt(sched.alpha(1)) - 1 / math.sqrt(sched.alpha(2)))
     assert trajectory_total_variation(traj, space="x_bar",
-                                      schedule=sched) == pytest.approx(expected)
+                                      schedule=sched) == pytest.approx([expected, 2 * expected])
     with pytest.raises(ValueError):
         trajectory_total_variation(traj, space="x_bar")   # schedule required
     with pytest.raises(ValueError):
@@ -127,9 +130,7 @@ def test_trajectory_total_variation_xbar_space():
 
 def test_heatmap_conserves_points_and_clips():
     xs = np.array([[0.0], [2.0], [100.0], [-100.0]])
-    traj = Trajectory(ts=np.array([3, 2, 1, 0]), xs=xs,
-                      x0_hats=np.zeros_like(xs), increments=np.zeros_like(xs))
-    grid = build_heatmap([traj, traj], t_bins=4, x_bins=10, x_range=(-6, 6))
+    grid = build_heatmap(_record([3, 2, 1, 0], xs, xs), t_bins=4, x_bins=10, x_range=(-6, 6))
     assert grid.counts.sum() == 8          # every point lands in some bin
     assert grid.counts.shape == (4, 10)
     # out-of-range x clipped into the edge bins
@@ -138,10 +139,7 @@ def test_heatmap_conserves_points_and_clips():
 
 
 def test_heatmap_csv(tmp_path):
-    xs = np.array([[0.0], [1.0]])
-    traj = Trajectory(ts=np.array([1, 0]), xs=xs,
-                      x0_hats=np.zeros_like(xs), increments=np.zeros_like(xs))
-    grid = build_heatmap([traj], t_bins=2, x_bins=3)
+    grid = build_heatmap(_record([1, 0], [[0.0], [1.0]]), t_bins=2, x_bins=3)
     path = tmp_path / "heatmap.csv"
     grid.to_csv(path)
     import csv

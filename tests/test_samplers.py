@@ -144,18 +144,18 @@ def test_final_step_is_noiseless():
     # the final state is exactly the last predicted x0
     gmm = two_point()
     sched = linear_beta_schedule(20, 1e-3, 0.05)
-    cfg = SamplerConfig.vanilla(ETA_DDPM_UNIT, record_trajectory=True)
-    res = run_chains(gmm, sched, cfg, 4, seed=4)
+    cfg = SamplerConfig.vanilla(ETA_DDPM_UNIT)
+    res = run_chains(gmm, sched, cfg, 4, seed=4, trajectory_chains=4)
     assert StepPlan.build(sched, cfg).noise[-1] == 0.0
-    for x0, traj in zip(res.samples, res.trajectories):
-        assert np.allclose(x0, traj.x0_hats[-1], atol=1e-12)
+    assert res.trajectories.x0_hats.shape[0] == 4
+    for x0, x0_hats in zip(res.samples, res.trajectories.x0_hats):
+        assert np.allclose(x0, x0_hats[-1], atol=1e-12)
 
 
 _FINAL_STEP_CONFIGS = {
-    "vanilla": lambda eta: SamplerConfig.vanilla(eta, record_trajectory=True),
-    "momentum": lambda eta: SamplerConfig.momentum(0.3, eta, record_trajectory=True),
-    "adaptive": lambda eta: SamplerConfig(method="adaptive", eta_mode=eta, b=0.4,
-                                          c=0.003, record_trajectory=True),
+    "vanilla": lambda eta: SamplerConfig.vanilla(eta),
+    "momentum": lambda eta: SamplerConfig.momentum(0.3, eta),
+    "adaptive": lambda eta: SamplerConfig(method="adaptive", eta_mode=eta, b=0.4, c=0.003),
 }
 
 
@@ -175,10 +175,11 @@ def test_final_step_is_noiseless_for_every_method(method, eta, respaced):
     if respaced:
         sched = respace(sched, 10)
     cfg = _FINAL_STEP_CONFIGS[method](eta)
-    res = run_chains(gmm, sched, cfg, 4, seed=4)
-    for x0, traj in zip(res.samples, res.trajectories):
-        assert traj.ts[-1] == 0
-        assert np.allclose(x0, traj.x0_hats[-1], rtol=0, atol=1e-12)
+    res = run_chains(gmm, sched, cfg, 4, seed=4, trajectory_chains=4)
+    assert res.trajectories.ts[-1] == 0
+    assert res.trajectories.x0_hats.shape[0] == 4
+    for x0, x0_hats in zip(res.samples, res.trajectories.x0_hats):
+        assert np.allclose(x0, x0_hats[-1], rtol=0, atol=1e-12)
 
 
 # --- coefficient rules ---------------------------------------------------
@@ -291,22 +292,22 @@ def test_vanilla_step_leaves_momentum_untouched():
 def test_trajectory_recording_shapes():
     gmm = two_point()
     sched = linear_beta_schedule(25, 1e-3, 0.05)
-    cfg = SamplerConfig(method="adaptive", b=0.2, record_trajectory=True)
-    res = run_chains(gmm, sched, cfg, 1, seed=9)
-    x0, traj = res.samples[0], res.trajectories[0]
-    assert traj.xs.shape == (25, 1)
-    assert traj.x0_hats.shape == (25, 1)
-    assert traj.increments.shape == (25, 1)
+    cfg = SamplerConfig(method="adaptive", b=0.2)
+    res = run_chains(gmm, sched, cfg, 3, seed=9, trajectory_chains=2)
+    traj = res.trajectories
+    assert traj.ts.shape == (25,)
+    assert traj.xs.shape == (2, 25, 1)
+    assert traj.x0_hats.shape == (2, 25, 1)
     assert traj.ts[0] == 24 and traj.ts[-1] == 0
-    assert np.allclose(x0, traj.xs[-1], atol=1e-12)
+    assert np.array_equal(res.samples[:2], traj.xs[:, -1])
 
 
 def test_respaced_chain_runs_and_uses_subsequence():
     gmm = two_point()
     sub = respace(linear_beta_schedule(100, 1e-3, 0.05), 10)
-    cfg = SamplerConfig.vanilla(record_trajectory=True)
-    traj = run_chains(gmm, sub, cfg, 1, seed=10).trajectories[0]
-    assert traj.xs.shape[0] == 10
+    cfg = SamplerConfig.vanilla()
+    traj = run_chains(gmm, sub, cfg, 1, seed=10, trajectory_chains=1).trajectories
+    assert traj.xs.shape == (1, 10, 1)
     assert list(traj.ts) == [90, 80, 70, 60, 50, 40, 30, 20, 10, 0]
 
 
