@@ -21,6 +21,8 @@ from .samplers import SecondMomentError
 from .verification import run_all_checks
 
 ENV_PREFIX = "DIFFLAB_"
+# DIFFLAB_NO_TRAJECTORIES: whether each accepted value turns trajectories off
+_SWITCH_VALUES = {"1": True, "true": True, "0": False, "false": False, "": False}
 
 
 def _env(name: str):
@@ -46,7 +48,11 @@ def _apply_run_overrides(spec: RunSpec, args) -> RunSpec:
             value = _as(int, _env(name), ENV_PREFIX + name.upper())
         if value is not None:
             changes[field] = value
-    if args.no_trajectories or _env("no_trajectories") not in (None, "", "0"):
+    switch = _env("no_trajectories")
+    if switch is not None and switch not in _SWITCH_VALUES:
+        raise SpecError(f"{ENV_PREFIX}NO_TRAJECTORIES: must be one of 1, true, 0, false "
+                        f"or empty, not {switch!r}")
+    if args.no_trajectories or _SWITCH_VALUES.get(switch, False):
         changes["trajectories"] = False
     return spec.with_overrides(**changes)
 

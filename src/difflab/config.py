@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -23,15 +24,10 @@ class SpecError(ValueError):
     """Invalid spec content; the message carries the offending field path."""
 
 
-_sentinel = object()
-
-
-def _get(d: dict, key: str, path: str, default=_sentinel):
-    if key in d:
-        return d[key]
-    if default is _sentinel:
+def _get(d: dict, key: str, path: str):
+    if key not in d:
         raise SpecError(f"missing required field '{path}.{key}'")
-    return default
+    return d[key]
 
 
 def _section(d: dict, key: str, path: str, fields: tuple) -> dict:
@@ -56,6 +52,35 @@ def _as(kind, value, name: str):
         raise SpecError(f"{name}: {exc}") from exc
 
 
+def _int(value, name: str) -> int:
+    """A JSON number with a whole value; a boolean, a string or a fraction is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise SpecError(f"{name}: must be an integer, not {value!r}")
+    return int(value)
+
+
+def _bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise SpecError(f"{name}: must be true or false, not {value!r}")
+    return value
+
+
+def _optional(convert):
+    """convert, with JSON null kept as None."""
+    return lambda value, name: None if value is None else convert(value, name)
+
+
+def _heatmap(value, name: str) -> dict | None:
+    """The setting as given, or None; metrics.heatmap_grid makes the other checks."""
+    if not value:
+        return None
+    heatmap = _as(dict, value, name)
+    for key in ("t_bins", "x_bins"):
+        if key in heatmap:
+            _int(heatmap[key], f"{name}.{key}")
+    return heatmap
+
+
 @dataclass(frozen=True)
 class RunSpec:
     """Everything needed to reproduce one sampling run byte-for-byte."""
@@ -74,7 +99,7 @@ class RunSpec:
     seed: int = 0
     threads: int = 1
     trajectories: bool = True
-    trajectory_chains: int | None = 100
+    trajectory_chains: int | None = None   # None records every chain
     heatmap: dict | None = None   # {"t_bins", "x_bins", "x_min", "x_max"}
     metrics: bool = True
 
@@ -85,7 +110,7 @@ class RunSpec:
                 means=np.array(self.means, dtype=float),
                 variances=np.array(self.variances, dtype=float),
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecError(f"model: {exc}") from exc
 
     def build_schedule(self) -> NoiseSchedule:
@@ -129,43 +154,42 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunSpec":
+        """The validated spec of a JSON object; a field it leaves out takes the
+        dataclass default."""
         if not isinstance(d, dict):
             raise SpecError(f"spec: must be an object, not {type(d).__name__}")
         _known(d, _SPEC_FIELDS, "")
         model = _section(d, "model", "spec", ("weights", "means", "variances"))
         sched = _section(d, "schedule", "spec", ("T", "beta_start", "beta_end", "alpha_zero",
                                                  "respace_k", "respace_mode"))
-        means = model.get("means")
-        if means is None:
-            raise SpecError("missing required field 'spec.model.means'")
         try:
-            means = tuple(tuple(np.atleast_1d(np.asarray(m, dtype=float))) for m in means)
+            means = tuple(tuple(np.atleast_1d(np.asarray(m, dtype=float)))
+                          for m in _get(model, "means", "model"))
         except (TypeError, ValueError) as exc:
             raise SpecError(f"model.means: {exc}") from exc
-        respace_k = sched.get("respace_k")
-        trajectory_chains = d.get("trajectory_chains")
-        spec = cls(
-            weights=_as(tuple, _get(model, "weights", "model"), "model.weights"),
-            means=means,
-            variances=_as(tuple, _get(model, "variances", "model"), "model.variances"),
-            T=_as(int, _get(sched, "T", "schedule"), "schedule.T"),
-            beta_start=_as(float, _get(sched, "beta_start", "schedule"), "schedule.beta_start"),
-            beta_end=_as(float, _get(sched, "beta_end", "schedule"), "schedule.beta_end"),
-            alpha_zero=_as(float, sched.get("alpha_zero", 1.0), "schedule.alpha_zero"),
-            respace_k=(_as(int, respace_k, "schedule.respace_k")
-                       if respace_k is not None else None),
-            respace_mode=sched.get("respace_mode", "uniform"),
-            sampler=_as(dict, d.get("sampler", {}), "sampler"),
-            n_chains=_as(int, d.get("n_chains", 1000), "n_chains"),
-            seed=_as(int, d.get("seed", 0), "seed"),
-            threads=_as(int, d.get("threads", 1), "threads"),
-            trajectories=bool(d.get("trajectories", True)),
-            trajectory_chains=(_as(int, trajectory_chains, "trajectory_chains")
-                               if trajectory_chains is not None else None),
-            heatmap=(_as(dict, d["heatmap"], "heatmap") if d.get("heatmap") else None),
-            metrics=bool(d.get("metrics", True)),
-        )
-        return spec.validate()
+        kw = {
+            "weights": _as(tuple, _get(model, "weights", "model"), "model.weights"),
+            "means": means,
+            "variances": _as(tuple, _get(model, "variances", "model"), "model.variances"),
+            "T": _int(_get(sched, "T", "schedule"), "schedule.T"),
+            "beta_start": _as(float, _get(sched, "beta_start", "schedule"), "schedule.beta_start"),
+            "beta_end": _as(float, _get(sched, "beta_end", "schedule"), "schedule.beta_end"),
+        }
+        for section, path, key, convert in (
+                (sched, "schedule.", "alpha_zero", partial(_as, float)),
+                (sched, "schedule.", "respace_k", _optional(_int)),
+                (sched, "schedule.", "respace_mode", lambda value, name: value),
+                (d, "", "sampler", partial(_as, dict)),
+                (d, "", "n_chains", _int),
+                (d, "", "seed", _int),
+                (d, "", "threads", _int),
+                (d, "", "trajectories", _bool),
+                (d, "", "trajectory_chains", _optional(_int)),
+                (d, "", "heatmap", _heatmap),
+                (d, "", "metrics", _bool)):
+            if key in section:
+                kw[key] = convert(section[key], path + key)
+        return cls(**kw).validate()
 
     def to_dict(self) -> dict:
         return {
@@ -201,11 +225,6 @@ class RunSpec:
                 raise SpecError(f"unreadable spec {path}: {exc}") from exc
         return cls.from_dict(data)
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
-
     def with_overrides(self, **kw) -> "RunSpec":
         return replace(self, **kw).validate()
 
@@ -235,7 +254,7 @@ class SweepSpec:
         base = self.base
         name = f"sweep.values ({self.axis})"
         if self.axis == "K":
-            spec = replace(base, respace_k=_as(int, value, name))
+            spec = replace(base, respace_k=_int(value, name))
         elif self.axis == "eta_mode":
             spec = replace(base, sampler={**base.sampler, "eta_mode": str(value)})
         else:
@@ -251,7 +270,7 @@ class SweepSpec:
             base=RunSpec.from_dict(_get(d, "base", "sweep")),
             axis=str(_get(d, "axis", "sweep")),
             values=_as(tuple, _get(d, "values", "sweep"), "sweep.values"),
-            seeds_per_cell=_as(int, d.get("seeds_per_cell", 1), "sweep.seeds_per_cell"),
+            seeds_per_cell=_int(d.get("seeds_per_cell", 1), "sweep.seeds_per_cell"),
         )
 
     @classmethod

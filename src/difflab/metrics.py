@@ -110,24 +110,14 @@ def sliced_w1(samples_a, samples_b, n_projections: int, rng) -> float:
     return float(np.mean(vals))
 
 
-def trajectory_total_variation(traj: Trajectory, space: str = "x",
-                               schedule=None) -> np.ndarray:
-    """Per-chain sum of step-to-step distances along recorded trajectories, (n_rec,).
-
-    Step lengths are added in step order, as the runner adds them. space "x"
-    measures in data space; "x_bar" rescales each point by 1/sqrt(alpha_t)
-    first (requires the schedule used for the run).
+def trajectory_total_variation(traj: Trajectory) -> np.ndarray:
+    """Per-chain sum of step-to-step distances in data space along recorded
+    trajectories, (n_rec,). Step lengths are added in step order, as the runner
+    adds them.
     """
     pts = np.asarray(traj.xs, dtype=float)
     if pts.size == 0:
         raise ValueError("empty trajectory")
-    if space == "x_bar":
-        if schedule is None:
-            raise ValueError("x_bar total variation requires the schedule")
-        alphas = np.array([schedule.alpha(int(t)) for t in traj.ts])
-        pts = pts / np.sqrt(alphas)[:, None]
-    elif space != "x":
-        raise ValueError(f"unknown space {space!r}")
     tv = np.zeros(pts.shape[0])
     for k in range(1, pts.shape[1]):
         tv += np.linalg.norm(pts[:, k] - pts[:, k - 1], axis=-1)

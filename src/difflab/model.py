@@ -21,7 +21,7 @@ __all__ = [
     "forward_sample",
     "analytic_eps",
     "log_density_t",
-    "noised_mixture",
+    "sample_marginal",
     "score_x",
     "score_xbar",
 ]
@@ -96,10 +96,11 @@ def forward_sample(gmm: GaussianMixtureModel, x0, t: int, eps,
 
 
 def _marginal_params(gmm: GaussianMixtureModel, alpha: float):
-    """Mixture parameters of x_t: means sqrt(alpha) mu_k, variances alpha var_k + 1 - alpha."""
+    """Mixture parameters of x_t: the mean scale sqrt(alpha) (means sqrt(alpha) mu_k)
+    and the variances alpha var_k + 1 - alpha."""
     sa = np.sqrt(alpha)
     s2 = alpha * gmm.variances + (1.0 - alpha)
-    return sa, gmm.means * sa, s2
+    return sa, s2
 
 
 def _log_joint(gmm, sq, s2):
@@ -132,7 +133,7 @@ def analytic_eps(gmm: GaussianMixtureModel, x, t: int,
     if a >= 1.0:
         raise ValueError("analytic_eps undefined at alpha_t = 1 (no noise present)")
     x = np.asarray(x, dtype=float)
-    sa, _, s2 = _marginal_params(gmm, a)
+    sa, s2 = _marginal_params(gmm, a)
     xf = x.reshape(-1, gmm.D)                                       # (N, D)
     # |x - sa mu_k|^2 expanded: one matmul, no (K, N, D) difference array
     sq = (np.einsum("nd,nd->n", xf, xf) - (2.0 * sa) * (gmm.means @ xf.T)
@@ -152,7 +153,7 @@ def log_density_t(gmm: GaussianMixtureModel, x, t: int,
                   schedule: NoiseSchedule) -> np.ndarray:
     """Exact log density of the noised marginal at step t (t=0 is the clean density)."""
     a = _check_t(schedule, t, lo=0)
-    sa, _, s2 = _marginal_params(gmm, a)
+    sa, s2 = _marginal_params(gmm, a)
     if np.any(s2 <= 0.0):
         raise ValueError("density undefined: zero-variance component with no noise added")
     x = np.asarray(x, dtype=float)
@@ -163,12 +164,13 @@ def log_density_t(gmm: GaussianMixtureModel, x, t: int,
     return _logsumexp(log_p).reshape(x.shape[:-1])[()]
 
 
-def noised_mixture(gmm: GaussianMixtureModel, t: int,
-                   schedule: NoiseSchedule) -> GaussianMixtureModel:
-    """The mixture describing x_t exactly (same weights, scaled means, inflated variances)."""
-    a = _check_t(schedule, t, lo=0)
-    sa, means, s2 = _marginal_params(gmm, a)
-    return GaussianMixtureModel(weights=gmm.weights, means=means, variances=s2)
+def sample_marginal(gmm: GaussianMixtureModel, alpha: float, n: int, rng) -> np.ndarray:
+    """n exact draws of x_t at cumulative alpha, shape (n, D); alpha = 1 draws
+    clean data. Each draw picks a component, then adds its scaled Gaussian noise."""
+    comps = rng.choice(gmm.n_components, size=n, p=gmm.weights)
+    sa, s2 = _marginal_params(gmm, alpha)
+    # scale before gathering: no (n, D) array beyond what the unscaled draw needs
+    return (sa * gmm.means)[comps] + np.sqrt(s2)[comps, None] * rng.standard_normal((n, gmm.D))
 
 
 def score_x(gmm: GaussianMixtureModel, x, t: int, schedule: NoiseSchedule) -> np.ndarray:

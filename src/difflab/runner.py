@@ -20,7 +20,7 @@ from . import __version__
 from .config import RunSpec, SweepSpec
 from .metrics import (HeatmapGrid, bin_trajectory_points, heatmap_grid,
                       mode_statistics, sliced_w1, wasserstein1_1d)
-from .model import GaussianMixtureModel
+from .model import GaussianMixtureModel, sample_marginal
 from .samplers import ChainState, SamplerConfig, StepPlan, Trajectory, _step_core
 
 __all__ = ["RunResult", "run_chains", "execute_run", "execute_sweep"]
@@ -127,10 +127,7 @@ def compute_metrics(result: RunResult, model: GaussianMixtureModel, seed: int) -
         out["mode_stats"] = mode_statistics(result.samples[:, 0], model.means[:, 0])
     else:
         rng = np.random.default_rng([seed, 2**48])
-        comps = rng.choice(model.n_components, size=result.samples.shape[0],
-                           p=model.weights)
-        ref = model.means[comps] + np.sqrt(model.variances[comps])[:, None] \
-            * rng.standard_normal(result.samples.shape)
+        ref = sample_marginal(model, 1.0, result.samples.shape[0], rng)
         out["w1"] = None
         out["sliced_w1"] = sliced_w1(result.samples, ref, 128, rng)
         out["mode_stats"] = []
@@ -199,7 +196,7 @@ def execute_run(spec: RunSpec, out_dir, threads: int | None = None) -> RunResult
     return result
 
 
-def execute_sweep(sweep: SweepSpec, out_dir, threads: int | None = None) -> list[dict]:
+def execute_sweep(sweep: SweepSpec, out_dir) -> list[dict]:
     """Run every sweep cell; write the per-cell metrics table with the argmin marked."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -208,10 +205,8 @@ def execute_sweep(sweep: SweepSpec, out_dir, threads: int | None = None) -> list
         for s in range(sweep.seeds_per_cell):
             spec = sweep.cell_spec(value, s)
             model = spec.build_model()
-            result = run_chains(model, spec.build_schedule(),
-                                spec.build_sampler_config(), spec.n_chains,
-                                spec.seed,
-                                threads=threads if threads is not None else spec.threads)
+            result = run_chains(model, spec.build_schedule(), spec.build_sampler_config(),
+                                spec.n_chains, spec.seed, threads=spec.threads)
             met = compute_metrics(result, model, spec.seed)
             rows.append({
                 "axis": sweep.axis, "value": value, "seed": spec.seed,

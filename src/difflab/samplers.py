@@ -15,6 +15,7 @@ All step math broadcasts over leading batch dimensions; a single chain is the
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,15 +97,17 @@ class SamplerConfig:
             raise ValueError(f"unknown sampler method {self.method!r}")
         if self.eta_mode not in _ETA_MODES:
             raise ValueError(f"unknown eta mode {self.eta_mode!r}")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must lie in [0, 1]")
+        for name, value in (("b", self.b), ("c", self.c), ("a_override", self.a_override)):
+            if name == "a_override" and value is None:
+                continue    # no override: the a rule applies
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1]")
         if self.b_schedule not in ("constant", "linear_ramp"):
             raise ValueError(f"unknown b schedule {self.b_schedule!r}")
         if self.a_rule not in ("spherical", "affine"):
             raise ValueError(f"unknown a rule {self.a_rule!r}")
-        if not 0.0 <= self.c <= 1.0:
-            raise ValueError("c must lie in [0, 1]")
-        if self.zeta < 0.0:
+        if not self.zeta >= 0.0:    # NaN too
             raise ValueError("zeta must be non-negative")
         if self.v_norm not in ("mean_sq", "raw_l2sq"):
             raise ValueError(f"unknown v normalization {self.v_norm!r}")
@@ -112,10 +115,6 @@ class SamplerConfig:
     @classmethod
     def vanilla(cls, eta_mode: str = ETA_DDPM_UNIT, **kw) -> "SamplerConfig":
         return cls(method="vanilla", eta_mode=eta_mode, **kw)
-
-    @classmethod
-    def momentum(cls, b: float, eta_mode: str = ETA_DDPM_UNIT, **kw) -> "SamplerConfig":
-        return cls(method="adaptive", eta_mode=eta_mode, b=b, c=0.0, zeta=0.0, **kw)
 
     def coeffs(self, step_index, n_steps: int) -> tuple:
         """(a_t, b_t) for the step with 0-based index from the chain start;

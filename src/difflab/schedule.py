@@ -9,7 +9,7 @@ returns the predicted clean sample exactly).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -23,34 +23,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise rates, their cumulative signal products, and the
-    increasing timestep subsequence ``tau`` that the reverse sampler visits.
+    """Per-step noise rates, their cumulative signal products (derived from
+    the rates), and the increasing timestep subsequence ``tau`` that the
+    reverse sampler visits.
 
     The full schedule is tau = (1, ..., T); ``respace`` picks a shorter tau
     over the same arrays, so every alpha is an exact read of ``alphas_cum``.
     """
 
     betas: np.ndarray          # shape (T,), betas[t-1] = beta_t
-    alphas_cum: np.ndarray     # shape (T,), alphas_cum[t-1] = prod_{i<=t}(1-beta_i)
     alpha_zero: float = 1.0
     tau: tuple | None = None   # 1-based, strictly increasing, ends at T; None = 1..T
+    alphas_cum: np.ndarray = field(init=False)   # alphas_cum[t-1] = prod_{i<=t}(1-beta_i)
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=float)
-        alphas = np.asarray(self.alphas_cum, dtype=float)
         object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "alphas_cum", alphas)
         if betas.ndim != 1 or betas.size == 0:
             raise ValueError("betas must be a non-empty 1D sequence")
-        if alphas.shape != betas.shape:
-            raise ValueError("alphas_cum must match betas in length")
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
             raise ValueError("every beta_t must lie strictly inside (0, 1)")
+        alphas = np.cumprod(1.0 - betas)
+        object.__setattr__(self, "alphas_cum", alphas)
+        # a tiny beta can round 1 - beta, or the product, back to its last value
         if np.any(np.diff(alphas) >= 0.0):
             raise ValueError("alphas_cum must be strictly decreasing")
-        expected = np.cumprod(1.0 - betas)
-        if not np.allclose(alphas, expected, rtol=1e-12, atol=0.0):
-            raise ValueError("alphas_cum is inconsistent with the running product of (1 - beta)")
         if not (alphas[0] < self.alpha_zero <= 1.0):
             raise ValueError("alpha_zero must lie in (alpha_1, 1]")
         betas.flags.writeable = False
@@ -77,11 +74,6 @@ class NoiseSchedule:
     @property
     def T(self) -> int:
         return int(self.betas.size)
-
-    @property
-    def K(self) -> int:
-        """Number of reverse transitions, one per element of tau."""
-        return len(self.tau)
 
     def beta(self, t: int) -> float:
         if not 1 <= t <= self.T:
@@ -125,8 +117,7 @@ def linear_beta_schedule(T: int, beta_start: float, beta_end: float,
     if not (0.0 < beta_start <= beta_end < 1.0):
         raise ValueError("need 0 < beta_start <= beta_end < 1")
     betas = np.linspace(beta_start, beta_end, T)
-    alphas = np.cumprod(1.0 - betas)
-    return NoiseSchedule(betas=betas, alphas_cum=alphas, alpha_zero=alpha_zero)
+    return NoiseSchedule(betas=betas, alpha_zero=alpha_zero)
 
 
 def respace(schedule: NoiseSchedule, K: int, mode: str = "uniform") -> NoiseSchedule:

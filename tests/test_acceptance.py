@@ -181,7 +181,7 @@ def test_unit_eta_step_consistent_with_reverse_sde():
     # drift identity to 1e-10 at every t; closed-form vs exact noise scale
     # within 2% wherever the per-step rate is below 0.02
     start = time.perf_counter()
-    from difflab.sde_checks import drift_consistency
+    from difflab.verification import drift_consistency
     sched = linear_beta_schedule(1000, 1e-4, 0.02)
     report = drift_consistency(sched, two_point(), n_points=8,
                                rng=np.random.default_rng(11))
@@ -220,7 +220,7 @@ def test_history_coefficient_sweep_has_interior_optimum():
     for b in bs:
         vals = []
         for seed in range(3):
-            res = run_chains(gmm, sched, SamplerConfig.momentum(b),
+            res = run_chains(gmm, sched, SamplerConfig(b=b, c=0.0, zeta=0.0),
                              4000, seed=seed)
             vals.append(wasserstein1_1d(res.samples[:, 0], gmm))
         means.append(float(np.mean(vals)))

@@ -116,7 +116,9 @@ def test_verify_command(tmp_path, capsys, monkeypatch):
     with open(tmp_path / "report.json") as fh:
         report = json.load(fh)
     assert report["passed"] is True
-    assert len(report["checks"]) == 6
+    assert [c["name"] for c in report["checks"]] == [
+        "score-consistency", "drift-identity", "diffusion-scale",
+        "midpoint-equivalence", "degeneracy-equivalence"]
     assert "drift_diffusion_table" in report
 
 
@@ -312,3 +314,92 @@ def test_diverged_run_exits_1_with_one_line(spec_file, tmp_path, capsys, monkeyp
     assert main(["run", str(spec_file), "--out-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == \
         "error: second-moment accumulator v is not positive at t=3\n"
+
+
+@pytest.mark.parametrize("value", [{}, "x", 2.5, -1, True, "0.5"],
+                         ids=["object", "word", "above-1", "negative", "boolean", "numeral"])
+def test_bad_a_override_exits_2_before_running(spec_file, tmp_path, capsys, value):
+    spec = json.loads(spec_file.read_text())
+    spec["sampler"]["a_override"] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out-dir", str(out)]) == 2
+    assert "error: sampler: a_override must be a number in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nan_zeta_exits_2_before_running(spec_file, tmp_path, capsys):
+    # NaN is not JSON, but Python's json reads it; a NaN zeta must fail
+    # validation, not end the run as a diverged second moment after the chains
+    spec = json.loads(spec_file.read_text())
+    spec["sampler"] = {"method": "adaptive", "zeta": float("nan")}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out-dir", str(out)]) == 2
+    assert "error: sampler: zeta must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path,value", [
+    ("trajectories", "false"),
+    ("metrics", "no"),
+    ("n_chains", 10.7),
+    ("seed", True),
+    ("threads", 1.5),
+    ("trajectory_chains", "2"),
+    ("schedule.T", 30.5),
+    ("schedule.respace_k", 10.5),
+    ("heatmap.t_bins", 4.5),
+    ("heatmap.x_bins", True),
+])
+def test_spec_scalar_of_another_json_type_exits_2_naming_it(spec_file, tmp_path, capsys,
+                                                             path, value):
+    spec = json.loads(spec_file.read_text())
+    spec["heatmap"] = {"t_bins": 4, "x_bins": 6}
+    *section, key = path.split(".")
+    (spec[section[0]] if section else spec)[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out-dir", str(out)]) == 2
+    assert f"error: {path}: must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("seeds_per_cell", 1.5, "sweep.seeds_per_cell"),
+    ("values", [10, 12.5], "sweep.values (K)"),
+])
+def test_sweep_integer_of_another_json_type_exits_2_naming_it(spec_file, tmp_path, capsys,
+                                                               key, value, field):
+    sweep = {"base": json.loads(spec_file.read_text()), "axis": "K", "values": [10]}
+    sweep[key] = value
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(sweep))
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out-dir", str(out)]) == 2
+    assert f"error: {field}: must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_no_trajectories_variable_takes_a_fixed_set_of_values(spec_file, tmp_path,
+                                                              monkeypatch):
+    # 1 and true turn trajectories off; 0, false and empty leave the spec's setting
+    for value, written in (("1", False), ("true", False), ("0", True), ("false", True),
+                           ("", True)):
+        monkeypatch.setenv("DIFFLAB_NO_TRAJECTORIES", value)
+        out = tmp_path / f"out-{value or 'empty'}"
+        assert main(["run", str(spec_file), "--out-dir", str(out)]) == 0
+        assert (out / "trajectories.csv").exists() == written, value
+
+
+@pytest.mark.parametrize("value", ["yes", "2", "False"])
+def test_other_no_trajectories_value_exits_2_naming_the_variable(spec_file, tmp_path, capsys,
+                                                                 monkeypatch, value):
+    monkeypatch.setenv("DIFFLAB_NO_TRAJECTORIES", value)
+    out = tmp_path / "out"
+    assert main(["run", str(spec_file), "--out-dir", str(out)]) == 2
+    assert "error: DIFFLAB_NO_TRAJECTORIES:" in capsys.readouterr().err
+    assert not out.exists()

@@ -40,7 +40,7 @@ def two_point():
 def test_runspec_roundtrip(tmp_path):
     spec = RunSpec.from_dict(base_spec_dict())
     path = tmp_path / "spec.json"
-    spec.to_json(path)
+    path.write_text(json.dumps(spec.to_dict(), indent=2))
     again = RunSpec.from_json(path)
     assert again == spec
 
@@ -78,7 +78,7 @@ def test_runspec_builds_respaced_schedule():
     d["schedule"]["respace_k"] = 10
     spec = RunSpec.from_dict(d)
     sched = spec.build_schedule()
-    assert sched.K == 10
+    assert len(sched.tau) == 10
     assert sched.tau[-1] == 50
 
 
@@ -104,7 +104,7 @@ def test_sweepspec_validation():
 def test_sweepspec_k_axis():
     sweep = SweepSpec.from_dict({"base": base_spec_dict(), "axis": "K",
                                  "values": [10, 25]})
-    assert sweep.cell_spec(10, 0).build_schedule().K == 10
+    assert len(sweep.cell_spec(10, 0).build_schedule().tau) == 10
 
 
 # --- batch runner ---------------------------------------------------------
@@ -118,7 +118,7 @@ def test_run_chains_matches_single_chain_loop(drive_chains):
     res = run_chains(gmm, sched, cfg, n_chains=5, seed=seed)
     for i in range(5):
         rng = np.random.default_rng([seed, i])
-        noise = rng.standard_normal((sched.K + 1, 1))
+        noise = rng.standard_normal((len(sched.tau) + 1, 1))
         x0, _ = drive_chains(gmm, sched, cfg, noise[0], lambda k, shape: noise[k + 1])
         assert np.allclose(res.samples[i], x0, rtol=0, atol=1e-12)
 
@@ -149,7 +149,7 @@ def test_run_chains_zero_chains():
     res = run_chains(gmm, sched, SamplerConfig.vanilla(), 0, seed=0)
     assert res.samples.shape == (0, 1)
     assert res.tv.shape == (0,)
-    assert res.trajectories.xs.shape == (0, sched.K, 1)
+    assert res.trajectories.xs.shape == (0, len(sched.tau), 1)
 
 
 def test_run_chains_heatmap_counts_conserved():
@@ -158,7 +158,7 @@ def test_run_chains_heatmap_counts_conserved():
     n = 40
     res = run_chains(gmm, sched, SamplerConfig.vanilla(), n, seed=2,
                      heatmap={"t_bins": 5, "x_bins": 12, "x_min": -6, "x_max": 6})
-    assert res.heatmap.counts.sum() == n * sched.K
+    assert res.heatmap.counts.sum() == n * len(sched.tau)
 
 
 def test_run_chains_heatmap_matches_build_heatmap():
@@ -170,13 +170,13 @@ def test_run_chains_heatmap_matches_build_heatmap():
     heat = {"t_bins": 7, "x_bins": 24, "x_min": -3.0, "x_max": 5.0}
     res = run_chains(gmm, sched, SamplerConfig(), n, seed=4,
                      trajectory_chains=n, heatmap=heat)
-    assert res.trajectories.xs.shape == (n, sched.K, 1)
+    assert res.trajectories.xs.shape == (n, len(sched.tau), 1)
     grid = build_heatmap(res.trajectories, t_bins=7, x_bins=24, x_range=(-3.0, 5.0),
                          t_range=(0.0, float(sched.tau[-1])))
     assert np.array_equal(res.heatmap.t_edges, grid.t_edges)
     assert np.array_equal(res.heatmap.x_edges, grid.x_edges)
     assert np.array_equal(res.heatmap.counts, grid.counts)
-    assert grid.counts.sum() == n * sched.K
+    assert grid.counts.sum() == n * len(sched.tau)
 
 
 @pytest.mark.parametrize("D", [1, 2])

@@ -13,7 +13,6 @@ from difflab.metrics import (HeatmapGrid, bin_trajectory_points, build_heatmap,
                              trajectory_total_variation, wasserstein1_1d)
 from difflab.model import GaussianMixtureModel
 from difflab.samplers import Trajectory
-from difflab.schedule import linear_beta_schedule
 
 
 def test_w1_identity_and_shift():
@@ -114,18 +113,6 @@ def test_trajectory_total_variation_zigzag_exceeds_displacement():
     tv = trajectory_total_variation(_record([3, 2, 1, 0], xs))
     assert tv.shape == (1,)
     assert tv[0] == pytest.approx(3.0)
-
-
-def test_trajectory_total_variation_xbar_space():
-    sched = linear_beta_schedule(10, 1e-3, 0.05)
-    traj = _record([2, 1], [[1.0], [1.0]], [[2.0], [2.0]])
-    expected = abs(1 / math.sqrt(sched.alpha(1)) - 1 / math.sqrt(sched.alpha(2)))
-    assert trajectory_total_variation(traj, space="x_bar",
-                                      schedule=sched) == pytest.approx([expected, 2 * expected])
-    with pytest.raises(ValueError):
-        trajectory_total_variation(traj, space="x_bar")   # schedule required
-    with pytest.raises(ValueError):
-        trajectory_total_variation(traj, space="fourier")
 
 
 def test_heatmap_conserves_points_and_clips():

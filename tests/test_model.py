@@ -6,7 +6,7 @@ import pytest
 from scipy.special import logsumexp
 
 from difflab.model import (GaussianMixtureModel, analytic_eps, forward_sample,
-                           log_density_t, noised_mixture, score_x, score_xbar)
+                           log_density_t, score_x, score_xbar)
 from difflab.schedule import linear_beta_schedule
 
 
@@ -64,14 +64,17 @@ def test_forward_sample_matches_closed_form():
 
 
 def test_noised_mixture_parameters():
+    # x_t is the mixture with the same weights, means sqrt(a) mu_k and
+    # variances a var_k + 1 - a: its clean (t=0) density is the t density
     gmm = smooth_mix()
     sched = linear_beta_schedule(100, 1e-3, 0.05)
     t = 60
     a = sched.alpha(t)
-    noised = noised_mixture(gmm, t, sched)
-    assert np.allclose(noised.means, np.sqrt(a) * gmm.means)
-    assert np.allclose(noised.variances, a * gmm.variances + (1 - a))
-    assert np.array_equal(noised.weights, gmm.weights)
+    noised = GaussianMixtureModel(weights=gmm.weights, means=np.sqrt(a) * gmm.means,
+                                  variances=a * gmm.variances + (1 - a))
+    x = np.linspace(-5.0, 5.0, 41)[:, None]
+    assert np.allclose(log_density_t(noised, x, 0, sched),
+                       log_density_t(gmm, x, t, sched), rtol=1e-14, atol=0.0)
 
 
 def test_log_density_single_gaussian_exact():

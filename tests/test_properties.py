@@ -1,8 +1,13 @@
 """Property tests on random schedules, mixtures and sampler settings."""
 
+import copy
+import json
+from dataclasses import fields
+from importlib import resources
+
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, event, given, settings
+from hypothesis import Phase, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from difflab.config import RunSpec, SpecError
@@ -130,3 +135,40 @@ def test_chain_prefix_is_stable(gmm, sched, config, seed, m, extra):
     small = run_chains(gmm, sched, config, m, seed).samples
     big = run_chains(gmm, sched, config, m + extra, seed).samples
     assert np.array_equal(big[:m], small)
+
+
+_TOY_FIG4 = json.loads(resources.files("difflab").joinpath("specs", "toy_fig4.json").read_text())
+# (section, key) of every field a run spec sets; section None is the top level
+_SPEC_FIELDS = [(None, key) for key in _TOY_FIG4] + [
+    ("model", "weights"), ("model", "means"), ("model", "variances"),
+    *(("schedule", key) for key in ("T", "beta_start", "beta_end", "alpha_zero",
+                                    "respace_k", "respace_mode")),
+    *(("sampler", f.name) for f in fields(SamplerConfig)),
+    *(("heatmap", key) for key in ("t_bins", "x_bins", "x_min", "x_max")),
+]
+# JSON values; numbers are bounded so that a T, chain count or bin count
+# stays small, and valid choice names make more draws reach the later checks
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300)
+    | st.floats(-10.0, 300.0, allow_nan=False, allow_infinity=False) | st.text(max_size=3)
+    | st.sampled_from(("vanilla", "adaptive", "ddpm_hat", "deterministic", "linear_ramp",
+                       "affine", "raw_l2sq", "quadratic")),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@settings(_FEW, max_examples=300)   # cheap: no chains run
+@given(st.sampled_from(_SPEC_FIELDS), _JSON)
+@example(("sampler", "a_override"), {})
+@example(("model", "weights"), [{}, 0.5])
+def test_spec_dict_validates_or_raises_spec_error(field, value):
+    section, key = field
+    d = copy.deepcopy(_TOY_FIG4)
+    (d if section is None else d[section])[key] = value
+    try:
+        spec = RunSpec.from_dict(d)
+    except SpecError:
+        event("SpecError")
+        return
+    assert RunSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec

@@ -16,7 +16,7 @@ from difflab.schedule import NoiseSchedule, linear_beta_schedule, respace
 def pair_schedule():
     """Two-step schedule with cumulative alphas (0.8, 0.5)."""
     betas = np.array([0.2, 0.375])
-    return NoiseSchedule(betas=betas, alphas_cum=np.cumprod(1.0 - betas))
+    return NoiseSchedule(betas=betas)
 
 
 def two_point():
@@ -105,7 +105,7 @@ def test_predicted_x0_inverts_forward(drive_chains):
     # with the exact eps of a point mass, the plain final step t=1 -> 0 is
     # (x_t - sqrt(1-a) eps) / sqrt(a), which inverts the forward noising
     a = 0.37
-    sched = NoiseSchedule(betas=[1.0 - a], alphas_cum=[a])
+    sched = NoiseSchedule(betas=[1.0 - a])
     x0 = np.array([1.5, -0.3])
     gmm = GaussianMixtureModel(weights=[1.0], means=[x0], variances=[0.0])
     eps = np.array([0.2, 2.0])
@@ -154,7 +154,7 @@ def test_final_step_is_noiseless():
 
 _FINAL_STEP_CONFIGS = {
     "vanilla": lambda eta: SamplerConfig.vanilla(eta),
-    "momentum": lambda eta: SamplerConfig.momentum(0.3, eta),
+    "momentum": lambda eta: SamplerConfig(eta_mode=eta, b=0.3, c=0.0, zeta=0.0),
     "adaptive": lambda eta: SamplerConfig(method="adaptive", eta_mode=eta, b=0.4, c=0.003),
 }
 
@@ -190,6 +190,10 @@ def test_spherical_rule_frozen_value():
     assert b == 0.15
     assert a == pytest.approx(0.98868599666425943, rel=1e-15)
     assert a * a + b * b == pytest.approx(1.0, abs=1e-15)
+    ramp = SamplerConfig(b=0.15, b_schedule="linear_ramp", a_rule="spherical")
+    for k in range(100):
+        a, b = ramp.coeffs(k, 100)
+        assert a * a + b * b == pytest.approx(1.0, abs=1e-15), k
 
 
 def test_affine_rule_and_override():

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from difflab.model import GaussianMixtureModel, score_xbar
+from difflab.model import GaussianMixtureModel
 from difflab.schedule import linear_beta_schedule
-from difflab.sde_checks import (FrictionMapping, drift_consistency,
-                                midpoint_equivalence, reverse_sde_euler_step)
+from difflab.verification import FrictionMapping, drift_consistency, midpoint_equivalence
 
 
 def two_point():
@@ -41,21 +40,6 @@ def test_midpoint_equivalence_machine_precision():
 def test_midpoint_equivalence_rejects_short_noise():
     with pytest.raises(ValueError):
         midpoint_equivalence(0.5, 10, drift=lambda k: 0.0, noise_seq=np.zeros(5))
-
-
-def test_reverse_sde_euler_step_formula():
-    gmm = two_point()
-    sched = linear_beta_schedule(100, 1e-3, 0.05)
-    t = 60
-    a_t = sched.alpha(t)
-    beta = 1.0 - a_t / sched.alpha(t - 1)
-    x_bar = np.array([0.4])
-    eps = np.array([0.9])
-    got = reverse_sde_euler_step(
-        lambda xb, tt: score_xbar(gmm, xb, tt, sched), x_bar, t, sched, eps)
-    expected = (x_bar + (beta / a_t) * score_xbar(gmm, x_bar, t, sched)
-                + math.sqrt(beta / a_t) * eps)
-    assert np.allclose(got, expected, rtol=1e-14)
 
 
 def test_drift_identity_exact_all_timesteps():
