@@ -15,7 +15,7 @@ from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from .config import RunSpec, SpecError, SweepSpec, _as
+from .config import RunSpec, SpecError, SweepSpec
 from .runner import execute_run, execute_sweep
 from .samplers import SecondMomentError
 from .verification import run_all_checks
@@ -45,7 +45,10 @@ def _apply_run_overrides(spec: RunSpec, args) -> RunSpec:
     for name, field in (("seed", "seed"), ("chains", "n_chains"), ("threads", "threads")):
         value = getattr(args, name)
         if value is None and _env(name) is not None:
-            value = _as(int, _env(name), ENV_PREFIX + name.upper())
+            try:
+                value = int(_env(name))
+            except ValueError as exc:
+                raise SpecError(f"{ENV_PREFIX}{name.upper()}: {exc}") from exc
         if value is not None:
             changes[field] = value
     switch = _env("no_trajectories")

@@ -1,10 +1,14 @@
-"""Declarative run and sweep specifications (JSON files)."""
+"""Declarative run and sweep specifications (JSON files).
+
+Each RunSpec field states, in its metadata, where it sits in the JSON object
+(the "model" or "schedule" section, or the top level) and the rule that reads
+its JSON value; from_dict and to_dict are loops over the fields.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -14,10 +18,6 @@ from .samplers import SamplerConfig, StepPlan
 from .schedule import NoiseSchedule, linear_beta_schedule, respace
 
 __all__ = ["RunSpec", "SweepSpec", "SpecError"]
-
-SWEEP_AXES = ("b", "c", "eta_mode", "K")
-_SPEC_FIELDS = ("model", "schedule", "sampler", "n_chains", "seed", "threads",
-                "trajectories", "trajectory_chains", "heatmap", "metrics")
 
 
 class SpecError(ValueError):
@@ -30,27 +30,22 @@ def _get(d: dict, key: str, path: str):
     return d[key]
 
 
-def _section(d: dict, key: str, path: str, fields: tuple) -> dict:
-    value = _get(d, key, path)
-    if not isinstance(value, dict):
-        raise SpecError(f"{key}: must be an object, not {type(value).__name__}")
-    _known(value, fields, f"{key}.")
-    return value
-
-
-def _known(d: dict, keys: tuple, path: str) -> None:
+def _known(d: dict, keys, path: str) -> None:
     for key in d:
         if key not in keys:
             raise SpecError(f"{path}{key}: unknown field")
 
 
-def _as(kind, value, name: str):
-    """kind(value), with a failed conversion reported against the field name."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"{name}: {exc}") from exc
+def _read_json(path, what: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"unreadable {what} {path}: {exc}") from exc
 
+
+# Read rules: rule(value, name) is the JSON value as its field holds it, or a
+# SpecError naming the field. No rule takes a boolean for a number.
 
 def _int(value, name: str) -> int:
     """A JSON number with a whole value; a boolean, a string or a fraction is refused."""
@@ -59,49 +54,89 @@ def _int(value, name: str) -> int:
     return int(value)
 
 
+def _float(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{name}: must be a number, not {value!r}")
+    return float(value)
+
+
 def _bool(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise SpecError(f"{name}: must be true or false, not {value!r}")
     return value
 
 
-def _optional(convert):
-    """convert, with JSON null kept as None."""
-    return lambda value, name: None if value is None else convert(value, name)
+def _str(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise SpecError(f"{name}: must be a string, not {value!r}")
+    return value
 
 
-def _heatmap(value, name: str) -> dict | None:
-    """The setting as given, or None; metrics.heatmap_grid makes the other checks."""
-    if not value:
-        return None
-    heatmap = _as(dict, value, name)
-    for key in ("t_bins", "x_bins"):
-        if key in heatmap:
-            _int(heatmap[key], f"{name}.{key}")
-    return heatmap
+def _object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"{name}: must be an object, not {type(value).__name__}")
+    return value
+
+
+def _array(rule):
+    """A JSON array, each item read by rule, as a tuple."""
+    def read(value, name: str) -> tuple:
+        if not isinstance(value, list):
+            raise SpecError(f"{name}: must be an array, not {value!r}")
+        return tuple(rule(item, f"{name}[{i}]") for i, item in enumerate(value))
+    return read
+
+
+def _optional(rule):
+    """rule, with JSON null kept as None."""
+    return lambda value, name: None if value is None else rule(value, name)
+
+
+_HEATMAP_RULES = {"t_bins": _int, "x_bins": _int, "x_min": _float, "x_max": _float}
+
+
+def _heatmap(value, name: str) -> dict:
+    """The fields given, read by their rules; metrics.heatmap_grid checks the rest."""
+    heatmap = _object(value, name)
+    _known(heatmap, _HEATMAP_RULES, f"{name}.")
+    return {key: _HEATMAP_RULES[key](item, f"{name}.{key}") for key, item in heatmap.items()}
+
+
+def _plain(value):
+    """value as JSON holds it: tuples as lists, dicts copied."""
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
+def _spec(section: str, rule, **default):
+    """A RunSpec field: its JSON section ("" for the top level) and its read rule."""
+    return field(metadata={"section": section, "rule": rule}, **default)
 
 
 @dataclass(frozen=True)
 class RunSpec:
     """Everything needed to reproduce one sampling run byte-for-byte."""
 
-    weights: tuple
-    means: tuple            # tuple of per-component coordinate tuples
-    variances: tuple
-    T: int
-    beta_start: float
-    beta_end: float
-    alpha_zero: float = 1.0
-    respace_k: int | None = None
-    respace_mode: str = "uniform"
-    sampler: dict = field(default_factory=dict)   # SamplerConfig field overrides
-    n_chains: int = 1000
-    seed: int = 0
-    threads: int = 1
-    trajectories: bool = True
-    trajectory_chains: int | None = None   # None records every chain
-    heatmap: dict | None = None   # {"t_bins", "x_bins", "x_min", "x_max"}
-    metrics: bool = True
+    weights: tuple = _spec("model", _array(_float))
+    means: tuple = _spec("model", _array(_array(_float)))   # per-component coordinates
+    variances: tuple = _spec("model", _array(_float))
+    T: int = _spec("schedule", _int)
+    beta_start: float = _spec("schedule", _float)
+    beta_end: float = _spec("schedule", _float)
+    alpha_zero: float = _spec("schedule", _float, default=1.0)
+    respace_k: int | None = _spec("schedule", _optional(_int), default=None)
+    respace_mode: str = _spec("schedule", _str, default="uniform")
+    sampler: dict = _spec("", _object, default_factory=dict)   # SamplerConfig overrides
+    n_chains: int = _spec("", _int, default=1000)
+    seed: int = _spec("", _int, default=0)
+    threads: int = _spec("", _int, default=1)
+    trajectories: bool = _spec("", _bool, default=True)
+    trajectory_chains: int | None = _spec("", _optional(_int), default=None)  # None: every chain
+    heatmap: dict | None = _spec("", _optional(_heatmap), default=None)
+    metrics: bool = _spec("", _bool, default=True)
 
     def build_model(self) -> GaussianMixtureModel:
         try:
@@ -115,11 +150,9 @@ class RunSpec:
 
     def build_schedule(self) -> NoiseSchedule:
         try:
-            sched = linear_beta_schedule(self.T, self.beta_start, self.beta_end,
-                                         alpha_zero=self.alpha_zero)
-            if self.respace_k is not None:
-                return respace(sched, self.respace_k, self.respace_mode)
-            return sched
+            return respace(linear_beta_schedule(self.T, self.beta_start, self.beta_end,
+                                                alpha_zero=self.alpha_zero),
+                           self.respace_k, self.respace_mode)
         except ValueError as exc:
             raise SpecError(f"schedule: {exc}") from exc
 
@@ -156,77 +189,42 @@ class RunSpec:
     def from_dict(cls, d: dict) -> "RunSpec":
         """The validated spec of a JSON object; a field it leaves out takes the
         dataclass default."""
-        if not isinstance(d, dict):
-            raise SpecError(f"spec: must be an object, not {type(d).__name__}")
-        _known(d, _SPEC_FIELDS, "")
-        model = _section(d, "model", "spec", ("weights", "means", "variances"))
-        sched = _section(d, "schedule", "spec", ("T", "beta_start", "beta_end", "alpha_zero",
-                                                 "respace_k", "respace_mode"))
-        try:
-            means = tuple(tuple(np.atleast_1d(np.asarray(m, dtype=float)))
-                          for m in _get(model, "means", "model"))
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"model.means: {exc}") from exc
-        kw = {
-            "weights": _as(tuple, _get(model, "weights", "model"), "model.weights"),
-            "means": means,
-            "variances": _as(tuple, _get(model, "variances", "model"), "model.variances"),
-            "T": _int(_get(sched, "T", "schedule"), "schedule.T"),
-            "beta_start": _as(float, _get(sched, "beta_start", "schedule"), "schedule.beta_start"),
-            "beta_end": _as(float, _get(sched, "beta_end", "schedule"), "schedule.beta_end"),
-        }
-        for section, path, key, convert in (
-                (sched, "schedule.", "alpha_zero", partial(_as, float)),
-                (sched, "schedule.", "respace_k", _optional(_int)),
-                (sched, "schedule.", "respace_mode", lambda value, name: value),
-                (d, "", "sampler", partial(_as, dict)),
-                (d, "", "n_chains", _int),
-                (d, "", "seed", _int),
-                (d, "", "threads", _int),
-                (d, "", "trajectories", _bool),
-                (d, "", "trajectory_chains", _optional(_int)),
-                (d, "", "heatmap", _heatmap),
-                (d, "", "metrics", _bool)):
-            if key in section:
-                kw[key] = convert(section[key], path + key)
+        d = _object(d, "spec")
+        layout = {}    # section -> its fields, in declaration order
+        for f in fields(cls):
+            layout.setdefault(f.metadata["section"], []).append(f)
+        kw = {}
+        for section, members in layout.items():
+            part = _object(_get(d, section, "spec"), section) if section else d
+            path = f"{section}." if section else ""
+            names = [f.name for f in members]
+            _known(part, names if section else names + list(filter(None, layout)), path)
+            for f in members:
+                if f.name in part:
+                    kw[f.name] = f.metadata["rule"](part[f.name], path + f.name)
+                elif f.default is MISSING and f.default_factory is MISSING:
+                    raise SpecError(f"missing required field '{path}{f.name}'")
         return cls(**kw).validate()
 
     def to_dict(self) -> dict:
-        return {
-            "model": {
-                "weights": list(self.weights),
-                "means": [list(m) for m in self.means],
-                "variances": list(self.variances),
-            },
-            "schedule": {
-                "T": self.T,
-                "beta_start": self.beta_start,
-                "beta_end": self.beta_end,
-                "alpha_zero": self.alpha_zero,
-                "respace_k": self.respace_k,
-                "respace_mode": self.respace_mode,
-            },
-            "sampler": dict(self.sampler),
-            "n_chains": self.n_chains,
-            "seed": self.seed,
-            "threads": self.threads,
-            "trajectories": self.trajectories,
-            "trajectory_chains": self.trajectory_chains,
-            "heatmap": self.heatmap,
-            "metrics": self.metrics,
-        }
+        d = {}
+        for f in fields(self):
+            section = f.metadata["section"]
+            part = d.setdefault(section, {}) if section else d
+            part[f.name] = _plain(getattr(self, f.name))
+        return d
 
     @classmethod
     def from_json(cls, path) -> "RunSpec":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SpecError(f"unreadable spec {path}: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(_read_json(path, "spec"))
 
     def with_overrides(self, **kw) -> "RunSpec":
         return replace(self, **kw).validate()
+
+
+# the rule that reads a sweep value, by the field the axis sweeps
+_SWEEP_RULES = {"b": _float, "c": _float, "eta_mode": _str, "K": _int}
+SWEEP_AXES = tuple(_SWEEP_RULES)
 
 
 @dataclass(frozen=True)
@@ -249,35 +247,28 @@ class SweepSpec:
             self.cell_spec(value, 0).validate()
 
     def cell_spec(self, value, seed_offset: int) -> RunSpec:
-        """The run spec of one cell; every value was validated with the sweep,
-        and a non-negative seed offset keeps the seed valid."""
+        """The run spec of one cell, its value read by the swept field's rule; every
+        value was validated with the sweep, and a non-negative seed offset keeps
+        the seed valid."""
         base = self.base
-        name = f"sweep.values ({self.axis})"
+        value = _SWEEP_RULES[self.axis](value, f"sweep.values ({self.axis})")
         if self.axis == "K":
-            spec = replace(base, respace_k=_int(value, name))
-        elif self.axis == "eta_mode":
-            spec = replace(base, sampler={**base.sampler, "eta_mode": str(value)})
-        else:
-            spec = replace(base, sampler={**base.sampler, self.axis: _as(float, value, name)})
-        return replace(spec, seed=base.seed + seed_offset)
+            return replace(base, respace_k=value, seed=base.seed + seed_offset)
+        return replace(base, sampler={**base.sampler, self.axis: value},
+                       seed=base.seed + seed_offset)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        if not isinstance(d, dict):
-            raise SpecError(f"sweep: must be an object, not {type(d).__name__}")
+        d = _object(d, "sweep")
         _known(d, ("base", "axis", "values", "seeds_per_cell"), "sweep.")
         return cls(
             base=RunSpec.from_dict(_get(d, "base", "sweep")),
-            axis=str(_get(d, "axis", "sweep")),
-            values=_as(tuple, _get(d, "values", "sweep"), "sweep.values"),
+            axis=_str(_get(d, "axis", "sweep"), "sweep.axis"),
+            # an array of anything here; cell_spec reads each value by the axis's rule
+            values=_array(lambda value, name: value)(_get(d, "values", "sweep"), "sweep.values"),
             seeds_per_cell=_int(d.get("seeds_per_cell", 1), "sweep.seeds_per_cell"),
         )
 
     @classmethod
     def from_json(cls, path) -> "SweepSpec":
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SpecError(f"unreadable sweep spec {path}: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(_read_json(path, "sweep spec"))

@@ -184,16 +184,10 @@ def bin_trajectory_points(ts, xs, t_edges, x_edges, counts) -> None:
 
 def heatmap_grid(heatmap: dict, t_max: float, D: int) -> HeatmapGrid:
     """The empty grid of a run's heatmap setting {"t_bins", "x_bins", "x_min" = -6,
-    "x_max" = 6}, with t over [0, t_max]; raises ValueError naming the field at fault."""
-    value = {"t_bins": 0, "x_bins": 0, "x_min": -6.0, "x_max": 6.0}   # type and default
-    for key, raw in heatmap.items():
-        if key not in value:
-            raise ValueError(f"heatmap.{key}: unknown field")
-        try:
-            value[key] = type(value[key])(raw)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"heatmap.{key}: {exc}") from exc
-    t_bins, x_bins, x_min, x_max = value.values()
+    "x_max" = 6}, with t over [0, t_max]. The spec reader has checked the types
+    and the keys; this raises ValueError naming the field whose value does not fit."""
+    t_bins, x_bins, x_min, x_max = {"t_bins": 0, "x_bins": 0, "x_min": -6.0, "x_max": 6.0,
+                                    **heatmap}.values()
     for key, bins in (("t_bins", t_bins), ("x_bins", x_bins)):
         if bins < 1:
             raise ValueError(f"heatmap.{key}: must be a positive integer")

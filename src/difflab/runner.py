@@ -168,6 +168,9 @@ def execute_run(spec: RunSpec, out_dir, threads: int | None = None) -> RunResult
     """Run a spec and write samples/trajectories/heatmap/metrics/manifest files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # a reused dir keeps no earlier run's file; the manifest, written last, marks a whole run
+    for name in ("manifest.json", "trajectories.csv", "heatmap.csv", "metrics.json"):
+        (out / name).unlink(missing_ok=True)
     model = spec.build_model()
     schedule = spec.build_schedule()
     config = spec.build_sampler_config()

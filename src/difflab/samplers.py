@@ -107,8 +107,9 @@ class SamplerConfig:
             raise ValueError(f"unknown b schedule {self.b_schedule!r}")
         if self.a_rule not in ("spherical", "affine"):
             raise ValueError(f"unknown a rule {self.a_rule!r}")
-        if not self.zeta >= 0.0:    # NaN too
-            raise ValueError("zeta must be non-negative")
+        if isinstance(self.zeta, bool) or not isinstance(self.zeta, numbers.Real) \
+                or not self.zeta >= 0.0:    # NaN too
+            raise ValueError(f"zeta must be non-negative, a number, not {self.zeta!r}")
         if self.v_norm not in ("mean_sq", "raw_l2sq"):
             raise ValueError(f"unknown v normalization {self.v_norm!r}")
 

@@ -18,7 +18,10 @@ __all__ = [
     "NoiseSchedule",
     "linear_beta_schedule",
     "respace",
+    "RESPACE_MODES",
 ]
+
+RESPACE_MODES = ("uniform", "quadratic")
 
 
 @dataclass(frozen=True)
@@ -120,14 +123,18 @@ def linear_beta_schedule(T: int, beta_start: float, beta_end: float,
     return NoiseSchedule(betas=betas, alpha_zero=alpha_zero)
 
 
-def respace(schedule: NoiseSchedule, K: int, mode: str = "uniform") -> NoiseSchedule:
-    """Select K timesteps out of T, always including T itself."""
+def respace(schedule: NoiseSchedule, K: int | None, mode: str = "uniform") -> NoiseSchedule:
+    """Select K timesteps out of T, always including T; K None keeps all T (mode still checked)."""
+    if mode not in RESPACE_MODES:
+        raise ValueError(f"respace_mode must be one of {RESPACE_MODES}, not {mode!r}")
     T = schedule.T
+    if K is None:
+        return schedule
     if not 1 <= K <= T:
         raise ValueError(f"K={K} outside [1, T={T}]")
     if mode == "uniform":
         tau = [(k * T) // K for k in range(1, K + 1)]
-    elif mode == "quadratic":
+    else:
         raw = [max(1, round(T * (k / K) ** 2)) for k in range(1, K + 1)]
         raw[-1] = T
         # repair collisions from rounding while keeping the endpoint fixed
@@ -136,6 +143,4 @@ def respace(schedule: NoiseSchedule, K: int, mode: str = "uniform") -> NoiseSche
         for k in range(K):
             raw[k] = max(raw[k], k + 1)
         tau = raw
-    else:
-        raise ValueError(f"unknown respacing mode {mode!r}")
     return replace(schedule, tau=tuple(tau))

@@ -131,6 +131,25 @@ def test_schedules_dump(spec_file, tmp_path):
     assert list(rows[0]) == ["t", "beta", "alpha_cum"]
 
 
+def test_reused_out_dir_holds_only_the_new_runs_files(tmp_path):
+    out = tmp_path / "out"
+    spec = _toy_fig4()
+    spec["n_chains"] = 50
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps(spec))
+    assert main(["run", str(first), "--out-dir", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == {"samples.csv", "trajectories.csv",
+                                               "heatmap.csv", "metrics.json", "manifest.json"}
+    spec.update(heatmap=None, metrics=False)
+    second = tmp_path / "second.json"
+    second.write_text(json.dumps(spec))
+    assert main(["run", str(second), "--out-dir", str(out), "--no-trajectories",
+                 "--seed", "5"]) == 0
+    assert {p.name for p in out.iterdir()} == {"samples.csv", "manifest.json"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["spec"]["seed"] == 5 and manifest["spec"]["heatmap"] is None
+
+
 def test_zero_chains_warns(spec_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(spec_file), "--out-dir", str(out),
@@ -342,6 +361,19 @@ def test_nan_zeta_exits_2_before_running(spec_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [True, "1e-8"], ids=["boolean", "numeral"])
+def test_zeta_of_another_json_type_exits_2_before_running(spec_file, tmp_path, capsys,
+                                                          value):
+    spec = json.loads(spec_file.read_text())
+    spec["sampler"] = {"method": "adaptive", "zeta": value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out-dir", str(out)]) == 2
+    assert "error: sampler: zeta must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("path,value", [
     ("trajectories", "false"),
     ("metrics", "no"),
@@ -353,6 +385,13 @@ def test_nan_zeta_exits_2_before_running(spec_file, tmp_path, capsys):
     ("schedule.respace_k", 10.5),
     ("heatmap.t_bins", 4.5),
     ("heatmap.x_bins", True),
+    ("schedule.beta_start", "0.0005"),
+    ("schedule.alpha_zero", True),
+    ("heatmap.x_min", "-6"),
+    ("schedule.respace_mode", {}),
+    ("heatmap", False),
+    ("heatmap", 0),
+    ("heatmap", []),
 ])
 def test_spec_scalar_of_another_json_type_exits_2_naming_it(spec_file, tmp_path, capsys,
                                                              path, value):
@@ -381,6 +420,57 @@ def test_sweep_integer_of_another_json_type_exits_2_naming_it(spec_file, tmp_pat
     out = tmp_path / "out"
     assert main(["sweep", str(path), "--out-dir", str(out)]) == 2
     assert f"error: {field}: must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value,field", [
+    ("weights", ["0.5", "0.5"], "model.weights[0]"),
+    ("variances", [0.0, True], "model.variances[1]"),
+    ("means", [["-2"], ["4"]], "model.means[0][0]"),
+    ("means", [-2.0, 4.0], "model.means[0]"),
+    ("weights", 1.0, "model.weights"),
+], ids=["weights-numerals", "variances-boolean", "means-numerals", "means-scalars",
+        "weights-number"])
+def test_model_array_item_of_another_json_type_exits_2_naming_it(spec_file, tmp_path,
+                                                                 capsys, key, value, field):
+    spec = json.loads(spec_file.read_text())
+    spec["model"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out-dir", str(out)]) == 2
+    assert f"error: {field}: must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_respace_mode_exits_2_without_respacing(spec_file, tmp_path, capsys):
+    # respace_k is null, so no respacing runs; the mode is still checked
+    spec = json.loads(spec_file.read_text())
+    spec["schedule"]["respace_mode"] = "cubic"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: schedule: respace_mode must be one of" in err and "'quadratic'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis,values,field", [
+    ("b", [True], "sweep.values (b)"),
+    ("b", ["0.2"], "sweep.values (b)"),
+    ("b", "0.1", "sweep.values"),
+    ("b", {"0.1": 1}, "sweep.values"),
+    ("eta_mode", [5], "sweep.values (eta_mode)"),
+], ids=["boolean", "numeral", "string", "object", "eta-mode-number"])
+def test_sweep_value_of_another_json_type_exits_2_naming_it(spec_file, tmp_path, capsys,
+                                                            axis, values, field):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"base": json.loads(spec_file.read_text()),
+                                "axis": axis, "values": values}))
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out-dir", str(out)]) == 2
+    assert f"error: {field}: must be " in capsys.readouterr().err
     assert not out.exists()
 
 

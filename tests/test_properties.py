@@ -158,11 +158,57 @@ _JSON = st.recursive(
     max_leaves=6)
 
 
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value):
+    return isinstance(value, list) and all(map(_number, value))
+
+
+# the JSON type of each value a spec dict may hold; any field not named is a number
+_JSON_TYPE = {
+    ("model", "weights"): _numbers,
+    ("model", "means"): lambda v: isinstance(v, list) and all(map(_numbers, v)),
+    ("model", "variances"): _numbers,
+    ("schedule", "respace_k"): lambda v: v is None or _number(v),
+    ("schedule", "respace_mode"): lambda v: isinstance(v, str),
+    **{(None, key): lambda v: isinstance(v, dict) for key in ("model", "schedule", "sampler")},
+    (None, "trajectories"): lambda v: isinstance(v, bool),
+    (None, "trajectory_chains"): lambda v: v is None or _number(v),
+    (None, "heatmap"): lambda v: v is None or isinstance(v, dict),
+    (None, "metrics"): lambda v: isinstance(v, bool),
+    ("sampler", "a_override"): lambda v: v is None or _number(v),
+    **{("sampler", f.name): lambda v: isinstance(v, str)
+       for f in fields(SamplerConfig) if f.type == "str"},
+}
+
+
+def _assert_json_types(d):
+    for section, key in _SPEC_FIELDS:
+        part = d if section is None else d.get(section) or {}
+        if key in part:
+            assert _JSON_TYPE.get((section, key), _number)(part[key]), (section, key)
+
+
 @settings(_FEW, max_examples=300)   # cheap: no chains run
 @given(st.sampled_from(_SPEC_FIELDS), _JSON)
 @example(("sampler", "a_override"), {})
 @example(("model", "weights"), [{}, 0.5])
+@example(("schedule", "beta_start"), "0.0005")
+@example(("schedule", "alpha_zero"), True)
+@example(("heatmap", "x_min"), "-6")
+@example(("model", "weights"), ["0.5", "0.5"])
+@example(("model", "variances"), [True, False])
+@example(("model", "means"), [["-2"], ["4"]])
+@example((None, "heatmap"), False)
+@example((None, "heatmap"), 0)
+@example((None, "heatmap"), [])
+@example(("schedule", "respace_mode"), {})
+@example(("sampler", "zeta"), True)
 def test_spec_dict_validates_or_raises_spec_error(field, value):
+    # an accepted spec holds every value in its field's JSON type, as given and
+    # as written back, and round-trips through to_dict/from_dict
     section, key = field
     d = copy.deepcopy(_TOY_FIG4)
     (d if section is None else d[section])[key] = value
@@ -171,4 +217,7 @@ def test_spec_dict_validates_or_raises_spec_error(field, value):
     except SpecError:
         event("SpecError")
         return
-    assert RunSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+    _assert_json_types(d)
+    written = spec.to_dict()
+    _assert_json_types(written)
+    assert RunSpec.from_dict(json.loads(json.dumps(written))) == spec
