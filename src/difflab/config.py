@@ -231,7 +231,7 @@ SWEEP_AXES = tuple(_SWEEP_RULES)
 class SweepSpec:
     base: RunSpec
     axis: str
-    values: tuple
+    values: tuple       # read by the swept field's rule, each value once
     seeds_per_cell: int = 1
 
     def __post_init__(self):
@@ -239,6 +239,12 @@ class SweepSpec:
             raise SpecError(f"sweep.axis: must be one of {SWEEP_AXES}")
         if len(self.values) == 0:
             raise SpecError("sweep.values: must be non-empty")
+        name = f"sweep.values ({self.axis})"
+        values = tuple(_SWEEP_RULES[self.axis](value, name) for value in self.values)
+        twice = [value for i, value in enumerate(values) if value in values[:i]]
+        if twice:
+            raise SpecError(f"{name}: {twice[0]!r} appears more than once")
+        object.__setattr__(self, "values", values)
         if self.seeds_per_cell < 1:
             raise SpecError("sweep.seeds_per_cell: must be positive")
         if self.base.n_chains < 1:
@@ -247,11 +253,9 @@ class SweepSpec:
             self.cell_spec(value, 0).validate()
 
     def cell_spec(self, value, seed_offset: int) -> RunSpec:
-        """The run spec of one cell, its value read by the swept field's rule; every
-        value was validated with the sweep, and a non-negative seed offset keeps
-        the seed valid."""
+        """The run spec of one cell; every value was read and validated with the
+        sweep, and a non-negative seed offset keeps the seed valid."""
         base = self.base
-        value = _SWEEP_RULES[self.axis](value, f"sweep.values ({self.axis})")
         if self.axis == "K":
             return replace(base, respace_k=value, seed=base.seed + seed_offset)
         return replace(base, sampler={**base.sampler, self.axis: value},
@@ -264,7 +268,7 @@ class SweepSpec:
         return cls(
             base=RunSpec.from_dict(_get(d, "base", "sweep")),
             axis=_str(_get(d, "axis", "sweep"), "sweep.axis"),
-            # an array of anything here; cell_spec reads each value by the axis's rule
+            # an array of anything here; __post_init__ reads each value by the axis's rule
             values=_array(lambda value, name: value)(_get(d, "values", "sweep"), "sweep.values"),
             seeds_per_cell=_int(d.get("seeds_per_cell", 1), "sweep.seeds_per_cell"),
         )

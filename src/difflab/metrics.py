@@ -4,9 +4,9 @@ Wasserstein-1 plays the role a feature-space metric would play at image
 scale: exact in 1D, sliced in higher dimensions. Trajectory total variation
 operationalizes "trembling" as the summed step-to-step distance.
 
-scipy is imported only inside the functions that still use it (normal CDFs for
-smooth-mixture quantiles, and W1 between empirical sets of unequal size), so
-importing this module does not load it.
+scipy is imported only inside the functions that still use it (scipy.special's
+normal CDF for smooth-mixture quantiles, and scipy.stats for W1 between empirical
+sets of unequal size), so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -46,13 +46,13 @@ def mixture_quantile(gmm: GaussianMixtureModel, u) -> np.ndarray:
         idx = np.searchsorted(cum, u, side="left")
         return mus[order][np.minimum(idx, mus.size - 1)]
 
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
     def cdf(x):
         x = np.asarray(x, dtype=float)
         terms = np.where(
             sigs > 0.0,
-            norm.cdf((x[..., None] - mus) / np.where(sigs > 0.0, sigs, 1.0)),
+            ndtr((x[..., None] - mus) / np.where(sigs > 0.0, sigs, 1.0)),
             (x[..., None] >= mus).astype(float),
         )
         return terms @ gmm.weights

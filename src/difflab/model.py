@@ -4,7 +4,8 @@ A mixture with per-component isotropic variances admits exact posterior
 algebra under the forward noising x_t = sqrt(alpha_t) x_0 + sqrt(1-alpha_t) eps,
 so the Bayes-optimal noise prediction (the limit of a perfectly trained
 denoiser) is available in closed form. Zero variances are allowed and give
-point masses.
+point masses. Every function takes the cumulative signal level alpha; which
+alpha a timestep has is the schedule's business, not the model's.
 """
 
 from __future__ import annotations
@@ -13,17 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .schedule import NoiseSchedule
-
 __all__ = [
     "GaussianMixtureModel",
     "NoisePrediction",
-    "forward_sample",
     "analytic_eps",
     "log_density_t",
     "sample_marginal",
     "score_x",
-    "score_xbar",
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -80,21 +77,6 @@ class NoisePrediction:
     x0_hat: np.ndarray
 
 
-def _check_t(schedule: NoiseSchedule, t: int, lo: int = 1) -> float:
-    if not lo <= t <= schedule.T:
-        raise ValueError(f"timestep {t} outside [{lo}, {schedule.T}]")
-    return schedule.alpha(t)
-
-
-def forward_sample(gmm: GaussianMixtureModel, x0, t: int, eps,
-                   schedule: NoiseSchedule) -> np.ndarray:
-    """Diffuse x0 to step t: sqrt(alpha_t) x0 + sqrt(1 - alpha_t) eps."""
-    a = _check_t(schedule, t)
-    x0 = np.asarray(x0, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    return np.sqrt(a) * x0 + np.sqrt(1.0 - a) * eps
-
-
 def _marginal_params(gmm: GaussianMixtureModel, alpha: float):
     """Mixture parameters of x_t: the mean scale sqrt(alpha) (means sqrt(alpha) mu_k)
     and the variances alpha var_k + 1 - alpha."""
@@ -119,41 +101,45 @@ def _logsumexp(log_p):
     return top + np.log(np.sum(np.exp(log_p - top), axis=0))
 
 
-def analytic_eps(gmm: GaussianMixtureModel, x, t: int,
-                 schedule: NoiseSchedule) -> NoisePrediction:
-    """Bayes-optimal noise prediction for the noised mixture marginal at step t.
+def _check_alpha(alpha, what: str, clean: bool = False) -> None:
+    """Raise ValueError unless 0 < alpha < 1, or alpha = 1 where clean; NaN fails."""
+    if not (0.0 < alpha < 1.0 or (clean and alpha == 1.0)):
+        raise ValueError(f"{what} needs 0 < alpha {'<=' if clean else '<'} 1, not {alpha!r}")
 
-    Equals -sqrt(1 - alpha_t) times the score of log p_t, which is the target a
+
+def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float) -> NoisePrediction:
+    """Bayes-optimal noise prediction for the noised mixture marginal at
+    cumulative signal level alpha (0 < alpha < 1).
+
+    Equals -sqrt(1 - alpha) times the score of log p_alpha, which is the target a
     perfectly trained eps-predictor converges to. With responsibilities r_k and
     posterior gains g_k = sqrt(alpha) var_k / s2_k, the posterior mean is
     x0_hat = sum_k r_k ((1 - sqrt(alpha) g_k) mu_k + g_k x); point masses are
     the g_k = 0 case.
     """
-    a = _check_t(schedule, t)
-    if a >= 1.0:
-        raise ValueError("analytic_eps undefined at alpha_t = 1 (no noise present)")
+    _check_alpha(alpha, "analytic_eps")
     x = np.asarray(x, dtype=float)
-    sa, s2 = _marginal_params(gmm, a)
+    sa, s2 = _marginal_params(gmm, alpha)
     xf = x.reshape(-1, gmm.D)                                       # (N, D)
     # |x - sa mu_k|^2 expanded: one matmul, no (K, N, D) difference array
     sq = (np.einsum("nd,nd->n", xf, xf) - (2.0 * sa) * (gmm.means @ xf.T)
           + ((sa * sa) * gmm.mean_sq_norms)[:, None])               # (K, N)
     log_p = _log_joint(gmm, sq, s2)
-    # responsibilities: softmax with max subtraction, stable at large t
+    # responsibilities: softmax with max subtraction, stable at small alpha
     r = np.exp(log_p - np.max(log_p, axis=0))
     r /= np.sum(r, axis=0)
     gain = sa * gmm.variances / s2                                  # (K,)
     x0_hat = r.T @ ((1.0 - sa * gain)[:, None] * gmm.means) + (gain @ r)[:, None] * xf
     x0_hat = x0_hat.reshape(x.shape)
-    eps_hat = (x - sa * x0_hat) / np.sqrt(1.0 - a)
+    eps_hat = (x - sa * x0_hat) / np.sqrt(1.0 - alpha)
     return NoisePrediction(eps_hat=eps_hat, x0_hat=x0_hat)
 
 
-def log_density_t(gmm: GaussianMixtureModel, x, t: int,
-                  schedule: NoiseSchedule) -> np.ndarray:
-    """Exact log density of the noised marginal at step t (t=0 is the clean density)."""
-    a = _check_t(schedule, t, lo=0)
-    sa, s2 = _marginal_params(gmm, a)
+def log_density_t(gmm: GaussianMixtureModel, x, alpha: float) -> np.ndarray:
+    """Exact log density of the noised marginal at cumulative signal level
+    alpha (0 < alpha <= 1; alpha = 1 is the clean density)."""
+    _check_alpha(alpha, "log_density_t", clean=True)
+    sa, s2 = _marginal_params(gmm, alpha)
     if np.any(s2 <= 0.0):
         raise ValueError("density undefined: zero-variance component with no noise added")
     x = np.asarray(x, dtype=float)
@@ -173,15 +159,6 @@ def sample_marginal(gmm: GaussianMixtureModel, alpha: float, n: int, rng) -> np.
     return (sa * gmm.means)[comps] + np.sqrt(s2)[comps, None] * rng.standard_normal((n, gmm.D))
 
 
-def score_x(gmm: GaussianMixtureModel, x, t: int, schedule: NoiseSchedule) -> np.ndarray:
-    """Gradient of log p_t with respect to x (data space)."""
-    a = _check_t(schedule, t)
-    pred = analytic_eps(gmm, x, t, schedule)
-    return -pred.eps_hat / np.sqrt(1.0 - a)
-
-
-def score_xbar(gmm: GaussianMixtureModel, x_bar, t: int, schedule: NoiseSchedule) -> np.ndarray:
-    """Gradient of the log density of the rescaled state x_bar = x / sqrt(alpha_t)."""
-    a = _check_t(schedule, t)
-    x = np.sqrt(a) * np.asarray(x_bar, dtype=float)
-    return np.sqrt(a) * score_x(gmm, x, t, schedule)
+def score_x(gmm: GaussianMixtureModel, x, alpha: float) -> np.ndarray:
+    """Gradient of log p_alpha with respect to x (data space), 0 < alpha < 1."""
+    return -analytic_eps(gmm, x, alpha).eps_hat / np.sqrt(1.0 - alpha)

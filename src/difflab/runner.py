@@ -169,7 +169,8 @@ def execute_run(spec: RunSpec, out_dir, threads: int | None = None) -> RunResult
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # a reused dir keeps no earlier run's file; the manifest, written last, marks a whole run
-    for name in ("manifest.json", "trajectories.csv", "heatmap.csv", "metrics.json"):
+    for name in ("manifest.json", "samples.csv", "trajectories.csv", "heatmap.csv",
+                 "metrics.json"):
         (out / name).unlink(missing_ok=True)
     model = spec.build_model()
     schedule = spec.build_schedule()

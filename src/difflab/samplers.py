@@ -145,6 +145,7 @@ class StepPlan:
 
     t: np.ndarray                # (K,) int, from tau[-1] down to tau[0]
     t_prev: np.ndarray           # (K,) int, 0 on the last row
+    alpha: np.ndarray            # alpha(t), the predictor's signal level
     sqrt_alpha: np.ndarray       # sqrt(alpha(t))
     sqrt_alpha_prev: np.ndarray  # sqrt(alpha(t_prev))
     mu: np.ndarray               # drift coefficient of eps_hat
@@ -183,7 +184,8 @@ class StepPlan:
         a, b = config.coeffs(np.arange(t.size), t.size)
         plain = np.full(t.size, config.method == "vanilla")
         plain[-1] = True    # and plain for every method
-        return cls(t=t, t_prev=t_prev, sqrt_alpha=np.sqrt(a_t), sqrt_alpha_prev=sqrt_a_p,
+        return cls(t=t, t_prev=t_prev, alpha=a_t, sqrt_alpha=np.sqrt(a_t),
+                   sqrt_alpha_prev=sqrt_a_p,
                    mu=dir_coeff / sqrt_a_p - np.sqrt((1.0 - a_t) / a_t), noise=noise,
                    a=np.full(t.size, a, dtype=float), b=np.full(t.size, b, dtype=float),
                    plain=plain)
@@ -220,8 +222,8 @@ def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
                config: SamplerConfig, eps_noise, plan: StepPlan, k: int):
     """Row k of ``plan`` (built from this schedule and config) applied to
     ``state``; returns (new state, x_{t-1}, x0_hat, d x_bar)."""
-    t = int(plan.t[k])
-    pred = analytic_eps(model, plan.sqrt_alpha[k] * state.x_bar, t, schedule)
+    # schedule is unused here: benchmarks/tracer.py reads it by position
+    pred = analytic_eps(model, plan.sqrt_alpha[k] * state.x_bar, plan.alpha[k])
     dxb = plan.mu[k] * pred.eps_hat + plan.noise[k] * eps_noise
 
     if plan.plain[k]:
@@ -234,7 +236,7 @@ def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
         v_new = (1.0 - config.c) * state.v + config.c * sq
         if not np.all(v_new > 0.0):
             raise SecondMomentError(
-                f"second-moment accumulator v is not positive at t={t} "
+                f"second-moment accumulator v is not positive at t={plan.t[k]} "
                 f"(c={config.c}, zeta={config.zeta}); with c=1, v is the last "
                 "squared increment, which is 0 when the step moves no chain")
         m_new = plan.a[k] * state.m + plan.b[k] * dxb

@@ -82,9 +82,11 @@ def drift_consistency(schedule, gmm: GaussianMixtureModel, n_points: int, rng) -
         # points drawn from the exact noised marginal at this step
         x = gm.sample_marginal(gmm, a_t, n_points, rng)
         x_bar = x / math.sqrt(a_t)
-        eps_hat = gm.analytic_eps(gmm, x, int(t), schedule).eps_hat
+        eps_hat = gm.analytic_eps(gmm, x, a_t).eps_hat
         drift_step = plan.mu[T - t] * eps_hat
-        drift_sde = (beta / a_t) * gm.score_xbar(gmm, x_bar, int(t), schedule)
+        # the score of x_bar, by the chain rule through x = sqrt(a_t) x_bar
+        score_xbar = np.sqrt(a_t) * gm.score_x(gmm, np.sqrt(a_t) * x_bar, a_t)
+        drift_sde = (beta / a_t) * score_xbar
         scale = max(float(np.max(np.abs(drift_sde))), 1e-300)
         drift_mis[t - 1] = float(np.max(np.abs(drift_step - drift_sde))) / scale
 
@@ -146,19 +148,18 @@ def _random_mixture(rng, d: int) -> GaussianMixtureModel:
     )
 
 
-def fd_score_error(gmm, x, t, schedule, h: float = 1e-5) -> float:
-    """Relative error of analytic_eps against -sqrt(1-a) times a central-difference
-    gradient of the exact log density."""
-    a = schedule.alpha(t)
-    eps_hat = gm.analytic_eps(gmm, x, t, schedule).eps_hat
+def fd_score_error(gmm, x, a, h: float = 1e-5) -> float:
+    """Relative error of analytic_eps at signal level a against -sqrt(1-a) times
+    a central-difference gradient of the exact log density."""
+    eps_hat = gm.analytic_eps(gmm, x, a).eps_hat
     grad = np.zeros_like(np.asarray(x, dtype=float))
     for d in range(grad.shape[-1]):
         xp = np.array(x, dtype=float)
         xm = np.array(x, dtype=float)
         xp[..., d] += h
         xm[..., d] -= h
-        grad[..., d] = (gm.log_density_t(gmm, xp, t, schedule)
-                        - gm.log_density_t(gmm, xm, t, schedule)) / (2 * h)
+        grad[..., d] = (gm.log_density_t(gmm, xp, a)
+                        - gm.log_density_t(gmm, xm, a)) / (2 * h)
     target = -math.sqrt(1.0 - a) * grad
     return float(np.linalg.norm(eps_hat - target) / max(np.linalg.norm(target), 1e-8))
 
@@ -173,7 +174,7 @@ def check_score_consistency(n_triples: int = 100, seed: int = 7,
         gmm = _random_mixture(rng, d)
         t = int(rng.integers(1, schedule.T + 1))
         x = rng.uniform(-6.0, 6.0, d)
-        worst = max(worst, fd_score_error(gmm, x, t, schedule))
+        worst = max(worst, fd_score_error(gmm, x, schedule.alpha(t)))
     return _result("score-consistency", worst < tol, worst, f"< {tol}")
 
 

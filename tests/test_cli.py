@@ -172,15 +172,16 @@ def test_non_finite_model_exits_2_before_running(spec_file, tmp_path, capsys, fi
     assert not (out / "samples.csv").exists()
 
 
-def test_cli_import_and_point_mass_run_load_no_scipy(spec_file, tmp_path):
-    # scipy is imported lazily, only by the paths that need it
+def _assert_run_loads_no(prefix: str, spec_path, out) -> None:
+    """In a fresh interpreter, neither importing the CLI nor running the spec
+    loads a module whose name starts with prefix."""
     code = (
         "import sys\n"
         "import difflab.cli\n"
-        "assert not [m for m in sys.modules if m.startswith('scipy')], 'on import'\n"
-        f"assert difflab.cli.main(['run', {str(spec_file)!r}, '--out-dir', "
-        f"{str(tmp_path / 'out')!r}]) == 0\n"
-        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        f"assert not [m for m in sys.modules if m.startswith({prefix!r})], 'on import'\n"
+        f"assert difflab.cli.main(['run', {str(spec_path)!r}, '--out-dir', "
+        f"{str(out)!r}]) == 0\n"
+        f"loaded = sorted(m for m in sys.modules if m.startswith({prefix!r}))\n"
         "assert not loaded, loaded[:5]\n"
     )
     src = str(Path(difflab.__file__).resolve().parents[1])
@@ -189,6 +190,21 @@ def test_cli_import_and_point_mass_run_load_no_scipy(spec_file, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_and_point_mass_run_load_no_scipy(spec_file, tmp_path):
+    # scipy is imported lazily, only by the paths that need it
+    _assert_run_loads_no("scipy", spec_file, tmp_path / "out")
+
+
+def test_smooth_1d_run_with_metrics_loads_no_scipy_stats(spec_file, tmp_path):
+    # the smooth-mixture W1 needs only scipy.special's normal CDF
+    spec = json.loads(spec_file.read_text())
+    spec["model"]["variances"] = [0.25, 0.25]
+    path = tmp_path / "smooth.json"
+    path.write_text(json.dumps(spec))
+    _assert_run_loads_no("scipy.stats", path, tmp_path / "out")
+    assert json.loads((tmp_path / "out" / "metrics.json").read_text())["w1"] > 0.0
 
 
 def _toy_fig4(**sampler):
@@ -324,6 +340,20 @@ def test_out_dir_naming_a_file_exits_1_with_one_line(spec_file, tmp_path, capsys
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_failed_rerun_leaves_no_earlier_samples(spec_file, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert main(["run", str(spec_file), "--out-dir", str(out)]) == 0
+    assert (out / "samples.csv").exists()
+    from difflab.samplers import SecondMomentError
+
+    def diverge(*args, **kwargs):
+        raise SecondMomentError("second-moment accumulator v is not positive at t=3")
+    monkeypatch.setattr("difflab.runner.run_chains", diverge)
+    assert main(["run", str(spec_file), "--out-dir", str(out)]) == 1
+    assert not (out / "samples.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_diverged_run_exits_1_with_one_line(spec_file, tmp_path, capsys, monkeypatch):
     from difflab.samplers import SecondMomentError
 
@@ -454,6 +484,32 @@ def test_unknown_respace_mode_exits_2_without_respacing(spec_file, tmp_path, cap
     err = capsys.readouterr().err
     assert "error: schedule: respace_mode must be one of" in err and "'quadratic'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("axis,values,field", [
+    ("K", [50, 50.0, 100], "sweep.values (K): 50 appears"),
+    ("b", [0.1, 0.1], "sweep.values (b): 0.1 appears"),
+], ids=["K-int-and-float", "b"])
+def test_sweep_value_given_twice_exits_2(tmp_path, capsys, axis, values, field):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"base": _toy_fig4(), "axis": axis, "values": values}))
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out-dir", str(out)]) == 2
+    assert f"error: {field} more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_writes_and_keys_each_value_as_read(tmp_path):
+    base = _toy_fig4(method="vanilla")
+    base.update(trajectories=False, heatmap=None)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"base": base, "axis": "K", "values": [10.0, 20]}))
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out-dir", str(out)]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        assert [row["value"] for row in csv.DictReader(fh)] == ["10", "20"]
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert list(summary["means"]) == ["10", "20"] and summary["best_value"] in (10, 20)
 
 
 @pytest.mark.parametrize("axis,values,field", [

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from difflab.model import (GaussianMixtureModel, analytic_eps, forward_sample,
-                           log_density_t, score_x, score_xbar)
+from difflab.model import GaussianMixtureModel, analytic_eps, log_density_t
 from difflab.schedule import linear_beta_schedule
 
 
@@ -53,19 +52,9 @@ def test_1d_means_promoted_to_column():
     assert gmm.n_components == 1
 
 
-def test_forward_sample_matches_closed_form():
-    gmm = two_point()
-    sched = linear_beta_schedule(100, 1e-3, 0.05)
-    x0 = np.array([[4.0], [-2.0]])
-    eps = np.array([[0.3], [-1.2]])
-    a = sched.alpha(40)
-    got = forward_sample(gmm, x0, 40, eps, sched)
-    assert np.allclose(got, np.sqrt(a) * x0 + np.sqrt(1 - a) * eps, rtol=0, atol=1e-15)
-
-
 def test_noised_mixture_parameters():
     # x_t is the mixture with the same weights, means sqrt(a) mu_k and
-    # variances a var_k + 1 - a: its clean (t=0) density is the t density
+    # variances a var_k + 1 - a: its clean (alpha=1) density is the alpha density
     gmm = smooth_mix()
     sched = linear_beta_schedule(100, 1e-3, 0.05)
     t = 60
@@ -73,8 +62,8 @@ def test_noised_mixture_parameters():
     noised = GaussianMixtureModel(weights=gmm.weights, means=np.sqrt(a) * gmm.means,
                                   variances=a * gmm.variances + (1 - a))
     x = np.linspace(-5.0, 5.0, 41)[:, None]
-    assert np.allclose(log_density_t(noised, x, 0, sched),
-                       log_density_t(gmm, x, t, sched), rtol=1e-14, atol=0.0)
+    assert np.allclose(log_density_t(noised, x, 1.0),
+                       log_density_t(gmm, x, a), rtol=1e-14, atol=0.0)
 
 
 def test_log_density_single_gaussian_exact():
@@ -85,7 +74,7 @@ def test_log_density_single_gaussian_exact():
     var = a * 0.25 + (1 - a)
     x = np.array([0.7])
     expected = -0.5 * (x[0] - np.sqrt(a)) ** 2 / var - 0.5 * np.log(2 * np.pi * var)
-    assert log_density_t(gmm, x, t, sched) == pytest.approx(expected, rel=1e-12)
+    assert log_density_t(gmm, x, a) == pytest.approx(expected, rel=1e-12)
 
 
 def test_log_density_normalizes(seed=0):
@@ -94,7 +83,7 @@ def test_log_density_normalizes(seed=0):
     sched = linear_beta_schedule(200, 5e-4, 0.1)
     xs = np.linspace(-15, 15, 20001)[:, None]
     for t in (1, 50, 200):
-        dens = np.exp(log_density_t(gmm, xs, t, sched))
+        dens = np.exp(log_density_t(gmm, xs, sched.alpha(t)))
         assert np.trapezoid(dens.ravel(), xs.ravel()) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -107,7 +96,7 @@ def test_analytic_eps_single_gaussian_closed_form():
     for t in (1, 25, 100):
         a = sched.alpha(t)
         x = rng.uniform(-5, 5, (8, 1))
-        pred = analytic_eps(gmm, x, t, sched)
+        pred = analytic_eps(gmm, x, a)
         expected = np.sqrt(1 - a) * (x - np.sqrt(a) * mu) / (a * v + (1 - a))
         assert np.allclose(pred.eps_hat, expected, rtol=1e-12, atol=1e-14)
         # x0_hat and eps_hat satisfy the forward identity
@@ -130,9 +119,9 @@ def test_analytic_eps_matches_finite_difference_score():
             xp, xm = x.copy(), x.copy()
             xp[d] += h
             xm[d] -= h
-            grad[d] = (log_density_t(gmm, xp, t, sched)
-                       - log_density_t(gmm, xm, t, sched)) / (2 * h)
-        eps_hat = analytic_eps(gmm, x, t, sched).eps_hat
+            grad[d] = (log_density_t(gmm, xp, a)
+                       - log_density_t(gmm, xm, a)) / (2 * h)
+        eps_hat = analytic_eps(gmm, x, a).eps_hat
         target = -np.sqrt(1 - a) * grad
         assert np.linalg.norm(eps_hat - target) < 1e-5 * max(np.linalg.norm(target), 1e-8)
 
@@ -141,7 +130,7 @@ def test_analytic_eps_point_masses_stable_at_extreme_t():
     gmm = two_point()
     sched = linear_beta_schedule(1000, 1e-4, 0.02)
     x = np.array([[-300.0], [300.0], [0.5]])
-    pred = analytic_eps(gmm, x, 1000, sched)
+    pred = analytic_eps(gmm, x, sched.alpha(1000))
     assert np.all(np.isfinite(pred.eps_hat))
     assert np.all(np.isfinite(pred.x0_hat))
     # far in a basin the posterior mean collapses onto that point mass
@@ -150,37 +139,41 @@ def test_analytic_eps_point_masses_stable_at_extreme_t():
 
 
 def test_analytic_eps_rejects_alpha_one():
+    # the predictor needs some noise and some signal: 0 < alpha < 1, NaN refused
     gmm = two_point()
-    sched = linear_beta_schedule(10, 1e-3, 0.05)
-    with pytest.raises(ValueError):
-        analytic_eps(gmm, np.array([0.0]), 0, sched)
+    for alpha in (1.0, 0.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="analytic_eps needs 0 < alpha < 1"):
+            analytic_eps(gmm, np.array([0.0]), alpha)
 
 
-def test_score_xbar_chain_rule():
-    # d/dxbar log p(xbar) = sqrt(a) * d/dx log p_t(x) at x = sqrt(a) xbar
+@pytest.mark.parametrize("alpha", [0.0, 1.5, float("nan")])
+def test_log_density_rejects_alpha_outside_0_1(alpha):
+    with pytest.raises(ValueError, match="log_density_t needs 0 < alpha <= 1"):
+        log_density_t(smooth_mix(), np.array([0.0]), alpha)
+
+
+def test_log_density_at_alpha_one_is_the_clean_density():
     gmm = smooth_mix()
-    sched = linear_beta_schedule(100, 1e-3, 0.05)
-    t = 70
-    a = sched.alpha(t)
-    xbar = np.array([0.8])
-    got = score_xbar(gmm, xbar, t, sched)
-    expected = np.sqrt(a) * score_x(gmm, np.sqrt(a) * xbar, t, sched)
-    assert np.allclose(got, expected, rtol=1e-14)
+    x = np.linspace(-4.0, 4.0, 9)[:, None]
+    var = gmm.variances
+    dens = gmm.weights * np.exp(-0.5 * (x - gmm.means[:, 0]) ** 2 / var) \
+        / np.sqrt(2 * np.pi * var)
+    assert np.allclose(log_density_t(gmm, x, 1.0), np.log(dens.sum(axis=1)),
+                       rtol=1e-13, atol=0.0)
 
 
 def test_batched_inputs_broadcast():
     gmm = smooth_mix(d=3)
     sched = linear_beta_schedule(50, 1e-3, 0.05)
     x = np.random.default_rng(5).uniform(-3, 3, (4, 7, 3))
-    pred = analytic_eps(gmm, x, 20, sched)
+    pred = analytic_eps(gmm, x, sched.alpha(20))
     assert pred.eps_hat.shape == (4, 7, 3)
-    single = analytic_eps(gmm, x[2, 3], 20, sched)
+    single = analytic_eps(gmm, x[2, 3], sched.alpha(20))
     assert np.allclose(pred.eps_hat[2, 3], single.eps_hat)
 
 
-def _reference_eps(gmm, x, t, schedule):
+def _reference_eps(gmm, x, a):
     """The broadcast formula: (..., K, D) differences and scipy's logsumexp."""
-    a = schedule.alpha(t)
     sa, s2 = np.sqrt(a), a * gmm.variances + (1.0 - a)
     diff = x[..., None, :] - sa * gmm.means
     sq = np.sum(diff * diff, axis=-1)
@@ -217,10 +210,10 @@ def test_analytic_eps_matches_broadcast_reference(D, K, point_masses):
             # points between two components, where the responsibilities split
             lam = rng.uniform(0.0, 1.0, (8, 1))
             x[:8] = np.sqrt(a) * (lam * means[comp[:8]] + (1.0 - lam) * means[comp[8:16]])
-            pred = analytic_eps(gmm, x, t, sched)
-            eps_ref, x0_ref, log_dens_ref = _reference_eps(gmm, x, t, sched)
+            pred = analytic_eps(gmm, x, a)
+            eps_ref, x0_ref, log_dens_ref = _reference_eps(gmm, x, a)
             assert np.max(np.abs(pred.eps_hat - eps_ref)) <= 1e-9
             assert np.max(np.abs(pred.x0_hat - x0_ref)) <= 1e-9
             if not point_masses:
-                got = log_density_t(gmm, x, t, sched)
+                got = log_density_t(gmm, x, a)
                 assert np.allclose(got, log_dens_ref, rtol=1e-9, atol=1e-9)

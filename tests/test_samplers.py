@@ -94,7 +94,7 @@ def test_ddim_step_increment_identity():
             _, x_prev, _, dxb = _step_core(state, gmm, sched, cfg, eps, plan, k)
             a_t, a_p = sched.alpha(t), sched.alpha(t - 1)
             x_t = plan.sqrt_alpha[k] * state.x_bar
-            eps_hat = analytic_eps(gmm, x_t, t, sched).eps_hat
+            eps_hat = analytic_eps(gmm, x_t, a_t).eps_hat
             ref = ddim_reference(x_t, eps_hat, eps, a_t, a_p, sigma(sched, t, t - 1, eta))
             assert np.allclose(x_prev, ref, rtol=0, atol=1e-10)
             lhs = ref / math.sqrt(a_p) - x_t / math.sqrt(a_t)
@@ -333,7 +333,7 @@ def test_analytic_eps_drives_steps_consistently():
     sched = linear_beta_schedule(30, 1e-3, 0.05)
     t = 30
     x_t = np.array([0.9])
-    eps_hat = analytic_eps(gmm, x_t, t, sched).eps_hat
+    eps_hat = analytic_eps(gmm, x_t, sched.alpha(t)).eps_hat
     eps = np.array([0.7])
     manual = ddim_reference(x_t, eps_hat, eps, sched.alpha(t), sched.alpha(t - 1),
                             sigma(sched, t, t - 1, ETA_DDPM_UNIT))
