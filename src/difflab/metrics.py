@@ -1,12 +1,10 @@
-"""Sample-quality and trajectory-smoothness metrics for toy distributions.
+"""Sample-quality metrics for toy distributions, and the (t, x) heatmap grid.
 
 Wasserstein-1 plays the role a feature-space metric would play at image
-scale: exact in 1D, sliced in higher dimensions. Trajectory total variation
-operationalizes "trembling" as the summed step-to-step distance.
+scale: exact in 1D against the data mixture, sliced in higher dimensions.
 
-scipy is imported only inside the functions that still use it (scipy.special's
-normal CDF for smooth-mixture quantiles, and scipy.stats for W1 between empirical
-sets of unequal size), so importing this module does not load it.
+scipy is imported only inside the one function that uses it (scipy.special's
+normal CDF for smooth-mixture quantiles), so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -16,16 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GaussianMixtureModel
-from .samplers import Trajectory
 
 __all__ = [
     "HeatmapGrid",
     "wasserstein1_1d",
     "mixture_quantile",
     "sliced_w1",
-    "trajectory_total_variation",
     "heatmap_grid",
-    "build_heatmap",
     "bin_trajectory_points",
     "mode_statistics",
 ]
@@ -68,60 +63,31 @@ def mixture_quantile(gmm: GaussianMixtureModel, u) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def wasserstein1_1d(samples_a, samples_b) -> float:
-    """Exact 1D W1: empirical vs empirical, or empirical vs an exact mixture.
-
-    Against a mixture, matches empirical quantiles at levels (i - 0.5) / n.
-    """
-    a = np.asarray(samples_a, dtype=float).ravel()
+def wasserstein1_1d(samples, mixture: GaussianMixtureModel) -> float:
+    """Exact 1D W1 between an empirical sample set and a 1D mixture: matches the
+    sorted samples with the mixture's quantiles at levels (i - 0.5) / n."""
+    a = np.sort(np.asarray(samples, dtype=float).ravel())
     if a.size == 0:
         raise ValueError("empty sample set")
-    if isinstance(samples_b, GaussianMixtureModel):
-        n = a.size
-        u = (np.arange(1, n + 1) - 0.5) / n
-        q = mixture_quantile(samples_b, u)
-        return float(np.mean(np.abs(np.sort(a) - q)))
-    b = np.asarray(samples_b, dtype=float).ravel()
-    if b.size == 0:
-        raise ValueError("empty sample set")
-    from scipy.stats import wasserstein_distance
-
-    return float(wasserstein_distance(a, b))
+    n = a.size
+    q = mixture_quantile(mixture, (np.arange(1, n + 1) - 0.5) / n)
+    return float(np.mean(np.abs(a - q)))
 
 
 def sliced_w1(samples_a, samples_b, n_projections: int, rng) -> float:
-    """Mean 1D W1 over random unit-direction projections (D >= 2)."""
+    """Mean 1D W1 over random unit-direction projections of two equal-size
+    clouds (D >= 2); each is the mean gap between sorted projections."""
     a = np.asarray(samples_a, dtype=float)
     b = np.asarray(samples_b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError("expected point clouds of matching dimension")
+    if a.ndim != 2 or b.ndim != 2 or a.shape != b.shape:
+        raise ValueError("expected point clouds of equal size and dimension")
     if a.shape[1] < 2:
         raise ValueError("sliced W1 is for D >= 2; use wasserstein1_1d in 1D")
     dirs = rng.standard_normal((n_projections, a.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    if a.shape[0] == b.shape[0]:
-        # equal sizes: 1D W1 is the mean gap between sorted projections
-        pa = np.sort(a @ dirs.T, axis=0)
-        pb = np.sort(b @ dirs.T, axis=0)
-        return float(np.mean(np.abs(pa - pb)))
-    from scipy.stats import wasserstein_distance
-
-    vals = [wasserstein_distance(a @ d, b @ d) for d in dirs]
-    return float(np.mean(vals))
-
-
-def trajectory_total_variation(traj: Trajectory) -> np.ndarray:
-    """Per-chain sum of step-to-step distances in data space along recorded
-    trajectories, (n_rec,). Step lengths are added in step order, as the runner
-    adds them.
-    """
-    pts = np.asarray(traj.xs, dtype=float)
-    if pts.size == 0:
-        raise ValueError("empty trajectory")
-    tv = np.zeros(pts.shape[0])
-    for k in range(1, pts.shape[1]):
-        tv += np.linalg.norm(pts[:, k] - pts[:, k - 1], axis=-1)
-    return tv
+    pa = np.sort(a @ dirs.T, axis=0)
+    pb = np.sort(b @ dirs.T, axis=0)
+    return float(np.mean(np.abs(pa - pb)))
 
 
 @dataclass(frozen=True)
@@ -169,17 +135,15 @@ def _uniform_bin(values, edges):
     return idx
 
 
-def bin_trajectory_points(ts, xs, t_edges, x_edges, counts) -> None:
-    """Accumulate (t, x) points into an existing counts matrix in place; ts is
-    one t per point, or a scalar t that every point shares.
+def bin_trajectory_points(t, xs, t_edges, x_edges, counts) -> None:
+    """Add points xs, which all share the time t, into counts' row for t, in place.
 
     Edges must be evenly spaced, as np.linspace builds them; values outside
     the edges clip into the first or last bin.
     """
-    ti = _uniform_bin(np.asarray(ts, dtype=float), t_edges)
+    ti = _uniform_bin(np.float64(t), t_edges)
     xi = _uniform_bin(np.asarray(xs, dtype=float).ravel(), x_edges)
-    flat = ti * counts.shape[1] + xi
-    counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
+    counts[ti] += np.bincount(xi, minlength=counts.shape[1])
 
 
 def heatmap_grid(heatmap: dict, t_max: float, D: int) -> HeatmapGrid:
@@ -198,24 +162,6 @@ def heatmap_grid(heatmap: dict, t_max: float, D: int) -> HeatmapGrid:
     return HeatmapGrid(t_edges=np.linspace(0.0, float(t_max), t_bins + 1),
                        x_edges=np.linspace(x_min, x_max, x_bins + 1),
                        counts=np.zeros((t_bins, x_bins), dtype=np.int64))
-
-
-def build_heatmap(traj: Trajectory, t_bins: int, x_bins: int,
-                  x_range: tuple[float, float] = (-6.0, 6.0),
-                  t_range: tuple[float, float] | None = None) -> HeatmapGrid:
-    """Histogram recorded 1D trajectories over (t, x); out-of-range x clips into edge bins."""
-    if traj.xs.shape[0] == 0:
-        raise ValueError("no trajectories given")
-    if traj.xs.shape[-1] != 1:
-        raise ValueError("heatmaps are for 1D trajectories")
-    if t_range is None:
-        t_range = (0.0, float(np.max(traj.ts)) + 1.0)
-    t_edges = np.linspace(t_range[0], t_range[1], t_bins + 1)
-    x_edges = np.linspace(x_range[0], x_range[1], x_bins + 1)
-    counts = np.zeros((t_bins, x_bins), dtype=np.int64)
-    bin_trajectory_points(np.broadcast_to(traj.ts, traj.xs.shape[:2]).ravel(), traj.xs,
-                          t_edges, x_edges, counts)
-    return HeatmapGrid(t_edges=t_edges, x_edges=x_edges, counts=counts)
 
 
 def mode_statistics(samples, modes) -> list[dict]:

@@ -56,7 +56,7 @@ def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
     noise = np.empty((n, K + 1, D))
     for i in range(n):
         noise[i] = _chain_noise(seed, lo + i, K, D)
-    state = ChainState.init(noise[:, 0, :], schedule)
+    state = ChainState.init(noise[:, 0, :], plan)
 
     record, grid = result.trajectories, result.heatmap
     n_rec = max(0, min(hi, record.xs.shape[0]) - lo)
@@ -164,7 +164,7 @@ def _write_trajectories_csv(path, traj: Trajectory) -> None:
                               for k, (t, row) in enumerate(zip(ts, rows))]))
 
 
-def execute_run(spec: RunSpec, out_dir, threads: int | None = None) -> RunResult:
+def execute_run(spec: RunSpec, out_dir) -> RunResult:
     """Run a spec and write samples/trajectories/heatmap/metrics/manifest files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -175,13 +175,12 @@ def execute_run(spec: RunSpec, out_dir, threads: int | None = None) -> RunResult
     model = spec.build_model()
     schedule = spec.build_schedule()
     config = spec.build_sampler_config()
-    threads = spec.threads if threads is None else threads
 
     n_rec = 0
     if spec.trajectories:
         n_rec = spec.n_chains if spec.trajectory_chains is None else spec.trajectory_chains
     result = run_chains(model, schedule, config, spec.n_chains, spec.seed,
-                        threads=threads, trajectory_chains=n_rec,
+                        threads=spec.threads, trajectory_chains=n_rec,
                         heatmap=spec.heatmap)
 
     _write_samples_csv(out / "samples.csv", result.samples)
@@ -204,6 +203,9 @@ def execute_sweep(sweep: SweepSpec, out_dir) -> list[dict]:
     """Run every sweep cell; write the per-cell metrics table with the argmin marked."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # a reused dir keeps no earlier sweep's table, even if this sweep fails
+    for name in ("sweep.csv", "sweep_summary.json"):
+        (out / name).unlink(missing_ok=True)
     rows = []
     for value in sweep.values:
         for s in range(sweep.seeds_per_cell):

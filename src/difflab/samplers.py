@@ -14,7 +14,6 @@ All step math broadcasts over leading batch dimensions; a single chain is the
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -201,11 +200,10 @@ class ChainState:
     v: np.ndarray       # (...,), scalar second-moment accumulator
 
     @classmethod
-    def init(cls, x_T, schedule) -> "ChainState":
-        t = schedule.tau[-1]
-        x_T = np.asarray(x_T, dtype=float)
-        x_bar = x_T / math.sqrt(schedule.alpha(t))
-        return cls(t=t, x_bar=x_bar, m=np.zeros_like(x_bar),
+    def init(cls, x_T, plan: StepPlan) -> "ChainState":
+        """Chains at the plan's first row, t = tau[-1], from data-space x_T."""
+        x_bar = np.asarray(x_T, dtype=float) / plan.sqrt_alpha[0]
+        return cls(t=int(plan.t[0]), x_bar=x_bar, m=np.zeros_like(x_bar),
                    v=np.ones(x_bar.shape[:-1]))
 
 

@@ -78,11 +78,6 @@ class NoiseSchedule:
     def T(self) -> int:
         return int(self.betas.size)
 
-    def beta(self, t: int) -> float:
-        if not 1 <= t <= self.T:
-            raise ValueError(f"timestep {t} outside [1, {self.T}]")
-        return float(self.betas[t - 1])
-
     def alpha(self, t: int) -> float:
         """Cumulative alpha at timestep t in tau; alpha(0) is the boundary value."""
         if t == 0:
@@ -103,9 +98,8 @@ class NoiseSchedule:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "beta", "alpha_cum"])
-            for t in range(1, self.T + 1):
-                writer.writerow([t, format(self.beta(t), ".17g"),
-                                 format(float(self.alphas_cum[t - 1]), ".17g")])
+            for t, beta, alpha in zip(range(1, self.T + 1), self.betas, self.alphas_cum):
+                writer.writerow([t, format(float(beta), ".17g"), format(float(alpha), ".17g")])
 
 
 # benchmarks/tracer.py wraps both names; this alias keeps traced runs working.

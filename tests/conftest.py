@@ -13,7 +13,7 @@ def drive_chains():
     Returns the final samples and the per-step x0_hat predictions."""
     def drive(model, schedule, config, x_T, noise):
         plan = StepPlan.build(schedule, config)
-        state = ChainState.init(x_T, schedule)
+        state = ChainState.init(x_T, plan)
         x0_hats = []
         for k in range(plan.K):
             state, x_next, x0_hat, _ = _step_core(state, model, schedule, config,

@@ -1,0 +1,51 @@
+"""Independent references for what a run accumulates in its step loop.
+
+The runner adds each step's total-variation increment and heatmap counts as it
+goes; these recompute both from the recorded trajectories after the fact, by a
+different route (one norm per recorded step; digitize + np.add.at binning), so
+the tests can compare the two bit for bit.
+"""
+
+import numpy as np
+
+from difflab.metrics import HeatmapGrid
+from difflab.samplers import Trajectory
+
+
+def trajectory_total_variation(traj: Trajectory) -> np.ndarray:
+    """Per-chain sum of step-to-step distances in data space along recorded
+    trajectories, (n_rec,). Step lengths are added in step order, as the runner
+    adds them.
+    """
+    pts = np.asarray(traj.xs, dtype=float)
+    if pts.size == 0:
+        raise ValueError("empty trajectory")
+    tv = np.zeros(pts.shape[0])
+    for k in range(1, pts.shape[1]):
+        tv += np.linalg.norm(pts[:, k] - pts[:, k - 1], axis=-1)
+    return tv
+
+
+def reference_bin(ts, xs, t_edges, x_edges, counts) -> None:
+    """Add (t, x) points into counts in place: clipped digitize + np.add.at."""
+    def clipped(values, edges):
+        return np.clip(np.digitize(values, edges) - 1, 0, len(edges) - 2)
+    np.add.at(counts, (clipped(ts, t_edges), clipped(xs, x_edges)), 1)
+
+
+def build_heatmap(traj: Trajectory, t_bins: int, x_bins: int,
+                  x_range: tuple[float, float] = (-6.0, 6.0),
+                  t_range: tuple[float, float] | None = None) -> HeatmapGrid:
+    """Histogram recorded 1D trajectories over (t, x); out-of-range x clips into edge bins."""
+    if traj.xs.shape[0] == 0:
+        raise ValueError("no trajectories given")
+    if traj.xs.shape[-1] != 1:
+        raise ValueError("heatmaps are for 1D trajectories")
+    if t_range is None:
+        t_range = (0.0, float(np.max(traj.ts)) + 1.0)
+    t_edges = np.linspace(t_range[0], t_range[1], t_bins + 1)
+    x_edges = np.linspace(x_range[0], x_range[1], x_bins + 1)
+    counts = np.zeros((t_bins, x_bins), dtype=np.int64)
+    reference_bin(np.broadcast_to(traj.ts, traj.xs.shape[:2]).ravel(), traj.xs.ravel(),
+                  t_edges, x_edges, counts)
+    return HeatmapGrid(t_edges=t_edges, x_edges=x_edges, counts=counts)

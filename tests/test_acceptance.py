@@ -7,6 +7,7 @@ before asserting, so a failing run still reports every measured quantity.
 import hashlib
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -273,7 +274,7 @@ def test_samples_file_byte_identical_across_threads(tmp_path):
     digests = []
     for k in (1, 2, 8):
         out = tmp_path / f"threads{k}"
-        execute_run(spec, out, threads=k)
+        execute_run(replace(spec, threads=k), out)
         digests.append(hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest())
     elapsed = time.perf_counter() - start
     _report("thread-reproducibility", len(set(digests)) == 1,

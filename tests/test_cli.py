@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import difflab
+import difflab.runner
 
 from difflab.cli import main
+from difflab.samplers import SecondMomentError
 
 
 @pytest.fixture()
@@ -148,6 +150,23 @@ def test_reused_out_dir_holds_only_the_new_runs_files(tmp_path):
     assert {p.name for p in out.iterdir()} == {"samples.csv", "manifest.json"}
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["spec"]["seed"] == 5 and manifest["spec"]["heatmap"] is None
+
+
+def test_failed_sweep_leaves_no_earlier_sweeps_files(spec_file, tmp_path, capsys,
+                                                     monkeypatch):
+    sweep = {"base": json.loads(spec_file.read_text()), "axis": "K", "values": [10, 30]}
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(sweep))
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--out-dir", str(out)]) == 0
+    assert {p.name for p in out.iterdir()} == {"sweep.csv", "sweep_summary.json"}
+
+    def diverge(*args, **kwargs):
+        raise SecondMomentError("v is not positive")
+    monkeypatch.setattr(difflab.runner, "run_chains", diverge)
+    assert main(["sweep", str(path), "--out-dir", str(out), "--seed", "7"]) == 1
+    assert "error: v is not positive" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_zero_chains_warns(spec_file, tmp_path, capsys):

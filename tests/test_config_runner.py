@@ -3,17 +3,19 @@
 import csv
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from difflab.config import RunSpec, SpecError, SweepSpec
-from difflab.metrics import build_heatmap, trajectory_total_variation
 from difflab.model import GaussianMixtureModel
 from difflab.runner import (_write_samples_csv, _write_trajectories_csv,
                             execute_run, execute_sweep, run_chains)
 from difflab.samplers import SamplerConfig, Trajectory
 from difflab.schedule import linear_beta_schedule, respace
+
+from oracles import build_heatmap, trajectory_total_variation
 
 
 def base_spec_dict(**over):
@@ -286,7 +288,7 @@ def test_execute_run_byte_identical_across_threads(tmp_path):
     digests = set()
     for k in (1, 2, 8):
         out = tmp_path / f"t{k}"
-        execute_run(spec, out, threads=k)
+        execute_run(replace(spec, threads=k), out)
         digests.add(hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest())
     assert len(digests) == 1
 

@@ -8,35 +8,23 @@ import pytest
 
 from scipy.stats import wasserstein_distance
 
-from difflab.metrics import (HeatmapGrid, bin_trajectory_points, build_heatmap,
-                             mixture_quantile, mode_statistics, sliced_w1,
-                             trajectory_total_variation, wasserstein1_1d)
+from difflab.metrics import (HeatmapGrid, bin_trajectory_points, mixture_quantile,
+                             mode_statistics, sliced_w1, wasserstein1_1d)
 from difflab.model import GaussianMixtureModel
 from difflab.samplers import Trajectory
 
+from oracles import build_heatmap, reference_bin, trajectory_total_variation
+
 
 def test_w1_identity_and_shift():
-    a = np.random.default_rng(0).standard_normal(500)
-    assert wasserstein1_1d(a, a) == 0.0
-    # shifting one sample set by delta moves W1 by exactly delta
-    assert wasserstein1_1d(a + 0.7, a) == pytest.approx(0.7, rel=1e-12)
-
-
-def test_w1_triangle_inequality():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        a = rng.standard_normal(200)
-        b = rng.standard_normal(200) + rng.uniform(-2, 2)
-        c = rng.uniform(-3, 3, 200)
-        assert wasserstein1_1d(a, c) <= (wasserstein1_1d(a, b)
-                                         + wasserstein1_1d(b, c) + 1e-12)
-
-
-def test_w1_symmetry():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal(300)
-    b = rng.uniform(-1, 2, 300)
-    assert wasserstein1_1d(a, b) == pytest.approx(wasserstein1_1d(b, a), rel=1e-12)
+    gmm = GaussianMixtureModel(weights=[0.3, 0.7], means=[[-1.0], [2.0]],
+                               variances=[0.5, 0.0])
+    n = 500
+    q = mixture_quantile(gmm, (np.arange(1, n + 1) - 0.5) / n)
+    # samples on the mixture's quantile levels, in any order: distance 0
+    assert wasserstein1_1d(np.random.default_rng(0).permutation(q), gmm) == 0.0
+    # shifting the sample set by delta moves W1 by exactly delta
+    assert wasserstein1_1d(q + 0.7, gmm) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_w1_against_point_mixture_exact():
@@ -78,8 +66,9 @@ def test_mixture_quantile_point_mixture():
 
 
 def test_empty_samples_rejected():
+    gmm = GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[1.0])
     with pytest.raises(ValueError):
-        wasserstein1_1d(np.array([]), np.array([1.0]))
+        wasserstein1_1d(np.array([]), gmm)
 
 
 def test_sliced_w1_properties():
@@ -92,6 +81,8 @@ def test_sliced_w1_properties():
     assert 0.1 < d < 1.0
     with pytest.raises(ValueError):
         sliced_w1(a[:, :1], a[:, :1], 8, rng)
+    with pytest.raises(ValueError):     # equal-size clouds only
+        sliced_w1(a, a[:200], 8, rng)
 
 
 def _record(ts, *chains):
@@ -148,13 +139,6 @@ def test_mode_statistics():
         mode_statistics(np.array([]), [-2.0])
 
 
-def _reference_bin(ts, xs, t_edges, x_edges, counts):
-    """The digitize + add.at binning the arithmetic path must reproduce."""
-    def clipped(values, edges):
-        return np.clip(np.digitize(values, edges) - 1, 0, len(edges) - 2)
-    np.add.at(counts, (clipped(ts, t_edges), clipped(xs, x_edges)), 1)
-
-
 @pytest.mark.parametrize("x_range,x_bins", [((-6.0, 6.0), 120), ((-2.0, 4.0), 3),
                                              ((0.1, 0.7), 1), ((-1e-3, 2e-3), 7)])
 def test_bin_trajectory_points_matches_digitize_reference(x_range, x_bins):
@@ -166,23 +150,21 @@ def test_bin_trajectory_points_matches_digitize_reference(x_range, x_bins):
     xs = np.concatenate([
         rng.uniform(x_range[0] - span, x_range[1] + span, 5000),
         x_edges, np.nextafter(x_edges, np.inf), np.nextafter(x_edges, -np.inf), specials])
-    ts = np.concatenate([rng.integers(0, 201, xs.size - t_edges.size),
-                         t_edges]).astype(float)
-    ts[:len(specials)] = specials
+    ts = np.concatenate([specials, t_edges, np.nextafter(t_edges, -np.inf),
+                         rng.integers(-10, 211, 20)])
     got = np.zeros((100, x_bins), dtype=np.int64)
     ref = np.zeros_like(got)
-    bin_trajectory_points(ts, xs[:, None], t_edges, x_edges, got)
-    _reference_bin(ts, xs, t_edges, x_edges, ref)
-    assert np.array_equal(got, ref)
-    bin_trajectory_points(ts, xs, t_edges, x_edges, got)     # accumulates in place
-    assert np.array_equal(got, 2 * ref)
+    for t in ts:    # got accumulates in place across calls
+        bin_trajectory_points(t, xs[:, None], t_edges, x_edges, got)
+        reference_bin(np.full(xs.size, t), xs, t_edges, x_edges, ref)
+        assert np.array_equal(got, ref), t
 
 
 def test_bin_trajectory_points_rejects_uneven_edges():
     counts = np.zeros((1, 3), dtype=np.int64)
     for x_edges in (np.array([0.0, 1.0, 2.5, 3.0]), np.linspace(1.0, 0.0, 4)):
         with pytest.raises(ValueError):
-            bin_trajectory_points([0.5], [0.5], np.array([0.0, 1.0]), x_edges, counts)
+            bin_trajectory_points(0.5, [0.5], np.array([0.0, 1.0]), x_edges, counts)
 
 
 def test_heatmap_csv_bytes_match_csv_writer_reference(tmp_path):
@@ -213,6 +195,3 @@ def test_sliced_w1_matches_per_projection_scipy(D):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     ref = np.mean([wasserstein_distance(a @ d, b @ d) for d in dirs])
     assert got == pytest.approx(ref, rel=1e-12)
-    # unequal sizes take the scipy path
-    assert sliced_w1(a, b[:200], 32, np.random.default_rng(9)) == pytest.approx(
-        np.mean([wasserstein_distance(a @ d, b[:200] @ d) for d in dirs]), rel=1e-12)

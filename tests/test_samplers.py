@@ -232,9 +232,9 @@ def test_config_validation():
 def test_chain_state_init():
     sched = linear_beta_schedule(10, 1e-3, 0.05)
     x_T = np.array([[1.0, 2.0], [3.0, 4.0]])
-    state = ChainState.init(x_T, sched)
+    state = ChainState.init(x_T, StepPlan.build(sched, SamplerConfig()))
     assert state.t == 10
-    assert np.allclose(state.x_bar, x_T / math.sqrt(sched.alpha(10)))
+    assert np.array_equal(state.x_bar, x_T / math.sqrt(sched.alpha(10)))
     assert np.all(state.m == 0.0)
     assert np.all(state.v == 1.0)
     assert state.v.shape == (2,)
@@ -256,7 +256,7 @@ def test_second_moment_stays_positive():
     sched = linear_beta_schedule(60, 1e-3, 0.05)
     cfg = SamplerConfig(method="adaptive", b=0.3, c=0.05)
     plan = StepPlan.build(sched, cfg)
-    state = ChainState.init(np.random.default_rng(7).standard_normal((16, 1)), sched)
+    state = ChainState.init(np.random.default_rng(7).standard_normal((16, 1)), plan)
     rng = np.random.default_rng(8)
     for k in range(plan.K):
         state, _, _, _ = _step_core(state, gmm, sched, cfg,
@@ -285,7 +285,7 @@ def test_vanilla_step_leaves_momentum_untouched():
     cfg = SamplerConfig.vanilla()
     plan = StepPlan.build(sched, cfg)
     assert plan.plain.all()
-    state = ChainState.init(np.array([0.5]), sched)
+    state = ChainState.init(np.array([0.5]), plan)
     nxt, _, _, _ = _step_core(state, gmm, sched, cfg,
                               np.random.default_rng(0).standard_normal(1), plan, 0)
     assert nxt.t == 9
@@ -338,6 +338,6 @@ def test_analytic_eps_drives_steps_consistently():
     manual = ddim_reference(x_t, eps_hat, eps, sched.alpha(t), sched.alpha(t - 1),
                             sigma(sched, t, t - 1, ETA_DDPM_UNIT))
     cfg = SamplerConfig.vanilla()
-    state = ChainState.init(x_t, sched)
-    nxt, _, _, _ = _step_core(state, gmm, sched, cfg, eps, StepPlan.build(sched, cfg), 0)
+    plan = StepPlan.build(sched, cfg)
+    nxt, _, _, _ = _step_core(ChainState.init(x_t, plan), gmm, sched, cfg, eps, plan, 0)
     assert np.allclose(math.sqrt(sched.alpha(29)) * nxt.x_bar, manual, atol=1e-12)
