@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .config import RunSpec, SpecError, SweepSpec
+from .files import write_json
 from .runner import execute_run, execute_sweep
 from .samplers import SecondMomentError
 from .verification import run_all_checks
@@ -36,7 +37,7 @@ def _resolve_spec_path(arg: str) -> Path:
     bundled = resources.files("difflab").joinpath("specs", f"{arg}.json")
     if bundled.is_file():
         return Path(str(bundled))
-    raise SystemExit(f"error: spec file not found: {arg}")
+    raise SpecError(f"spec file not found: {arg}")
 
 
 def _apply_run_overrides(spec: RunSpec, args) -> RunSpec:
@@ -90,9 +91,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     report = run_all_checks()
     out = args.out if args.out is not None else "verify_report.json"
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    write_json(out, report)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         print(f"{status} {check['name']}: observed {check['observed']} "

@@ -37,10 +37,10 @@ def _known(d: dict, keys, path: str) -> None:
 
 
 def _read_json(path, what: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SpecError(f"unreadable {what} {path}: {exc}") from exc
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import FLOAT, write_csv
 from .model import GaussianMixtureModel
 
 __all__ = [
@@ -99,15 +100,13 @@ class HeatmapGrid:
     counts: np.ndarray  # (len(t_edges)-1, len(x_edges)-1), int64
 
     def to_csv(self, path) -> None:
-        """Write one row per cell; bytes match csv.writer with ".17g" floats."""
-        t = self.t_edges.tolist()
-        x_pairs = ["%.17g,%.17g" % pair
-                   for pair in zip(self.x_edges[:-1].tolist(), self.x_edges[1:].tolist())]
-        with open(path, "w", newline="") as fh:
-            fh.write("t_lo,t_hi,x_lo,x_hi,count\r\n")
-            for i, row in enumerate(self.counts.tolist()):
-                t_pair = "%.17g,%.17g," % (t[i], t[i + 1])
-                fh.write("".join([f"{t_pair}{xp},{c}\r\n" for xp, c in zip(x_pairs, row)]))
+        """Write one row per cell; each edge pair is formatted once."""
+        pair = f"{FLOAT},{FLOAT}"
+        t_pairs = [pair % p for p in zip(self.t_edges[:-1].tolist(), self.t_edges[1:].tolist())]
+        x_pairs = [pair % p for p in zip(self.x_edges[:-1].tolist(), self.x_edges[1:].tolist())]
+        write_csv(path, ["t_lo", "t_hi", "x_lo", "x_hi", "count"],
+                  (f"{tp},{xp},{c}" for tp, row in zip(t_pairs, self.counts.tolist())
+                   for xp, c in zip(x_pairs, row)))
 
 
 def _uniform_bin(values, edges):

@@ -8,16 +8,14 @@ vectorized; file writes happen once, after every block has finished.
 
 from __future__ import annotations
 
-import csv
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import RunSpec, SweepSpec
+from .files import FLOAT, fresh_out_dir, write_csv, write_json
 from .metrics import (HeatmapGrid, bin_trajectory_points, heatmap_grid,
                       mode_statistics, sliced_w1, wasserstein1_1d)
 from .model import GaussianMixtureModel, sample_marginal
@@ -26,10 +24,6 @@ from .samplers import ChainState, SamplerConfig, StepPlan, Trajectory, _step_cor
 __all__ = ["RunResult", "run_chains", "execute_run", "execute_sweep"]
 
 _BLOCK = 2048  # chains per vectorized block; fixed so results never depend on threads
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 @dataclass
@@ -134,44 +128,31 @@ def compute_metrics(result: RunResult, model: GaussianMixtureModel, seed: int) -
     return out
 
 
-# Rows are formatted here rather than by csv.writer: "%.17g" gives the same
-# text as format(v, ".17g"), no field needs quoting, and rows end in "\r\n"
-# as csv.writer's do. Rows go out in chunks so no whole-file string is built.
-_ROWS_PER_WRITE = 4096
-
-
 def _write_samples_csv(path, samples: np.ndarray) -> None:
-    D = samples.shape[1] if samples.ndim == 2 else 1
-    fmt = "%d" + ",%.17g" * D + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["chain_id"] + [f"x{d}" for d in range(D)]) + "\r\n")
-        for lo in range(0, samples.shape[0], _ROWS_PER_WRITE):
-            chunk = samples[lo:lo + _ROWS_PER_WRITE].tolist()
-            fh.write("".join([fmt % (i, *row) for i, row in enumerate(chunk, lo)]))
+    fmt = "%d" + ("," + FLOAT) * samples.shape[1]
+    rows = (row for lo in range(0, len(samples), _BLOCK)    # one block of chains at a time
+            for row in samples[lo:lo + _BLOCK].tolist())
+    write_csv(path, ["chain_id"] + [f"x{d}" for d in range(samples.shape[1])],
+              (fmt % (i, *row) for i, row in enumerate(rows)))
 
 
 def _write_trajectories_csv(path, traj: Trajectory) -> None:
     D = traj.xs.shape[2]
-    fmt = "%d,%d,%d" + ",%.17g" * (2 * D) + "\r\n"
-    ts = traj.ts.tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["chain_id", "step_index", "t"]
-                          + [f"x{d}" for d in range(D)]
-                          + [f"x0_hat{d}" for d in range(D)]) + "\r\n")
-        for i, (xs, x0_hats) in enumerate(zip(traj.xs, traj.x0_hats)):
-            rows = np.concatenate([xs, x0_hats], axis=1).tolist()
-            fh.write("".join([fmt % (i, k, t, *row)
-                              for k, (t, row) in enumerate(zip(ts, rows))]))
+    fmt = "%d,%d,%d" + ("," + FLOAT) * (2 * D)
+    steps = list(enumerate(traj.ts.tolist()))
+    chains = (np.concatenate([xs, x0_hats], axis=1).tolist()    # one chain at a time
+              for xs, x0_hats in zip(traj.xs, traj.x0_hats))
+    write_csv(path, ["chain_id", "step_index", "t"]
+              + [f"{name}{d}" for name in ("x", "x0_hat") for d in range(D)],
+              (fmt % (i, k, t, *row) for i, rows in enumerate(chains)
+               for (k, t), row in zip(steps, rows)))
 
 
 def execute_run(spec: RunSpec, out_dir) -> RunResult:
     """Run a spec and write samples/trajectories/heatmap/metrics/manifest files."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # a reused dir keeps no earlier run's file; the manifest, written last, marks a whole run
-    for name in ("manifest.json", "samples.csv", "trajectories.csv", "heatmap.csv",
-                 "metrics.json"):
-        (out / name).unlink(missing_ok=True)
+    # the manifest, written last, marks a whole run
+    out = fresh_out_dir(out_dir, ("manifest.json", "samples.csv", "trajectories.csv",
+                                  "heatmap.csv", "metrics.json"))
     model = spec.build_model()
     schedule = spec.build_schedule()
     config = spec.build_sampler_config()
@@ -190,57 +171,35 @@ def execute_run(spec: RunSpec, out_dir) -> RunResult:
         result.heatmap.to_csv(out / "heatmap.csv")
     if spec.metrics:
         result.metrics = compute_metrics(result, model, spec.seed)
-        with open(out / "metrics.json", "w") as fh:
-            json.dump(result.metrics, fh, indent=2)
-            fh.write("\n")
-    with open(out / "manifest.json", "w") as fh:
-        json.dump({"spec": spec.to_dict(), "version": __version__}, fh, indent=2)
-        fh.write("\n")
+        write_json(out / "metrics.json", result.metrics)
+    write_json(out / "manifest.json", {"spec": spec.to_dict(), "version": __version__})
     return result
 
 
-def execute_sweep(sweep: SweepSpec, out_dir) -> list[dict]:
-    """Run every sweep cell; write the per-cell metrics table with the argmin marked."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # a reused dir keeps no earlier sweep's table, even if this sweep fails
-    for name in ("sweep.csv", "sweep_summary.json"):
-        (out / name).unlink(missing_ok=True)
-    rows = []
-    for value in sweep.values:
+def execute_sweep(sweep: SweepSpec, out_dir) -> list[tuple]:
+    """Run every sweep cell and write the per-cell metrics table with the argmin
+    value marked; returns each cell's (value, seed, metrics)."""
+    out = fresh_out_dir(out_dir, ("sweep.csv", "sweep_summary.json"))
+    cells = {value: [] for value in sweep.values}   # each value's (seed, metrics)
+    for value, runs in cells.items():
         for s in range(sweep.seeds_per_cell):
             spec = sweep.cell_spec(value, s)
             model = spec.build_model()
             result = run_chains(model, spec.build_schedule(), spec.build_sampler_config(),
                                 spec.n_chains, spec.seed, threads=spec.threads)
-            met = compute_metrics(result, model, spec.seed)
-            rows.append({
-                "axis": sweep.axis, "value": value, "seed": spec.seed,
-                "w1": met["w1"], "sliced_w1": met["sliced_w1"],
-                "tv_mean": met["tv_mean"],
-            })
+            runs.append((spec.seed, compute_metrics(result, model, spec.seed)))
 
-    # per-value mean of the quality metric, with the argmin cell marked
-    key = "w1" if rows and rows[0]["w1"] is not None else "sliced_w1"
-    means = {}
-    for v in sweep.values:
-        vals = [r[key] for r in rows if r["value"] == v]
-        means[v] = float(np.mean(vals))
+    # per-value mean of the quality metric; the argmin value's cells are marked
+    key = "w1" if model.D == 1 else "sliced_w1"
+    means = {v: float(np.mean([met[key] for _, met in runs])) for v, runs in cells.items()}
     best = min(means, key=means.get)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "value", "seed", "w1", "sliced_w1", "tv_mean", "best"])
-        for r in rows:
-            writer.writerow([
-                r["axis"], r["value"], r["seed"],
-                _fmt(r["w1"]) if r["w1"] is not None else "",
-                _fmt(r["sliced_w1"]) if r["sliced_w1"] is not None else "",
-                _fmt(r["tv_mean"]) if r["tv_mean"] is not None else "",
-                int(r["value"] == best),
-            ])
-    with open(out / "sweep_summary.json", "w") as fh:
-        json.dump({"axis": sweep.axis, "metric": key,
-                   "means": {str(v): means[v] for v in sweep.values},
-                   "best_value": best}, fh, indent=2)
-        fh.write("\n")
-    return rows
+    table = [(v, seed, met) for v, runs in cells.items() for seed, met in runs]
+    write_csv(out / "sweep.csv", ["axis", "value", "seed", "w1", "sliced_w1", "tv_mean", "best"],
+              [f"{sweep.axis},{v},{seed},"
+               + ",".join("" if met[m] is None else FLOAT % met[m]
+                          for m in ("w1", "sliced_w1", "tv_mean"))
+               + f",{int(v == best)}" for v, seed, met in table])
+    write_json(out / "sweep_summary.json",
+               {"axis": sweep.axis, "metric": key,
+                "means": {str(v): m for v, m in means.items()}, "best_value": best})
+    return table

@@ -8,11 +8,12 @@ returns the predicted clean sample exactly).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+
+from .files import FLOAT, write_csv
 
 __all__ = [
     "NoiseSchedule",
@@ -95,11 +96,10 @@ class NoiseSchedule:
 
     def to_csv(self, path) -> None:
         """All T rates of the full schedule, whatever the subsequence."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "beta", "alpha_cum"])
-            for t, beta, alpha in zip(range(1, self.T + 1), self.betas, self.alphas_cum):
-                writer.writerow([t, format(float(beta), ".17g"), format(float(alpha), ".17g")])
+        fmt = f"%d,{FLOAT},{FLOAT}"
+        write_csv(path, ["t", "beta", "alpha_cum"],
+                  (fmt % row for row in zip(range(1, self.T + 1), self.betas.tolist(),
+                                            self.alphas_cum.tolist())))
 
 
 # benchmarks/tracer.py wraps both names; this alias keeps traced runs working.

@@ -21,3 +21,13 @@ def drive_chains():
             x0_hats.append(x0_hat)
         return x_next, np.array(x0_hats)
     return drive
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """An expected failure's examples are not worth keeping: drop hypothesis's
+    record of them from an xfail-marked test before its plugin reads the record
+    and writes a .hypothesis/patches file for it."""
+    if item.get_closest_marker("xfail") is not None:
+        item.__dict__.pop("_hypothesis_failing_examples", None)
+    yield

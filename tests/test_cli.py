@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -14,6 +15,7 @@ import difflab
 import difflab.runner
 
 from difflab.cli import main
+from difflab.config import RunSpec
 from difflab.samplers import SecondMomentError
 
 
@@ -80,9 +82,31 @@ def test_bundled_spec_resolves(tmp_path):
     assert (out / "samples.csv").exists()
 
 
-def test_missing_spec_exits(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["run", str(tmp_path / "nope.json")])
+def test_missing_spec_exits(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", str(tmp_path / "nope.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: spec file not found: {tmp_path / 'nope.json'}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("content", ["random-bytes", "utf-16"])
+def test_spec_that_is_not_utf8_exits_2_with_one_line(spec_file, tmp_path, capsys,
+                                                    command, content):
+    spec = json.loads(spec_file.read_text())
+    if command == "sweep":
+        spec = {"base": spec, "axis": "K", "values": [10]}
+    path = tmp_path / "spec.json"
+    if content == "random-bytes":
+        path.write_bytes(random.Random(0).randbytes(200))
+    else:
+        path.write_bytes(json.dumps(spec).encode("utf-16"))    # starts with a BOM
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable ") and "utf-8" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_invalid_spec_exit_code(tmp_path, capsys):
@@ -131,6 +155,23 @@ def test_schedules_dump(spec_file, tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 30
     assert list(rows[0]) == ["t", "beta", "alpha_cum"]
+
+
+@pytest.mark.parametrize("respace_k", [None, 20], ids=["full", "respaced"])
+def test_schedules_dump_bytes_match_csv_writer_reference(tmp_path, respace_k):
+    spec = _toy_fig4()
+    spec["schedule"]["respace_k"] = respace_k
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["schedules", "dump", str(path), "--out", str(tmp_path / "got.csv")]) == 0
+    sched = RunSpec.from_dict(spec).build_schedule()
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:     # every T rate, respaced or not
+        writer = csv.writer(fh)
+        writer.writerow(["t", "beta", "alpha_cum"])
+        for t in range(1, sched.T + 1):
+            writer.writerow([t, format(float(sched.betas[t - 1]), ".17g"),
+                             format(float(sched.alphas_cum[t - 1]), ".17g")])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_reused_out_dir_holds_only_the_new_runs_files(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 
 from difflab.config import RunSpec, SpecError, SweepSpec
 from difflab.model import GaussianMixtureModel
-from difflab.runner import (_write_samples_csv, _write_trajectories_csv,
+from difflab.runner import (_write_samples_csv, _write_trajectories_csv, compute_metrics,
                             execute_run, execute_sweep, run_chains)
 from difflab.samplers import SamplerConfig, Trajectory
 from difflab.schedule import linear_beta_schedule, respace
@@ -223,11 +223,12 @@ def _reference_rows(path, header, rows):
             writer.writerow(list(ints) + [format(v, ".17g") for v in floats])
 
 
-@pytest.mark.parametrize("D", [1, 16])
-def test_samples_csv_bytes_match_csv_writer_reference(tmp_path, D):
+@pytest.mark.parametrize("D,n", [(1, 5000), (16, 5000), (1, 0), (16, 4096)],
+                         ids=["1", "16", "1-no-rows", "16-one-chunk"])
+def test_samples_csv_bytes_match_csv_writer_reference(tmp_path, D, n):
     rng = np.random.default_rng(D)
-    samples = rng.standard_normal((5000, D)) * 10.0 ** rng.integers(-300, 300, (5000, D))
-    samples.flat[:len(_SPECIAL_VALUES)] = _SPECIAL_VALUES
+    samples = rng.standard_normal((n, D)) * 10.0 ** rng.integers(-300, 300, (n, D))
+    samples.flat[:len(_SPECIAL_VALUES)] = _SPECIAL_VALUES[:samples.size]
     _write_samples_csv(tmp_path / "got.csv", samples)
     _reference_rows(tmp_path / "ref.csv", ["chain_id"] + [f"x{d}" for d in range(D)],
                     [((i,), row) for i, row in enumerate(samples)])
@@ -317,6 +318,49 @@ def test_execute_sweep_outputs(tmp_path):
         summary = json.load(fh)
     assert summary["axis"] == "b"
     assert float(summary["best_value"]) in (0.5, 1.0)
+
+
+_ADAPTIVE = {"method": "adaptive", "b": 0.1, "c": 0.0, "zeta": 0.0}
+_MODEL_2D = {"weights": [0.5, 0.5], "means": [[-1.0, 0.5], [2.0, -0.5]],
+             "variances": [0.3, 0.3]}
+
+
+@pytest.mark.parametrize("axis,values,base_over", [
+    ("K", [10, 25], {}),
+    ("b", [0.1, 0.35, 0.7], {"sampler": _ADAPTIVE}),
+    ("eta_mode", ["deterministic", "ddpm_unit"], {}),
+    ("K", [10, 25], {"model": _MODEL_2D}),
+], ids=["K-integers", "b-floats", "eta-mode-strings", "D2-no-w1"])
+def test_sweep_csv_bytes_match_csv_writer_reference(tmp_path, axis, values, base_over):
+    base = base_spec_dict(trajectory_chains=0, **base_over)
+    sweep = SweepSpec.from_dict({"base": base, "axis": axis, "values": values,
+                                 "seeds_per_cell": 2})
+    execute_sweep(sweep, tmp_path)
+    # the reference runs each cell itself and writes the table as csv.writer did
+    cells = []
+    for value in sweep.values:
+        for s in range(2):
+            spec = sweep.cell_spec(value, s)
+            model = spec.build_model()
+            result = run_chains(model, spec.build_schedule(), spec.build_sampler_config(),
+                                spec.n_chains, spec.seed, threads=spec.threads)
+            cells.append((value, spec.seed, compute_metrics(result, model, spec.seed)))
+    key = "w1" if model.D == 1 else "sliced_w1"
+    means = {v: np.mean([met[key] for value, _, met in cells if value == v])
+             for v in sweep.values}
+    best = min(means, key=means.get)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["axis", "value", "seed", "w1", "sliced_w1", "tv_mean", "best"])
+        for value, seed, met in cells:
+            writer.writerow([axis, value, seed]
+                            + ["" if met[m] is None else format(met[m], ".17g")
+                               for m in ("w1", "sliced_w1", "tv_mean")]
+                            + [int(value == best)])
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        empty = {(row["w1"] == "", row["sliced_w1"] == "") for row in csv.DictReader(fh)}
+    assert empty == {(model.D > 1, model.D == 1)}
 
 
 def test_multid_metrics_use_sliced_w1(tmp_path):
