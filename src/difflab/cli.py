@@ -32,7 +32,7 @@ def _env(name: str):
 
 def _resolve_spec_path(arg: str) -> Path:
     p = Path(arg)
-    if p.exists():
+    if p.is_file():
         return p
     bundled = resources.files("difflab").joinpath("specs", f"{arg}.json")
     if bundled.is_file():
@@ -63,6 +63,9 @@ def _apply_run_overrides(spec: RunSpec, args) -> RunSpec:
 
 def _out_dir(args) -> Path:
     out = args.out_dir if args.out_dir is not None else _env("out_dir")
+    if out == "":   # Path("") is the working directory, which the run would clear
+        name = "--out-dir" if args.out_dir == "" else f"{ENV_PREFIX}OUT_DIR"
+        raise SpecError(f"{name}: must not be empty")
     return Path(out) if out is not None else Path("runs/latest")
 
 

@@ -108,41 +108,34 @@ class HeatmapGrid:
                   (f"{tp},{xp},{c}" for tp, row in zip(t_pairs, self.counts.tolist())
                    for xp, c in zip(x_pairs, row)))
 
+    def rows(self, ts) -> np.ndarray:
+        """The counts row of each time in ts; times outside the t edges clip to the end rows."""
+        return _uniform_bin(np.asarray(ts, dtype=float), self.t_edges)
+
 
 def _uniform_bin(values, edges):
-    """Bin index of each value on evenly spaced increasing edges, as
+    """Bin index of each value on strictly increasing np.linspace edges, as
     clip(digitize(values, edges) - 1, 0, len(edges) - 2) gives it.
 
-    The arithmetic guess is off by at most one bin while every edge lies
-    within a quarter bin of its evenly spaced position; one comparison on
-    each side corrects it. NaN and +inf land in the last bin, -inf in the
-    first, as with digitize.
+    On such edges the arithmetic guess is off by at most one bin; one
+    comparison on each side corrects it. NaN and +inf land in the last bin,
+    -inf in the first, as with digitize.
     """
     last = len(edges) - 2
-    lo, hi = float(edges[0]), float(edges[-1])
-    width = (hi - lo) / (last + 1)
-    drift = np.abs(edges - (lo + width * np.arange(last + 2)))
-    if not (width > 0.0 and np.max(drift) <= 0.25 * width):
-        raise ValueError("bin edges must be evenly spaced and increasing")
+    lo = edges[0]
+    width = (edges[-1] - lo) / (last + 1)
     # fmin sends NaN to the last bin; fmax clamps -inf and values below range to 0
     idx = np.fmax(np.fmin((values - lo) / width, last), 0.0).astype(np.intp)
-    # outer edges set to NaN: no comparison moves a value out of the end bins
-    inner = np.array(edges, dtype=float)
-    inner[[0, -1]] = np.nan
-    idx -= values < inner[idx]
-    idx += values >= inner[1:][idx]
-    return idx
+    idx -= values < edges[idx]
+    idx += values >= edges[idx + 1]
+    return np.clip(idx, 0, last)
 
 
-def bin_trajectory_points(t, xs, t_edges, x_edges, counts) -> None:
-    """Add points xs, which all share the time t, into counts' row for t, in place.
-
-    Edges must be evenly spaced, as np.linspace builds them; values outside
-    the edges clip into the first or last bin.
-    """
-    ti = _uniform_bin(np.float64(t), t_edges)
-    xi = _uniform_bin(np.asarray(xs, dtype=float).ravel(), x_edges)
-    counts[ti] += np.bincount(xi, minlength=counts.shape[1])
+def bin_trajectory_points(grid: HeatmapGrid, row: int, xs, counts) -> None:
+    """Add points xs into the given row of counts, shaped as grid.counts, in place;
+    x outside the edges, NaN and +-inf clip into the first or last bin."""
+    xi = _uniform_bin(np.asarray(xs, dtype=float).ravel(), grid.x_edges)
+    counts[row] += np.bincount(xi, minlength=counts.shape[1])
 
 
 def heatmap_grid(heatmap: dict, t_max: float, D: int) -> HeatmapGrid:
@@ -154,13 +147,16 @@ def heatmap_grid(heatmap: dict, t_max: float, D: int) -> HeatmapGrid:
     for key, bins in (("t_bins", t_bins), ("x_bins", x_bins)):
         if bins < 1:
             raise ValueError(f"heatmap.{key}: must be a positive integer")
-    if not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
-        raise ValueError("heatmap.x_min, heatmap.x_max: need finite x_min < x_max")
+    if not (x_min < x_max and np.isfinite(x_max - x_min)):
+        raise ValueError("heatmap.x_min, heatmap.x_max: need x_min < x_max at a finite distance")
     if D != 1:
         raise ValueError(f"heatmap: heatmaps are for 1D runs, not D={D}")
+    x_edges = np.linspace(x_min, x_max, x_bins + 1)
+    # _uniform_bin needs increasing edges; t's over [0, t_max >= 1] increase up to 4e15 bins
+    if not np.all(np.diff(x_edges) > 0.0):
+        raise ValueError(f"heatmap.x_min, heatmap.x_max: {x_bins} bins finer than float spacing")
     return HeatmapGrid(t_edges=np.linspace(0.0, float(t_max), t_bins + 1),
-                       x_edges=np.linspace(x_min, x_max, x_bins + 1),
-                       counts=np.zeros((t_bins, x_bins), dtype=np.int64))
+                       x_edges=x_edges, counts=np.zeros((t_bins, x_bins), dtype=np.int64))
 
 
 def mode_statistics(samples, modes) -> list[dict]:

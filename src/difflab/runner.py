@@ -57,6 +57,7 @@ def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
     tv = result.tv[lo:hi]   # a view: the block adds into its own rows
     prev_x = None
     counts = None if grid is None else np.zeros_like(grid.counts)
+    rows = None if grid is None else grid.rows(plan.t_prev)
 
     for k in range(K):
         state, x_next, x0_hat, _ = _step_core(state, model, schedule, config,
@@ -68,7 +69,7 @@ def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
             record.xs[lo:lo + n_rec, k] = x_next[:n_rec]
             record.x0_hats[lo:lo + n_rec, k] = x0_hat[:n_rec]
         if counts is not None:
-            bin_trajectory_points(plan.t_prev[k], x_next, grid.t_edges, grid.x_edges, counts)
+            bin_trajectory_points(grid, rows[k], x_next, counts)
 
     result.samples[lo:hi] = prev_x     # the last step's x_{t-1} is x_0
     return counts
@@ -99,9 +100,8 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
     else:
         counts = [work(lo) for lo in starts]
 
-    if result.heatmap is not None:
-        for block_counts in counts:     # integer sums: the same in any order
-            result.heatmap.counts[:] += block_counts
+    if result.heatmap is not None:      # integer sums: the same in any order
+        result.heatmap.counts[:] += sum(counts)
     return result
 
 

@@ -7,11 +7,15 @@ a cleanup that deletes one fails here first.
 
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import difflab
 import difflab.cli  # noqa: F401  (the tracer reads every module off the package)
 from difflab import runner
+from difflab.model import GaussianMixtureModel
+from difflab.samplers import SamplerConfig
+from difflab.schedule import linear_beta_schedule
 
 _TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -33,3 +37,24 @@ def test_tracer_finds_every_hook():
     # the tracer reads the step kernel's first five arguments by position
     params = list(inspect.signature(runner._step_core).parameters)[:5]
     assert params == ["state", "model", "schedule", "config", "eps_noise"]
+
+
+def test_tracer_sees_every_per_step_call():
+    # a refactor that stops calling a wrapped name would make its metric read
+    # a measured 0 instead of failing: 2 blocks x 20 steps, 2100 chains
+    tracer = _load_tracer().Tracer()
+    tracer.install(difflab)
+    try:
+        gmm = GaussianMixtureModel(weights=[0.5, 0.5], means=[[-2.0], [4.0]],
+                                   variances=[0.0, 0.0])
+        runner.run_chains(gmm, linear_beta_schedule(20, 1e-3, 0.05), SamplerConfig.vanilla(),
+                          2100, seed=0, threads=2,
+                          heatmap={"t_bins": 5, "x_bins": 12, "x_min": -6, "x_max": 6})
+        spans, _ = tracer.take()
+    finally:
+        tracer.uninstall()
+    calls = Counter(span[3] for span in spans)
+    assert {name: calls[name] for name in ("metrics.heatmap_bin", "samplers.step", "model.eps",
+                                           "runner.block", "runner.noise")} == {
+        "metrics.heatmap_bin": 40, "samplers.step": 40, "model.eps": 40,
+        "runner.block": 2, "runner.noise": 2100}

@@ -88,6 +88,12 @@ def test_missing_spec_exits(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == f"error: spec file not found: {tmp_path / 'nope.json'}\n"
     assert list(tmp_path.iterdir()) == []
+    # a directory is not a spec file either
+    spec_dir = tmp_path / "spec_dir"
+    spec_dir.mkdir()
+    assert main(["run", str(spec_dir)]) == 2
+    assert capsys.readouterr().err == f"error: spec file not found: {spec_dir}\n"
+    assert list(tmp_path.iterdir()) == [spec_dir] and list(spec_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -338,7 +344,12 @@ def test_sweep_without_chains_exits_2(spec_file, tmp_path, capsys):
 @pytest.mark.parametrize("key,value,field", [
     ("model", {"weights": [1.0], "means": [[0.0, 1.0]], "variances": [0.1]}, "heatmap"),
     ("trajectory_chains", -3, "trajectory_chains"),
-], ids=["heatmap-on-2d", "negative-trajectory-chains"])
+    ("heatmap", {"t_bins": 10, "x_bins": 120, "x_min": 1e15, "x_max": 1e15 + 1},
+     "heatmap.x_min, heatmap.x_max"),
+    ("heatmap", {"t_bins": 10, "x_bins": 120, "x_min": -1e308, "x_max": 1e308},
+     "heatmap.x_min, heatmap.x_max"),
+], ids=["heatmap-on-2d", "negative-trajectory-chains", "x-bins-narrower-than-float-spacing",
+        "x-range-wider-than-floats"])
 def test_bad_record_setting_exits_2_before_running(spec_file, tmp_path, capsys,
                                                    key, value, field):
     spec = json.loads(spec_file.read_text())
@@ -398,6 +409,32 @@ def test_out_dir_naming_a_file_exits_1_with_one_line(spec_file, tmp_path, capsys
     assert main(["run", str(spec_file), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("source", ["flag", "variable"])
+def test_empty_out_dir_exits_2_leaving_the_working_directory_alone(
+        spec_file, tmp_path, capsys, monkeypatch, command, source):
+    path = spec_file
+    if command == "sweep":
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"base": json.loads(spec_file.read_text()),
+                                    "axis": "K", "values": [10]}))
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "samples.csv").write_text("an earlier run's samples\n")
+    monkeypatch.chdir(work)
+    argv = [command, str(path)]
+    if source == "flag":
+        argv += ["--out-dir", ""]
+        name = "--out-dir"
+    else:
+        monkeypatch.setenv("DIFFLAB_OUT_DIR", "")
+        name = "DIFFLAB_OUT_DIR"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {name}: must not be empty\n"
+    assert [p.name for p in work.iterdir()] == ["samples.csv"]
+    assert (work / "samples.csv").read_text() == "an earlier run's samples\n"
 
 
 def test_failed_rerun_leaves_no_earlier_samples(spec_file, tmp_path, monkeypatch):

@@ -165,20 +165,20 @@ def test_run_chains_heatmap_counts_conserved():
 
 def test_run_chains_heatmap_matches_build_heatmap():
     # the in-run accumulation and build_heatmap over the recorded trajectories
-    # must bin every point into the same cell
+    # must bin every point into the same cell, in one block and merged from two
     gmm = two_point()
     sched = respace(linear_beta_schedule(100, 1e-3, 0.05), 30, "quadratic")
-    n = 300
     heat = {"t_bins": 7, "x_bins": 24, "x_min": -3.0, "x_max": 5.0}
-    res = run_chains(gmm, sched, SamplerConfig(), n, seed=4,
-                     trajectory_chains=n, heatmap=heat)
-    assert res.trajectories.xs.shape == (n, len(sched.tau), 1)
-    grid = build_heatmap(res.trajectories, t_bins=7, x_bins=24, x_range=(-3.0, 5.0),
-                         t_range=(0.0, float(sched.tau[-1])))
-    assert np.array_equal(res.heatmap.t_edges, grid.t_edges)
-    assert np.array_equal(res.heatmap.x_edges, grid.x_edges)
-    assert np.array_equal(res.heatmap.counts, grid.counts)
-    assert grid.counts.sum() == n * len(sched.tau)
+    for n, threads in ((300, 1), (2100, 2)):
+        res = run_chains(gmm, sched, SamplerConfig(), n, seed=4, threads=threads,
+                         trajectory_chains=n, heatmap=heat)
+        assert res.trajectories.xs.shape == (n, len(sched.tau), 1)
+        grid = build_heatmap(res.trajectories, t_bins=7, x_bins=24, x_range=(-3.0, 5.0),
+                             t_range=(0.0, float(sched.tau[-1])))
+        assert np.array_equal(res.heatmap.t_edges, grid.t_edges)
+        assert np.array_equal(res.heatmap.x_edges, grid.x_edges)
+        assert np.array_equal(res.heatmap.counts, grid.counts)
+        assert grid.counts.sum() == n * len(sched.tau)
 
 
 @pytest.mark.parametrize("D", [1, 2])
@@ -285,12 +285,18 @@ def test_execute_run_outputs(tmp_path):
 
 
 def test_execute_run_byte_identical_across_threads(tmp_path):
-    spec = RunSpec.from_dict(base_spec_dict(n_chains=4100, trajectory_chains=2))
+    # three blocks, so the heatmap merges counts from several blocks; the
+    # manifest records the thread count and is left out
+    spec = RunSpec.from_dict(base_spec_dict(
+        n_chains=4100, trajectory_chains=2,
+        heatmap={"t_bins": 7, "x_bins": 24, "x_min": -3.0, "x_max": 5.0}))
     digests = set()
     for k in (1, 2, 8):
         out = tmp_path / f"t{k}"
         execute_run(replace(spec, threads=k), out)
-        digests.add(hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest())
+        digests.add(tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                          for name in ("samples.csv", "trajectories.csv", "heatmap.csv",
+                                       "metrics.json")))
     assert len(digests) == 1
 
 

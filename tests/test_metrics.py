@@ -8,8 +8,8 @@ import pytest
 
 from scipy.stats import wasserstein_distance
 
-from difflab.metrics import (HeatmapGrid, bin_trajectory_points, mixture_quantile,
-                             mode_statistics, sliced_w1, wasserstein1_1d)
+from difflab.metrics import (HeatmapGrid, bin_trajectory_points, heatmap_grid,
+                             mixture_quantile, mode_statistics, sliced_w1, wasserstein1_1d)
 from difflab.model import GaussianMixtureModel
 from difflab.samplers import Trajectory
 
@@ -143,8 +143,9 @@ def test_mode_statistics():
                                              ((0.1, 0.7), 1), ((-1e-3, 2e-3), 7)])
 def test_bin_trajectory_points_matches_digitize_reference(x_range, x_bins):
     rng = np.random.default_rng(x_bins)
-    t_edges = np.linspace(0.0, 200.0, 101)
-    x_edges = np.linspace(x_range[0], x_range[1], x_bins + 1)
+    grid = heatmap_grid({"t_bins": 100, "x_bins": x_bins, "x_min": x_range[0],
+                         "x_max": x_range[1]}, 200.0, 1)
+    t_edges, x_edges = grid.t_edges, grid.x_edges
     span = x_range[1] - x_range[0]
     specials = [np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0, -0.0]
     xs = np.concatenate([
@@ -154,17 +155,10 @@ def test_bin_trajectory_points_matches_digitize_reference(x_range, x_bins):
                          rng.integers(-10, 211, 20)])
     got = np.zeros((100, x_bins), dtype=np.int64)
     ref = np.zeros_like(got)
-    for t in ts:    # got accumulates in place across calls
-        bin_trajectory_points(t, xs[:, None], t_edges, x_edges, got)
+    for t, row in zip(ts, grid.rows(ts)):    # got accumulates in place across calls
+        bin_trajectory_points(grid, row, xs[:, None], got)
         reference_bin(np.full(xs.size, t), xs, t_edges, x_edges, ref)
         assert np.array_equal(got, ref), t
-
-
-def test_bin_trajectory_points_rejects_uneven_edges():
-    counts = np.zeros((1, 3), dtype=np.int64)
-    for x_edges in (np.array([0.0, 1.0, 2.5, 3.0]), np.linspace(1.0, 0.0, 4)):
-        with pytest.raises(ValueError):
-            bin_trajectory_points(0.5, [0.5], np.array([0.0, 1.0]), x_edges, counts)
 
 
 def test_heatmap_csv_bytes_match_csv_writer_reference(tmp_path):

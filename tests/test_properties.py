@@ -11,10 +11,13 @@ from hypothesis import Phase, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from difflab.config import RunSpec, SpecError
+from difflab.metrics import bin_trajectory_points, heatmap_grid
 from difflab.model import GaussianMixtureModel
 from difflab.runner import run_chains
 from difflab.samplers import StepPlan, SamplerConfig
 from difflab.schedule import linear_beta_schedule, respace
+
+from oracles import reference_bin
 
 ETA_MODES = ("deterministic", "ddpm_unit", "ddpm_hat")
 # few examples, the same ones on every run, and nothing written to disk
@@ -109,6 +112,50 @@ def test_plan_build_fails_only_with_value_error_and_validate_names_it(
             spec.validate()
     else:
         spec.validate()
+
+
+@st.composite
+def x_ranges(draw):
+    """(x_min, x_max, x_bins): x_min is 0 or +-10^U(-12, 17), and the span runs
+    log-uniformly from a few float spacings per bin up to 1e6."""
+    x_bins = draw(st.integers(1, 300))
+    x_min = draw(st.sampled_from((0.0, 1.0, -1.0))) * 10.0 ** draw(st.floats(-12.0, 17.0))
+    ulp = max(np.spacing(abs(x_min)), np.finfo(float).tiny)   # the smallest normal at 0
+    narrowest = np.log10(x_bins * ulp * draw(st.floats(0.5, 4.0)))
+    span = 10.0 ** (narrowest + draw(st.floats(0.0, 1.0)) * (6.0 - narrowest))
+    return x_min, x_min + span, x_bins
+
+
+@settings(_FEW, max_examples=300)   # cheap: no chains run
+@given(x_ranges())
+@example((1e15, 1e15 + 1, 120))
+@example((-6.0, 6.0, 120))
+@example((-1e308, 1e308, 120))     # x_max - x_min overflows
+def test_heatmap_grid_rejects_x_edges_that_do_not_increase_and_bins_like_digitize(x_range):
+    # binning guesses each bin by arithmetic and corrects it by one comparison
+    # on each side, which is exact only when the guess is off by at most one:
+    # heatmap_grid must reject every x range whose edges would break that
+    x_min, x_max, x_bins = x_range
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges = np.linspace(x_min, x_max, x_bins + 1)
+        increasing = np.all(np.diff(edges) > 0.0)
+    setting = {"t_bins": 3, "x_bins": x_bins, "x_min": x_min, "x_max": x_max}
+    if not increasing:
+        event("x edges do not increase")
+        with pytest.raises(ValueError, match=r"^heatmap\.x_min, heatmap\.x_max: "):
+            heatmap_grid(setting, 30.0, 1)
+        return
+    grid = heatmap_grid(setting, 30.0, 1)
+    assert np.array_equal(grid.x_edges, edges)
+    span = x_max - x_min
+    xs = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                         [np.nan, np.inf, -np.inf],
+                         np.random.default_rng(x_bins).uniform(x_min - span, x_max + span, 500)])
+    got = np.zeros_like(grid.counts)
+    ref = np.zeros_like(grid.counts)
+    bin_trajectory_points(grid, 1, xs, got)
+    reference_bin(np.full(xs.size, 15.0), xs, grid.t_edges, grid.x_edges, ref)
+    assert np.array_equal(got, ref)
 
 
 @_FEW
