@@ -61,12 +61,17 @@ def _apply_run_overrides(spec: RunSpec, args) -> RunSpec:
     return spec.with_overrides(**changes)
 
 
-def _out_dir(args) -> Path:
-    out = args.out_dir if args.out_dir is not None else _env("out_dir")
-    if out == "":   # Path("") is the working directory, which the run would clear
-        name = "--out-dir" if args.out_dir == "" else f"{ENV_PREFIX}OUT_DIR"
+def _out_path(value, name: str, default: str) -> Path:
+    """The path a flag or variable names, or default when it is unset."""
+    if value == "":   # Path("") is the working directory, which a run would clear
         raise SpecError(f"{name}: must not be empty")
-    return Path(out) if out is not None else Path("runs/latest")
+    return Path(default if value is None else value)
+
+
+def _out_dir(args) -> Path:
+    if args.out_dir is None and _env("out_dir") is not None:
+        return _out_path(_env("out_dir"), f"{ENV_PREFIX}OUT_DIR", "runs/latest")
+    return _out_path(args.out_dir, "--out-dir", "runs/latest")
 
 
 def cmd_run(args) -> int:
@@ -92,8 +97,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    out = _out_path(args.out, "--out", "verify_report.json")
     report = run_all_checks()
-    out = args.out if args.out is not None else "verify_report.json"
     write_json(out, report)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
@@ -104,9 +109,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_schedules_dump(args) -> int:
+    out = _out_path(args.out, "--out", "schedule.csv")
     spec = RunSpec.from_json(_resolve_spec_path(args.spec))
     sched = spec.build_schedule()
-    out = args.out if args.out is not None else "schedule.csv"
     sched.to_csv(out)
     print(f"schedule ({sched.T} steps) written to {out}")
     return 0

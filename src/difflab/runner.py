@@ -2,8 +2,11 @@
 
 Chains are independent; chain i draws all of its noise from a dedicated
 generator seeded with (master seed, i), so adding chains or changing the
-thread count never perturbs existing ones. Blocks of chains are stepped
-vectorized; file writes happen once, after every block has finished.
+thread count never perturbs existing ones. The generator states of a block
+are derived in bulk, by numpy's own SeedSequence hash and PCG64 seeding run
+over every chain index at once, and give the same bytes as
+np.random.default_rng([seed, i]). Blocks of chains are stepped vectorized;
+file writes happen once, after every block has finished.
 """
 
 from __future__ import annotations
@@ -35,21 +38,92 @@ class RunResult:
     metrics: dict | None = None
 
 
-def _chain_noise(seed: int, index: int, n_steps: int, D: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, index])
-    return rng.standard_normal((n_steps + 1, D))
+# numpy's SeedSequence hash (a pool of four uint32 words) and PCG64's LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+
+
+def _hash_steps(const: int, mult: int):
+    """The (xor, multiplier) pair of each successive SeedSequence hash call."""
+    while True:
+        nxt = const * mult & _M32
+        yield np.uint32(const), np.uint32(nxt)
+        const = nxt
+
+
+def _hash(value: np.ndarray, steps) -> np.ndarray:
+    xor, mult = next(steps)
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = x * _MIX_L - y * _MIX_R
+    return value ^ (value >> 16)
+
+
+def _chain_seeds(seed: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) that np.random.default_rng([seed, i]) starts from,
+    for each chain i in lo..hi-1: numpy's SeedSequence run once over the block."""
+    seed = int(seed)
+    if seed < 0 or hi > 2**32:   # a chain index of two uint32 words would wrap
+        raise ValueError(f"need seed >= 0 and chain indices below 2**32, "
+                         f"not seed {seed}, chains {lo}..{hi - 1}")
+    n = hi - lo
+    entropy = [np.full(n, seed >> shift & _M32, np.uint32)    # seed words, low first
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(lo, hi, dtype=np.uint64).astype(np.uint32))
+    steps = _hash_steps(_INIT_A, _MULT_A)
+    padded = entropy + [np.zeros(n, np.uint32)] * (4 - len(entropy))
+    pool = [_hash(word, steps) for word in padded[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], steps))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hash(word, steps))
+    steps = _hash_steps(_INIT_B, _MULT_B)
+    words = [_hash(pool[j % 4], steps).astype(np.uint64) for j in range(8)]
+    # little-endian word pairs give PCG64's seed (hi, lo) and increment (hi, lo)
+    seeds = []
+    for s_hi, s_lo, q_hi, q_lo in zip(*((words[2 * j] | words[2 * j + 1] << np.uint64(32))
+                                        .tolist() for j in range(4))):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
+        # PCG64's seeding: one LCG step from 0, add the seed, one more step
+        seeds.append(((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128, inc))
+    return seeds
+
+
+def _chain_noise(gen: np.random.Generator, state: int, inc: int,
+                 out: np.ndarray) -> np.ndarray:
+    """Fill one chain's (K + 1, D) noise rows from the PCG64 state (state, inc)."""
+    gen.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return gen.standard_normal(out=out)
+
+
+def _block_noise(seed: int, lo: int, hi: int, K: int, D: int) -> np.ndarray:
+    """Chains lo..hi-1's noise, (hi - lo, K + 1, D): chain i's rows are the first
+    (K + 1) * D standard normals of np.random.default_rng([seed, i])."""
+    seeds = _chain_seeds(seed, lo, hi)
+    noise = np.empty((hi - lo, K + 1, D))
+    gen = np.random.Generator(np.random.PCG64(0))   # reseeded for every chain
+    for row, (state, inc) in zip(noise, seeds):
+        _chain_noise(gen, state, inc, row)
+    return noise
 
 
 def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
                plan: StepPlan, seed: int, lo: int, hi: int, result: RunResult):
     """Step chains lo..hi-1, writing their rows of the result's samples, tv and
     trajectories in place; returns their heatmap counts (None without a heatmap)."""
-    n = hi - lo
     K = plan.K
-    D = model.D
-    noise = np.empty((n, K + 1, D))
-    for i in range(n):
-        noise[i] = _chain_noise(seed, lo + i, K, D)
+    noise = _block_noise(seed, lo, hi, K, model.D)
     state = ChainState.init(noise[:, 0, :], plan)
 
     record, grid = result.trajectories, result.heatmap

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import difflab
+import difflab.cli
 import difflab.runner
 
 from difflab.cli import main
@@ -435,6 +436,19 @@ def test_empty_out_dir_exits_2_leaving_the_working_directory_alone(
     assert capsys.readouterr().err == f"error: {name}: must not be empty\n"
     assert [p.name for p in work.iterdir()] == ["samples.csv"]
     assert (work / "samples.csv").read_text() == "an earlier run's samples\n"
+
+
+@pytest.mark.parametrize("argv,first_work", [
+    (["verify", "--out", ""], "run_all_checks"),
+    (["schedules", "dump", "toy_fig4", "--out", ""], "_resolve_spec_path")])
+def test_empty_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, first_work):
+    def work(*args):
+        raise AssertionError(f"{first_work} ran")
+    monkeypatch.setattr(difflab.cli, first_work, work)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --out: must not be empty\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_rerun_leaves_no_earlier_samples(spec_file, tmp_path, monkeypatch):

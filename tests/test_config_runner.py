@@ -10,8 +10,8 @@ import pytest
 
 from difflab.config import RunSpec, SpecError, SweepSpec
 from difflab.model import GaussianMixtureModel
-from difflab.runner import (_write_samples_csv, _write_trajectories_csv, compute_metrics,
-                            execute_run, execute_sweep, run_chains)
+from difflab.runner import (_block_noise, _write_samples_csv, _write_trajectories_csv,
+                            compute_metrics, execute_run, execute_sweep, run_chains)
 from difflab.samplers import SamplerConfig, Trajectory
 from difflab.schedule import linear_beta_schedule, respace
 
@@ -143,6 +143,16 @@ def test_run_chains_extension_stability():
     small = run_chains(gmm, sched, cfg, 50, seed=9).samples
     big = run_chains(gmm, sched, cfg, 200, seed=9).samples
     assert np.array_equal(big[:50], small)
+
+
+def test_block_noise_refuses_chain_indices_from_2_to_the_32():
+    # the bulk seeding hashes a chain index as one uint32 word; past it, it would wrap
+    top = 2**32
+    noise = _block_noise(5, top - 3, top, 4, 2)
+    for i, rows in zip(range(top - 3, top), noise):
+        assert rows.tobytes() == np.random.default_rng([5, i]).standard_normal((5, 2)).tobytes()
+    with pytest.raises(ValueError, match="below 2\\*\\*32"):
+        _block_noise(5, top - 2, top + 1, 4, 2)
 
 
 def test_run_chains_zero_chains():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from difflab.config import RunSpec, SpecError
 from difflab.metrics import bin_trajectory_points, heatmap_grid
 from difflab.model import GaussianMixtureModel
-from difflab.runner import run_chains
+from difflab.runner import _block_noise, run_chains
 from difflab.samplers import StepPlan, SamplerConfig
 from difflab.schedule import linear_beta_schedule, respace
 
@@ -156,6 +156,24 @@ def test_heatmap_grid_rejects_x_edges_that_do_not_increase_and_bins_like_digitiz
     bin_trajectory_points(grid, 1, xs, got)
     reference_bin(np.full(xs.size, 15.0), xs, grid.t_edges, grid.x_edges, ref)
     assert np.array_equal(got, ref)
+
+
+@settings(_FEW, max_examples=50)   # cheap: a few chains of a few rows
+@given(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96 - 1),
+                 st.integers(2**96, 2**160)),
+       st.integers(1, 2**21 - 1), st.integers(0, 3), st.integers(1, 3),
+       st.integers(0, 12), st.integers(1, 4))
+@example(0, 1, 3, 3, 200, 1)                  # fig4's rows across the first block edge
+@example(2**96, 2**21 - 1, 2, 3, 4, 2)        # five hash words, the last block edge
+def test_block_noise_is_each_chains_default_rng_stream(seed, edge, before, after, K, D):
+    # chain i's noise is default_rng([seed, i])'s, byte for byte, across a
+    # 2048-chain block edge: a numpy release that seeds differently fails here
+    lo, hi = 2048 * edge - before, 2048 * edge + after
+    noise = _block_noise(seed, lo, hi, K, D)
+    assert noise.shape == (hi - lo, K + 1, D)
+    for i, rows in zip(range(lo, hi), noise):
+        want = np.random.default_rng([seed, i]).standard_normal((K + 1, D))
+        assert rows.tobytes() == want.tobytes(), i
 
 
 @_FEW
