@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -40,8 +39,8 @@ def _resolve_spec_path(arg: str) -> Path:
     raise SpecError(f"spec file not found: {arg}")
 
 
-def _apply_run_overrides(spec: RunSpec, args) -> RunSpec:
-    """The spec with each flag, or else its DIFFLAB_ variable, in place of its value."""
+def _run_overrides(args) -> dict:
+    """Each top-level spec value that a flag, or else its DIFFLAB_ variable, sets."""
     changes = {}
     for name, field in (("seed", "seed"), ("chains", "n_chains"), ("threads", "threads")):
         value = getattr(args, name)
@@ -58,7 +57,7 @@ def _apply_run_overrides(spec: RunSpec, args) -> RunSpec:
                         f"or empty, not {switch!r}")
     if args.no_trajectories or _SWITCH_VALUES.get(switch, False):
         changes["trajectories"] = False
-    return spec.with_overrides(**changes)
+    return changes
 
 
 def _out_path(value, name: str, default: str) -> Path:
@@ -75,7 +74,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_run(args) -> int:
-    spec = _apply_run_overrides(RunSpec.from_json(_resolve_spec_path(args.spec)), args)
+    spec = RunSpec.from_json(_resolve_spec_path(args.spec), _run_overrides(args))
     out = _out_dir(args)
     result = execute_run(spec, out)
     if spec.n_chains == 0:
@@ -87,8 +86,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    sweep = SweepSpec.from_json(_resolve_spec_path(args.spec))
-    sweep = replace(sweep, base=_apply_run_overrides(sweep.base, args))
+    sweep = SweepSpec.from_json(_resolve_spec_path(args.spec), _run_overrides(args))
     out = _out_dir(args)
     rows = execute_sweep(sweep, out)
     print(f"swept {sweep.axis} over {list(sweep.values)} "
@@ -161,9 +159,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, OSError, SecondMomentError) as exc:
-        # a bad spec, flag or variable; the file system; a run that diverged
-        print(f"error: {exc}", file=sys.stderr)
+    except (SpecError, OSError, SecondMomentError, MemoryError) as exc:
+        # a bad spec, flag or variable; the file system; a diverged run; no memory
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, SpecError) else 1
 
 

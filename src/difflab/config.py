@@ -170,8 +170,8 @@ class RunSpec:
             StepPlan.build(schedule, config)
         except ValueError as exc:
             raise SpecError(f"sampler.eta_mode: {exc}") from exc
-        if self.n_chains < 0:
-            raise SpecError("n_chains: must be non-negative")
+        if not 0 <= self.n_chains <= 2**32:   # the runner's chain indices are uint32
+            raise SpecError("n_chains: must be between 0 and 2**32")
         if self.seed < 0:
             raise SpecError("seed: must be non-negative")
         if self.threads < 1:
@@ -186,10 +186,10 @@ class RunSpec:
         return self
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunSpec":
-        """The validated spec of a JSON object; a field it leaves out takes the
-        dataclass default."""
-        d = _object(d, "spec")
+    def from_dict(cls, d: dict, overrides: dict | None = None) -> "RunSpec":
+        """The validated spec of a JSON object, with the top-level values of
+        overrides in place of its own; a field left out takes the dataclass default."""
+        d = {**_object(d, "spec"), **(overrides or {})}
         layout = {}    # section -> its fields, in declaration order
         for f in fields(cls):
             layout.setdefault(f.metadata["section"], []).append(f)
@@ -215,11 +215,8 @@ class RunSpec:
         return d
 
     @classmethod
-    def from_json(cls, path) -> "RunSpec":
-        return cls.from_dict(_read_json(path, "spec"))
-
-    def with_overrides(self, **kw) -> "RunSpec":
-        return replace(self, **kw).validate()
+    def from_json(cls, path, overrides: dict | None = None) -> "RunSpec":
+        return cls.from_dict(_read_json(path, "spec"), overrides)
 
 
 # the rule that reads a sweep value, by the field the axis sweeps
@@ -262,11 +259,12 @@ class SweepSpec:
                        seed=base.seed + seed_offset)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SweepSpec":
+    def from_dict(cls, d: dict, overrides: dict | None = None) -> "SweepSpec":
+        """The validated sweep of a JSON object; overrides apply to its base."""
         d = _object(d, "sweep")
         _known(d, ("base", "axis", "values", "seeds_per_cell"), "sweep.")
         return cls(
-            base=RunSpec.from_dict(_get(d, "base", "sweep")),
+            base=RunSpec.from_dict(_get(d, "base", "sweep"), overrides),
             axis=_str(_get(d, "axis", "sweep"), "sweep.axis"),
             # an array of anything here; __post_init__ reads each value by the axis's rule
             values=_array(lambda value, name: value)(_get(d, "values", "sweep"), "sweep.values"),
@@ -274,5 +272,5 @@ class SweepSpec:
         )
 
     @classmethod
-    def from_json(cls, path) -> "SweepSpec":
-        return cls.from_dict(_read_json(path, "sweep spec"))
+    def from_json(cls, path, overrides: dict | None = None) -> "SweepSpec":
+        return cls.from_dict(_read_json(path, "sweep spec"), overrides)

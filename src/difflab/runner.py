@@ -11,6 +11,7 @@ file writes happen once, after every block has finished.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -168,8 +169,9 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
                           min(lo + _BLOCK, n_chains), result)
 
     starts = range(0, n_chains, _BLOCK)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1)   # map submits every block at once
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(work, starts))
     else:
         counts = [work(lo) for lo in starts]
@@ -254,11 +256,11 @@ def execute_sweep(sweep: SweepSpec, out_dir) -> list[tuple]:
     """Run every sweep cell and write the per-cell metrics table with the argmin
     value marked; returns each cell's (value, seed, metrics)."""
     out = fresh_out_dir(out_dir, ("sweep.csv", "sweep_summary.json"))
+    model = sweep.base.build_model()   # no sweep axis touches the model
     cells = {value: [] for value in sweep.values}   # each value's (seed, metrics)
     for value, runs in cells.items():
         for s in range(sweep.seeds_per_cell):
             spec = sweep.cell_spec(value, s)
-            model = spec.build_model()
             result = run_chains(model, spec.build_schedule(), spec.build_sampler_config(),
                                 spec.n_chains, spec.seed, threads=spec.threads)
             runs.append((spec.seed, compute_metrics(result, model, spec.seed)))

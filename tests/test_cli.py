@@ -660,3 +660,65 @@ def test_other_no_trajectories_value_exits_2_naming_the_variable(spec_file, tmp_
     assert main(["run", str(spec_file), "--out-dir", str(out)]) == 2
     assert "error: DIFFLAB_NO_TRAJECTORIES:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _sweep_file(spec_file, tmp_path, **base_over):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"base": {**json.loads(spec_file.read_text()), **base_over},
+                                "axis": "K", "values": [10, 20], "seeds_per_cell": 2}))
+    return path
+
+
+def test_run_and_sweep_validate_each_spec_once(spec_file, tmp_path, monkeypatch):
+    # the flags are laid over the file before it is read: no second read of the spec
+    calls = []
+    validate = RunSpec.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+    monkeypatch.setattr(RunSpec, "validate", counted)
+    assert main(["run", str(spec_file), "--out-dir", str(tmp_path / "run"),
+                 "--seed", "4", "--chains", "6"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["sweep", str(_sweep_file(spec_file, tmp_path)),
+                 "--out-dir", str(tmp_path / "sweep"), "--seed", "4"]) == 0
+    assert len(calls) == 1 + 2    # the base, then each value's cell
+
+
+def test_flag_replaces_an_invalid_file_value(spec_file, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(spec_file.read_text()), "threads": 0}))
+    out = tmp_path / "run"
+    assert main(["run", str(bad), "--out-dir", str(out), "--threads", "1"]) == 0
+    with open(out / "manifest.json") as fh:
+        assert json.load(fh)["spec"]["threads"] == 1
+    # the sweep over 0 chains with --chains 5 is the sweep over 5 chains
+    assert main(["sweep", str(_sweep_file(spec_file, tmp_path, n_chains=5)),
+                 "--out-dir", str(tmp_path / "five")]) == 0
+    assert main(["sweep", str(_sweep_file(spec_file, tmp_path, n_chains=0)),
+                 "--out-dir", str(tmp_path / "flag"), "--chains", "5"]) == 0
+    assert (tmp_path / "flag" / "sweep.csv").read_bytes() == \
+        (tmp_path / "five" / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_chain_count_above_2_to_the_32_exits_2_leaving_the_out_dir(spec_file, tmp_path,
+                                                                   capsys, command):
+    path = spec_file if command == "run" else _sweep_file(spec_file, tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "samples.csv").write_text("an earlier run's samples\n")
+    assert main([command, str(path), "--out-dir", str(out),
+                 "--chains", "10000000000000"]) == 2
+    assert capsys.readouterr().err == "error: n_chains: must be between 0 and 2**32\n"
+    assert (out / "samples.csv").read_text() == "an earlier run's samples\n"
+
+
+def test_failed_allocation_exits_1_with_one_line(spec_file, tmp_path, capsys, monkeypatch):
+    def exhaust(*args, **kwargs):
+        raise MemoryError()
+    monkeypatch.setattr(difflab.runner, "run_chains", exhaust)
+    assert main(["run", str(spec_file), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"

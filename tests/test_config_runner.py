@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import difflab.runner as runner
 from difflab.config import RunSpec, SpecError, SweepSpec
 from difflab.model import GaussianMixtureModel
 from difflab.runner import (_block_noise, _write_samples_csv, _write_trajectories_csv,
@@ -388,3 +389,35 @@ def test_multid_metrics_use_sliced_w1(tmp_path):
         met = json.load(fh)
     assert met["w1"] is None
     assert met["sliced_w1"] is not None and met["sliced_w1"] < 0.5
+
+
+@pytest.mark.parametrize("cpus,width", [(2, 2), (None, None)], ids=["two-cpus", "unknown"])
+def test_run_chains_pool_is_never_wider_than_the_machine(monkeypatch, cpus, width):
+    # three blocks and 100000 threads asked for: the pool gets one worker per cpu,
+    # and with no cpu count known the blocks run on the calling thread
+    widths = []
+    pool = runner.ThreadPoolExecutor
+
+    def recorded(max_workers):
+        widths.append(max_workers)
+        return pool(max_workers=max_workers)
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", recorded)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+    gmm, sched, cfg = two_point(), linear_beta_schedule(4, 1e-3, 0.05), SamplerConfig.vanilla()
+    samples = run_chains(gmm, sched, cfg, 4100, seed=1, threads=100000).samples
+    assert widths == ([] if width is None else [width])
+    assert np.array_equal(samples, run_chains(gmm, sched, cfg, 4100, seed=1).samples)
+
+
+def test_execute_sweep_builds_the_model_once(tmp_path, monkeypatch):
+    builds = []
+    build = RunSpec.build_model
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+    sweep = SweepSpec.from_dict({"base": base_spec_dict(trajectory_chains=0), "axis": "K",
+                                 "values": [10, 25], "seeds_per_cell": 2})
+    monkeypatch.setattr(RunSpec, "build_model", counted)
+    execute_sweep(sweep, tmp_path)
+    assert builds == [sweep.base]
