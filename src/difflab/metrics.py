@@ -19,6 +19,7 @@ from .model import GaussianMixtureModel
 __all__ = [
     "HeatmapGrid",
     "wasserstein1_1d",
+    "w1_quantiles",
     "mixture_quantile",
     "sliced_w1",
     "heatmap_grid",
@@ -28,11 +29,16 @@ __all__ = [
 
 
 def mixture_quantile(gmm: GaussianMixtureModel, u) -> np.ndarray:
-    """Inverse CDF of a 1D mixture; exact for pure point mixtures, bisection otherwise."""
+    """Inverse CDF of a 1D mixture; exact for pure point mixtures, bisection otherwise.
+
+    The bisection halves [lo, hi] at most 200 times and stops at the first
+    halving that leaves both unchanged: each halving is a fixed function of
+    (lo, hi, u), so no later one could move them.
+    """
     if gmm.D != 1:
         raise ValueError("mixture quantiles are 1D only")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any((u <= 0.0) | (u >= 1.0)):
+    if not np.all((u > 0.0) & (u < 1.0)):     # NaN too
         raise ValueError("quantile levels must lie strictly inside (0, 1)")
     mus = gmm.means[:, 0]
     sigs = np.sqrt(gmm.variances)
@@ -59,19 +65,30 @@ def mixture_quantile(gmm: GaussianMixtureModel, u) -> np.ndarray:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         below = cdf(mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        new_lo = np.where(below, mid, lo)
+        new_hi = np.where(below, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 
-def wasserstein1_1d(samples, mixture: GaussianMixtureModel) -> float:
+def w1_quantiles(mixture: GaussianMixtureModel, n: int) -> np.ndarray:
+    """The 1D mixture's quantiles at levels (i - 0.5) / n, i = 1..n: what
+    wasserstein1_1d matches n sorted samples with."""
+    return mixture_quantile(mixture, (np.arange(1, n + 1) - 0.5) / n)
+
+
+def wasserstein1_1d(samples, mixture: GaussianMixtureModel, quantiles=None) -> float:
     """Exact 1D W1 between an empirical sample set and a 1D mixture: matches the
-    sorted samples with the mixture's quantiles at levels (i - 0.5) / n."""
+    sorted samples with the mixture's quantiles at levels (i - 0.5) / n, or with
+    the given quantiles, w1_quantiles(mixture, n) computed once for many sets."""
     a = np.sort(np.asarray(samples, dtype=float).ravel())
     if a.size == 0:
         raise ValueError("empty sample set")
-    n = a.size
-    q = mixture_quantile(mixture, (np.arange(1, n + 1) - 0.5) / n)
+    q = w1_quantiles(mixture, a.size) if quantiles is None else quantiles
+    if q.shape != a.shape:
+        raise ValueError(f"{q.size} quantiles for {a.size} samples")
     return float(np.mean(np.abs(a - q)))
 
 

@@ -5,8 +5,9 @@ generator seeded with (master seed, i), so adding chains or changing the
 thread count never perturbs existing ones. The generator states of a block
 are derived in bulk, by numpy's own SeedSequence hash and PCG64 seeding run
 over every chain index at once, and give the same bytes as
-np.random.default_rng([seed, i]). Blocks of chains are stepped vectorized;
-file writes happen once, after every block has finished.
+np.random.default_rng([seed, i]). A chain draws only the rows its plan uses,
+a prefix of that stream. Blocks of chains are stepped vectorized; file writes
+happen once, after every block has finished.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from . import __version__
 from .config import RunSpec, SweepSpec
 from .files import FLOAT, fresh_out_dir, write_csv, write_json
 from .metrics import (HeatmapGrid, bin_trajectory_points, heatmap_grid,
-                      mode_statistics, sliced_w1, wasserstein1_1d)
+                      mode_statistics, sliced_w1, w1_quantiles, wasserstein1_1d)
 from .model import GaussianMixtureModel, sample_marginal
 from .samplers import ChainState, SamplerConfig, StepPlan, Trajectory, _step_core
 
@@ -101,18 +102,21 @@ def _chain_seeds(seed: int, lo: int, hi: int) -> list[tuple[int, int]]:
 
 def _chain_noise(gen: np.random.Generator, state: int, inc: int,
                  out: np.ndarray) -> np.ndarray:
-    """Fill one chain's (K + 1, D) noise rows from the PCG64 state (state, inc)."""
+    """Fill one chain's (rows, D) noise rows from the PCG64 state (state, inc)."""
     gen.bit_generator.state = {"bit_generator": "PCG64",
                                "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
     return gen.standard_normal(out=out)
 
 
-def _block_noise(seed: int, lo: int, hi: int, K: int, D: int) -> np.ndarray:
-    """Chains lo..hi-1's noise, (hi - lo, K + 1, D): chain i's rows are the first
-    (K + 1) * D standard normals of np.random.default_rng([seed, i])."""
+def _block_noise(seed: int, lo: int, hi: int, plan: StepPlan, D: int) -> np.ndarray:
+    """Chains lo..hi-1's used noise, (hi - lo, rows, D): x_T, then one row per
+    step up to the plan's last noisy one. Chain i's rows are the first rows * D
+    standard normals of np.random.default_rng([seed, i])."""
+    noisy = np.flatnonzero(plan.noise)
+    rows = 2 + int(noisy[-1]) if noisy.size else 1
     seeds = _chain_seeds(seed, lo, hi)
-    noise = np.empty((hi - lo, K + 1, D))
+    noise = np.empty((hi - lo, rows, D))
     gen = np.random.Generator(np.random.PCG64(0))   # reseeded for every chain
     for row, (state, inc) in zip(noise, seeds):
         _chain_noise(gen, state, inc, row)
@@ -124,7 +128,8 @@ def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
     """Step chains lo..hi-1, writing their rows of the result's samples, tv and
     trajectories in place; returns their heatmap counts (None without a heatmap)."""
     K = plan.K
-    noise = _block_noise(seed, lo, hi, K, model.D)
+    noise = _block_noise(seed, lo, hi, plan, model.D)
+    zero = np.zeros(model.D)    # the noise of every step past the drawn rows
     state = ChainState.init(noise[:, 0, :], plan)
 
     record, grid = result.trajectories, result.heatmap
@@ -135,8 +140,8 @@ def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
     rows = None if grid is None else grid.rows(plan.t_prev)
 
     for k in range(K):
-        state, x_next, x0_hat, _ = _step_core(state, model, schedule, config,
-                                              noise[:, k + 1, :], plan, k)
+        eps = noise[:, k + 1, :] if k + 1 < noise.shape[1] else zero
+        state, x_next, x0_hat, _ = _step_core(state, model, schedule, config, eps, plan, k)
         if prev_x is not None:
             tv += np.linalg.norm(x_next - prev_x, axis=-1)
         prev_x = x_next
@@ -181,8 +186,10 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
     return result
 
 
-def compute_metrics(result: RunResult, model: GaussianMixtureModel, seed: int) -> dict:
-    """Summary metrics against the exact data mixture."""
+def compute_metrics(result: RunResult, model: GaussianMixtureModel, seed: int,
+                    quantiles=None) -> dict:
+    """Summary metrics against the exact data mixture; a 1D model's W1 uses the
+    given w1_quantiles of it, when the caller has them."""
     out: dict = {
         "n_samples": int(result.samples.shape[0]),
         "tv_mean": float(np.mean(result.tv)) if result.tv.size else None,
@@ -192,7 +199,7 @@ def compute_metrics(result: RunResult, model: GaussianMixtureModel, seed: int) -
         out.update({"w1": None, "sliced_w1": None, "mode_stats": []})
         return out
     if model.D == 1:
-        out["w1"] = wasserstein1_1d(result.samples[:, 0], model)
+        out["w1"] = wasserstein1_1d(result.samples[:, 0], model, quantiles)
         out["sliced_w1"] = None
         out["mode_stats"] = mode_statistics(result.samples[:, 0], model.means[:, 0])
     else:
@@ -256,14 +263,16 @@ def execute_sweep(sweep: SweepSpec, out_dir) -> list[tuple]:
     """Run every sweep cell and write the per-cell metrics table with the argmin
     value marked; returns each cell's (value, seed, metrics)."""
     out = fresh_out_dir(out_dir, ("sweep.csv", "sweep_summary.json"))
-    model = sweep.base.build_model()   # no sweep axis touches the model
+    # no sweep axis touches the model or n_chains: every cell's W1 has one reference
+    model = sweep.base.build_model()
+    quantiles = w1_quantiles(model, sweep.base.n_chains) if model.D == 1 else None
     cells = {value: [] for value in sweep.values}   # each value's (seed, metrics)
     for value, runs in cells.items():
         for s in range(sweep.seeds_per_cell):
             spec = sweep.cell_spec(value, s)
             result = run_chains(model, spec.build_schedule(), spec.build_sampler_config(),
                                 spec.n_chains, spec.seed, threads=spec.threads)
-            runs.append((spec.seed, compute_metrics(result, model, spec.seed)))
+            runs.append((spec.seed, compute_metrics(result, model, spec.seed, quantiles)))
 
     # per-value mean of the quality metric; the argmin value's cells are marked
     key = "w1" if model.D == 1 else "sliced_w1"

@@ -1,15 +1,47 @@
-"""Independent references for what a run accumulates in its step loop.
+"""Independent references for what a run accumulates in its step loop, and
+for the metrics' mixture quantiles.
 
 The runner adds each step's total-variation increment and heatmap counts as it
 goes; these recompute both from the recorded trajectories after the fact, by a
 different route (one norm per recorded step; digitize + np.add.at binning), so
-the tests can compare the two bit for bit.
+the tests can compare the two bit for bit. The quantile reference bisects a
+fixed 200 times, with no early stop.
 """
 
 import numpy as np
+from scipy.special import ndtr
 
 from difflab.metrics import HeatmapGrid
+from difflab.model import GaussianMixtureModel
 from difflab.samplers import Trajectory
+
+
+def quantile_200_halvings(gmm: GaussianMixtureModel, u) -> np.ndarray:
+    """Inverse CDF of a 1D mixture at levels u: exact for pure point mixtures,
+    otherwise 200 halvings of [-span, span] whatever they reach."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    mus = gmm.means[:, 0]
+    sigs = np.sqrt(gmm.variances)
+    if np.all(sigs == 0.0):
+        order = np.argsort(mus)
+        idx = np.searchsorted(np.cumsum(gmm.weights[order]), u, side="left")
+        return mus[order][np.minimum(idx, mus.size - 1)]
+
+    def cdf(x):
+        terms = np.where(sigs > 0.0,
+                         ndtr((x[..., None] - mus) / np.where(sigs > 0.0, sigs, 1.0)),
+                         (x[..., None] >= mus).astype(float))
+        return terms @ gmm.weights
+
+    span = np.max(np.abs(mus)) + 12.0 * max(np.max(sigs), 1.0)
+    lo = np.full(u.shape, -span)
+    hi = np.full(u.shape, span)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = cdf(mid) < u
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def trajectory_total_variation(traj: Trajectory) -> np.ndarray:

@@ -2,18 +2,20 @@
 
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import difflab.metrics as metrics
 import difflab.runner as runner
 from difflab.config import RunSpec, SpecError, SweepSpec
 from difflab.model import GaussianMixtureModel
 from difflab.runner import (_block_noise, _write_samples_csv, _write_trajectories_csv,
                             compute_metrics, execute_run, execute_sweep, run_chains)
-from difflab.samplers import SamplerConfig, Trajectory
+from difflab.samplers import SamplerConfig, StepPlan, Trajectory
 from difflab.schedule import linear_beta_schedule, respace
 
 from oracles import build_heatmap, trajectory_total_variation
@@ -113,17 +115,24 @@ def test_sweepspec_k_axis():
 # --- batch runner ---------------------------------------------------------
 
 def test_run_chains_matches_single_chain_loop(drive_chains):
-    # the vectorized block runner reproduces each chain stepped on its own
-    gmm = two_point()
-    sched = linear_beta_schedule(30, 1e-3, 0.05)
-    cfg = SamplerConfig(method="adaptive", b=0.3, c=0.01)
+    # the vectorized block runner, which draws only the noise rows its plan uses,
+    # reproduces each chain stepped on its own with a row drawn for every step.
+    # Point masses snap the last step onto a mode; the smooth mixture shows
+    # every step's noise in the samples.
+    smooth = GaussianMixtureModel(weights=[0.5, 0.5], means=[[-2.0], [4.0]],
+                                  variances=[0.3, 0.3])
     seed = 17
-    res = run_chains(gmm, sched, cfg, n_chains=5, seed=seed)
-    for i in range(5):
-        rng = np.random.default_rng([seed, i])
-        noise = rng.standard_normal((len(sched.tau) + 1, 1))
-        x0, _ = drive_chains(gmm, sched, cfg, noise[0], lambda k, shape: noise[k + 1])
-        assert np.allclose(res.samples[i], x0, rtol=0, atol=1e-12)
+    for gmm, eta in itertools.product((two_point(), smooth),
+                                      ("ddpm_unit", "deterministic", "ddpm_hat")):
+        # ddpm_hat needs a non-expanding per-step rate, so a flat beta
+        sched = linear_beta_schedule(30, 1e-3, 1e-3 if eta == "ddpm_hat" else 0.05)
+        cfg = SamplerConfig(method="adaptive", eta_mode=eta, b=0.3, c=0.01)
+        res = run_chains(gmm, sched, cfg, n_chains=5, seed=seed)
+        for i in range(5):
+            rng = np.random.default_rng([seed, i])
+            noise = rng.standard_normal((len(sched.tau) + 1, 1))
+            x0, _ = drive_chains(gmm, sched, cfg, noise[0], lambda k, shape: noise[k + 1])
+            assert np.allclose(res.samples[i], x0, rtol=0, atol=1e-12), (eta, i)
 
 
 def test_run_chains_thread_invariance():
@@ -149,11 +158,27 @@ def test_run_chains_extension_stability():
 def test_block_noise_refuses_chain_indices_from_2_to_the_32():
     # the bulk seeding hashes a chain index as one uint32 word; past it, it would wrap
     top = 2**32
-    noise = _block_noise(5, top - 3, top, 4, 2)
+    plan = StepPlan.build(linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla())
+    noise = _block_noise(5, top - 3, top, plan, 2)
     for i, rows in zip(range(top - 3, top), noise):
         assert rows.tobytes() == np.random.default_rng([5, i]).standard_normal((5, 2)).tobytes()
     with pytest.raises(ValueError, match="below 2\\*\\*32"):
-        _block_noise(5, top - 2, top + 1, 4, 2)
+        _block_noise(5, top - 2, top + 1, plan, 2)
+
+
+@pytest.mark.parametrize("eta", ["deterministic", "ddpm_unit", "ddpm_hat"])
+def test_block_noise_draws_the_prefix_its_plan_uses(eta):
+    # x_T and one row per step up to the last noisy step, the prefix of each
+    # chain's full stream; no noisy step is left without its row
+    sched = respace(linear_beta_schedule(40, 0.02, 0.02), 12, "quadratic")   # fits ddpm_hat
+    plan = StepPlan.build(sched, SamplerConfig.vanilla(eta))
+    noise = _block_noise(8, 3, 7, plan, 2)
+    rows = noise.shape[1]
+    assert rows == {"deterministic": 1, "ddpm_unit": 12, "ddpm_hat": 12}[eta]
+    assert all(k + 1 < rows for k in np.flatnonzero(plan.noise))
+    for i, got in zip(range(3, 7), noise):
+        full = np.random.default_rng([8, i]).standard_normal((plan.K + 1, 2))
+        assert got.tobytes() == full[:rows].tobytes()
 
 
 def test_run_chains_zero_chains():
@@ -340,6 +365,8 @@ def test_execute_sweep_outputs(tmp_path):
 _ADAPTIVE = {"method": "adaptive", "b": 0.1, "c": 0.0, "zeta": 0.0}
 _MODEL_2D = {"weights": [0.5, 0.5], "means": [[-1.0, 0.5], [2.0, -0.5]],
              "variances": [0.3, 0.3]}
+_MODEL_1D_SMOOTH = {"weights": [0.3, 0.7], "means": [[-1.0], [2.0]],
+                    "variances": [0.25, 0.0]}    # W1 by bisection
 
 
 @pytest.mark.parametrize("axis,values,base_over", [
@@ -347,7 +374,8 @@ _MODEL_2D = {"weights": [0.5, 0.5], "means": [[-1.0, 0.5], [2.0, -0.5]],
     ("b", [0.1, 0.35, 0.7], {"sampler": _ADAPTIVE}),
     ("eta_mode", ["deterministic", "ddpm_unit"], {}),
     ("K", [10, 25], {"model": _MODEL_2D}),
-], ids=["K-integers", "b-floats", "eta-mode-strings", "D2-no-w1"])
+    ("K", [10, 25], {"model": _MODEL_1D_SMOOTH}),
+], ids=["K-integers", "b-floats", "eta-mode-strings", "D2-no-w1", "smooth-w1"])
 def test_sweep_csv_bytes_match_csv_writer_reference(tmp_path, axis, values, base_over):
     base = base_spec_dict(trajectory_chains=0, **base_over)
     sweep = SweepSpec.from_dict({"base": base, "axis": axis, "values": values,
@@ -421,3 +449,20 @@ def test_execute_sweep_builds_the_model_once(tmp_path, monkeypatch):
     monkeypatch.setattr(RunSpec, "build_model", counted)
     execute_sweep(sweep, tmp_path)
     assert builds == [sweep.base]
+
+
+def test_execute_sweep_computes_the_w1_reference_once(tmp_path, monkeypatch):
+    # every cell has the base's model and chain count, so one set of quantiles
+    # serves every cell's W1
+    calls = []
+    quantile = metrics.mixture_quantile
+
+    def counted(gmm, u):
+        calls.append(len(u))
+        return quantile(gmm, u)
+    sweep = SweepSpec.from_dict({"base": base_spec_dict(trajectory_chains=0,
+                                                        model=_MODEL_1D_SMOOTH),
+                                 "axis": "K", "values": [10, 25], "seeds_per_cell": 2})
+    monkeypatch.setattr(metrics, "mixture_quantile", counted)
+    execute_sweep(sweep, tmp_path)
+    assert calls == [sweep.base.n_chains]

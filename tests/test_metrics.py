@@ -65,6 +65,16 @@ def test_mixture_quantile_point_mixture():
         mixture_quantile(gmm, [0.0])
 
 
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf],
+                         ids=["zero", "one", "below", "above", "nan", "inf"])
+def test_mixture_quantile_refuses_levels_outside_the_open_unit_interval(level):
+    # a NaN level fails every comparison; it must not fall to the search span's low end
+    gmm = GaussianMixtureModel(weights=[0.5, 0.5], means=[[-1.0], [1.0]],
+                               variances=[0.25, 0.25])
+    with pytest.raises(ValueError, match="strictly inside"):
+        mixture_quantile(gmm, [0.3, level])
+
+
 def test_empty_samples_rejected():
     gmm = GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[1.0])
     with pytest.raises(ValueError):

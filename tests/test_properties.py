@@ -11,13 +11,13 @@ from hypothesis import Phase, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from difflab.config import RunSpec, SpecError
-from difflab.metrics import bin_trajectory_points, heatmap_grid
+from difflab.metrics import bin_trajectory_points, heatmap_grid, mixture_quantile
 from difflab.model import GaussianMixtureModel
 from difflab.runner import _block_noise, run_chains
 from difflab.samplers import StepPlan, SamplerConfig
 from difflab.schedule import linear_beta_schedule, respace
 
-from oracles import reference_bin
+from oracles import quantile_200_halvings, reference_bin
 
 ETA_MODES = ("deterministic", "ddpm_unit", "ddpm_hat")
 # few examples, the same ones on every run, and nothing written to disk
@@ -162,18 +162,57 @@ def test_heatmap_grid_rejects_x_edges_that_do_not_increase_and_bins_like_digitiz
 @given(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96 - 1),
                  st.integers(2**96, 2**160)),
        st.integers(1, 2**21 - 1), st.integers(0, 3), st.integers(1, 3),
-       st.integers(0, 12), st.integers(1, 4))
-@example(0, 1, 3, 3, 200, 1)                  # fig4's rows across the first block edge
-@example(2**96, 2**21 - 1, 2, 3, 4, 2)        # five hash words, the last block edge
-def test_block_noise_is_each_chains_default_rng_stream(seed, edge, before, after, K, D):
-    # chain i's noise is default_rng([seed, i])'s, byte for byte, across a
-    # 2048-chain block edge: a numpy release that seeds differently fails here
+       st.integers(1, 12), st.integers(1, 4), st.sampled_from(ETA_MODES))
+@example(0, 1, 3, 3, 200, 1, "ddpm_unit")     # fig4's rows across the first block edge
+@example(2**96, 2**21 - 1, 2, 3, 4, 2, "ddpm_hat")   # five hash words, the last block edge
+def test_block_noise_is_each_chains_default_rng_stream(seed, edge, before, after, K, D, eta):
+    # chain i's noise is the start of default_rng([seed, i])'s stream, byte for
+    # byte, across a 2048-chain block edge: a numpy release that seeds
+    # differently fails here. A K-step plan uses x_T and, unless deterministic,
+    # every step's row but the noiseless last one's. A flat beta fits ddpm_hat.
+    plan = StepPlan.build(linear_beta_schedule(K, 0.02, 0.02), SamplerConfig.vanilla(eta))
+    rows = 1 if eta == "deterministic" else K
     lo, hi = 2048 * edge - before, 2048 * edge + after
-    noise = _block_noise(seed, lo, hi, K, D)
-    assert noise.shape == (hi - lo, K + 1, D)
-    for i, rows in zip(range(lo, hi), noise):
-        want = np.random.default_rng([seed, i]).standard_normal((K + 1, D))
-        assert rows.tobytes() == want.tobytes(), i
+    noise = _block_noise(seed, lo, hi, plan, D)
+    assert noise.shape == (hi - lo, rows, D)
+    for i, got in zip(range(lo, hi), noise):
+        want = np.random.default_rng([seed, i]).standard_normal((rows, D))
+        assert got.tobytes() == want.tobytes(), i
+
+
+@st.composite
+def mixtures_1d(draw):
+    """Smooth, point-mass and mixed 1D mixtures; means at 0 and +-1 are common."""
+    k = draw(st.integers(1, 4))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    w /= w.sum()
+    w[-1] = 1.0 - w[:-1].sum()
+    mean = st.one_of(st.sampled_from((0.0, -1.0, 1.0)), st.floats(-8.0, 8.0))
+    means = draw(st.lists(mean.map(lambda m: [m]), min_size=k, max_size=k))
+    variance = st.one_of(st.just(0.0), st.sampled_from((0.25, 1.0)), st.floats(1e-6, 9.0))
+    return GaussianMixtureModel(weights=w, means=means,
+                                variances=draw(st.lists(variance, min_size=k, max_size=k)))
+
+
+# a point mass at 0 next to a smooth component: its levels in (0, 0.5] have quantile 0
+_MASS_AT_0 = GaussianMixtureModel(weights=[0.5, 0.5], means=[[0.0], [3.0]],
+                                  variances=[0.0, 1.0])
+
+
+@settings(_FEW, max_examples=60)
+@given(mixtures_1d(), st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                               min_size=1, max_size=30))
+@example(_MASS_AT_0, [0.25, 0.6])      # at 0.25 the halvings never settle
+def test_mixture_quantile_stops_where_200_halvings_would_end(gmm, levels):
+    # the early stop leaves bytes unchanged, including where the cap is reached
+    got = mixture_quantile(gmm, levels)
+    assert got.tobytes() == quantile_200_halvings(gmm, levels).tobytes()
+
+
+def test_mixture_quantile_near_zero_reaches_the_cap():
+    # the first halving sets hi = 0; then lo climbs toward 0 through ever smaller
+    # floats, so only the 200 cap stops it, at -span / 2**200 with span 3 + 12
+    assert mixture_quantile(_MASS_AT_0, 0.25)[0] == -15.0 * 2.0**-200
 
 
 @_FEW
