@@ -16,6 +16,8 @@ import numpy as np
 
 __all__ = [
     "GaussianMixtureModel",
+    "EpsTerms",
+    "EpsWork",
     "NoisePrediction",
     "analytic_eps",
     "log_density_t",
@@ -85,14 +87,18 @@ def _marginal_params(gmm: GaussianMixtureModel, alpha: float):
     return sa, s2
 
 
+def _log_norm(gmm, s2):
+    """log w_k - (D/2)(log s2_k + log 2 pi): the x-free part of log_joint's terms."""
+    return gmm.log_weights - 0.5 * gmm.D * (np.log(s2) + _LOG_2PI)
+
+
 def _log_joint(gmm, sq, s2):
     """log w_k + log N(x_n; sqrt(alpha) mu_k, s2_k I), shape (K, N), from the
     squared distances sq[k, n] = |x_n - sqrt(alpha) mu_k|^2.
 
     Components run along axis 0, so reductions over them are contiguous.
     """
-    return (gmm.log_weights - 0.5 * gmm.D * (np.log(s2) + _LOG_2PI))[:, None] \
-        - 0.5 * sq / s2[:, None]
+    return _log_norm(gmm, s2)[:, None] - 0.5 * sq / s2[:, None]
 
 
 def _logsumexp(log_p):
@@ -107,7 +113,44 @@ def _check_alpha(alpha, what: str, clean: bool = False) -> None:
         raise ValueError(f"{what} needs 0 < alpha {'<=' if clean else '<'} 1, not {alpha!r}")
 
 
-def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float) -> NoisePrediction:
+class EpsTerms:
+    """``analytic_eps``'s alpha-only terms at each of alphas (each 0 < alpha < 1),
+    one row per alpha: everything a call computes before it looks at x. One
+    vectorized pass builds them, so a run builds them once per plan row, not
+    once per call; each term is the same operations on the same operands as
+    at one alpha."""
+
+    def __init__(self, gmm: GaussianMixtureModel, alphas):
+        alphas = np.asarray(alphas, dtype=float).reshape(-1)
+        bad = alphas[~((alphas > 0.0) & (alphas < 1.0))]
+        if bad.size:
+            _check_alpha(float(bad[0]), "analytic_eps")
+        sa, s2 = _marginal_params(gmm, alphas[:, None])          # (R, 1), (R, K)
+        self.sa = sa[:, 0]                                        # sqrt(alpha)
+        self.two_sa = 2.0 * self.sa
+        self.sa2_mu_sq = (sa * sa) * gmm.mean_sq_norms            # (R, K)
+        self.log_norm = _log_norm(gmm, s2)                        # (R, K)
+        self.s2 = s2
+        self.gain = sa * gmm.variances / s2                       # (R, K) g_k
+        self.gain_mu = (1.0 - sa * self.gain)[:, :, None] * gmm.means   # (R, K, D)
+        self.sqrt_1ma = np.sqrt(1.0 - alphas)
+
+
+class EpsWork:
+    """Terms over a plan's signal levels and the arrays that predictions for n
+    points write into; each call overwrites the previous call's eps_hat and x0_hat."""
+
+    def __init__(self, terms: EpsTerms, n: int):
+        K, D = terms.gain_mu.shape[1:]
+        self.terms = terms
+        self.n_buf = np.empty(n)            # |x|^2, then column max, sum, gain @ r
+        self.kn_buf = np.empty((K, n))      # sq, then log p, then r
+        self.x0_hat = np.empty((n, D))
+        self.eps_hat = np.empty((n, D))
+
+
+def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
+                 work: EpsWork | None = None, row: int = 0) -> NoisePrediction:
     """Bayes-optimal noise prediction for the noised mixture marginal at
     cumulative signal level alpha (0 < alpha < 1).
 
@@ -116,23 +159,38 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float) -> NoisePrediction:
     posterior gains g_k = sqrt(alpha) var_k / s2_k, the posterior mean is
     x0_hat = sum_k r_k ((1 - sqrt(alpha) g_k) mu_k + g_k x); point masses are
     the g_k = 0 case.
+
+    With work, alpha is row ``row`` of work's terms and x is (n, D): the call
+    reads the terms there and writes into work's arrays, allocating none.
     """
-    _check_alpha(alpha, "analytic_eps")
-    x = np.asarray(x, dtype=float)
-    sa, s2 = _marginal_params(gmm, alpha)
+    if work is None:
+        _check_alpha(alpha, "analytic_eps")
+        x = np.asarray(x, dtype=float)
+        work, row = EpsWork(EpsTerms(gmm, [alpha]), x.size // gmm.D), 0
     xf = x.reshape(-1, gmm.D)                                       # (N, D)
+    terms, nb, kn = work.terms, work.n_buf, work.kn_buf
     # |x - sa mu_k|^2 expanded: one matmul, no (K, N, D) difference array
-    sq = (np.einsum("nd,nd->n", xf, xf) - (2.0 * sa) * (gmm.means @ xf.T)
-          + ((sa * sa) * gmm.mean_sq_norms)[:, None])               # (K, N)
-    log_p = _log_joint(gmm, sq, s2)
+    np.einsum("nd,nd->n", xf, xf, out=nb)
+    np.matmul(gmm.means, xf.T, out=kn)
+    np.multiply(terms.two_sa[row], kn, out=kn)
+    np.subtract(nb, kn, out=kn)
+    np.add(kn, terms.sa2_mu_sq[row][:, None], out=kn)               # (K, N)
+    # log_p as _log_joint has it
+    np.multiply(0.5, kn, out=kn)
+    np.divide(kn, terms.s2[row][:, None], out=kn)
+    np.subtract(terms.log_norm[row][:, None], kn, out=kn)
     # responsibilities: softmax with max subtraction, stable at small alpha
-    r = np.exp(log_p - np.max(log_p, axis=0))
-    r /= np.sum(r, axis=0)
-    gain = sa * gmm.variances / s2                                  # (K,)
-    x0_hat = r.T @ ((1.0 - sa * gain)[:, None] * gmm.means) + (gain @ r)[:, None] * xf
-    x0_hat = x0_hat.reshape(x.shape)
-    eps_hat = (x - sa * x0_hat) / np.sqrt(1.0 - alpha)
-    return NoisePrediction(eps_hat=eps_hat, x0_hat=x0_hat)
+    np.subtract(kn, np.max(kn, axis=0, out=nb), out=kn)
+    np.exp(kn, out=kn)
+    np.divide(kn, np.sum(kn, axis=0, out=nb), out=kn)
+    x0_hat, eps_hat = work.x0_hat, work.eps_hat
+    np.matmul(kn.T, terms.gain_mu[row], out=x0_hat)
+    gain_r = np.matmul(terms.gain[row], kn, out=nb)
+    np.add(x0_hat, np.multiply(gain_r[:, None], xf, out=eps_hat), out=x0_hat)
+    np.multiply(terms.sa[row], x0_hat, out=eps_hat)
+    np.subtract(xf, eps_hat, out=eps_hat)
+    np.divide(eps_hat, terms.sqrt_1ma[row], out=eps_hat)
+    return NoisePrediction(eps_hat=eps_hat.reshape(x.shape), x0_hat=x0_hat.reshape(x.shape))
 
 
 def log_density_t(gmm: GaussianMixtureModel, x, alpha: float) -> np.ndarray:

@@ -6,12 +6,15 @@ thread count never perturbs existing ones. The generator states of a block
 are derived in bulk, by numpy's own SeedSequence hash and PCG64 seeding run
 over every chain index at once, and give the same bytes as
 np.random.default_rng([seed, i]). A chain draws only the rows its plan uses,
-a prefix of that stream. Blocks of chains are stepped vectorized; file writes
-happen once, after every block has finished.
+a prefix of that stream. Blocks of chains are stepped vectorized, in place:
+each worker draws its blocks' noise into one reused buffer, each block writes
+every step into one buffer set, and the predictor's alpha-only terms are
+computed once per run. File writes happen once, after every block has finished.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,8 +26,8 @@ from .config import RunSpec, SweepSpec
 from .files import FLOAT, fresh_out_dir, write_csv, write_json
 from .metrics import (HeatmapGrid, bin_trajectory_points, heatmap_grid,
                       mode_statistics, sliced_w1, w1_quantiles, wasserstein1_1d)
-from .model import GaussianMixtureModel, sample_marginal
-from .samplers import ChainState, SamplerConfig, StepPlan, Trajectory, _step_core
+from .model import EpsTerms, GaussianMixtureModel, sample_marginal
+from .samplers import ChainState, SamplerConfig, StepPlan, StepWork, Trajectory, _step_core
 
 __all__ = ["RunResult", "run_chains", "execute_run", "execute_sweep"]
 
@@ -109,14 +112,21 @@ def _chain_noise(gen: np.random.Generator, state: int, inc: int,
     return gen.standard_normal(out=out)
 
 
-def _block_noise(seed: int, lo: int, hi: int, plan: StepPlan, D: int) -> np.ndarray:
+def _noise_rows(plan: StepPlan) -> int:
+    """Noise rows a chain uses: x_T, then one per step up to the last noisy one."""
+    noisy = np.flatnonzero(plan.noise)
+    return 2 + int(noisy[-1]) if noisy.size else 1
+
+
+def _block_noise(seed: int, lo: int, hi: int, plan: StepPlan, D: int,
+                 store: np.ndarray | None = None) -> np.ndarray:
     """Chains lo..hi-1's used noise, (hi - lo, rows, D): x_T, then one row per
     step up to the plan's last noisy one. Chain i's rows are the first rows * D
-    standard normals of np.random.default_rng([seed, i])."""
-    noisy = np.flatnonzero(plan.noise)
-    rows = 2 + int(noisy[-1]) if noisy.size else 1
+    standard normals of np.random.default_rng([seed, i]). With store, a flat
+    float array of at least that size, the rows are drawn into its head."""
     seeds = _chain_seeds(seed, lo, hi)
-    noise = np.empty((hi - lo, rows, D))
+    shape = (hi - lo, _noise_rows(plan), D)
+    noise = np.empty(shape) if store is None else store[:math.prod(shape)].reshape(shape)
     gen = np.random.Generator(np.random.PCG64(0))   # reseeded for every chain
     for row, (state, inc) in zip(noise, seeds):
         _chain_noise(gen, state, inc, row)
@@ -124,26 +134,39 @@ def _block_noise(seed: int, lo: int, hi: int, plan: StepPlan, D: int) -> np.ndar
 
 
 def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
-               plan: StepPlan, seed: int, lo: int, hi: int, result: RunResult):
+               plan: StepPlan, seed: int, lo: int, hi: int, result: RunResult,
+               terms: EpsTerms, store: np.ndarray):
     """Step chains lo..hi-1, writing their rows of the result's samples, tv and
-    trajectories in place; returns their heatmap counts (None without a heatmap)."""
-    K = plan.K
-    noise = _block_noise(seed, lo, hi, plan, model.D)
-    zero = np.zeros(model.D)    # the noise of every step past the drawn rows
+    trajectories in place; returns their heatmap counts (None without a heatmap).
+
+    The block's noise is drawn into store, its worker's buffer. Its state and
+    a StepWork are its one buffer set: every step writes into them, and the
+    loop allocates no array per step.
+    """
+    K, n, D = plan.K, hi - lo, model.D
+    noise = _block_noise(seed, lo, hi, plan, D, store)
+    zero = np.zeros(D)          # the noise of every step past the drawn rows
     state = ChainState.init(noise[:, 0, :], plan)
+    work = StepWork((n, D), terms)
 
     record, grid = result.trajectories, result.heatmap
     n_rec = max(0, min(hi, record.xs.shape[0]) - lo)
     tv = result.tv[lo:hi]   # a view: the block adds into its own rows
+    norm = np.empty(n)
     prev_x = None
     counts = None if grid is None else np.zeros_like(grid.counts)
     rows = None if grid is None else grid.rows(plan.t_prev)
 
     for k in range(K):
         eps = noise[:, k + 1, :] if k + 1 < noise.shape[1] else zero
-        state, x_next, x0_hat, _ = _step_core(state, model, schedule, config, eps, plan, k)
+        state, x_next, x0_hat, _ = _step_core(state, model, schedule, config, eps, plan, k,
+                                              work)
         if prev_x is not None:
-            tv += np.linalg.norm(x_next - prev_x, axis=-1)
+            # np.linalg.norm(x_next - prev_x, axis=-1), op for op, written over
+            # prev_x: the next step writes its x_{t-1} there anyway
+            diff = np.subtract(x_next, prev_x, out=prev_x)
+            tv += np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1, out=norm),
+                          out=norm)
         prev_x = x_next
         if n_rec:
             record.xs[lo:lo + n_rec, k] = x_next[:n_rec]
@@ -169,9 +192,20 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
                                 x0_hats=np.empty((n_rec, plan.K, D))),
         heatmap=None if heatmap is None else heatmap_grid(heatmap, schedule.tau[-1], D))
 
+    terms = EpsTerms(model, plan.alpha)
+    # one noise buffer per worker, reused by its blocks: at most `workers` exist
+    store_size = min(_BLOCK, n_chains) * _noise_rows(plan) * D
+    stores = []
+
     def work(lo):
-        return _run_block(model, schedule, config, plan, seed, lo,
-                          min(lo + _BLOCK, n_chains), result)
+        try:
+            store = stores.pop()        # atomic: no two blocks get one buffer
+        except IndexError:              # every buffer is in use
+            store = np.empty(store_size)
+        counts = _run_block(model, schedule, config, plan, seed, lo,
+                            min(lo + _BLOCK, n_chains), result, terms, store)
+        stores.append(store)
+        return counts
 
     starts = range(0, n_chains, _BLOCK)
     workers = min(threads, os.cpu_count() or 1)   # map submits every block at once

@@ -9,7 +9,9 @@ noiseless generalized step for every method, so with alpha(0) = 1 each chain
 ends on its last predicted clean sample.
 
 All step math broadcasts over leading batch dimensions; a single chain is the
-(D,) special case.
+(D,) special case. The run loop steps each block in place: its state's arrays
+and one ``StepWork`` are the block's one buffer set, which every step writes
+into. Without a ``StepWork`` the kernel treats states as values.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GaussianMixtureModel, analytic_eps
+from .model import EpsTerms, EpsWork, GaussianMixtureModel, analytic_eps
 
 __all__ = [
     "SecondMomentError",
@@ -29,6 +31,7 @@ __all__ = [
     "SamplerConfig",
     "StepPlan",
     "ChainState",
+    "StepWork",
     "Trajectory",
     "sigma",
 ]
@@ -192,7 +195,13 @@ class StepPlan:
 
 @dataclass(frozen=True)
 class ChainState:
-    """Per-chain reverse-trajectory state (value semantics)."""
+    """Per-chain reverse-trajectory state at step t.
+
+    ``_step_core`` without a ``StepWork`` treats it as a value and returns a
+    new one. The run loop passes one ``StepWork`` per block instead, and then
+    the step writes into this state's arrays: each step's state holds the
+    block's one set of x_bar, m and v buffers.
+    """
 
     t: int
     x_bar: np.ndarray   # (..., D)
@@ -207,6 +216,21 @@ class ChainState:
                    v=np.ones(x_bar.shape[:-1]))
 
 
+class StepWork:
+    """The buffers a block's steps write into besides its state's arrays:
+    d x_bar, a scratch array, the second-moment temporary, two x_{t-1} arrays
+    used in turn (the caller reads the previous step's while the next is
+    written) and, given the predictor's terms for the plan, its ``EpsWork``
+    (without them, the predictor allocates)."""
+
+    def __init__(self, shape, terms: EpsTerms | None = None):
+        self.dxb = np.empty(shape)
+        self.scratch = np.empty(shape)
+        self.sq = np.empty(shape[:-1])
+        self.x_next = (np.empty(shape), np.empty(shape))
+        self.eps_work = None if terms is None else EpsWork(terms, shape[0])
+
+
 @dataclass
 class Trajectory:
     """Recorded reverse trajectories of the first n_rec chains of a run."""
@@ -217,28 +241,44 @@ class Trajectory:
 
 
 def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
-               config: SamplerConfig, eps_noise, plan: StepPlan, k: int):
+               config: SamplerConfig, eps_noise, plan: StepPlan, k: int,
+               work: StepWork | None = None):
     """Row k of ``plan`` (built from this schedule and config) applied to
-    ``state``; returns (new state, x_{t-1}, x0_hat, d x_bar)."""
+    ``state``; returns (new state, x_{t-1}, x0_hat, d x_bar).
+
+    Without work, state is left as it is and every returned array is new.
+    With work, the step runs in place: the new state holds state's own arrays,
+    updated, and the other three are work's buffers, which later steps
+    overwrite (x_{t-1} only every second step).
+    """
     # schedule is unused here: benchmarks/tracer.py reads it by position
-    pred = analytic_eps(model, plan.sqrt_alpha[k] * state.x_bar, plan.alpha[k])
-    dxb = plan.mu[k] * pred.eps_hat + plan.noise[k] * eps_noise
+    if work is None:    # value semantics: step a copy, in fresh buffers
+        state = ChainState(t=state.t, x_bar=np.array(state.x_bar, dtype=float),
+                           m=np.array(state.m, dtype=float), v=np.array(state.v, dtype=float))
+        work = StepWork(state.x_bar.shape)
+    x_bar, m, v, dxb, tmp = state.x_bar, state.m, state.v, work.dxb, work.scratch
+    pred = analytic_eps(model, np.multiply(plan.sqrt_alpha[k], x_bar, out=tmp),
+                        plan.alpha[k], work.eps_work, k)
+    np.multiply(plan.mu[k], pred.eps_hat, out=dxb)
+    np.add(dxb, np.multiply(plan.noise[k], eps_noise, out=tmp), out=dxb)
 
     if plan.plain[k]:
-        x_bar_new = state.x_bar + dxb
-        m_new, v_new = state.m, state.v
+        np.add(x_bar, dxb, out=x_bar)
     else:
-        sq = np.sum(dxb * dxb, axis=-1)
+        sq = np.add.reduce(np.multiply(dxb, dxb, out=tmp), axis=-1, out=work.sq)
         if config.v_norm == "mean_sq":
-            sq = sq / dxb.shape[-1]
-        v_new = (1.0 - config.c) * state.v + config.c * sq
-        if not np.all(v_new > 0.0):
+            np.divide(sq, dxb.shape[-1], out=sq)
+        np.add(np.multiply(1.0 - config.c, v, out=v), np.multiply(config.c, sq, out=sq),
+               out=v)
+        if not np.min(v, initial=np.inf) > 0.0:    # NaN too
             raise SecondMomentError(
                 f"second-moment accumulator v is not positive at t={plan.t[k]} "
                 f"(c={config.c}, zeta={config.zeta}); with c=1, v is the last "
                 "squared increment, which is 0 when the step moves no chain")
-        m_new = plan.a[k] * state.m + plan.b[k] * dxb
-        x_bar_new = state.x_bar + m_new / (np.sqrt(v_new)[..., None] + config.zeta)
+        np.add(np.multiply(plan.a[k], m, out=m), np.multiply(plan.b[k], dxb, out=tmp), out=m)
+        np.add(np.sqrt(v, out=sq), config.zeta, out=sq)
+        np.add(x_bar, np.divide(m, sq[..., None], out=tmp), out=x_bar)
 
-    new_state = ChainState(t=int(plan.t_prev[k]), x_bar=x_bar_new, m=m_new, v=v_new)
-    return new_state, plan.sqrt_alpha_prev[k] * x_bar_new, pred.x0_hat, dxb
+    new_state = ChainState(t=int(plan.t_prev[k]), x_bar=x_bar, m=m, v=v)
+    x_next = np.multiply(plan.sqrt_alpha_prev[k], x_bar, out=work.x_next[k % 2])
+    return new_state, x_next, pred.x0_hat, dxb

@@ -4,7 +4,7 @@ continuous-time counterparts that it runs.
 
 Two families of consistency checks: (i) the eta=1 step against an
 Euler-Maruyama discretization of the reverse-time SDE in x_bar space, and (ii)
-the momentum recursion against a direct midpoint recursion of the damped
+the sampler's momentum step against a direct midpoint recursion of the damped
 second-order system, via the friction mapping a = (2 - lambda)/(2 + lambda),
 b = -2/(2 + lambda).
 
@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model as gm
-from .model import GaussianMixtureModel
+from .model import EpsTerms, GaussianMixtureModel
 from .runner import run_chains
-from .samplers import ETA_DDPM_UNIT, SamplerConfig, StepPlan
+from .samplers import ETA_DDPM_UNIT, ChainState, SamplerConfig, StepPlan, StepWork, _step_core
 from .schedule import linear_beta_schedule
 
 __all__ = [
@@ -105,30 +105,50 @@ def drift_consistency(schedule, gmm: GaussianMixtureModel, n_points: int, rng) -
     }
 
 
+def _friction_plan(fm: FrictionMapping, n_steps: int) -> StepPlan:
+    """n_steps momentum rows that make the step kernel the bare recursion
+    m <- a m + b g, x_bar <- x_bar + m, for a one-chain state whose noise row is
+    the forcing g: mu = 0 drops the predictor, noise = 1 passes g through, and
+    sqrt(alpha_prev) = 1 makes x_{t-1} = x_bar. Built directly, not through
+    SamplerConfig: the friction mapping's b is negative, outside its [0, 1]."""
+    def const(value):
+        return np.full(n_steps, value, dtype=float)
+    t = np.arange(n_steps, 0, -1)
+    return StepPlan(t=t, t_prev=t - 1, alpha=const(0.5), sqrt_alpha=const(1.0),
+                    sqrt_alpha_prev=const(1.0), mu=const(0.0), noise=const(1.0),
+                    a=const(fm.a), b=const(fm.b), plain=np.zeros(n_steps, dtype=bool))
+
+
 def midpoint_equivalence(lam: float, n_steps: int, drift, noise_seq) -> float:
-    """Max state deviation between the momentum recursion (with the friction
+    """Max state deviation between the sampler's momentum step (with the friction
     mapping's a, b) and the direct midpoint recursion on a scalar test problem.
 
-    drift(k) gives the deterministic forcing at step k; noise_seq is pre-drawn
-    and shared so the comparison is exact, not statistical.
+    The momentum side is the step kernel itself, on a friction plan with c = zeta
+    = 0, so v stays 1. drift(k) gives the deterministic forcing at step k;
+    noise_seq is pre-drawn and shared so the comparison is exact, not statistical.
     """
     fm = FrictionMapping(lam=lam)
     noise_seq = np.asarray(noise_seq, dtype=float)
     if noise_seq.size < n_steps:
         raise ValueError("noise_seq shorter than n_steps")
-    # momentum path
-    x_m, m = 0.0, 0.0
+    plan = _friction_plan(fm, n_steps)
+    config = SamplerConfig(c=0.0, zeta=0.0)
+    # any model will do: mu = 0 cancels its prediction
+    model = GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[0.0])
+    # the momentum path: one chain at rest, stepped in place as a run steps it
+    state = ChainState.init(np.zeros((1, 1)), plan)
+    work = StepWork((1, 1), EpsTerms(model, plan.alpha))
     # midpoint path: eta_{t+0.5} = -m, started at rest
     x_mid, eta = 0.0, 0.0
     half = 0.5 * lam
     max_dev = 0.0
     for k in range(n_steps):
         g = float(drift(k)) + float(noise_seq[k])
-        m = fm.a * m + fm.b * g
-        x_m = x_m + m
+        state, x_m, _, _ = _step_core(state, model, None, config, np.array([[g]]), plan, k,
+                                      work)
         eta = ((1.0 - half) * eta + g) / (1.0 + half)
         x_mid = x_mid - eta
-        max_dev = max(max_dev, abs(x_m - x_mid), abs(m + eta))
+        max_dev = max(max_dev, abs(float(x_m[0, 0]) - x_mid), abs(float(state.m[0, 0]) + eta))
     return max_dev
 
 

@@ -1,11 +1,13 @@
-"""Independent references for what a run accumulates in its step loop, and
-for the metrics' mixture quantiles.
+"""Independent references for what a run accumulates in its step loop, for
+the metrics' mixture quantiles and for the predictor's alpha-only terms.
 
 The runner adds each step's total-variation increment and heatmap counts as it
 goes; these recompute both from the recorded trajectories after the fact, by a
 different route (one norm per recorded step; digitize + np.add.at binning), so
 the tests can compare the two bit for bit. The quantile reference bisects a
-fixed 200 times, with no early stop.
+fixed 200 times, with no early stop. The predictor's terms are written out
+at one scalar alpha, the way a call computed them before a run built them over
+a whole plan at once.
 """
 
 import numpy as np
@@ -14,6 +16,19 @@ from scipy.special import ndtr
 from difflab.metrics import HeatmapGrid
 from difflab.model import GaussianMixtureModel
 from difflab.samplers import Trajectory
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def eps_terms_at(gmm: GaussianMixtureModel, alpha: float) -> dict:
+    """model.EpsTerms' fields at one alpha, as scalar-alpha expressions."""
+    sa = np.sqrt(alpha)
+    s2 = alpha * gmm.variances + (1.0 - alpha)
+    gain = sa * gmm.variances / s2
+    return {"sa": sa, "two_sa": 2.0 * sa, "sa2_mu_sq": (sa * sa) * gmm.mean_sq_norms,
+            "log_norm": gmm.log_weights - 0.5 * gmm.D * (np.log(s2) + _LOG_2PI),
+            "s2": s2, "gain": gain, "gain_mu": (1.0 - sa * gain)[:, None] * gmm.means,
+            "sqrt_1ma": np.sqrt(1.0 - alpha)}
 
 
 def quantile_200_halvings(gmm: GaussianMixtureModel, u) -> np.ndarray:

@@ -10,6 +10,9 @@ import inspect
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import difflab
 import difflab.cli  # noqa: F401  (the tracer reads every module off the package)
 from difflab import runner
@@ -58,3 +61,47 @@ def test_tracer_sees_every_per_step_call():
                                            "runner.block", "runner.noise")} == {
         "metrics.heatmap_bin": 40, "samplers.step": 40, "model.eps": 40,
         "runner.block": 2, "runner.noise": 2100}
+
+
+def _traced(gmm, config, n_chains, threads=1):
+    """Spans and counters of one traced run_chains call, 20 steps."""
+    tracer = _load_tracer().Tracer()
+    tracer.install(difflab)
+    try:
+        runner.run_chains(gmm, linear_beta_schedule(20, 1e-3, 0.05), config,
+                          n_chains, seed=0, threads=threads)
+        return tracer.take()
+    finally:
+        tracer.uninstall()
+
+
+_TWO_POINT = GaussianMixtureModel(weights=[0.5, 0.5], means=[[-2.0], [4.0]],
+                                  variances=[0.0, 0.0])
+
+
+def _mix16(D=16, K=8):
+    rng = np.random.default_rng(16)
+    w = rng.uniform(0.2, 1.0, K)
+    return GaussianMixtureModel(weights=w / w.sum(), means=rng.normal(0.0, 1.5, (K, D)),
+                                variances=rng.uniform(0.05, 0.5, K))
+
+
+@pytest.mark.parametrize("gmm, config", [
+    (_TWO_POINT, SamplerConfig(method="adaptive", b=0.3, c=0.01)),   # momentum rows
+    (_mix16(), SamplerConfig.vanilla()),
+], ids=["adaptive", "D16"])
+def test_tracer_sees_one_step_and_one_prediction_per_block_and_step(gmm, config):
+    # 2100 chains are 2 blocks; each of their 20 steps is one kernel call that
+    # calls the predictor once, through the names the tracer wraps
+    spans, counts = _traced(gmm, config, 2100, threads=2)
+    calls = Counter(span[3] for span in spans)
+    assert (calls["samplers.step"], calls["model.eps"], calls["runner.block"]) == (40, 40, 2)
+    assert counts["chain_steps"] == 2100 * 20
+
+
+def test_tracer_counts_every_drawn_noise_value_as_used():
+    # the tracer keys its per-step noise count on the kernel's state.t: a state
+    # that reads the next step's t would undercount the used draws
+    _, counts = _traced(_TWO_POINT, SamplerConfig.vanilla("ddpm_unit"), 300)
+    assert counts["noise_drawn"] == 300 * 20     # x_T and 19 noisy steps
+    assert counts["noise_used"] / counts["noise_drawn"] == 1.0

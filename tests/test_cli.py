@@ -1,6 +1,7 @@
 """Command-line interface: commands, overrides, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import random
@@ -9,11 +10,13 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import difflab
 import difflab.cli
 import difflab.runner
+import difflab.verification
 
 from difflab.cli import main
 from difflab.config import RunSpec
@@ -153,6 +156,22 @@ def test_verify_command(tmp_path, capsys, monkeypatch):
         "score-consistency", "drift-identity", "diffusion-scale",
         "midpoint-equivalence", "degeneracy-equivalence"]
     assert "drift_diffusion_table" in report
+
+
+def test_verify_fails_a_kernel_that_drops_momentum_b(tmp_path, capsys, monkeypatch):
+    # midpoint-equivalence runs its momentum side through the step kernel, so a
+    # kernel whose momentum row reads m = a m + d x_bar (b dropped, i.e. b = 1)
+    # fails verify
+    kernel = difflab.verification._step_core
+
+    def dropped_b(state, model, schedule, config, eps_noise, plan, k, work=None):
+        return kernel(state, model, schedule, config, eps_noise,
+                      dataclasses.replace(plan, b=np.ones_like(plan.b)), k, work)
+    monkeypatch.setattr(difflab.verification, "_step_core", dropped_b)
+    code = main(["verify", "--out", str(tmp_path / "report.json")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL midpoint-equivalence" in out
 
 
 def test_schedules_dump(spec_file, tmp_path):

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import itertools
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -145,6 +146,25 @@ def test_run_chains_thread_invariance():
     assert np.array_equal(runs[0], runs[2])
 
 
+def test_workers_never_share_a_noise_buffer(monkeypatch):
+    # pool threads take and return reused noise buffers; a buffer handed to two
+    # blocks at once would mix their draws. More workers than cores, and
+    # frequent thread switches, on 13 blocks of 3 steps.
+    gmm = two_point()
+    sched = linear_beta_schedule(3, 1e-3, 0.05)
+    cfg = SamplerConfig.vanilla()
+    n = 12 * 2048 + 5
+    serial = run_chains(gmm, sched, cfg, n, seed=4).samples
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = run_chains(gmm, sched, cfg, n, seed=4, threads=8).samples
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(pooled, serial)
+
+
 def test_run_chains_extension_stability():
     # adding chains never perturbs earlier ones
     gmm = two_point()
@@ -164,6 +184,16 @@ def test_block_noise_refuses_chain_indices_from_2_to_the_32():
         assert rows.tobytes() == np.random.default_rng([5, i]).standard_normal((5, 2)).tobytes()
     with pytest.raises(ValueError, match="below 2\\*\\*32"):
         _block_noise(5, top - 2, top + 1, plan, 2)
+
+
+def test_block_noise_draws_into_the_head_of_a_reused_store():
+    # a worker's noise buffer is sized for a whole block and reused by each of
+    # its blocks; a partial block draws into its head, over the last block's rows
+    plan = StepPlan.build(linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla())
+    store = np.full(7 * 5 * 2, np.nan)
+    noise = _block_noise(5, 10, 13, plan, 2, store)
+    assert noise.shape == (3, 5, 2) and np.shares_memory(noise, store[:30])
+    assert noise.tobytes() == _block_noise(5, 10, 13, plan, 2).tobytes()
 
 
 @pytest.mark.parametrize("eta", ["deterministic", "ddpm_unit", "ddpm_hat"])

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from difflab.config import RunSpec, SpecError
 from difflab.metrics import bin_trajectory_points, heatmap_grid, mixture_quantile
-from difflab.model import GaussianMixtureModel
+from difflab.model import EpsTerms, EpsWork, GaussianMixtureModel, analytic_eps
 from difflab.runner import _block_noise, run_chains
 from difflab.samplers import StepPlan, SamplerConfig
 from difflab.schedule import linear_beta_schedule, respace
 
-from oracles import quantile_200_halvings, reference_bin
+from oracles import eps_terms_at, quantile_200_halvings, reference_bin
 
 ETA_MODES = ("deterministic", "ddpm_unit", "ddpm_hat")
 # few examples, the same ones on every run, and nothing written to disk
@@ -225,6 +225,44 @@ def test_degenerate_adaptive_equals_vanilla(gmm, sched, eta, seed):
     van = run_chains(gmm, sched, vanilla, 8, seed).samples
     ada = run_chains(gmm, sched, degen, 8, seed).samples
     assert np.max(np.abs(van - ada)) <= 1e-12
+
+
+@st.composite
+def predictor_cases(draw):
+    """A mixture with D in {1, 2, 16} and K in {1, 2, 3, 8}, point masses among
+    its components, the signal levels of a plan and points to predict at."""
+    D = draw(st.sampled_from((1, 2, 16)))
+    K = draw(st.sampled_from((1, 2, 3, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    w = rng.uniform(0.1, 1.0, K)
+    variances = rng.uniform(0.0, 2.0, K) * (rng.uniform(size=K) < 0.6)   # some are 0
+    gmm = GaussianMixtureModel(weights=w / w.sum(), means=rng.uniform(-5.0, 5.0, (K, D)),
+                               variances=variances)
+    alphas = np.array(draw(st.lists(st.floats(1e-5, 1.0 - 1e-6), min_size=1, max_size=40)))
+    x = rng.normal(0.0, 3.0, (draw(st.integers(1, 70)), D))
+    return gmm, alphas, x
+
+
+@settings(_FEW, max_examples=40)
+@given(predictor_cases())
+@example((GaussianMixtureModel(weights=[0.5, 0.5], means=[[-2.0], [4.0]], variances=[0.0, 0.0]),
+          np.array([1e-5, 0.3, 1.0 - 1e-6]), np.array([[0.0], [1.0], [-7.0]])))
+def test_plan_terms_give_the_bytes_of_a_single_call(case):
+    # a run computes the predictor's alpha-only terms once over its plan and
+    # predicts in reused arrays; both must give each call's own bytes
+    gmm, alphas, x = case
+    terms = EpsTerms(gmm, alphas)
+    work = EpsWork(terms, x.shape[0])     # one set of arrays for every row
+    for row, alpha in enumerate(alphas.tolist()):
+        # numpy's SIMD log/exp could round by array length: one alpha is the reference
+        for name, value in eps_terms_at(gmm, alpha).items():
+            got = getattr(terms, name)[row]
+            assert got.tobytes() == np.asarray(value).tobytes(), (name, row)
+        fresh = analytic_eps(gmm, x, alpha)
+        reused = analytic_eps(gmm, x, alpha, work, row)
+        assert reused.eps_hat.tobytes() == fresh.eps_hat.tobytes(), row
+        assert reused.x0_hat.tobytes() == fresh.x0_hat.tobytes(), row
+    assert set(vars(terms)) == set(eps_terms_at(gmm, 0.5))
 
 
 @pytest.mark.xfail(strict=True, reason=(

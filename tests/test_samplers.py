@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from difflab.model import GaussianMixtureModel, analytic_eps
+from difflab.model import EpsTerms, GaussianMixtureModel, analytic_eps
 from difflab.runner import run_chains
 from difflab.samplers import (ETA_DDPM_HAT, ETA_DDPM_UNIT, ETA_DETERMINISTIC,
                               ChainState, SamplerConfig, SecondMomentError,
-                              StepPlan, _step_core, sigma)
+                              StepPlan, StepWork, _step_core, sigma)
 from difflab.schedule import NoiseSchedule, linear_beta_schedule, respace
 
 
@@ -277,6 +277,37 @@ def test_zero_second_moment_raises_named_error():
     with pytest.raises(SecondMomentError, match=r"c=1\.0, zeta=1e-08"):
         _step_core(state, gmm, sched, cfg, np.zeros((3, 1)),
                    StepPlan.build(sched, cfg), 0)
+
+
+@pytest.mark.parametrize("D", [1, 16])
+@pytest.mark.parametrize("method", ["vanilla", "adaptive"])
+def test_step_in_place_gives_the_value_steps_bytes(D, method):
+    # the run loop steps a block in place, in one StepWork; a caller without one
+    # gets new arrays and keeps its state. Both must give the same bytes.
+    rng = np.random.default_rng(D)
+    gmm = GaussianMixtureModel(weights=[0.3, 0.7], means=rng.normal(0.0, 2.0, (2, D)),
+                               variances=[0.0, 0.4])
+    sched = linear_beta_schedule(30, 1e-3, 0.05)
+    cfg = SamplerConfig(method=method, b=0.3, c=0.05)
+    plan = StepPlan.build(sched, cfg)
+    n = 9
+    x_T = rng.standard_normal((n, D))
+    value, in_place = ChainState.init(x_T, plan), ChainState.init(x_T, plan)
+    work = StepWork((n, D), EpsTerms(gmm, plan.alpha))
+    x_before = None
+    for k in range(plan.K):
+        eps = rng.standard_normal((n, D))
+        kept = [a.copy() for a in (value.x_bar, value.m, value.v)]
+        value_next, *value_out = _step_core(value, gmm, sched, cfg, eps, plan, k)
+        assert all(np.array_equal(a, b) for a, b in zip(kept, (value.x_bar, value.m, value.v)))
+        next_, *out = _step_core(in_place, gmm, sched, cfg, eps, plan, k, work)
+        assert in_place.t == plan.t[k]          # the tracer reads the step's t off it
+        assert next_.x_bar is in_place.x_bar and next_.m is in_place.m
+        for a, b in zip((value_next.x_bar, value_next.m, value_next.v, *value_out),
+                        (next_.x_bar, next_.m, next_.v, *out)):
+            assert a.tobytes() == b.tobytes(), k
+        assert out[0] is not x_before           # two x_{t-1} buffers take turns
+        value, in_place, x_before = value_next, next_, out[0]
 
 
 def test_vanilla_step_leaves_momentum_untouched():
