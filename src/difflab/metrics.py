@@ -145,7 +145,8 @@ def _uniform_bin(values, edges):
     idx = np.fmax(np.fmin((values - lo) / width, last), 0.0).astype(np.intp)
     idx -= values < edges[idx]
     idx += values >= edges[idx + 1]
-    return np.clip(idx, 0, last)
+    np.minimum(idx, last, out=idx)
+    return np.maximum(idx, 0, out=idx)
 
 
 def bin_trajectory_points(grid: HeatmapGrid, row: int, xs, counts) -> None:

@@ -128,9 +128,10 @@ class EpsTerms:
         sa, s2 = _marginal_params(gmm, alphas[:, None])          # (R, 1), (R, K)
         self.sa = sa[:, 0]                                        # sqrt(alpha)
         self.two_sa = 2.0 * self.sa
-        self.sa2_mu_sq = (sa * sa) * gmm.mean_sq_norms            # (R, K)
-        self.log_norm = _log_norm(gmm, s2)                        # (R, K)
-        self.s2 = s2
+        # (R, K, 1) columns: a row's is (K, 1), broadcasting over the points
+        self.sa2_mu_sq = ((sa * sa) * gmm.mean_sq_norms)[:, :, None]
+        self.log_norm = _log_norm(gmm, s2)[:, :, None]
+        self.s2 = s2[:, :, None]
         self.gain = sa * gmm.variances / s2                       # (R, K) g_k
         self.gain_mu = (1.0 - sa * self.gain)[:, :, None] * gmm.means   # (R, K, D)
         self.sqrt_1ma = np.sqrt(1.0 - alphas)
@@ -163,26 +164,34 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     With work, alpha is row ``row`` of work's terms and x is (n, D): the call
     reads the terms there and writes into work's arrays, allocating none.
     """
+    D = gmm.D
     if work is None:
         _check_alpha(alpha, "analytic_eps")
         x = np.asarray(x, dtype=float)
-        work, row = EpsWork(EpsTerms(gmm, [alpha]), x.size // gmm.D), 0
-    xf = x.reshape(-1, gmm.D)                                       # (N, D)
+        work, row = EpsWork(EpsTerms(gmm, [alpha]), x.size // D), 0
+    xf = x.reshape(-1, D)                                           # (N, D)
     terms, nb, kn = work.terms, work.n_buf, work.kn_buf
-    # |x - sa mu_k|^2 expanded: one matmul, no (K, N, D) difference array
-    np.einsum("nd,nd->n", xf, xf, out=nb)
-    np.matmul(gmm.means, xf.T, out=kn)
+    # |x - sa mu_k|^2 expanded: no (K, N, D) difference array
+    if D == 1:
+        # single products, the same bits as einsum and matmul give; a -0.0
+        # cross term, where matmul gives +0.0, is lost in the subtraction below
+        np.multiply(xf[:, 0], xf[:, 0], out=nb)
+        np.multiply(gmm.means, xf.T, out=kn)
+    else:
+        np.einsum("nd,nd->n", xf, xf, out=nb)
+        np.matmul(gmm.means, xf.T, out=kn)
     np.multiply(terms.two_sa[row], kn, out=kn)
     np.subtract(nb, kn, out=kn)
-    np.add(kn, terms.sa2_mu_sq[row][:, None], out=kn)               # (K, N)
+    np.add(kn, terms.sa2_mu_sq[row], out=kn)                        # (K, N)
     # log_p as _log_joint has it
     np.multiply(0.5, kn, out=kn)
-    np.divide(kn, terms.s2[row][:, None], out=kn)
-    np.subtract(terms.log_norm[row][:, None], kn, out=kn)
-    # responsibilities: softmax with max subtraction, stable at small alpha
-    np.subtract(kn, np.max(kn, axis=0, out=nb), out=kn)
+    np.divide(kn, terms.s2[row], out=kn)
+    np.subtract(terms.log_norm[row], kn, out=kn)
+    # responsibilities: softmax with max subtraction, stable at small alpha;
+    # the ufunc reductions are np.max and np.sum without their wrappers
+    np.subtract(kn, np.maximum.reduce(kn, axis=0, out=nb), out=kn)
     np.exp(kn, out=kn)
-    np.divide(kn, np.sum(kn, axis=0, out=nb), out=kn)
+    np.divide(kn, np.add.reduce(kn, axis=0, out=nb), out=kn)
     x0_hat, eps_hat = work.x0_hat, work.eps_hat
     np.matmul(kn.T, terms.gain_mu[row], out=x0_hat)
     gain_r = np.matmul(terms.gain[row], kn, out=nb)

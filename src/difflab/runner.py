@@ -6,10 +6,12 @@ thread count never perturbs existing ones. The generator states of a block
 are derived in bulk, by numpy's own SeedSequence hash and PCG64 seeding run
 over every chain index at once, and give the same bytes as
 np.random.default_rng([seed, i]). A chain draws only the rows its plan uses,
-a prefix of that stream. Blocks of chains are stepped vectorized, in place:
-each worker draws its blocks' noise into one reused buffer, each block writes
-every step into one buffer set, and the predictor's alpha-only terms are
-computed once per run. File writes happen once, after every block has finished.
+a prefix of that stream, so a sweep keeps each seed's x_T (the first row) and
+a cell whose plan uses no noise past x_T reads it there instead of drawing.
+Blocks of chains are stepped vectorized, in place: each worker draws its
+blocks' noise into one reused buffer, each block writes every step into one
+buffer set, and the predictor's alpha-only terms are computed once per run.
+File writes happen once, after every block has finished.
 """
 
 from __future__ import annotations
@@ -135,16 +137,23 @@ def _block_noise(seed: int, lo: int, hi: int, plan: StepPlan, D: int,
 
 def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
                plan: StepPlan, seed: int, lo: int, hi: int, result: RunResult,
-               terms: EpsTerms, store: np.ndarray):
+               terms: EpsTerms, store: np.ndarray, x_T: dict | None):
     """Step chains lo..hi-1, writing their rows of the result's samples, tv and
     trajectories in place; returns their heatmap counts (None without a heatmap).
 
-    The block's noise is drawn into store, its worker's buffer. Its state and
-    a StepWork are its one buffer set: every step writes into them, and the
-    loop allocates no array per step.
+    The block's noise is drawn into store, its worker's buffer, unless the plan
+    uses x_T only and x_T (see run_chains) holds the block's. Its state and a
+    StepWork are its one buffer set: every step writes into them, and the loop
+    allocates no array per step.
     """
     K, n, D = plan.K, hi - lo, model.D
-    noise = _block_noise(seed, lo, hi, plan, D, store)
+    key = (seed, lo)
+    if x_T is not None and key in x_T and _noise_rows(plan) == 1:
+        noise = x_T[key][:, None, :]
+    else:
+        noise = _block_noise(seed, lo, hi, plan, D, store)
+        if x_T is not None and key not in x_T:
+            x_T[key] = noise[:, 0, :].copy()    # store is overwritten by the next block
     zero = np.zeros(D)          # the noise of every step past the drawn rows
     state = ChainState.init(noise[:, 0, :], plan)
     work = StepWork((n, D), terms)
@@ -181,8 +190,14 @@ def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
 def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
                n_chains: int, seed: int, threads: int = 1,
                trajectory_chains: int = 0,
-               heatmap: dict | None = None) -> RunResult:
-    """Run n_chains reverse chains on seeded noise; record the first trajectory_chains."""
+               heatmap: dict | None = None, *, x_T: dict | None = None) -> RunResult:
+    """Run n_chains reverse chains on seeded noise; record the first trajectory_chains.
+
+    x_T, a dict that runs of one model and chain count may share, maps
+    (seed, block start) to that block's x_T, the first row of its chains'
+    noise. A run stores the x_T of each block it draws, and a block whose
+    plan uses no noise past x_T reads it from there and draws nothing.
+    """
     D = model.D
     plan = StepPlan.build(schedule, config)
     n_rec = min(trajectory_chains, n_chains)
@@ -203,7 +218,7 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
         except IndexError:              # every buffer is in use
             store = np.empty(store_size)
         counts = _run_block(model, schedule, config, plan, seed, lo,
-                            min(lo + _BLOCK, n_chains), result, terms, store)
+                            min(lo + _BLOCK, n_chains), result, terms, store, x_T)
         stores.append(store)
         return counts
 
@@ -301,11 +316,12 @@ def execute_sweep(sweep: SweepSpec, out_dir) -> list[tuple]:
     model = sweep.base.build_model()
     quantiles = w1_quantiles(model, sweep.base.n_chains) if model.D == 1 else None
     cells = {value: [] for value in sweep.values}   # each value's (seed, metrics)
+    x_T = {}    # each seed's x_T, drawn once for the cells that use nothing else
     for value, runs in cells.items():
         for s in range(sweep.seeds_per_cell):
             spec = sweep.cell_spec(value, s)
             result = run_chains(model, spec.build_schedule(), spec.build_sampler_config(),
-                                spec.n_chains, spec.seed, threads=spec.threads)
+                                spec.n_chains, spec.seed, threads=spec.threads, x_T=x_T)
             runs.append((spec.seed, compute_metrics(result, model, spec.seed, quantiles)))
 
     # per-value mean of the quality metric; the argmin value's cells are marked

@@ -11,7 +11,10 @@ ends on its last predicted clean sample.
 All step math broadcasts over leading batch dimensions; a single chain is the
 (D,) special case. The run loop steps each block in place: its state's arrays
 and one ``StepWork`` are the block's one buffer set, which every step writes
-into. Without a ``StepWork`` the kernel treats states as values.
+into. Without a ``StepWork`` the kernel treats states as values. A step pays
+for numpy calls more than for arithmetic at the benchmark's sizes, so the
+kernel adds no noise term on a noiseless row (every deterministic row and the
+last row of any plan).
 """
 
 from __future__ import annotations
@@ -260,7 +263,8 @@ def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
     pred = analytic_eps(model, np.multiply(plan.sqrt_alpha[k], x_bar, out=tmp),
                         plan.alpha[k], work.eps_work, k)
     np.multiply(plan.mu[k], pred.eps_hat, out=dxb)
-    np.add(dxb, np.multiply(plan.noise[k], eps_noise, out=tmp), out=dxb)
+    if plan.noise[k]:   # a noiseless row adds nothing: no 0 * eps_noise term
+        np.add(dxb, np.multiply(plan.noise[k], eps_noise, out=tmp), out=dxb)
 
     if plan.plain[k]:
         np.add(x_bar, dxb, out=x_bar)
@@ -270,7 +274,7 @@ def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
             np.divide(sq, dxb.shape[-1], out=sq)
         np.add(np.multiply(1.0 - config.c, v, out=v), np.multiply(config.c, sq, out=sq),
                out=v)
-        if not np.min(v, initial=np.inf) > 0.0:    # NaN too
+        if not np.minimum.reduce(v, axis=None, initial=np.inf) > 0.0:    # NaN too
             raise SecondMomentError(
                 f"second-moment accumulator v is not positive at t={plan.t[k]} "
                 f"(c={config.c}, zeta={config.zeta}); with c=1, v is the last "

@@ -1,0 +1,126 @@
+"""Golden output digests: the cases test_golden.py pins, and how to rewrite the pins.
+
+Each case runs one `difflab` command through `difflab.cli.main` in a scratch
+directory and returns the sha256 of the files it wrote. Rewrite the pins only
+when a change is meant to move output bytes, and say so in CHANGES.md:
+
+    PYTHONPATH=src python tests/golden/regen.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+PINS = Path(__file__).resolve().with_name("pins.json")
+
+
+def _digests(out: Path, skip=()) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.is_file() and p.name not in skip}
+
+
+def _cli(*args) -> None:
+    from difflab.cli import main
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(a) for a in args])
+    if code != 0:
+        raise RuntimeError(f"difflab {' '.join(map(str, args))} exited {code}")
+
+
+def _write_spec(path: Path, spec: dict) -> Path:
+    path.write_text(json.dumps(spec))
+    return path
+
+
+def _mix16d_spec() -> dict:
+    """D=16, 8 components, K=50 quadratic respacing, vanilla ddpm_unit, 2100 chains."""
+    rng = np.random.default_rng(16)
+    weights = rng.uniform(0.2, 1.0, 8)
+    weights /= weights.sum()
+    weights[-1] = 1.0 - weights[:-1].sum()
+    return {
+        "model": {"weights": weights.tolist(), "means": rng.normal(0.0, 1.5, (8, 16)).tolist(),
+                  "variances": rng.uniform(0.05, 0.5, 8).tolist()},
+        "schedule": {"T": 1000, "beta_start": 1e-4, "beta_end": 0.02,
+                     "respace_k": 50, "respace_mode": "quadratic"},
+        "sampler": {"method": "vanilla", "eta_mode": "ddpm_unit"},
+        "n_chains": 2100, "seed": 1, "trajectories": False, "heatmap": None, "metrics": True,
+    }
+
+
+def _sweep_spec() -> dict:
+    """A deterministic K sweep of a smooth two-mode mixture: 2 K values x 2 seeds."""
+    base = {
+        "model": {"weights": [0.4, 0.6], "means": [[-2.0], [1.5]], "variances": [0.25, 0.25]},
+        "schedule": {"T": 1000, "beta_start": 1e-4, "beta_end": 0.02},
+        "sampler": {"method": "vanilla", "eta_mode": "deterministic"},
+        "n_chains": 512, "seed": 3, "trajectories": False, "heatmap": None, "metrics": True,
+    }
+    return {"base": base, "axis": "K", "values": [20, 50], "seeds_per_cell": 2}
+
+
+def toy_fig4(work: Path) -> dict[str, str]:
+    """The bundled toy_fig4 spec at seed 0 with 300 chains; every file but the manifest."""
+    _cli("run", "toy_fig4", "--seed", 0, "--chains", 300, "--out-dir", work / "out")
+    return _digests(work / "out", skip=("manifest.json",))
+
+
+def _mix16d(threads: int):
+    def case(work: Path) -> dict[str, str]:
+        spec = _write_spec(work / "spec.json", _mix16d_spec())
+        _cli("run", spec, "--threads", threads, "--out-dir", work / "out")
+        return _digests(work / "out", skip=("manifest.json",))
+    case.__doc__ = f"A mix16d-like run at threads={threads}; every file but the manifest."
+    return case
+
+
+def sweep_deterministic(work: Path) -> dict[str, str]:
+    """Every file of a deterministic K sweep."""
+    spec = _write_spec(work / "sweep.json", _sweep_spec())
+    _cli("sweep", spec, "--out-dir", work / "out")
+    return _digests(work / "out")
+
+
+def schedules_dump(work: Path) -> dict[str, str]:
+    """The bundled toy_fig4 spec's schedule table."""
+    _cli("schedules", "dump", "toy_fig4", "--out", work / "schedule.csv")
+    return _digests(work)
+
+
+def verify(work: Path) -> dict[str, str]:
+    """The report of `difflab verify`."""
+    _cli("verify", "--out", work / "verify_report.json")
+    return _digests(work)
+
+
+CASES = {
+    "toy_fig4": toy_fig4,
+    "mix16d_threads1": _mix16d(1),
+    "mix16d_threads2": _mix16d(2),
+    "sweep_deterministic": sweep_deterministic,
+    "schedules_dump": schedules_dump,
+    "verify": verify,
+}
+
+
+def main() -> int:
+    pins = {}
+    for name, case in CASES.items():
+        with tempfile.TemporaryDirectory() as work:
+            pins[name] = case(Path(work))
+    PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {sum(map(len, pins.values()))} digests of {len(pins)} cases to {PINS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

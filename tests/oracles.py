@@ -1,5 +1,5 @@
 """Independent references for what a run accumulates in its step loop, for
-the metrics' mixture quantiles and for the predictor's alpha-only terms.
+the metrics' mixture quantiles and for the predictor.
 
 The runner adds each step's total-variation increment and heatmap counts as it
 goes; these recompute both from the recorded trajectories after the fact, by a
@@ -7,7 +7,9 @@ different route (one norm per recorded step; digitize + np.add.at binning), so
 the tests can compare the two bit for bit. The quantile reference bisects a
 fixed 200 times, with no early stop. The predictor's terms are written out
 at one scalar alpha, the way a call computed them before a run built them over
-a whole plan at once.
+a whole plan at once, and the predictor itself is written out in its
+general-D form: einsum and matmul for the squared distances at every D, and
+np.max and np.sum for the softmax.
 """
 
 import numpy as np
@@ -29,6 +31,34 @@ def eps_terms_at(gmm: GaussianMixtureModel, alpha: float) -> dict:
             "log_norm": gmm.log_weights - 0.5 * gmm.D * (np.log(s2) + _LOG_2PI),
             "s2": s2, "gain": gain, "gain_mu": (1.0 - sa * gain)[:, None] * gmm.means,
             "sqrt_1ma": np.sqrt(1.0 - alpha)}
+
+
+def analytic_eps_general(gmm: GaussianMixtureModel, x, alpha: float) -> tuple:
+    """(eps_hat, x0_hat) of model.analytic_eps at one alpha, by the einsum,
+    matmul, np.max and np.sum route at every D, operation for operation."""
+    t = eps_terms_at(gmm, alpha)
+    x = np.asarray(x, dtype=float)
+    xf = x.reshape(-1, gmm.D)
+    nb, kn = np.empty(xf.shape[0]), np.empty((gmm.n_components, xf.shape[0]))
+    np.einsum("nd,nd->n", xf, xf, out=nb)
+    np.matmul(gmm.means, xf.T, out=kn)
+    np.multiply(t["two_sa"], kn, out=kn)
+    np.subtract(nb, kn, out=kn)
+    np.add(kn, t["sa2_mu_sq"][:, None], out=kn)
+    np.multiply(0.5, kn, out=kn)
+    np.divide(kn, t["s2"][:, None], out=kn)
+    np.subtract(t["log_norm"][:, None], kn, out=kn)
+    np.subtract(kn, np.max(kn, axis=0, out=nb), out=kn)
+    np.exp(kn, out=kn)
+    np.divide(kn, np.sum(kn, axis=0, out=nb), out=kn)
+    x0_hat, eps_hat = np.empty(xf.shape), np.empty(xf.shape)
+    np.matmul(kn.T, t["gain_mu"], out=x0_hat)
+    gain_r = np.matmul(t["gain"], kn, out=nb)
+    np.add(x0_hat, np.multiply(gain_r[:, None], xf, out=eps_hat), out=x0_hat)
+    np.multiply(t["sa"], x0_hat, out=eps_hat)
+    np.subtract(xf, eps_hat, out=eps_hat)
+    np.divide(eps_hat, t["sqrt_1ma"], out=eps_hat)
+    return eps_hat.reshape(x.shape), x0_hat.reshape(x.shape)
 
 
 def quantile_200_halvings(gmm: GaussianMixtureModel, u) -> np.ndarray:

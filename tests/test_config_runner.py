@@ -405,7 +405,11 @@ _MODEL_1D_SMOOTH = {"weights": [0.3, 0.7], "means": [[-1.0], [2.0]],
     ("eta_mode", ["deterministic", "ddpm_unit"], {}),
     ("K", [10, 25], {"model": _MODEL_2D}),
     ("K", [10, 25], {"model": _MODEL_1D_SMOOTH}),
-], ids=["K-integers", "b-floats", "eta-mode-strings", "D2-no-w1", "smooth-w1"])
+    ("K", [10, 25, 40], {"sampler": {"method": "vanilla", "eta_mode": "deterministic"},
+                         "n_chains": 2100}),
+    ("eta_mode", ["ddpm_unit", "deterministic"], {"model": _MODEL_2D}),
+], ids=["K-integers", "b-floats", "eta-mode-strings", "D2-no-w1", "smooth-w1",
+        "deterministic-two-blocks", "noisy-cell-first"])
 def test_sweep_csv_bytes_match_csv_writer_reference(tmp_path, axis, values, base_over):
     base = base_spec_dict(trajectory_chains=0, **base_over)
     sweep = SweepSpec.from_dict({"base": base, "axis": axis, "values": values,
@@ -496,3 +500,40 @@ def test_execute_sweep_computes_the_w1_reference_once(tmp_path, monkeypatch):
     monkeypatch.setattr(metrics, "mixture_quantile", counted)
     execute_sweep(sweep, tmp_path)
     assert calls == [sweep.base.n_chains]
+
+
+def _sweep_draws(tmp_path, monkeypatch, eta_mode):
+    """The _chain_noise calls of a 3 K x 2 seed sweep of 2100 chains (two blocks),
+    and the keys and shapes of its stored x_T after each cell."""
+    calls, stored = [], []
+    chain_noise, run = runner._chain_noise, runner.run_chains
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return chain_noise(*args)
+
+    def watched(*args, x_T=None, **kwargs):
+        result = run(*args, x_T=x_T, **kwargs)
+        stored.append({key: value.shape for key, value in x_T.items()})
+        return result
+    monkeypatch.setattr(runner, "_chain_noise", counted)
+    monkeypatch.setattr(runner, "run_chains", watched)
+    base = base_spec_dict(trajectory_chains=0, n_chains=2100,
+                          sampler={"method": "vanilla", "eta_mode": eta_mode})
+    execute_sweep(SweepSpec.from_dict({"base": base, "axis": "K", "values": [5, 10, 20],
+                                       "seeds_per_cell": 2}), tmp_path)
+    return calls, stored
+
+
+def test_deterministic_sweep_draws_each_seeds_x_T_once(tmp_path, monkeypatch):
+    calls, stored = _sweep_draws(tmp_path, monkeypatch, "deterministic")
+    assert len(calls) == len(set(calls)) == 2 * 2100     # 6 cells, two seeds
+    # one (chains, D) array per seed, in its blocks, from the first cell on
+    blocks = {(3, 0): (2048, 1), (3, 2048): (52, 1), (4, 0): (2048, 1), (4, 2048): (52, 1)}
+    assert stored == [{k: v for k, v in blocks.items() if k[0] == 3}] + [blocks] * 5
+
+
+def test_noisy_sweep_draws_for_every_cell(tmp_path, monkeypatch):
+    calls, stored = _sweep_draws(tmp_path, monkeypatch, "ddpm_unit")
+    assert len(calls) == 6 * 2100
+    assert len(stored[-1]) == 4

@@ -17,7 +17,7 @@ from difflab.runner import _block_noise, run_chains
 from difflab.samplers import StepPlan, SamplerConfig
 from difflab.schedule import linear_beta_schedule, respace
 
-from oracles import eps_terms_at, quantile_200_halvings, reference_bin
+from oracles import analytic_eps_general, eps_terms_at, quantile_200_halvings, reference_bin
 
 ETA_MODES = ("deterministic", "ddpm_unit", "ddpm_hat")
 # few examples, the same ones on every run, and nothing written to disk
@@ -263,6 +263,38 @@ def test_plan_terms_give_the_bytes_of_a_single_call(case):
         assert reused.eps_hat.tobytes() == fresh.eps_hat.tobytes(), row
         assert reused.x0_hat.tobytes() == fresh.x0_hat.tobytes(), row
     assert set(vars(terms)) == set(eps_terms_at(gmm, 0.5))
+
+
+@st.composite
+def signed_zero_cases(draw):
+    """predictor_cases with some mean and point coordinates set to 0.0 or -0.0."""
+    gmm, alphas, x = draw(predictor_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    means, x = np.array(gmm.means), x.copy()
+    for arr in (means, x):
+        pick = rng.uniform(size=arr.shape)
+        arr[pick < 0.2] = 0.0
+        arr[pick > 0.8] = -0.0
+    return GaussianMixtureModel(weights=gmm.weights, means=means,
+                                variances=gmm.variances), alphas, x
+
+
+@settings(_FEW, max_examples=60)
+@given(signed_zero_cases())
+@example((GaussianMixtureModel(weights=[0.25, 0.25, 0.5], means=[[0.0], [-0.0], [-3.0]],
+                               variances=[0.0, 0.5, 0.0]),
+          np.array([1e-5, 0.3, 1.0 - 1e-6]), np.array([[0.0], [-0.0], [-7.0], [2.5]])))
+def test_predictor_has_the_bytes_of_its_general_form(case):
+    # D = 1 computes |x|^2 and mu_k x as single products and every D reduces
+    # with the ufuncs themselves; fresh or in reused arrays, each call must
+    # give the einsum / matmul / np.max / np.sum form's bytes
+    gmm, alphas, x = case
+    work = EpsWork(EpsTerms(gmm, alphas), x.shape[0])
+    for row, alpha in enumerate(alphas.tolist()):
+        eps_hat, x0_hat = analytic_eps_general(gmm, x, alpha)
+        for pred in (analytic_eps(gmm, x, alpha), analytic_eps(gmm, x, alpha, work, row)):
+            assert pred.eps_hat.tobytes() == eps_hat.tobytes(), row
+            assert pred.x0_hat.tobytes() == x0_hat.tobytes(), row
 
 
 @pytest.mark.xfail(strict=True, reason=(
