@@ -138,16 +138,23 @@ class EpsTerms:
 
 
 class EpsWork:
-    """Terms over a plan's signal levels and the arrays that predictions for n
-    points write into; each call overwrites the previous call's eps_hat and x0_hat."""
+    """Terms over a plan's signal levels and the arrays that predictions for
+    points of shape ``points`` (n, or a stack (S, n) of S sets of n) write
+    into; each call overwrites the previous call's eps_hat and x0_hat.
 
-    def __init__(self, terms: EpsTerms, n: int):
+    Components sit on axis -2 of the (..., K, n) buffer, just before the
+    points, so one reduction over them serves a stack as it serves one set."""
+
+    def __init__(self, terms: EpsTerms, points):
         K, D = terms.gain_mu.shape[1:]
+        points = points if isinstance(points, tuple) else (points,)
         self.terms = terms
-        self.n_buf = np.empty(n)            # |x|^2, then column max, sum, gain @ r
-        self.kn_buf = np.empty((K, n))      # sq, then log p, then r
-        self.x0_hat = np.empty((n, D))
-        self.eps_hat = np.empty((n, D))
+        self.n_buf = np.empty(points)       # |x|^2, then column max, sum, gain @ r
+        # its views against the (..., K, n) buffer and the (..., n, D) points
+        self.n_col, self.n_row = self.n_buf[..., None, :], self.n_buf[..., None]
+        self.kn_buf = np.empty(points[:-1] + (K, points[-1]))   # sq, log p, then r
+        self.x0_hat = np.empty(points + (D,))
+        self.eps_hat = np.empty(points + (D,))
 
 
 def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
@@ -161,41 +168,46 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     x0_hat = sum_k r_k ((1 - sqrt(alpha) g_k) mu_k + g_k x); point masses are
     the g_k = 0 case.
 
-    With work, alpha is row ``row`` of work's terms and x is (n, D): the call
-    reads the terms there and writes into work's arrays, allocating none.
+    With work, alpha is row ``row`` of work's terms and x holds work's points,
+    (n, D) or a stack (S, n, D): the call reads the terms there and writes
+    into work's arrays, allocating none. A stack's every (n, D) slice gets the
+    bytes it would get alone: the products are stacked matmuls, which run
+    BLAS on each slice, and the reductions run over the component axis.
     """
     D = gmm.D
     if work is None:
         _check_alpha(alpha, "analytic_eps")
         x = np.asarray(x, dtype=float)
         work, row = EpsWork(EpsTerms(gmm, [alpha]), x.size // D), 0
-    xf = x.reshape(-1, D)                                           # (N, D)
+    x0_hat, eps_hat = work.x0_hat, work.eps_hat
+    xf = x.reshape(x0_hat.shape)                                    # (..., n, D)
     terms, nb, kn = work.terms, work.n_buf, work.kn_buf
     # |x - sa mu_k|^2 expanded: no (K, N, D) difference array
     if D == 1:
         # single products, the same bits as einsum and matmul give; a -0.0
         # cross term, where matmul gives +0.0, is lost in the subtraction below
-        np.multiply(xf[:, 0], xf[:, 0], out=nb)
-        np.multiply(gmm.means, xf.T, out=kn)
+        np.multiply(xf[..., 0], xf[..., 0], out=nb)
+        np.multiply(gmm.means, xf.mT, out=kn)
     else:
-        np.einsum("nd,nd->n", xf, xf, out=nb)
-        np.matmul(gmm.means, xf.T, out=kn)
+        np.einsum("...d,...d->...", xf, xf, out=nb)
+        np.matmul(gmm.means, xf.mT, out=kn)
     np.multiply(terms.two_sa[row], kn, out=kn)
-    np.subtract(nb, kn, out=kn)
-    np.add(kn, terms.sa2_mu_sq[row], out=kn)                        # (K, N)
+    np.subtract(work.n_col, kn, out=kn)
+    np.add(kn, terms.sa2_mu_sq[row], out=kn)                        # (..., K, n)
     # log_p as _log_joint has it
     np.multiply(0.5, kn, out=kn)
     np.divide(kn, terms.s2[row], out=kn)
     np.subtract(terms.log_norm[row], kn, out=kn)
     # responsibilities: softmax with max subtraction, stable at small alpha;
     # the ufunc reductions are np.max and np.sum without their wrappers
-    np.subtract(kn, np.maximum.reduce(kn, axis=0, out=nb), out=kn)
+    np.maximum.reduce(kn, axis=-2, out=nb)
+    np.subtract(kn, work.n_col, out=kn)
     np.exp(kn, out=kn)
-    np.divide(kn, np.add.reduce(kn, axis=0, out=nb), out=kn)
-    x0_hat, eps_hat = work.x0_hat, work.eps_hat
-    np.matmul(kn.T, terms.gain_mu[row], out=x0_hat)
-    gain_r = np.matmul(terms.gain[row], kn, out=nb)
-    np.add(x0_hat, np.multiply(gain_r[:, None], xf, out=eps_hat), out=x0_hat)
+    np.add.reduce(kn, axis=-2, out=nb)
+    np.divide(kn, work.n_col, out=kn)
+    np.matmul(kn.mT, terms.gain_mu[row], out=x0_hat)
+    np.matmul(terms.gain[row], kn, out=nb)                          # gain @ r
+    np.add(x0_hat, np.multiply(work.n_row, xf, out=eps_hat), out=x0_hat)
     np.multiply(terms.sa[row], x0_hat, out=eps_hat)
     np.subtract(xf, eps_hat, out=eps_hat)
     np.divide(eps_hat, terms.sqrt_1ma[row], out=eps_hat)

@@ -11,6 +11,9 @@ a cell whose plan uses no noise past x_T reads it there instead of drawing.
 Blocks of chains are stepped vectorized, in place: each worker draws its
 blocks' noise into one reused buffer, each block writes every step into one
 buffer set, and the predictor's alpha-only terms are computed once per run.
+A run of several seeds (a sweep value's cells) steps block lo of as many of
+them as fit in _BLOCK chains as one (S, n, D) stack, each seed's chains
+getting the bytes of its own run, so one kernel call serves them all.
 File writes happen once, after every block has finished.
 """
 
@@ -136,38 +139,48 @@ def _block_noise(seed: int, lo: int, hi: int, plan: StepPlan, D: int,
 
 
 def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
-               plan: StepPlan, seed: int, lo: int, hi: int, result: RunResult,
+               plan: StepPlan, seeds: tuple, at, lo: int, hi: int, result: RunResult,
                terms: EpsTerms, store: np.ndarray, x_T: dict | None):
-    """Step chains lo..hi-1, writing their rows of the result's samples, tv and
-    trajectories in place; returns their heatmap counts (None without a heatmap).
+    """Step chains lo..hi-1 of each of seeds, writing their rows of the result's
+    samples, tv and trajectories in place; returns their heatmap counts (None
+    without a heatmap).
+
+    result holds every seed of the run, samples (seeds, n_chains, D) and tv
+    (seeds, n_chains); ``at`` picks these seeds' rows: a slice, stepped as one
+    (S, n, D) stack, or one seed's index, stepped as (n, D) chains.
 
     The block's noise is drawn into store, its worker's buffer, unless the plan
-    uses x_T only and x_T (see run_chains) holds the block's. Its state and a
+    uses x_T only and x_T (see run_chains) holds every seed's. Its state and a
     StepWork are its one buffer set: every step writes into them, and the loop
     allocates no array per step.
     """
     K, n, D = plan.K, hi - lo, model.D
-    key = (seed, lo)
-    if x_T is not None and key in x_T and _noise_rows(plan) == 1:
-        noise = x_T[key][:, None, :]
+    rows = _noise_rows(plan)
+    keys = [(seed, lo) for seed in seeds]
+    noise = store[:len(seeds) * n * rows * D].reshape(len(seeds), n, rows, D)
+    if x_T is not None and rows == 1 and all(key in x_T for key in keys):
+        np.stack([x_T[key] for key in keys], out=noise[:, :, 0, :])
     else:
-        noise = _block_noise(seed, lo, hi, plan, D, store)
-        if x_T is not None and key not in x_T:
-            x_T[key] = noise[:, 0, :].copy()    # store is overwritten by the next block
+        for seed, key, chains in zip(seeds, keys, noise):
+            _block_noise(seed, lo, hi, plan, D, chains.reshape(-1))
+            if x_T is not None and key not in x_T:
+                x_T[key] = chains[:, 0, :].copy()  # store is overwritten by the next block
+    if isinstance(at, int):
+        noise = noise[0]
     zero = np.zeros(D)          # the noise of every step past the drawn rows
-    state = ChainState.init(noise[:, 0, :], plan)
-    work = StepWork((n, D), terms)
+    state = ChainState.init(noise[..., 0, :], plan)
+    work = StepWork(state.x_bar.shape, terms)
 
     record, grid = result.trajectories, result.heatmap
     n_rec = max(0, min(hi, record.xs.shape[0]) - lo)
-    tv = result.tv[lo:hi]   # a view: the block adds into its own rows
-    norm = np.empty(n)
+    tv = result.tv[at, lo:hi]   # a view: the block adds into its own rows
+    norm = np.empty(tv.shape)
     prev_x = None
     counts = None if grid is None else np.zeros_like(grid.counts)
-    rows = None if grid is None else grid.rows(plan.t_prev)
+    t_rows = None if grid is None else grid.rows(plan.t_prev)
 
     for k in range(K):
-        eps = noise[:, k + 1, :] if k + 1 < noise.shape[1] else zero
+        eps = noise[..., k + 1, :] if k + 1 < rows else zero
         state, x_next, x0_hat, _ = _step_core(state, model, schedule, config, eps, plan, k,
                                               work)
         if prev_x is not None:
@@ -181,58 +194,84 @@ def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
             record.xs[lo:lo + n_rec, k] = x_next[:n_rec]
             record.x0_hats[lo:lo + n_rec, k] = x0_hat[:n_rec]
         if counts is not None:
-            bin_trajectory_points(grid, rows[k], x_next, counts)
+            bin_trajectory_points(grid, t_rows[k], x_next, counts)
 
-    result.samples[lo:hi] = prev_x     # the last step's x_{t-1} is x_0
+    result.samples[at, lo:hi] = prev_x     # the last step's x_{t-1} is x_0
     return counts
 
 
+def _stack_size(n_chains: int) -> int:
+    """Seeds of a run of n_chains whose blocks one kernel call steps together:
+    as many as keep the stack within _BLOCK chains."""
+    return _BLOCK // min(_BLOCK, max(n_chains, 1))
+
+
 def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
-               n_chains: int, seed: int, threads: int = 1,
+               n_chains: int, seed: int | tuple, threads: int = 1,
                trajectory_chains: int = 0,
-               heatmap: dict | None = None, *, x_T: dict | None = None) -> RunResult:
+               heatmap: dict | None = None, *,
+               x_T: dict | None = None) -> RunResult | list[RunResult]:
     """Run n_chains reverse chains on seeded noise; record the first trajectory_chains.
+
+    seed is one seed, which gives one RunResult, or a tuple of seeds, which
+    gives a list of one RunResult per seed, each with the bytes its own run
+    gives. A tuple steps block lo of up to _stack_size(n_chains) of its seeds
+    as one stack, so that a kernel call moves up to _BLOCK chains; it records
+    no trajectories and bins no heatmap.
 
     x_T, a dict that runs of one model and chain count may share, maps
     (seed, block start) to that block's x_T, the first row of its chains'
     noise. A run stores the x_T of each block it draws, and a block whose
     plan uses no noise past x_T reads it from there and draws nothing.
     """
+    stacked = isinstance(seed, tuple)
+    seeds = seed if stacked else (seed,)
+    if stacked and (trajectory_chains > 0 or heatmap is not None):
+        raise ValueError("a tuple of seeds runs without trajectories and without a heatmap")
     D = model.D
     plan = StepPlan.build(schedule, config)
     n_rec = min(trajectory_chains, n_chains)
+    # every seed's rows; each seed's RunResult gets views of its own
     result = RunResult(
-        samples=np.zeros((n_chains, D)), tv=np.zeros(n_chains),
+        samples=np.zeros((len(seeds), n_chains, D)), tv=np.zeros((len(seeds), n_chains)),
         trajectories=Trajectory(ts=plan.t_prev.copy(), xs=np.empty((n_rec, plan.K, D)),
                                 x0_hats=np.empty((n_rec, plan.K, D))),
         heatmap=None if heatmap is None else heatmap_grid(heatmap, schedule.tau[-1], D))
 
     terms = EpsTerms(model, plan.alpha)
-    # one noise buffer per worker, reused by its blocks: at most `workers` exist
-    store_size = min(_BLOCK, n_chains) * _noise_rows(plan) * D
+    stack = _stack_size(n_chains)
+    # one noise buffer per worker, reused by its blocks: at most `workers` exist,
+    # none bigger than a full block's
+    store_size = min(stack, len(seeds)) * min(_BLOCK, n_chains) * _noise_rows(plan) * D
     stores = []
 
-    def work(lo):
+    def work(job):
+        s_lo, lo = job
+        s_hi = min(s_lo + stack, len(seeds))
+        at = s_lo if s_hi - s_lo == 1 else slice(s_lo, s_hi)
         try:
             store = stores.pop()        # atomic: no two blocks get one buffer
         except IndexError:              # every buffer is in use
             store = np.empty(store_size)
-        counts = _run_block(model, schedule, config, plan, seed, lo,
+        counts = _run_block(model, schedule, config, plan, seeds[s_lo:s_hi], at, lo,
                             min(lo + _BLOCK, n_chains), result, terms, store, x_T)
         stores.append(store)
         return counts
 
-    starts = range(0, n_chains, _BLOCK)
+    jobs = [(s_lo, lo) for s_lo in range(0, len(seeds), stack)
+            for lo in range(0, n_chains, _BLOCK)]
     workers = min(threads, os.cpu_count() or 1)   # map submits every block at once
-    if workers > 1 and len(starts) > 1:
+    if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(work, starts))
+            counts = list(pool.map(work, jobs))
     else:
-        counts = [work(lo) for lo in starts]
+        counts = [work(job) for job in jobs]
 
     if result.heatmap is not None:      # integer sums: the same in any order
         result.heatmap.counts[:] += sum(counts)
-    return result
+    results = [RunResult(samples, tv, result.trajectories, result.heatmap)
+               for samples, tv in zip(result.samples, result.tv)]
+    return results if stacked else results[0]
 
 
 def compute_metrics(result: RunResult, model: GaussianMixtureModel, seed: int,
@@ -317,12 +356,18 @@ def execute_sweep(sweep: SweepSpec, out_dir) -> list[tuple]:
     quantiles = w1_quantiles(model, sweep.base.n_chains) if model.D == 1 else None
     cells = {value: [] for value in sweep.values}   # each value's (seed, metrics)
     x_T = {}    # each seed's x_T, drawn once for the cells that use nothing else
+    stack = _stack_size(sweep.base.n_chains)
     for value, runs in cells.items():
-        for s in range(sweep.seeds_per_cell):
-            spec = sweep.cell_spec(value, s)
-            result = run_chains(model, spec.build_schedule(), spec.build_sampler_config(),
-                                spec.n_chains, spec.seed, threads=spec.threads, x_T=x_T)
-            runs.append((spec.seed, compute_metrics(result, model, spec.seed, quantiles)))
+        # a value's cells differ only in the seed: one run steps as many
+        # together as one kernel call takes
+        specs = [sweep.cell_spec(value, s) for s in range(sweep.seeds_per_cell)]
+        for part in (specs[i:i + stack] for i in range(0, len(specs), stack)):
+            spec = part[0]
+            results = run_chains(model, spec.build_schedule(), spec.build_sampler_config(),
+                                 spec.n_chains, tuple(cell.seed for cell in part),
+                                 threads=spec.threads, x_T=x_T)
+            runs += [(cell.seed, compute_metrics(result, model, cell.seed, quantiles))
+                     for cell, result in zip(part, results)]
 
     # per-value mean of the quality metric; the argmin value's cells are marked
     key = "w1" if model.D == 1 else "sliced_w1"

@@ -9,12 +9,13 @@ noiseless generalized step for every method, so with alpha(0) = 1 each chain
 ends on its last predicted clean sample.
 
 All step math broadcasts over leading batch dimensions; a single chain is the
-(D,) special case. The run loop steps each block in place: its state's arrays
-and one ``StepWork`` are the block's one buffer set, which every step writes
-into. Without a ``StepWork`` the kernel treats states as values. A step pays
-for numpy calls more than for arithmetic at the benchmark's sizes, so the
-kernel adds no noise term on a noiseless row (every deterministic row and the
-last row of any plan).
+(D,) special case. The run loop steps each block in place, as (n, D) chains or
+as a stack (S, n, D) of one block of S seeds: its state's arrays and one
+``StepWork`` are the block's one buffer set, which every step writes into.
+Without a ``StepWork`` the kernel treats states as values. A step pays for
+numpy calls more than for arithmetic at the benchmark's sizes, so the kernel
+adds no noise term on a noiseless row (every deterministic row and the last
+row of any plan).
 """
 
 from __future__ import annotations
@@ -220,18 +221,18 @@ class ChainState:
 
 
 class StepWork:
-    """The buffers a block's steps write into besides its state's arrays:
-    d x_bar, a scratch array, the second-moment temporary, two x_{t-1} arrays
-    used in turn (the caller reads the previous step's while the next is
-    written) and, given the predictor's terms for the plan, its ``EpsWork``
-    (without them, the predictor allocates)."""
+    """The buffers a block's steps write into besides its state's arrays, for
+    chains of shape (n, D) or a stack (S, n, D): d x_bar, a scratch array, the
+    second-moment temporary, two x_{t-1} arrays used in turn (the caller reads
+    the previous step's while the next is written) and, given the predictor's
+    terms for the plan, its ``EpsWork`` (without them, the predictor allocates)."""
 
     def __init__(self, shape, terms: EpsTerms | None = None):
         self.dxb = np.empty(shape)
         self.scratch = np.empty(shape)
         self.sq = np.empty(shape[:-1])
         self.x_next = (np.empty(shape), np.empty(shape))
-        self.eps_work = None if terms is None else EpsWork(terms, shape[0])
+        self.eps_work = None if terms is None else EpsWork(terms, shape[:-1])
 
 
 @dataclass

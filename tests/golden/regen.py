@@ -68,6 +68,29 @@ def _sweep_spec() -> dict:
     return {"base": base, "axis": "K", "values": [20, 50], "seeds_per_cell": 2}
 
 
+def _sweep_b_spec() -> dict:
+    """A noisy adaptive sweep over b of a smooth two-mode mixture: 2 values x 3 seeds."""
+    base = {
+        "model": {"weights": [0.3, 0.7], "means": [[-1.5], [2.0]], "variances": [0.2, 0.3]},
+        "schedule": {"T": 100, "beta_start": 5e-4, "beta_end": 0.1},
+        "sampler": {"method": "adaptive", "eta_mode": "ddpm_unit", "c": 0.003},
+        "n_chains": 300, "seed": 7, "trajectories": False, "heatmap": None, "metrics": True,
+    }
+    return {"base": base, "axis": "b", "values": [0.3, 0.5], "seeds_per_cell": 3}
+
+
+def _sweep_2d_spec() -> dict:
+    """A deterministic K sweep of a two-dimensional three-mode mixture: 2 K values x 2 seeds."""
+    base = {
+        "model": {"weights": [0.2, 0.5, 0.3], "means": [[-2.0, 0.5], [1.0, 1.5], [0.5, -2.0]],
+                  "variances": [0.3, 0.1, 0.2]},
+        "schedule": {"T": 1000, "beta_start": 1e-4, "beta_end": 0.02},
+        "sampler": {"method": "vanilla", "eta_mode": "deterministic"},
+        "n_chains": 700, "seed": 11, "trajectories": False, "heatmap": None, "metrics": True,
+    }
+    return {"base": base, "axis": "K", "values": [15, 40], "seeds_per_cell": 2}
+
+
 def toy_fig4(work: Path) -> dict[str, str]:
     """The bundled toy_fig4 spec at seed 0 with 300 chains; every file but the manifest."""
     _cli("run", "toy_fig4", "--seed", 0, "--chains", 300, "--out-dir", work / "out")
@@ -83,11 +106,13 @@ def _mix16d(threads: int):
     return case
 
 
-def sweep_deterministic(work: Path) -> dict[str, str]:
-    """Every file of a deterministic K sweep."""
-    spec = _write_spec(work / "sweep.json", _sweep_spec())
-    _cli("sweep", spec, "--out-dir", work / "out")
-    return _digests(work / "out")
+def _sweep(make_spec):
+    def case(work: Path) -> dict[str, str]:
+        spec = _write_spec(work / "sweep.json", make_spec())
+        _cli("sweep", spec, "--out-dir", work / "out")
+        return _digests(work / "out")
+    case.__doc__ = f"Every file of the sweep that {make_spec.__name__} describes."
+    return case
 
 
 def schedules_dump(work: Path) -> dict[str, str]:
@@ -106,7 +131,9 @@ CASES = {
     "toy_fig4": toy_fig4,
     "mix16d_threads1": _mix16d(1),
     "mix16d_threads2": _mix16d(2),
-    "sweep_deterministic": sweep_deterministic,
+    "sweep_deterministic": _sweep(_sweep_spec),
+    "sweep_adaptive_b": _sweep(_sweep_b_spec),
+    "sweep_deterministic_2d": _sweep(_sweep_2d_spec),
     "schedules_dump": schedules_dump,
     "verify": verify,
 }

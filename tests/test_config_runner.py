@@ -12,6 +12,7 @@ import pytest
 
 import difflab.metrics as metrics
 import difflab.runner as runner
+import difflab.samplers as samplers
 from difflab.config import RunSpec, SpecError, SweepSpec
 from difflab.model import GaussianMixtureModel
 from difflab.runner import (_block_noise, _write_samples_csv, _write_trajectories_csv,
@@ -209,6 +210,41 @@ def test_block_noise_draws_the_prefix_its_plan_uses(eta):
     for i, got in zip(range(3, 7), noise):
         full = np.random.default_rng([8, i]).standard_normal((plan.K + 1, 2))
         assert got.tobytes() == full[:rows].tobytes()
+
+
+def test_run_chains_steps_a_tuple_of_seeds_in_stacks_of_up_to_a_block(monkeypatch):
+    # 5 seeds x 700 chains: stacks of 2, 2 and 1 seeds, shared out to a pool;
+    # each seed's result is the bytes of its own run
+    gmm = two_point()
+    sched = linear_beta_schedule(6, 1e-3, 0.05)
+    cfg = SamplerConfig(method="adaptive", b=0.3, c=0.05)
+    stacks, block = [], runner._run_block
+
+    def watched(*args):
+        stacks.append((args[4], args[5]))
+        return block(*args)
+    monkeypatch.setattr(runner, "_run_block", watched)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
+    seeds = (9, 2, 30, 4, 5)
+    stacked = run_chains(gmm, sched, cfg, 700, seeds, threads=4)
+    # pool threads may run the stacks in any order
+    assert sorted(stacks, key=str) == sorted([((9, 2), slice(0, 2)), ((30, 4), slice(2, 4)),
+                                              ((5,), 4)], key=str)
+    assert isinstance(stacked, list) and len(stacked) == 5
+    for seed, got in zip(seeds, stacked):
+        alone = run_chains(gmm, sched, cfg, 700, seed)
+        assert got.samples.tobytes() == alone.samples.tobytes()
+        assert got.tv.tobytes() == alone.tv.tobytes()
+
+
+@pytest.mark.parametrize("kwargs", [{"trajectory_chains": 1},
+                                    {"heatmap": {"t_bins": 2, "x_bins": 4,
+                                                 "x_min": -1.0, "x_max": 1.0}}])
+def test_a_tuple_of_seeds_records_no_trajectories_or_heatmap(kwargs):
+    # one trajectory array or heatmap could hold only one seed's chains
+    with pytest.raises(ValueError, match="tuple of seeds"):
+        run_chains(two_point(), linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla(),
+                   10, (1, 2), **kwargs)
 
 
 def test_run_chains_zero_chains():
@@ -502,9 +538,10 @@ def test_execute_sweep_computes_the_w1_reference_once(tmp_path, monkeypatch):
     assert calls == [sweep.base.n_chains]
 
 
-def _sweep_draws(tmp_path, monkeypatch, eta_mode):
-    """The _chain_noise calls of a 3 K x 2 seed sweep of 2100 chains (two blocks),
-    and the keys and shapes of its stored x_T after each cell."""
+def _sweep_draws(tmp_path, monkeypatch, eta_mode, n_chains=2100):
+    """The _chain_noise calls of a 3 K x 2 seed sweep of n_chains chains (by
+    default two blocks), and the keys and shapes of its stored x_T after each
+    run_chains call."""
     calls, stored = [], []
     chain_noise, run = runner._chain_noise, runner.run_chains
 
@@ -518,7 +555,7 @@ def _sweep_draws(tmp_path, monkeypatch, eta_mode):
         return result
     monkeypatch.setattr(runner, "_chain_noise", counted)
     monkeypatch.setattr(runner, "run_chains", watched)
-    base = base_spec_dict(trajectory_chains=0, n_chains=2100,
+    base = base_spec_dict(trajectory_chains=0, n_chains=n_chains,
                           sampler={"method": "vanilla", "eta_mode": eta_mode})
     execute_sweep(SweepSpec.from_dict({"base": base, "axis": "K", "values": [5, 10, 20],
                                        "seeds_per_cell": 2}), tmp_path)
@@ -531,6 +568,35 @@ def test_deterministic_sweep_draws_each_seeds_x_T_once(tmp_path, monkeypatch):
     # one (chains, D) array per seed, in its blocks, from the first cell on
     blocks = {(3, 0): (2048, 1), (3, 2048): (52, 1), (4, 0): (2048, 1), (4, 2048): (52, 1)}
     assert stored == [{k: v for k, v in blocks.items() if k[0] == 3}] + [blocks] * 5
+
+
+def test_deterministic_stacked_sweep_draws_each_seeds_x_T_once(tmp_path, monkeypatch):
+    # 512 chains: both seeds of a value run in one call, stepped as one stack
+    calls, stored = _sweep_draws(tmp_path, monkeypatch, "deterministic", n_chains=512)
+    assert len(calls) == len(set(calls)) == 2 * 512
+    assert stored == [{(3, 0): (512, 1), (4, 0): (512, 1)}] * 3
+
+
+def test_stacked_sweep_builds_one_plan_and_steps_once_per_value(tmp_path, monkeypatch):
+    # 2 values x 2 seeds of 512 chains: one StepPlan per value, and each of its
+    # steps is one predictor call for both seeds
+    plans, eps_calls = [], []
+    build, analytic_eps = StepPlan.build.__func__, samplers.analytic_eps
+
+    def counted_build(cls, *args):
+        plans.append(len(args[0].tau))
+        return build(cls, *args)
+
+    def counted_eps(*args, **kwargs):
+        eps_calls.append(args[1].shape)
+        return analytic_eps(*args, **kwargs)
+    sweep = SweepSpec.from_dict({"base": base_spec_dict(trajectory_chains=0, n_chains=512),
+                                 "axis": "K", "values": [10, 25], "seeds_per_cell": 2})
+    monkeypatch.setattr(StepPlan, "build", classmethod(counted_build))
+    monkeypatch.setattr(samplers, "analytic_eps", counted_eps)
+    execute_sweep(sweep, tmp_path)
+    assert plans == [10, 25]
+    assert eps_calls == [(2, 512, 1)] * (10 + 25)
 
 
 def test_noisy_sweep_draws_for_every_cell(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 from dataclasses import fields
 from importlib import resources
 
@@ -25,12 +26,17 @@ _FEW = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def schedules(draw, max_T=60):
-    """A linear-beta schedule, sometimes respaced."""
+def schedules(draw, max_T=60, flat=False):
+    """A linear-beta schedule, sometimes respaced; with flat, sometimes with
+    constant betas and alpha_zero below 1 (ddpm_hat fits only such schedules
+    or coarsely respaced ones)."""
     T = draw(st.integers(1, max_T))
     beta_start = draw(st.floats(1e-4, 0.2))
-    beta_end = draw(st.floats(beta_start, 0.3))
-    sched = linear_beta_schedule(T, beta_start, beta_end)
+    beta_end = beta_start if flat and draw(st.booleans()) else draw(st.floats(beta_start, 0.3))
+    alpha_zero = 1.0
+    if flat and draw(st.booleans()):
+        alpha_zero = draw(st.floats(np.sqrt(1.0 - beta_start), 1.0))
+    sched = linear_beta_schedule(T, beta_start, beta_end, alpha_zero)
     if draw(st.booleans()):
         sched = respace(sched, draw(st.integers(1, T)),
                         draw(st.sampled_from(("uniform", "quadratic"))))
@@ -84,6 +90,45 @@ def test_plan_of_respace_to_T_equals_full_plan(T, beta_start, spread, mode, K, c
     plan = StepPlan.build(sub, config)
     assert plan.t.tolist() == list(sub.tau[::-1])
     assert plan.sqrt_alpha.tobytes() == np.sqrt(full.alphas_cum[plan.t - 1]).tobytes()
+
+
+def _sigma_closed_form(eta_mode, a_t, a_p):
+    """The generalized step's noise scale by its formula in each eta mode."""
+    step = 1.0 - a_t / a_p
+    if eta_mode == "deterministic":
+        return 0.0
+    if eta_mode == "ddpm_unit":
+        return math.sqrt((1.0 - a_p) / (1.0 - a_t) * step)
+    return math.sqrt(step) if a_p < 1.0 else 0.0    # ddpm_hat: eta_hat is 0 at alpha_prev = 1
+
+
+@pytest.mark.parametrize("eta", ETA_MODES)
+@settings(_FEW, max_examples=60)   # cheap: no chains run
+@given(schedules(flat=True), st.data())
+def test_plan_rows_match_their_closed_forms(eta, sched, data):
+    # only the golden digests would see a plan row off by a relative 1e-12
+    # otherwise; every row's coefficients must equal their formulas here
+    config = data.draw(configs(eta_modes=(eta,)))
+    assume(_fitting(sched, config))
+    plan = StepPlan.build(sched, config)
+    assert plan.t.tolist() == list(sched.tau[::-1])
+    assert plan.t_prev.tolist() == [0, *sched.tau[:-1]][::-1]
+    for k, (t, t_prev) in enumerate(zip(plan.t.tolist(), plan.t_prev.tolist())):
+        a_t, a_p = sched.alpha(t), sched.alpha(t_prev)
+        last = k == plan.K - 1
+        sig = _sigma_closed_form(config.eta_mode, a_t, a_p)
+        drift = math.sqrt(max(1.0 - a_p - sig * sig, 0.0)) / math.sqrt(a_p)
+        slope = math.sqrt((1.0 - a_t) / a_t)
+        # (formula, the scale its rounding error is relative to)
+        want = {"alpha": (a_t, a_t),
+                "sqrt_alpha": (math.sqrt(a_t), math.sqrt(a_t)),
+                "sqrt_alpha_prev": (math.sqrt(a_p), math.sqrt(a_p)),
+                "noise": (0.0 if last else sig / math.sqrt(a_p), sig / math.sqrt(a_p)),
+                "mu": (drift - slope, drift + slope)}
+        for name, (value, scale) in want.items():
+            got = float(getattr(plan, name)[k])
+            assert abs(got - value) <= 1e-14 * scale, (name, k, got, value)
+        assert bool(plan.plain[k]) == (config.method == "vanilla" or last), k
 
 
 @settings(_FEW, max_examples=60)   # cheap: no chains run
@@ -295,6 +340,31 @@ def test_predictor_has_the_bytes_of_its_general_form(case):
         for pred in (analytic_eps(gmm, x, alpha), analytic_eps(gmm, x, alpha, work, row)):
             assert pred.eps_hat.tobytes() == eps_hat.tobytes(), row
             assert pred.x0_hat.tobytes() == x0_hat.tobytes(), row
+
+
+@pytest.mark.parametrize("D", [1, 2, 16])
+@settings(_FEW, max_examples=20)
+@given(st.sampled_from((1, 2, 8)), st.sampled_from((1, 7, 300, 1024)),
+       schedules(max_T=12, flat=True), configs(),
+       st.lists(st.integers(0, 2**32), min_size=2, max_size=4, unique=True),
+       st.integers(0, 2**32))
+def test_stacked_seeds_give_each_seeds_own_bytes(D, K, n, sched, config, seeds, draw):
+    # a tuple of seeds steps their blocks as one stack; each seed's samples
+    # and tv must be the bytes of its own run, drawn or read from a shared x_T
+    assume(_fitting(sched, config))
+    rng = np.random.default_rng(draw)
+    w = rng.uniform(0.1, 1.0, K)
+    gmm = GaussianMixtureModel(weights=w / w.sum(), means=rng.uniform(-4.0, 4.0, (K, D)),
+                               variances=rng.uniform(0.0, 1.0, K) * (rng.uniform(size=K) < 0.7))
+    x_T = {}
+    drawn = run_chains(gmm, sched, config, n, tuple(seeds), x_T=x_T)
+    again = run_chains(gmm, sched, config, n, tuple(seeds), x_T=x_T)
+    assert len(drawn) == len(again) == len(seeds)
+    for seed, *stacked in zip(seeds, drawn, again):
+        alone = run_chains(gmm, sched, config, n, seed)
+        for got in stacked:
+            assert got.samples.tobytes() == alone.samples.tobytes(), seed
+            assert got.tv.tobytes() == alone.tv.tobytes(), seed
 
 
 @pytest.mark.xfail(strict=True, reason=(
