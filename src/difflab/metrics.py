@@ -103,9 +103,14 @@ def sliced_w1(samples_a, samples_b, n_projections: int, rng) -> float:
         raise ValueError("sliced W1 is for D >= 2; use wasserstein1_1d in 1D")
     dirs = rng.standard_normal((n_projections, a.shape[1]))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pa = np.sort(a @ dirs.T, axis=0)
-    pb = np.sort(b @ dirs.T, axis=0)
-    return float(np.mean(np.abs(pa - pb)))
+    # each projection as one contiguous row, sorted in place: sorting the
+    # (n, P) product's strided columns is several times slower
+    pa, pb = (np.ascontiguousarray((x @ dirs.T).T) for x in (a, b))
+    pa.sort(axis=-1)
+    pb.sort(axis=-1)
+    gaps = np.abs(np.subtract(pa, pb, out=pa), out=pa)
+    # the mean sums the (n, P) gaps in C order, as it did over the (n, P) sort
+    return float(np.mean(np.ascontiguousarray(gaps.T)))
 
 
 @dataclass(frozen=True)

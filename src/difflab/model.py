@@ -11,15 +11,19 @@ alpha a timestep has is the schedule's business, not the model's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "GaussianMixtureModel",
+    "EpsRow",
     "EpsTerms",
     "EpsWork",
     "NoisePrediction",
     "analytic_eps",
+    "eps_rows",
+    "eps_columns",
     "log_density_t",
     "sample_marginal",
     "score_x",
@@ -71,8 +75,7 @@ class GaussianMixtureModel:
         return int(self.means.shape[1])
 
 
-@dataclass(frozen=True)
-class NoisePrediction:
+class NoisePrediction(NamedTuple):
     """Predicted noise and the clean sample it implies."""
 
     eps_hat: np.ndarray
@@ -113,12 +116,26 @@ def _check_alpha(alpha, what: str, clean: bool = False) -> None:
         raise ValueError(f"{what} needs 0 < alpha {'<=' if clean else '<'} 1, not {alpha!r}")
 
 
+class EpsRow(NamedTuple):
+    """``analytic_eps``'s alpha-only terms at one signal level, or a stack's
+    per-slice columns of them: what a call reads instead of computing them."""
+
+    sa: float                   # sqrt(alpha); a stack's (S, 1, 1) column
+    two_sa: float
+    sa2_mu_sq: np.ndarray       # (K, 1), broadcasting over the points; (S, K, 1)
+    log_norm: np.ndarray        # (K, 1); (S, K, 1)
+    s2: np.ndarray              # (K, 1); (S, K, 1)
+    gain: np.ndarray            # (1, K) g_k; (S, 1, K)
+    gain_mu: np.ndarray         # (K, D); (S, K, D)
+    sqrt_1ma: float             # sqrt(1 - alpha); (S, 1, 1)
+
+
 class EpsTerms:
     """``analytic_eps``'s alpha-only terms at each of alphas (each 0 < alpha < 1),
     one row per alpha: everything a call computes before it looks at x. One
     vectorized pass builds them, so a run builds them once per plan row, not
     once per call; each term is the same operations on the same operands as
-    at one alpha."""
+    at one alpha. Each attribute is one of ``EpsRow``'s fields over the rows."""
 
     def __init__(self, gmm: GaussianMixtureModel, alphas):
         alphas = np.asarray(alphas, dtype=float).reshape(-1)
@@ -132,33 +149,58 @@ class EpsTerms:
         self.sa2_mu_sq = ((sa * sa) * gmm.mean_sq_norms)[:, :, None]
         self.log_norm = _log_norm(gmm, s2)[:, :, None]
         self.s2 = s2[:, :, None]
-        self.gain = sa * gmm.variances / s2                       # (R, K) g_k
-        self.gain_mu = (1.0 - sa * self.gain)[:, :, None] * gmm.means   # (R, K, D)
+        self.gain = (sa * gmm.variances / s2)[:, None, :]          # (R, 1, K) g_k
+        self.gain_mu = (1.0 - sa * self.gain[:, 0])[:, :, None] * gmm.means   # (R, K, D)
         self.sqrt_1ma = np.sqrt(1.0 - alphas)
 
 
+def eps_rows(terms: EpsTerms, k0: int = 0, k1: int | None = None) -> list[EpsRow]:
+    """Rows k0..k1-1 of terms: one ``EpsRow`` per row, of Python floats and
+    the terms' own row arrays."""
+    cols = (col.tolist() if col.ndim == 1 else list(col)
+            for col in (getattr(terms, name)[k0:k1] for name in EpsRow._fields))
+    return list(map(EpsRow._make, zip(*cols)))
+
+
+def eps_columns(terms, k0: int, k1: int) -> list[np.ndarray]:
+    """``EpsRow``'s fields over rows k0..k1-1 of a stack whose slice s has the
+    terms terms[s], each (rows, S, ...): row i of each is that row's
+    per-slice column, (S, 1, 1) for a scalar term."""
+    return [col[:, :, None, None] if col.ndim == 2 else col
+            for col in (np.stack([getattr(t, name)[k0:k1] for t in terms], axis=1)
+                        for name in EpsRow._fields)]
+
+
 class EpsWork:
-    """Terms over a plan's signal levels and the arrays that predictions for
-    points of shape ``points`` (n, or a stack (S, n) of S sets of n) write
-    into; each call overwrites the previous call's eps_hat and x0_hat.
+    """The arrays that predictions for points of shape ``points`` (n, or a
+    stack (S, n) of S sets of n) write into; each call overwrites the previous
+    call's eps_hat and x0_hat. A stack's ``slices`` are views of its arrays,
+    so calls on runs of its slices fill one set of buffers.
 
     Components sit on axis -2 of the (..., K, n) buffer, just before the
     points, so one reduction over them serves a stack as it serves one set."""
 
-    def __init__(self, terms: EpsTerms, points):
-        K, D = terms.gain_mu.shape[1:]
-        points = points if isinstance(points, tuple) else (points,)
-        self.terms = terms
-        self.n_buf = np.empty(points)       # |x|^2, then column max, sum, gain @ r
-        # its views against the (..., K, n) buffer and the (..., n, D) points
-        self.n_col, self.n_row = self.n_buf[..., None, :], self.n_buf[..., None]
-        self.kn_buf = np.empty(points[:-1] + (K, points[-1]))   # sq, log p, then r
-        self.x0_hat = np.empty(points + (D,))
-        self.eps_hat = np.empty(points + (D,))
+    def __init__(self, gmm: GaussianMixtureModel, points):
+        points = (points if isinstance(points, tuple) else (points,)) or (1,)  # () is one point
+        self._views(np.empty(points),           # |x|^2, then column max, sum, gain @ r
+                    np.empty(points[:-1] + (gmm.n_components, points[-1])),   # sq, log p, r
+                    np.empty(points + (gmm.D,)), np.empty(points + (gmm.D,)))
+
+    def _views(self, n_buf, kn_buf, x0_hat, eps_hat) -> None:
+        self.n_buf, self.kn_buf, self.x0_hat, self.eps_hat = n_buf, kn_buf, x0_hat, eps_hat
+        # n_buf's views against the (..., K, n) buffer and the (..., n, D) points
+        self.n_col, self.n_row = n_buf[..., None, :], n_buf[..., None]
+
+    def slices(self, lo: int, hi: int) -> "EpsWork":
+        """The work of slices lo..hi-1 of a stack: views of this one's arrays."""
+        part = object.__new__(EpsWork)
+        part._views(self.n_buf[lo:hi], self.kn_buf[lo:hi], self.x0_hat[lo:hi],
+                    self.eps_hat[lo:hi])
+        return part
 
 
 def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
-                 work: EpsWork | None = None, row: int = 0) -> NoisePrediction:
+                 work: EpsWork | None = None, row: EpsRow | None = None) -> NoisePrediction:
     """Bayes-optimal noise prediction for the noised mixture marginal at
     cumulative signal level alpha (0 < alpha < 1).
 
@@ -168,22 +210,24 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     x0_hat = sum_k r_k ((1 - sqrt(alpha) g_k) mu_k + g_k x); point masses are
     the g_k = 0 case.
 
-    With work, alpha is row ``row`` of work's terms and x holds work's points,
-    (n, D) or a stack (S, n, D): the call reads the terms there and writes
-    into work's arrays, allocating none. A stack's every (n, D) slice gets the
-    bytes it would get alone: the products are stacked matmuls, which run
-    BLAS on each slice, and the reductions run over the component axis.
+    With work, row holds the terms at alpha (alpha itself is unused) and x
+    holds work's points, (n, D) or a stack (S, n, D): the call writes into
+    work's arrays, allocating none. A stack's row may be per-slice columns,
+    so that each slice has its own alpha. Every (n, D) slice gets the bytes it
+    would get alone: the products are stacked matmuls, which run BLAS on each
+    slice, and the reductions run over the component axis.
     """
-    D = gmm.D
     if work is None:
         _check_alpha(alpha, "analytic_eps")
         x = np.asarray(x, dtype=float)
-        work, row = EpsWork(EpsTerms(gmm, [alpha]), x.size // D), 0
+        work, row = EpsWork(gmm, x.size // gmm.D), eps_rows(EpsTerms(gmm, [alpha]))[0]
+    sa, two_sa, sa2_mu_sq, log_norm, s2, gain, gain_mu, sqrt_1ma = row
     x0_hat, eps_hat = work.x0_hat, work.eps_hat
-    xf = x.reshape(x0_hat.shape)                                    # (..., n, D)
-    terms, nb, kn = work.terms, work.n_buf, work.kn_buf
+    shape = x0_hat.shape                                            # (..., n, D)
+    xf = x if x.shape == shape else x.reshape(shape)
+    nb, kn = work.n_buf, work.kn_buf
     # |x - sa mu_k|^2 expanded: no (K, N, D) difference array
-    if D == 1:
+    if shape[-1] == 1:
         # single products, the same bits as einsum and matmul give; a -0.0
         # cross term, where matmul gives +0.0, is lost in the subtraction below
         np.multiply(xf[..., 0], xf[..., 0], out=nb)
@@ -191,13 +235,13 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     else:
         np.einsum("...d,...d->...", xf, xf, out=nb)
         np.matmul(gmm.means, xf.mT, out=kn)
-    np.multiply(terms.two_sa[row], kn, out=kn)
+    np.multiply(two_sa, kn, out=kn)
     np.subtract(work.n_col, kn, out=kn)
-    np.add(kn, terms.sa2_mu_sq[row], out=kn)                        # (..., K, n)
+    np.add(kn, sa2_mu_sq, out=kn)                                   # (..., K, n)
     # log_p as _log_joint has it
     np.multiply(0.5, kn, out=kn)
-    np.divide(kn, terms.s2[row], out=kn)
-    np.subtract(terms.log_norm[row], kn, out=kn)
+    np.divide(kn, s2, out=kn)
+    np.subtract(log_norm, kn, out=kn)
     # responsibilities: softmax with max subtraction, stable at small alpha;
     # the ufunc reductions are np.max and np.sum without their wrappers
     np.maximum.reduce(kn, axis=-2, out=nb)
@@ -205,13 +249,15 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     np.exp(kn, out=kn)
     np.add.reduce(kn, axis=-2, out=nb)
     np.divide(kn, work.n_col, out=kn)
-    np.matmul(kn.mT, terms.gain_mu[row], out=x0_hat)
-    np.matmul(terms.gain[row], kn, out=nb)                          # gain @ r
+    np.matmul(kn.mT, gain_mu, out=x0_hat)
+    np.matmul(gain, kn, out=work.n_col)                             # gain @ r
     np.add(x0_hat, np.multiply(work.n_row, xf, out=eps_hat), out=x0_hat)
-    np.multiply(terms.sa[row], x0_hat, out=eps_hat)
+    np.multiply(sa, x0_hat, out=eps_hat)
     np.subtract(xf, eps_hat, out=eps_hat)
-    np.divide(eps_hat, terms.sqrt_1ma[row], out=eps_hat)
-    return NoisePrediction(eps_hat=eps_hat.reshape(x.shape), x0_hat=x0_hat.reshape(x.shape))
+    np.divide(eps_hat, sqrt_1ma, out=eps_hat)
+    if x.shape != shape:
+        return NoisePrediction(eps_hat.reshape(x.shape), x0_hat.reshape(x.shape))
+    return NoisePrediction(eps_hat, x0_hat)
 
 
 def log_density_t(gmm: GaussianMixtureModel, x, alpha: float) -> np.ndarray:

@@ -11,15 +11,17 @@ a cell whose plan uses no noise past x_T reads it there instead of drawing.
 Blocks of chains are stepped vectorized, in place: each worker draws its
 blocks' noise into one reused buffer, each block writes every step into one
 buffer set, and the predictor's alpha-only terms are computed once per run.
-A run of several seeds (a sweep value's cells) steps block lo of as many of
-them as fit in _BLOCK chains as one (S, n, D) stack, each seed's chains
-getting the bytes of its own run, so one kernel call serves them all.
-File writes happen once, after every block has finished.
+A run of several cells (a sweep's, ordered by step count, largest first)
+steps block lo of as many of them as fit in _BLOCK chains as one (S, n, D)
+stack, each slice on its own plan's rows, so one kernel call serves them all:
+a call covers the slices whose rows are of one kind (plain or momentum, noisy
+or not), a cell that has finished drops off the end of the stack, and each
+cell's chains get the bytes of its own run. File writes happen once, after
+every block has finished.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +34,8 @@ from .files import FLOAT, fresh_out_dir, write_csv, write_json
 from .metrics import (HeatmapGrid, bin_trajectory_points, heatmap_grid,
                       mode_statistics, sliced_w1, w1_quantiles, wasserstein1_1d)
 from .model import EpsTerms, GaussianMixtureModel, sample_marginal
-from .samplers import ChainState, SamplerConfig, StepPlan, StepWork, Trajectory, _step_core
+from .samplers import (ChainState, SamplerConfig, StepPlan, StepRow, StepWork, Trajectory,
+                       _step_core, plan_rows)
 
 __all__ = ["RunResult", "run_chains", "execute_run", "execute_sweep"]
 
@@ -124,100 +127,154 @@ def _noise_rows(plan: StepPlan) -> int:
 
 
 def _block_noise(seed: int, lo: int, hi: int, plan: StepPlan, D: int,
-                 store: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Chains lo..hi-1's used noise, (hi - lo, rows, D): x_T, then one row per
     step up to the plan's last noisy one. Chain i's rows are the first rows * D
-    standard normals of np.random.default_rng([seed, i]). With store, a flat
-    float array of at least that size, the rows are drawn into its head."""
+    standard normals of np.random.default_rng([seed, i]). With out, an array of
+    that shape whose every chain's rows are contiguous (the head of a reused
+    store, or one slice of a stack's), the rows are drawn into it."""
     seeds = _chain_seeds(seed, lo, hi)
-    shape = (hi - lo, _noise_rows(plan), D)
-    noise = np.empty(shape) if store is None else store[:math.prod(shape)].reshape(shape)
+    noise = np.empty((hi - lo, _noise_rows(plan), D)) if out is None else out
     gen = np.random.Generator(np.random.PCG64(0))   # reseeded for every chain
     for row, (state, inc) in zip(noise, seeds):
         _chain_noise(gen, state, inc, row)
     return noise
 
 
-def _run_block(model: GaussianMixtureModel, schedule, config: SamplerConfig,
-               plan: StepPlan, seeds: tuple, at, lo: int, hi: int, result: RunResult,
-               terms: EpsTerms, store: np.ndarray, x_T: dict | None):
-    """Step chains lo..hi-1 of each of seeds, writing their rows of the result's
-    samples, tv and trajectories in place; returns their heatmap counts (None
-    without a heatmap).
+@dataclass
+class _Stack:
+    """Cells whose blocks one kernel call steps together, slice s being cell s.
 
-    result holds every seed of the run, samples (seeds, n_chains, D) and tv
-    (seeds, n_chains); ``at`` picks these seeds' rows: a slice, stepped as one
-    (S, n, D) stack, or one seed's index, stepped as (n, D) chains.
+    Their plans' step counts do not increase along the stack, so the slices
+    still stepping form a prefix. segments splits the steps into runs
+    (k0, k1, active, calls) of equal shape: over steps k0..k1-1, slices
+    0..active-1 step, one kernel call per (s0, s1, schedule, config, rows) of
+    calls, which covers slices s0..s1-1, all of one kind of row (plain or
+    momentum, noisy or not), with rows their plan_rows over k0..k1-1. The
+    rows are built once per stack; every block of the stack reads them."""
 
-    The block's noise is drawn into store, its worker's buffer, unless the plan
-    uses x_T only and x_T (see run_chains) holds every seed's. Its state and a
-    StepWork are its one buffer set: every step writes into them, and the loop
-    allocates no array per step.
+    seeds: tuple
+    plans: tuple
+    first: StepRow          # every slice's first row: the chains' x_bar and t
+    noise_rows: int         # the most noise rows a slice uses
+    segments: list
+
+
+def _stack(seeds, schedules, configs, plans, terms) -> _Stack:
+    S, K = len(plans), plans[0].K
+    kind = np.zeros((S, K), dtype=np.int8)  # 0 once done, else 1 + plain + 2 noisy
+    for s, plan in enumerate(plans):
+        kind[s, :plan.K] = 1 + plan.plain + 2 * (plan.noise != 0.0)
+    changes = np.flatnonzero(np.any(kind[:, 1:] != kind[:, :-1], axis=0)) + 1
+    edges = [0, *changes.tolist(), K]
+    segments = []
+    for k0, k1 in zip(edges, edges[1:]):
+        kinds = kind[:, k0].tolist()
+        active = S - kinds.count(0)
+        starts = [s for s in range(active) if s == 0 or kinds[s] != kinds[s - 1]]
+        segments.append((k0, k1, active, [
+            (s0, s1, schedules[s0], configs[s0], plan_rows(plans[s0:s1], terms[s0:s1], k0, k1))
+            for s0, s1 in zip(starts, starts[1:] + [active])]))
+    return _Stack(seeds=tuple(seeds), plans=tuple(plans), first=plan_rows(plans, terms, 0, 1)[0],
+                  noise_rows=max(map(_noise_rows, plans)), segments=segments)
+
+
+def _run_block(model: GaussianMixtureModel, stack: _Stack, at, lo: int, hi: int,
+               result: RunResult, store: np.ndarray, x_T: dict | None):
+    """Step chains lo..hi-1 of each of the stack's cells, writing their rows of
+    the result's samples, tv and trajectories in place; returns their heatmap
+    counts (None without a heatmap).
+
+    result holds every cell of the run, samples (cells, n_chains, D) and tv
+    (cells, n_chains); the slice ``at`` picks the stack's rows. A stack of one
+    cell is (1, n, D): a stacked matmul over one slice is its 2-D call.
+
+    The block's noise is drawn into store, its worker's buffer, as (S, n, rows,
+    D) with the rows of the stack's hungriest plan; a cell whose plan uses x_T
+    only reads it from x_T (see run_chains) where that holds it. The block's
+    state and a StepWork are its one buffer set: every step writes into them,
+    and the loop allocates no array per step.
     """
-    K, n, D = plan.K, hi - lo, model.D
-    rows = _noise_rows(plan)
-    keys = [(seed, lo) for seed in seeds]
-    noise = store[:len(seeds) * n * rows * D].reshape(len(seeds), n, rows, D)
-    if x_T is not None and rows == 1 and all(key in x_T for key in keys):
-        np.stack([x_T[key] for key in keys], out=noise[:, :, 0, :])
-    else:
-        for seed, key, chains in zip(seeds, keys, noise):
-            _block_noise(seed, lo, hi, plan, D, chains.reshape(-1))
+    n, D = hi - lo, model.D
+    noise = store[:len(stack.seeds) * n * stack.noise_rows * D].reshape(
+        len(stack.seeds), n, stack.noise_rows, D)
+    for seed, plan, chains in zip(stack.seeds, stack.plans, noise):
+        rows, key = _noise_rows(plan), (seed, lo)
+        if rows == 1 and x_T is not None and key in x_T:
+            chains[:, 0] = x_T[key]
+        else:
+            _block_noise(seed, lo, hi, plan, D, chains[:, :rows])
             if x_T is not None and key not in x_T:
-                x_T[key] = chains[:, 0, :].copy()  # store is overwritten by the next block
-    if isinstance(at, int):
-        noise = noise[0]
-    zero = np.zeros(D)          # the noise of every step past the drawn rows
-    state = ChainState.init(noise[..., 0, :], plan)
-    work = StepWork(state.x_bar.shape, terms)
+                x_T[key] = chains[:, 0].copy()  # store is overwritten by the next block
+    zero = np.zeros(D)          # the noise of a noiseless row
+    state = ChainState.init(noise[:, :, 0], stack.first)
+    work = StepWork(state.x_bar.shape, model)
 
     record, grid = result.trajectories, result.heatmap
     n_rec = max(0, min(hi, record.xs.shape[0]) - lo)
-    tv = result.tv[at, lo:hi]   # a view: the block adds into its own rows
-    norm = np.empty(tv.shape)
-    prev_x = None
+    tv_all = result.tv[at, lo:hi]   # a view: the block adds into its own rows
+    norm_all = np.empty(tv_all.shape)
     counts = None if grid is None else np.zeros_like(grid.counts)
-    t_rows = None if grid is None else grid.rows(plan.t_prev)
+    t_rows = None if grid is None else grid.rows(stack.plans[0].t_prev)
 
-    for k in range(K):
-        eps = noise[..., k + 1, :] if k + 1 < rows else zero
-        state, x_next, x0_hat, _ = _step_core(state, model, schedule, config, eps, plan, k,
-                                              work)
-        if prev_x is not None:
-            # np.linalg.norm(x_next - prev_x, axis=-1), op for op, written over
-            # prev_x: the next step writes its x_{t-1} there anyway
-            diff = np.subtract(x_next, prev_x, out=prev_x)
-            tv += np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1, out=norm),
-                          out=norm)
-        prev_x = x_next
-        if n_rec:
-            record.xs[lo:lo + n_rec, k] = x_next[:n_rec]
-            record.x0_hats[lo:lo + n_rec, k] = x0_hat[:n_rec]
-        if counts is not None:
-            bin_trajectory_points(grid, t_rows[k], x_next, counts)
+    for k0, k1, active, calls in stack.segments:
+        # per call: [its slices' state, schedule, config, rows, noise, work]
+        parts = [[ChainState(rows[0].t, state.x_bar[s0:s1], state.m[s0:s1], state.v[s0:s1]),
+                  schedule, config, rows, noise[s0:s1] if rows[0].noisy else None,
+                  work.slices(s0, s1)] for s0, s1, schedule, config, rows in calls]
+        xs = [buf[:active] for buf in work.x_next]
+        tv, norm = tv_all[:active], norm_all[:active]
+        if D == 1:      # a sum of one square is the square: no reduce over D
+            tv = tv[..., None]
+        for k in range(k0, k1):
+            for call in parts:
+                call_state, schedule, config, rows, eps, call_work = call
+                call[0], _, x0_hat, _ = _step_core(
+                    call_state, model, schedule, config,
+                    zero if eps is None else eps[..., k + 1, :], rows[k - k0], call_work)
+            x_next = xs[k % 2]
+            if k:
+                # np.linalg.norm(x_next - prev_x, axis=-1), op for op, written over
+                # prev_x: the next step writes its x_{t-1} there anyway
+                diff = np.subtract(x_next, xs[1 - k % 2], out=xs[1 - k % 2])
+                sq = np.multiply(diff, diff, out=diff)
+                if D > 1:
+                    sq = np.add.reduce(sq, axis=-1, out=norm)
+                tv += np.sqrt(sq, out=sq)
+            if n_rec:   # a stack of one cell
+                record.xs[lo:lo + n_rec, k] = x_next[0, :n_rec]
+                record.x0_hats[lo:lo + n_rec, k] = x0_hat[0, :n_rec]
+            if counts is not None:
+                bin_trajectory_points(grid, t_rows[k], x_next, counts)
 
-    result.samples[at, lo:hi] = prev_x     # the last step's x_{t-1} is x_0
+    # a cell's last x_{t-1} is its x_0; no later step writes over its slice
+    samples = result.samples[at, lo:hi]
+    for s, plan in enumerate(stack.plans):
+        samples[s] = work.x_next[(plan.K - 1) % 2][s]
     return counts
 
 
 def _stack_size(n_chains: int) -> int:
-    """Seeds of a run of n_chains whose blocks one kernel call steps together:
+    """Cells of a run of n_chains whose blocks one kernel call steps together:
     as many as keep the stack within _BLOCK chains."""
     return _BLOCK // min(_BLOCK, max(n_chains, 1))
 
 
-def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
+def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig | tuple,
                n_chains: int, seed: int | tuple, threads: int = 1,
                trajectory_chains: int = 0,
                heatmap: dict | None = None, *,
                x_T: dict | None = None) -> RunResult | list[RunResult]:
     """Run n_chains reverse chains on seeded noise; record the first trajectory_chains.
 
-    seed is one seed, which gives one RunResult, or a tuple of seeds, which
-    gives a list of one RunResult per seed, each with the bytes its own run
-    gives. A tuple steps block lo of up to _stack_size(n_chains) of its seeds
-    as one stack, so that a kernel call moves up to _BLOCK chains; it records
-    no trajectories and bins no heatmap.
+    seed is one seed, with one schedule and one SamplerConfig, which gives one
+    RunResult; or a tuple of seeds, with a tuple of as many schedules and one
+    of as many configs, one cell per seed, which gives a list of one RunResult
+    per cell, each with the bytes its own run gives. A tuple's cells must not
+    increase in step count. It steps block lo of up to _stack_size(n_chains)
+    of its cells as one stack, so that a kernel call moves up to _BLOCK
+    chains, each slice on its own plan's rows; it records no trajectories and
+    bins no heatmap. Cells of one schedule and equal configs share one plan.
 
     x_T, a dict that runs of one model and chain count may share, maps
     (seed, block start) to that block's x_T, the first row of its chains'
@@ -225,41 +282,56 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
     plan uses no noise past x_T reads it from there and draws nothing.
     """
     stacked = isinstance(seed, tuple)
-    seeds = seed if stacked else (seed,)
-    if stacked and (trajectory_chains > 0 or heatmap is not None):
-        raise ValueError("a tuple of seeds runs without trajectories and without a heatmap")
+    if stacked:
+        if trajectory_chains > 0 or heatmap is not None:
+            raise ValueError("a tuple of seeds runs without trajectories and without a heatmap")
+        if not (isinstance(schedule, tuple) and isinstance(config, tuple)
+                and len(schedule) == len(config) == len(seed)):
+            raise ValueError("a tuple of seeds needs a tuple of as many schedules and configs")
+    seeds, schedules, configs = (seed, schedule, config) if stacked else (
+        (seed,), (schedule,), (config,))
     D = model.D
-    plan = StepPlan.build(schedule, config)
+    # one plan and the predictor's terms per schedule object and config value: the
+    # cells that share them step on rows of floats (see plan_rows)
+    built = {}
+    for sched, cfg in zip(schedules, configs):
+        if (id(sched), cfg) not in built:
+            plan = StepPlan.build(sched, cfg, D)
+            built[id(sched), cfg] = plan, EpsTerms(model, plan.alpha)
+    plans, terms = zip(*(built[id(sched), cfg] for sched, cfg in zip(schedules, configs)))
+    if any(p.K < q.K for p, q in zip(plans, plans[1:])):
+        raise ValueError("a tuple's cells must not increase in step count")
     n_rec = min(trajectory_chains, n_chains)
-    # every seed's rows; each seed's RunResult gets views of its own
+    trajectories = [Trajectory(ts=plan.t_prev.copy(), xs=np.empty((n_rec, plan.K, D)),
+                               x0_hats=np.empty((n_rec, plan.K, D))) for plan in plans]
+    # every cell's rows; each cell's RunResult gets views of its own
     result = RunResult(
         samples=np.zeros((len(seeds), n_chains, D)), tv=np.zeros((len(seeds), n_chains)),
-        trajectories=Trajectory(ts=plan.t_prev.copy(), xs=np.empty((n_rec, plan.K, D)),
-                                x0_hats=np.empty((n_rec, plan.K, D))),
+        trajectories=trajectories[0],
         heatmap=None if heatmap is None else heatmap_grid(heatmap, schedule.tau[-1], D))
 
-    terms = EpsTerms(model, plan.alpha)
-    stack = _stack_size(n_chains)
+    size = _stack_size(n_chains)
+    stacks = [(s_lo, _stack(*(cells[s_lo:s_lo + size]
+                              for cells in (seeds, schedules, configs, plans, terms))))
+              for s_lo in range(0, len(seeds), size)]
     # one noise buffer per worker, reused by its blocks: at most `workers` exist,
-    # none bigger than a full block's
-    store_size = min(stack, len(seeds)) * min(_BLOCK, n_chains) * _noise_rows(plan) * D
+    # none bigger than a full block's of the hungriest plan
+    store_size = max(len(stack.seeds) * stack.noise_rows for _, stack in stacks) \
+        * min(_BLOCK, n_chains) * D
     stores = []
 
     def work(job):
-        s_lo, lo = job
-        s_hi = min(s_lo + stack, len(seeds))
-        at = s_lo if s_hi - s_lo == 1 else slice(s_lo, s_hi)
+        s_lo, stack, lo = job
         try:
             store = stores.pop()        # atomic: no two blocks get one buffer
         except IndexError:              # every buffer is in use
             store = np.empty(store_size)
-        counts = _run_block(model, schedule, config, plan, seeds[s_lo:s_hi], at, lo,
-                            min(lo + _BLOCK, n_chains), result, terms, store, x_T)
+        counts = _run_block(model, stack, slice(s_lo, s_lo + len(stack.seeds)), lo,
+                            min(lo + _BLOCK, n_chains), result, store, x_T)
         stores.append(store)
         return counts
 
-    jobs = [(s_lo, lo) for s_lo in range(0, len(seeds), stack)
-            for lo in range(0, n_chains, _BLOCK)]
+    jobs = [(s_lo, stack, lo) for s_lo, stack in stacks for lo in range(0, n_chains, _BLOCK)]
     workers = min(threads, os.cpu_count() or 1)   # map submits every block at once
     if workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -269,8 +341,8 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig,
 
     if result.heatmap is not None:      # integer sums: the same in any order
         result.heatmap.counts[:] += sum(counts)
-    results = [RunResult(samples, tv, result.trajectories, result.heatmap)
-               for samples, tv in zip(result.samples, result.tv)]
+    results = [RunResult(samples, tv, traj, result.heatmap)
+               for samples, tv, traj in zip(result.samples, result.tv, trajectories)]
     return results if stacked else results[0]
 
 
@@ -354,26 +426,34 @@ def execute_sweep(sweep: SweepSpec, out_dir) -> list[tuple]:
     # no sweep axis touches the model or n_chains: every cell's W1 has one reference
     model = sweep.base.build_model()
     quantiles = w1_quantiles(model, sweep.base.n_chains) if model.D == 1 else None
-    cells = {value: [] for value in sweep.values}   # each value's (seed, metrics)
-    x_T = {}    # each seed's x_T, drawn once for the cells that use nothing else
-    stack = _stack_size(sweep.base.n_chains)
-    for value, runs in cells.items():
-        # a value's cells differ only in the seed: one run steps as many
-        # together as one kernel call takes
+    # every cell, (value, spec, schedule, config), with one schedule and one
+    # config per value, which its cells share
+    cells = []
+    for value in sweep.values:
         specs = [sweep.cell_spec(value, s) for s in range(sweep.seeds_per_cell)]
-        for part in (specs[i:i + stack] for i in range(0, len(specs), stack)):
-            spec = part[0]
-            results = run_chains(model, spec.build_schedule(), spec.build_sampler_config(),
-                                 spec.n_chains, tuple(cell.seed for cell in part),
-                                 threads=spec.threads, x_T=x_T)
-            runs += [(cell.seed, compute_metrics(result, model, cell.seed, quantiles))
-                     for cell, result in zip(part, results)]
+        schedule, config = specs[0].build_schedule(), specs[0].build_sampler_config()
+        cells += [(value, spec, schedule, config) for spec in specs]
+    # largest step count first, so a stack's cells finish in slice order; one
+    # run steps as many cells together as one kernel call takes
+    order = sorted(range(len(cells)), key=lambda i: -len(cells[i][2].tau))
+    size = _stack_size(sweep.base.n_chains)
+    found = [None] * len(cells)
+    x_T = {}    # each seed's x_T, drawn once for the cells that use nothing else
+    for lo in range(0, len(cells), size):
+        part = order[lo:lo + size]
+        _, specs, schedules, configs = zip(*(cells[i] for i in part))
+        results = run_chains(model, schedules, configs, sweep.base.n_chains,
+                             tuple(spec.seed for spec in specs), threads=sweep.base.threads,
+                             x_T=x_T)
+        for i, spec, result in zip(part, specs, results):
+            found[i] = compute_metrics(result, model, spec.seed, quantiles)
+    table = [(value, spec.seed, met) for (value, spec, _, _), met in zip(cells, found)]
 
     # per-value mean of the quality metric; the argmin value's cells are marked
     key = "w1" if model.D == 1 else "sliced_w1"
-    means = {v: float(np.mean([met[key] for _, met in runs])) for v, runs in cells.items()}
+    means = {v: float(np.mean([met[key] for value, _, met in table if value == v]))
+             for v in sweep.values}
     best = min(means, key=means.get)
-    table = [(v, seed, met) for v, runs in cells.items() for seed, met in runs]
     write_csv(out / "sweep.csv", ["axis", "value", "seed", "w1", "sliced_w1", "tv_mean", "best"],
               [f"{sweep.axis},{v},{seed},"
                + ",".join("" if met[m] is None else FLOAT % met[m]

@@ -2,30 +2,34 @@
 adaptive-momentum variants operating in the rescaled space x_bar = x / sqrt(alpha).
 
 A ``StepPlan`` holds every per-transition coefficient of one (schedule,
-SamplerConfig) pair, and ``_step_core`` applies one of its rows. The plan owns
-the per-transition policy: momentum and second-moment scaling apply on every
-transition except the last, and the final step (t_prev == 0) is the plain,
-noiseless generalized step for every method, so with alpha(0) = 1 each chain
-ends on its last predicted clean sample.
+SamplerConfig) pair at one data dimension, and ``plan_rows`` turns plans into
+``StepRow`` tuples: one per step, holding every coefficient ``_step_core`` and
+the predictor read. The plan owns the per-transition policy: momentum and
+second-moment scaling apply on every transition except the last, and the final
+step (t_prev == 0) is the plain, noiseless generalized step for every method,
+so with alpha(0) = 1 each chain ends on its last predicted clean sample.
 
 All step math broadcasts over leading batch dimensions; a single chain is the
 (D,) special case. The run loop steps each block in place, as (n, D) chains or
-as a stack (S, n, D) of one block of S seeds: its state's arrays and one
-``StepWork`` are the block's one buffer set, which every step writes into.
-Without a ``StepWork`` the kernel treats states as values. A step pays for
-numpy calls more than for arithmetic at the benchmark's sizes, so the kernel
-adds no noise term on a noiseless row (every deterministic row and the last
-row of any plan).
+as a stack (S, n, D) of one block of S cells, each slice on its own plan's
+row: a stack's rows hold per-slice columns where its slices' plans differ,
+and Python floats where they share one. A block's state arrays and one
+``StepWork`` are its one buffer set, which every step writes into. Without a
+``StepWork`` the kernel treats states as values. A step pays for numpy calls
+more than for arithmetic at the benchmark's sizes, so the kernel adds no noise
+term on a noiseless row (every deterministic row and the last row of any plan).
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import EpsTerms, EpsWork, GaussianMixtureModel, analytic_eps
+from .model import (EpsRow, EpsWork, GaussianMixtureModel, analytic_eps, eps_columns,
+                    eps_rows)
 
 __all__ = [
     "SecondMomentError",
@@ -34,6 +38,8 @@ __all__ = [
     "ETA_DDPM_HAT",
     "SamplerConfig",
     "StepPlan",
+    "StepRow",
+    "plan_rows",
     "ChainState",
     "StepWork",
     "Trajectory",
@@ -140,13 +146,15 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Per-transition coefficients of one (schedule, SamplerConfig) pair.
+    """Per-transition coefficients of one (schedule, SamplerConfig) pair at data
+    dimension D.
 
     Row k is the k-th reverse step, from t[k] down to t_prev[k]. In x_bar
     space the step's increment is d x_bar = mu eps_hat + noise eps, with
     mu = sqrt(1 - a_prev - sigma^2) / sqrt(a_prev) - sqrt((1 - a_t) / a_t) and
     noise = sigma / sqrt(a_prev). Rows flagged ``plain`` take x_bar + d x_bar;
-    the others take the momentum + second-moment update with (a[k], b[k]).
+    the others take the momentum + second-moment update with (a[k], b[k]),
+    v <- (1 - c) v + c |d x_bar|^2 / v_div and the step m / (sqrt(v) + zeta).
     """
 
     t: np.ndarray                # (K,) int, from tau[-1] down to tau[0]
@@ -158,6 +166,9 @@ class StepPlan:
     noise: np.ndarray            # coefficient of the noise draw; 0 on the last row
     a: np.ndarray                # momentum coefficients, SamplerConfig.coeffs(k, K)
     b: np.ndarray
+    c: np.ndarray                # second-moment weight, SamplerConfig.c
+    zeta: np.ndarray             # SamplerConfig.zeta
+    v_div: np.ndarray            # D for v_norm "mean_sq", 1 for "raw_l2sq"
     plain: np.ndarray            # bool: every row for vanilla, the last row always
 
     @property
@@ -165,7 +176,7 @@ class StepPlan:
         return int(self.t.size)
 
     @classmethod
-    def build(cls, schedule, config: SamplerConfig) -> "StepPlan":
+    def build(cls, schedule, config: SamplerConfig, D: int) -> "StepPlan":
         """Raises ValueError, naming t, where the eta mode does not fit the
         schedule. The schedule's alphas decrease along tau and alpha(0)
         exceeds them all, so every row has alpha_t < alpha_prev."""
@@ -190,15 +201,88 @@ class StepPlan:
         a, b = config.coeffs(np.arange(t.size), t.size)
         plain = np.full(t.size, config.method == "vanilla")
         plain[-1] = True    # and plain for every method
+
+        def full(value):
+            return np.full(t.size, value, dtype=float)
         return cls(t=t, t_prev=t_prev, alpha=a_t, sqrt_alpha=np.sqrt(a_t),
                    sqrt_alpha_prev=sqrt_a_p,
                    mu=dir_coeff / sqrt_a_p - np.sqrt((1.0 - a_t) / a_t), noise=noise,
-                   a=np.full(t.size, a, dtype=float), b=np.full(t.size, b, dtype=float),
-                   plain=plain)
+                   a=full(a), b=full(b), c=full(config.c), zeta=full(config.zeta),
+                   v_div=full(D if config.v_norm == "mean_sq" else 1), plain=plain)
 
 
-@dataclass(frozen=True)
-class ChainState:
+class StepRow(NamedTuple):
+    """Every coefficient of one step of a block: ``StepPlan``'s row k, or a
+    stack's per-slice columns of its slices' rows k, and the predictor's terms.
+
+    A column is (S, 1, 1) against the (S, n, D) chains, or (S, 1) for c, zeta
+    and v_div against the (S, n) second moments. k, t, t_prev, plain and noisy
+    are the first slice's: a row serves only slices of one kind.
+    """
+
+    k: int
+    t: int
+    t_prev: int
+    plain: bool
+    noisy: bool                  # noise != 0
+    alpha: float
+    sqrt_alpha: float
+    sqrt_alpha_prev: float
+    mu: float
+    noise: float
+    a: float
+    b: float
+    c: float
+    zeta: float
+    v_div: float
+    eps: EpsRow
+
+
+# StepPlan's arrays in a row: (S, 1, 1) columns in a stack, then (S, 1) ones
+_CHAIN_COLS = ("alpha", "sqrt_alpha", "sqrt_alpha_prev", "mu", "noise", "a", "b")
+_V_COLS = ("c", "zeta", "v_div")
+
+
+def plan_rows(plans, terms, k0: int = 0, k1: int | None = None):
+    """Rows k0..k1-1 of a stack whose slice s has the plan plans[s] and the
+    predictor's terms terms[s] over that plan's alphas, as a sequence indexed
+    from 0. Where every slice has the same plan object (and so the same
+    terms), the rows are a list of rows of Python floats. Otherwise they are
+    ``ColumnRows``, whose rows hold per-slice columns. Every slice's plan must
+    have at least k1 rows."""
+    first = plans[0]
+    k1 = first.K if k1 is None else k1
+    head = (range(k0, k1), first.t[k0:k1].tolist(), first.t_prev[k0:k1].tolist(),
+            first.plain[k0:k1].tolist(), (first.noise[k0:k1] != 0.0).tolist())
+    if any(p is not first for p in plans):
+        return ColumnRows(list(zip(*head)), plans, terms, k0, k1)
+    return list(map(StepRow._make, zip(
+        *head, *(getattr(first, name)[k0:k1].tolist() for name in _CHAIN_COLS + _V_COLS),
+        eps_rows(terms[0], k0, k1))))
+
+
+class ColumnRows:
+    """``plan_rows`` of slices whose plans differ. It holds each coefficient
+    stacked once, (rows, S, ...), and makes a row's per-slice column views
+    when the row is read, so a long run of steps holds no view per step."""
+
+    def __init__(self, heads, plans, terms, k0: int, k1: int):
+        def stacked(name):
+            return np.stack([getattr(p, name)[k0:k1] for p in plans], axis=1)   # (rows, S)
+        self._heads = heads     # (k, t, t_prev, plain, noisy) of each row: the first slice's
+        self._cols = [stacked(name)[:, :, None, None] for name in _CHAIN_COLS] \
+            + [stacked(name)[:, :, None] for name in _V_COLS]
+        self._eps = eps_columns(terms, k0, k1)
+
+    def __len__(self) -> int:
+        return len(self._heads)
+
+    def __getitem__(self, i: int) -> StepRow:
+        return StepRow(*self._heads[i], *(col[i] for col in self._cols),
+                       EpsRow._make([col[i] for col in self._eps]))
+
+
+class ChainState(NamedTuple):
     """Per-chain reverse-trajectory state at step t.
 
     ``_step_core`` without a ``StepWork`` treats it as a value and returns a
@@ -213,26 +297,34 @@ class ChainState:
     v: np.ndarray       # (...,), scalar second-moment accumulator
 
     @classmethod
-    def init(cls, x_T, plan: StepPlan) -> "ChainState":
-        """Chains at the plan's first row, t = tau[-1], from data-space x_T."""
-        x_bar = np.asarray(x_T, dtype=float) / plan.sqrt_alpha[0]
-        return cls(t=int(plan.t[0]), x_bar=x_bar, m=np.zeros_like(x_bar),
-                   v=np.ones(x_bar.shape[:-1]))
+    def init(cls, x_T, row: StepRow) -> "ChainState":
+        """Chains at row's step, from data-space x_T: a plan's first row, or a
+        stack's, whose columns give each slice its own plan's first row."""
+        x_bar = np.asarray(x_T, dtype=float) / row.sqrt_alpha
+        return cls(row.t, x_bar, np.zeros_like(x_bar), np.ones(x_bar.shape[:-1]))
 
 
 class StepWork:
     """The buffers a block's steps write into besides its state's arrays, for
     chains of shape (n, D) or a stack (S, n, D): d x_bar, a scratch array, the
     second-moment temporary, two x_{t-1} arrays used in turn (the caller reads
-    the previous step's while the next is written) and, given the predictor's
-    terms for the plan, its ``EpsWork`` (without them, the predictor allocates)."""
+    the previous step's while the next is written) and the predictor's
+    ``EpsWork``. A stack's ``slices`` are views of its buffers."""
 
-    def __init__(self, shape, terms: EpsTerms | None = None):
-        self.dxb = np.empty(shape)
-        self.scratch = np.empty(shape)
-        self.sq = np.empty(shape[:-1])
-        self.x_next = (np.empty(shape), np.empty(shape))
-        self.eps_work = None if terms is None else EpsWork(terms, shape[:-1])
+    def __init__(self, shape, model: GaussianMixtureModel):
+        self._views(np.empty(shape), np.empty(shape), np.empty(shape[:-1]),
+                    (np.empty(shape), np.empty(shape)), EpsWork(model, shape[:-1]))
+
+    def _views(self, dxb, scratch, sq, x_next, eps_work) -> None:
+        self.dxb, self.scratch, self.sq, self.x_next = dxb, scratch, sq, x_next
+        self.eps_work = eps_work
+
+    def slices(self, lo: int, hi: int) -> "StepWork":
+        """The work of slices lo..hi-1 of a stack: views of this one's buffers."""
+        part = object.__new__(StepWork)
+        part._views(self.dxb[lo:hi], self.scratch[lo:hi], self.sq[lo:hi],
+                    tuple(x[lo:hi] for x in self.x_next), self.eps_work.slices(lo, hi))
+        return part
 
 
 @dataclass
@@ -244,46 +336,57 @@ class Trajectory:
     x0_hats: np.ndarray     # (n_rec, K, D) predicted clean sample per chain and step
 
 
+def _v_error(row: StepRow, v) -> SecondMomentError:
+    """The error for a step whose v is not positive, naming the settings of the
+    first slice whose v is not."""
+    c, zeta = row.c, row.zeta
+    where = f"t={row.t}"
+    if isinstance(c, np.ndarray):   # a stack's columns: find the slice
+        s = int(np.argmax(~(np.min(v, axis=-1) > 0.0)))
+        c, zeta, where = float(c[s, 0]), float(zeta[s, 0]), f"step {row.k} of stack slice {s}"
+    return SecondMomentError(
+        f"second-moment accumulator v is not positive at {where} "
+        f"(c={c}, zeta={zeta}); with c=1, v is the last "
+        "squared increment, which is 0 when the step moves no chain")
+
+
 def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
-               config: SamplerConfig, eps_noise, plan: StepPlan, k: int,
+               config: SamplerConfig, eps_noise, row: StepRow,
                work: StepWork | None = None):
-    """Row k of ``plan`` (built from this schedule and config) applied to
-    ``state``; returns (new state, x_{t-1}, x0_hat, d x_bar).
+    """``row`` applied to ``state``; returns (new state, x_{t-1}, x0_hat, d x_bar).
 
     Without work, state is left as it is and every returned array is new.
     With work, the step runs in place: the new state holds state's own arrays,
     updated, and the other three are work's buffers, which later steps
     overwrite (x_{t-1} only every second step).
     """
-    # schedule is unused here: benchmarks/tracer.py reads it by position
+    # schedule and config are unused here: benchmarks/tracer.py reads them by
+    # position, as the schedule and config of the row's first slice
     if work is None:    # value semantics: step a copy, in fresh buffers
-        state = ChainState(t=state.t, x_bar=np.array(state.x_bar, dtype=float),
-                           m=np.array(state.m, dtype=float), v=np.array(state.v, dtype=float))
-        work = StepWork(state.x_bar.shape)
-    x_bar, m, v, dxb, tmp = state.x_bar, state.m, state.v, work.dxb, work.scratch
-    pred = analytic_eps(model, np.multiply(plan.sqrt_alpha[k], x_bar, out=tmp),
-                        plan.alpha[k], work.eps_work, k)
-    np.multiply(plan.mu[k], pred.eps_hat, out=dxb)
-    if plan.noise[k]:   # a noiseless row adds nothing: no 0 * eps_noise term
-        np.add(dxb, np.multiply(plan.noise[k], eps_noise, out=tmp), out=dxb)
+        state = ChainState(state.t, np.array(state.x_bar, dtype=float),
+                           np.array(state.m, dtype=float), np.array(state.v, dtype=float))
+        work = StepWork(state.x_bar.shape, model)
+    (k, _, t_prev, plain, noisy, alpha, sqrt_alpha, sqrt_alpha_prev, mu, noise, a, b, c, zeta,
+     v_div, eps_row) = row
+    _, x_bar, m, v = state
+    dxb, tmp = work.dxb, work.scratch
+    pred = analytic_eps(model, np.multiply(sqrt_alpha, x_bar, out=tmp), alpha, work.eps_work,
+                        eps_row)
+    np.multiply(mu, pred.eps_hat, out=dxb)
+    if noisy:   # a noiseless row adds nothing: no 0 * eps_noise term
+        np.add(dxb, np.multiply(noise, eps_noise, out=tmp), out=dxb)
 
-    if plan.plain[k]:
+    if plain:
         np.add(x_bar, dxb, out=x_bar)
     else:
         sq = np.add.reduce(np.multiply(dxb, dxb, out=tmp), axis=-1, out=work.sq)
-        if config.v_norm == "mean_sq":
-            np.divide(sq, dxb.shape[-1], out=sq)
-        np.add(np.multiply(1.0 - config.c, v, out=v), np.multiply(config.c, sq, out=sq),
-               out=v)
+        np.divide(sq, v_div, out=sq)
+        np.add(np.multiply(1.0 - c, v, out=v), np.multiply(c, sq, out=sq), out=v)
         if not np.minimum.reduce(v, axis=None, initial=np.inf) > 0.0:    # NaN too
-            raise SecondMomentError(
-                f"second-moment accumulator v is not positive at t={plan.t[k]} "
-                f"(c={config.c}, zeta={config.zeta}); with c=1, v is the last "
-                "squared increment, which is 0 when the step moves no chain")
-        np.add(np.multiply(plan.a[k], m, out=m), np.multiply(plan.b[k], dxb, out=tmp), out=m)
-        np.add(np.sqrt(v, out=sq), config.zeta, out=sq)
+            raise _v_error(row, v)
+        np.add(np.multiply(a, m, out=m), np.multiply(b, dxb, out=tmp), out=m)
+        np.add(np.sqrt(v, out=sq), zeta, out=sq)
         np.add(x_bar, np.divide(m, sq[..., None], out=tmp), out=x_bar)
 
-    new_state = ChainState(t=int(plan.t_prev[k]), x_bar=x_bar, m=m, v=v)
-    x_next = np.multiply(plan.sqrt_alpha_prev[k], x_bar, out=work.x_next[k % 2])
-    return new_state, x_next, pred.x0_hat, dxb
+    x_next = np.multiply(sqrt_alpha_prev, x_bar, out=work.x_next[k % 2])
+    return ChainState(t_prev, x_bar, m, v), x_next, pred.x0_hat, dxb

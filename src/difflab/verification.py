@@ -22,7 +22,8 @@ import numpy as np
 from . import model as gm
 from .model import EpsTerms, GaussianMixtureModel
 from .runner import run_chains
-from .samplers import ETA_DDPM_UNIT, ChainState, SamplerConfig, StepPlan, StepWork, _step_core
+from .samplers import (ETA_DDPM_UNIT, ChainState, SamplerConfig, StepPlan, StepWork, _step_core,
+                       plan_rows)
 from .schedule import linear_beta_schedule
 
 __all__ = [
@@ -70,7 +71,7 @@ def drift_consistency(schedule, gmm: GaussianMixtureModel, n_points: int, rng) -
     """
     T = schedule.T
     ts = np.arange(1, T + 1)
-    plan = StepPlan.build(schedule, SamplerConfig.vanilla(ETA_DDPM_UNIT))  # row T - t
+    plan = StepPlan.build(schedule, SamplerConfig.vanilla(ETA_DDPM_UNIT), gmm.D)  # row T - t
     betas = np.zeros(T)
     drift_mis = np.zeros(T)
     diff_ratio = np.full(T, np.nan)
@@ -108,15 +109,17 @@ def drift_consistency(schedule, gmm: GaussianMixtureModel, n_points: int, rng) -
 def _friction_plan(fm: FrictionMapping, n_steps: int) -> StepPlan:
     """n_steps momentum rows that make the step kernel the bare recursion
     m <- a m + b g, x_bar <- x_bar + m, for a one-chain state whose noise row is
-    the forcing g: mu = 0 drops the predictor, noise = 1 passes g through, and
-    sqrt(alpha_prev) = 1 makes x_{t-1} = x_bar. Built directly, not through
-    SamplerConfig: the friction mapping's b is negative, outside its [0, 1]."""
+    the forcing g: mu = 0 drops the predictor, noise = 1 passes g through,
+    sqrt(alpha_prev) = 1 makes x_{t-1} = x_bar, and c = zeta = 0 keep v at 1.
+    Built directly, not through SamplerConfig: the friction mapping's b is
+    negative, outside its [0, 1]."""
     def const(value):
         return np.full(n_steps, value, dtype=float)
     t = np.arange(n_steps, 0, -1)
     return StepPlan(t=t, t_prev=t - 1, alpha=const(0.5), sqrt_alpha=const(1.0),
                     sqrt_alpha_prev=const(1.0), mu=const(0.0), noise=const(1.0),
-                    a=const(fm.a), b=const(fm.b), plain=np.zeros(n_steps, dtype=bool))
+                    a=const(fm.a), b=const(fm.b), c=const(0.0), zeta=const(0.0),
+                    v_div=const(1.0), plain=np.zeros(n_steps, dtype=bool))
 
 
 def midpoint_equivalence(lam: float, n_steps: int, drift, noise_seq) -> float:
@@ -132,20 +135,19 @@ def midpoint_equivalence(lam: float, n_steps: int, drift, noise_seq) -> float:
     if noise_seq.size < n_steps:
         raise ValueError("noise_seq shorter than n_steps")
     plan = _friction_plan(fm, n_steps)
-    config = SamplerConfig(c=0.0, zeta=0.0)
     # any model will do: mu = 0 cancels its prediction
     model = GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[0.0])
+    rows = plan_rows([plan], [EpsTerms(model, plan.alpha)])
     # the momentum path: one chain at rest, stepped in place as a run steps it
-    state = ChainState.init(np.zeros((1, 1)), plan)
-    work = StepWork((1, 1), EpsTerms(model, plan.alpha))
+    state = ChainState.init(np.zeros((1, 1)), rows[0])
+    work = StepWork((1, 1), model)
     # midpoint path: eta_{t+0.5} = -m, started at rest
     x_mid, eta = 0.0, 0.0
     half = 0.5 * lam
     max_dev = 0.0
     for k in range(n_steps):
         g = float(drift(k)) + float(noise_seq[k])
-        state, x_m, _, _ = _step_core(state, model, None, config, np.array([[g]]), plan, k,
-                                      work)
+        state, x_m, _, _ = _step_core(state, model, None, None, np.array([[g]]), rows[k], work)
         eta = ((1.0 - half) * eta + g) / (1.0 + half)
         x_mid = x_mid - eta
         max_dev = max(max_dev, abs(float(x_m[0, 0]) - x_mid), abs(float(state.m[0, 0]) + eta))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from difflab.samplers import ChainState, StepPlan, _step_core
+from difflab.model import EpsTerms
+from difflab.samplers import ChainState, StepPlan, _step_core, plan_rows
 
 
 @pytest.fixture()
@@ -12,12 +13,13 @@ def drive_chains():
     plan, one kernel call per row; noise(k, shape) gives row k's noise draw.
     Returns the final samples and the per-step x0_hat predictions."""
     def drive(model, schedule, config, x_T, noise):
-        plan = StepPlan.build(schedule, config)
-        state = ChainState.init(x_T, plan)
+        plan = StepPlan.build(schedule, config, model.D)
+        rows = plan_rows([plan], [EpsTerms(model, plan.alpha)])
+        state = ChainState.init(x_T, rows[0])
         x0_hats = []
-        for k in range(plan.K):
+        for k, row in enumerate(rows):
             state, x_next, x0_hat, _ = _step_core(state, model, schedule, config,
-                                                  noise(k, state.x_bar.shape), plan, k)
+                                                  noise(k, state.x_bar.shape), row)
             x0_hats.append(x0_hat)
         return x_next, np.array(x0_hats)
     return drive

@@ -91,6 +91,43 @@ def _sweep_2d_spec() -> dict:
     return {"base": base, "axis": "K", "values": [15, 40], "seeds_per_cell": 2}
 
 
+def _sweep_k_noisy_spec() -> dict:
+    """A noisy adaptive K sweep of a smooth two-mode mixture whose cells end at
+    different steps: 3 K values x 2 seeds of 300 chains."""
+    base = {
+        "model": {"weights": [0.45, 0.55], "means": [[-1.5], [2.5]], "variances": [0.3, 0.2]},
+        "schedule": {"T": 200, "beta_start": 1e-4, "beta_end": 0.05},
+        "sampler": {"method": "adaptive", "eta_mode": "ddpm_unit", "b": 0.2, "c": 0.02},
+        "n_chains": 300, "seed": 5, "trajectories": False, "heatmap": None, "metrics": True,
+    }
+    return {"base": base, "axis": "K", "values": [3, 8, 20], "seeds_per_cell": 2}
+
+
+def _sweep_eta_spec() -> dict:
+    """An eta_mode sweep whose deterministic and ddpm_unit cells fit one stack:
+    2 values x 2 seeds of 300 chains."""
+    base = {
+        "model": {"weights": [0.6, 0.4], "means": [[-1.0], [2.0]], "variances": [0.2, 0.4]},
+        "schedule": {"T": 60, "beta_start": 1e-3, "beta_end": 0.05},
+        "sampler": {"method": "vanilla", "eta_mode": "deterministic"},
+        "n_chains": 300, "seed": 13, "trajectories": False, "heatmap": None, "metrics": True,
+    }
+    return {"base": base, "axis": "eta_mode", "values": ["deterministic", "ddpm_unit"],
+            "seeds_per_cell": 2}
+
+
+def _sweep_c_2d_spec() -> dict:
+    """A noisy adaptive sweep over c of a two-dimensional mixture: 3 values x 2 seeds."""
+    base = {
+        "model": {"weights": [0.5, 0.5], "means": [[-1.5, 1.0], [1.5, -0.5]],
+                  "variances": [0.2, 0.3]},
+        "schedule": {"T": 80, "beta_start": 5e-4, "beta_end": 0.06},
+        "sampler": {"method": "adaptive", "eta_mode": "ddpm_unit", "b": 0.25},
+        "n_chains": 400, "seed": 21, "trajectories": False, "heatmap": None, "metrics": True,
+    }
+    return {"base": base, "axis": "c", "values": [0.001, 0.01, 0.1], "seeds_per_cell": 2}
+
+
 def toy_fig4(work: Path) -> dict[str, str]:
     """The bundled toy_fig4 spec at seed 0 with 300 chains; every file but the manifest."""
     _cli("run", "toy_fig4", "--seed", 0, "--chains", 300, "--out-dir", work / "out")
@@ -134,6 +171,9 @@ CASES = {
     "sweep_deterministic": _sweep(_sweep_spec),
     "sweep_adaptive_b": _sweep(_sweep_b_spec),
     "sweep_deterministic_2d": _sweep(_sweep_2d_spec),
+    "sweep_k_noisy_adaptive": _sweep(_sweep_k_noisy_spec),
+    "sweep_eta_mode_mixed": _sweep(_sweep_eta_spec),
+    "sweep_c_2d": _sweep(_sweep_c_2d_spec),
     "schedules_dump": schedules_dump,
     "verify": verify,
 }

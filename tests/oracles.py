@@ -9,7 +9,8 @@ fixed 200 times, with no early stop. The predictor's terms are written out
 at one scalar alpha, the way a call computed them before a run built them over
 a whole plan at once, and the predictor itself is written out in its
 general-D form: einsum and matmul for the squared distances at every D, and
-np.max and np.sum for the softmax.
+np.max and np.sum for the softmax. Sliced W1 is written out as it first was,
+sorting its projections down strided columns.
 """
 
 import numpy as np
@@ -59,6 +60,18 @@ def analytic_eps_general(gmm: GaussianMixtureModel, x, alpha: float) -> tuple:
     np.subtract(xf, eps_hat, out=eps_hat)
     np.divide(eps_hat, t["sqrt_1ma"], out=eps_hat)
     return eps_hat.reshape(x.shape), x0_hat.reshape(x.shape)
+
+
+def sliced_w1_strided(samples_a, samples_b, n_projections: int, rng) -> float:
+    """metrics.sliced_w1 as it was first written: both (n, P) projection
+    arrays sorted down their columns, and the mean of their gaps."""
+    a = np.asarray(samples_a, dtype=float)
+    b = np.asarray(samples_b, dtype=float)
+    dirs = rng.standard_normal((n_projections, a.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    pa = np.sort(a @ dirs.T, axis=0)
+    pb = np.sort(b @ dirs.T, axis=0)
+    return float(np.mean(np.abs(pa - pb)))
 
 
 def quantile_200_halvings(gmm: GaussianMixtureModel, u) -> np.ndarray:

@@ -16,8 +16,9 @@ import pytest
 import difflab
 import difflab.cli  # noqa: F401  (the tracer reads every module off the package)
 from difflab import runner
+from difflab.config import SweepSpec
 from difflab.model import GaussianMixtureModel
-from difflab.samplers import SamplerConfig
+from difflab.samplers import SamplerConfig, StepPlan
 from difflab.schedule import linear_beta_schedule
 
 _TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
@@ -105,3 +106,34 @@ def test_tracer_counts_every_drawn_noise_value_as_used():
     _, counts = _traced(_TWO_POINT, SamplerConfig.vanilla("ddpm_unit"), 300)
     assert counts["noise_drawn"] == 300 * 20     # x_T and 19 noisy steps
     assert counts["noise_used"] / counts["noise_drawn"] == 1.0
+
+
+def test_tracer_counts_a_stacked_noisy_sweeps_used_noise_as_its_plans_imply(tmp_path):
+    # 3 K values x 2 seeds of 300 chains are one stack, K = 20, 20, 8, 8, 3, 3,
+    # whose cells end at different steps: at steps 2 and 7 the cells on their
+    # noiseless last row take a call of their own. The tracer reads each call's
+    # first cell's schedule, config and t, so it must count exactly the noise
+    # the plans use: x_T and one row per noisy step of every chain
+    base = {"model": {"weights": [0.45, 0.55], "means": [[-1.5], [2.5]],
+                      "variances": [0.3, 0.2]},
+            "schedule": {"T": 200, "beta_start": 1e-4, "beta_end": 0.05},
+            "sampler": {"method": "adaptive", "eta_mode": "ddpm_unit", "b": 0.2, "c": 0.02},
+            "n_chains": 300, "seed": 5, "trajectories": False, "heatmap": None,
+            "metrics": True}
+    sweep = SweepSpec.from_dict({"base": base, "axis": "K", "values": [3, 8, 20],
+                                 "seeds_per_cell": 2})
+    used = 0
+    for value in sweep.values:
+        spec = sweep.cell_spec(value, 0)
+        plan = StepPlan.build(spec.build_schedule(), spec.build_sampler_config(), 1)
+        used += sweep.seeds_per_cell * 300 * (1 + np.count_nonzero(plan.noise))
+    tracer = _load_tracer().Tracer()
+    tracer.install(difflab)
+    try:
+        runner.execute_sweep(sweep, tmp_path)
+        spans, counts = tracer.take()
+    finally:
+        tracer.uninstall()
+    calls = Counter(span[3] for span in spans)
+    assert (calls["runner.run_chains"], calls["samplers.step"]) == (1, 20 + 2)
+    assert counts["noise_used"] == counts["noise_drawn"] == used

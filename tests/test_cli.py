@@ -1,7 +1,6 @@
 """Command-line interface: commands, overrides, exit codes."""
 
 import csv
-import dataclasses
 import json
 import os
 import random
@@ -10,7 +9,6 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import difflab
@@ -164,9 +162,8 @@ def test_verify_fails_a_kernel_that_drops_momentum_b(tmp_path, capsys, monkeypat
     # fails verify
     kernel = difflab.verification._step_core
 
-    def dropped_b(state, model, schedule, config, eps_noise, plan, k, work=None):
-        return kernel(state, model, schedule, config, eps_noise,
-                      dataclasses.replace(plan, b=np.ones_like(plan.b)), k, work)
+    def dropped_b(state, model, schedule, config, eps_noise, row, work=None):
+        return kernel(state, model, schedule, config, eps_noise, row._replace(b=1.0), work)
     monkeypatch.setattr(difflab.verification, "_step_core", dropped_b)
     code = main(["verify", "--out", str(tmp_path / "report.json")])
     out = capsys.readouterr().out

@@ -179,7 +179,7 @@ def test_run_chains_extension_stability():
 def test_block_noise_refuses_chain_indices_from_2_to_the_32():
     # the bulk seeding hashes a chain index as one uint32 word; past it, it would wrap
     top = 2**32
-    plan = StepPlan.build(linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla())
+    plan = StepPlan.build(linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla(), 2)
     noise = _block_noise(5, top - 3, top, plan, 2)
     for i, rows in zip(range(top - 3, top), noise):
         assert rows.tobytes() == np.random.default_rng([5, i]).standard_normal((5, 2)).tobytes()
@@ -190,9 +190,9 @@ def test_block_noise_refuses_chain_indices_from_2_to_the_32():
 def test_block_noise_draws_into_the_head_of_a_reused_store():
     # a worker's noise buffer is sized for a whole block and reused by each of
     # its blocks; a partial block draws into its head, over the last block's rows
-    plan = StepPlan.build(linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla())
+    plan = StepPlan.build(linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla(), 2)
     store = np.full(7 * 5 * 2, np.nan)
-    noise = _block_noise(5, 10, 13, plan, 2, store)
+    noise = _block_noise(5, 10, 13, plan, 2, store[:30].reshape(3, 5, 2))
     assert noise.shape == (3, 5, 2) and np.shares_memory(noise, store[:30])
     assert noise.tobytes() == _block_noise(5, 10, 13, plan, 2).tobytes()
 
@@ -202,7 +202,7 @@ def test_block_noise_draws_the_prefix_its_plan_uses(eta):
     # x_T and one row per step up to the last noisy step, the prefix of each
     # chain's full stream; no noisy step is left without its row
     sched = respace(linear_beta_schedule(40, 0.02, 0.02), 12, "quadratic")   # fits ddpm_hat
-    plan = StepPlan.build(sched, SamplerConfig.vanilla(eta))
+    plan = StepPlan.build(sched, SamplerConfig.vanilla(eta), 2)
     noise = _block_noise(8, 3, 7, plan, 2)
     rows = noise.shape[1]
     assert rows == {"deterministic": 1, "ddpm_unit": 12, "ddpm_hat": 12}[eta]
@@ -221,15 +221,15 @@ def test_run_chains_steps_a_tuple_of_seeds_in_stacks_of_up_to_a_block(monkeypatc
     stacks, block = [], runner._run_block
 
     def watched(*args):
-        stacks.append((args[4], args[5]))
+        stacks.append((args[1].seeds, args[2]))
         return block(*args)
     monkeypatch.setattr(runner, "_run_block", watched)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
     seeds = (9, 2, 30, 4, 5)
-    stacked = run_chains(gmm, sched, cfg, 700, seeds, threads=4)
+    stacked = run_chains(gmm, (sched,) * 5, (cfg,) * 5, 700, seeds, threads=4)
     # pool threads may run the stacks in any order
     assert sorted(stacks, key=str) == sorted([((9, 2), slice(0, 2)), ((30, 4), slice(2, 4)),
-                                              ((5,), 4)], key=str)
+                                              ((5,), slice(4, 5))], key=str)
     assert isinstance(stacked, list) and len(stacked) == 5
     for seed, got in zip(seeds, stacked):
         alone = run_chains(gmm, sched, cfg, 700, seed)
@@ -571,15 +571,16 @@ def test_deterministic_sweep_draws_each_seeds_x_T_once(tmp_path, monkeypatch):
 
 
 def test_deterministic_stacked_sweep_draws_each_seeds_x_T_once(tmp_path, monkeypatch):
-    # 512 chains: both seeds of a value run in one call, stepped as one stack
+    # 512 chains: the cells run in two calls, K = 20, 20, 10, 10 stepped as
+    # one stack and K = 5, 5 as another
     calls, stored = _sweep_draws(tmp_path, monkeypatch, "deterministic", n_chains=512)
     assert len(calls) == len(set(calls)) == 2 * 512
-    assert stored == [{(3, 0): (512, 1), (4, 0): (512, 1)}] * 3
+    assert stored == [{(3, 0): (512, 1), (4, 0): (512, 1)}] * 2
 
 
-def test_stacked_sweep_builds_one_plan_and_steps_once_per_value(tmp_path, monkeypatch):
-    # 2 values x 2 seeds of 512 chains: one StepPlan per value, and each of its
-    # steps is one predictor call for both seeds
+def _counted_sweep(tmp_path, monkeypatch, sweep):
+    """The step counts of the StepPlans a sweep builds, in order, and the point
+    shapes of its predictor calls."""
     plans, eps_calls = [], []
     build, analytic_eps = StepPlan.build.__func__, samplers.analytic_eps
 
@@ -590,13 +591,62 @@ def test_stacked_sweep_builds_one_plan_and_steps_once_per_value(tmp_path, monkey
     def counted_eps(*args, **kwargs):
         eps_calls.append(args[1].shape)
         return analytic_eps(*args, **kwargs)
-    sweep = SweepSpec.from_dict({"base": base_spec_dict(trajectory_chains=0, n_chains=512),
-                                 "axis": "K", "values": [10, 25], "seeds_per_cell": 2})
     monkeypatch.setattr(StepPlan, "build", classmethod(counted_build))
     monkeypatch.setattr(samplers, "analytic_eps", counted_eps)
     execute_sweep(sweep, tmp_path)
-    assert plans == [10, 25]
-    assert eps_calls == [(2, 512, 1)] * (10 + 25)
+    return plans, eps_calls
+
+
+def test_stacked_sweep_builds_one_plan_and_steps_once_per_value(tmp_path, monkeypatch):
+    # 2 values x 2 seeds of 512 chains are one stack, K = 25, 25, 10, 10: one
+    # StepPlan per value, and each step is one predictor call for every cell
+    # still stepping, but for step 9: the K = 10 cells' last row is noiseless
+    # and the others' is not, so each pair takes its own call
+    sweep = SweepSpec.from_dict({"base": base_spec_dict(trajectory_chains=0, n_chains=512),
+                                 "axis": "K", "values": [10, 25], "seeds_per_cell": 2})
+    plans, eps_calls = _counted_sweep(tmp_path, monkeypatch, sweep)
+    assert plans == [25, 10]
+    assert eps_calls == [(4, 512, 1)] * 9 + [(2, 512, 1)] * (2 + 15)
+
+
+def test_sweep_k_shape_makes_1300_predictor_calls(tmp_path, monkeypatch):
+    # the benchmark's K sweep: 5 values x 2 seeds of 512 deterministic vanilla
+    # chains run as the stacks {1000, 1000, 500, 500}, {250, 250, 100, 100}
+    # and {50, 50}; one call per step of each stack's longest cell
+    base = base_spec_dict(trajectory_chains=0, n_chains=512,
+                          schedule={"T": 1000, "beta_start": 1e-4, "beta_end": 0.02},
+                          sampler={"method": "vanilla", "eta_mode": "deterministic"})
+    sweep = SweepSpec.from_dict({"base": base, "axis": "K", "values": [50, 100, 250, 500, 1000],
+                                 "seeds_per_cell": 2})
+    plans, eps_calls = _counted_sweep(tmp_path, monkeypatch, sweep)
+    assert plans == [1000, 500, 250, 100, 50]
+    assert len(eps_calls) == 1000 + 250 + 50 == 1300
+    assert eps_calls == ([(4, 512, 1)] * 500 + [(2, 512, 1)] * 500 + [(4, 512, 1)] * 100
+                         + [(2, 512, 1)] * 150 + [(2, 512, 1)] * 50)
+
+
+def test_equal_configs_share_one_plan_and_step_on_float_rows(monkeypatch):
+    # cells of one schedule whose configs are equal but distinct objects get
+    # one plan, so their stack steps on rows of floats, not of columns
+    gmm = GaussianMixtureModel(weights=[0.5, 0.5], means=[[-1.0], [2.0]], variances=[0.1, 0.0])
+    sched, config = linear_beta_schedule(12, 0.02, 0.02), SamplerConfig()
+    builds, alphas = [], []
+    build, analytic_eps = StepPlan.build.__func__, samplers.analytic_eps
+
+    def counted_build(cls, *args):
+        builds.append(args[1])
+        return build(cls, *args)
+
+    def counted_eps(gmm, x, alpha, *args):
+        alphas.append(alpha)
+        return analytic_eps(gmm, x, alpha, *args)
+    monkeypatch.setattr(StepPlan, "build", classmethod(counted_build))
+    monkeypatch.setattr(samplers, "analytic_eps", counted_eps)
+    results = run_chains(gmm, (sched, sched), (config, replace(config)), 5, (1, 2))
+    assert builds == [config]
+    assert len(alphas) == 12 and all(type(alpha) is float for alpha in alphas)
+    for seed, got in zip((1, 2), results):
+        assert got.samples.tobytes() == run_chains(gmm, sched, config, 5, seed).samples.tobytes()
 
 
 def test_noisy_sweep_draws_for_every_cell(tmp_path, monkeypatch):

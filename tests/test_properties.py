@@ -3,7 +3,7 @@
 import copy
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -12,13 +12,14 @@ from hypothesis import Phase, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from difflab.config import RunSpec, SpecError
-from difflab.metrics import bin_trajectory_points, heatmap_grid, mixture_quantile
-from difflab.model import EpsTerms, EpsWork, GaussianMixtureModel, analytic_eps
+from difflab.metrics import bin_trajectory_points, heatmap_grid, mixture_quantile, sliced_w1
+from difflab.model import EpsRow, EpsTerms, EpsWork, GaussianMixtureModel, analytic_eps, eps_rows
 from difflab.runner import _block_noise, run_chains
-from difflab.samplers import StepPlan, SamplerConfig
+from difflab.samplers import StepPlan, SamplerConfig, plan_rows
 from difflab.schedule import linear_beta_schedule, respace
 
-from oracles import analytic_eps_general, eps_terms_at, quantile_200_halvings, reference_bin
+from oracles import (analytic_eps_general, eps_terms_at, quantile_200_halvings, reference_bin,
+                     sliced_w1_strided)
 
 ETA_MODES = ("deterministic", "ddpm_unit", "ddpm_hat")
 # few examples, the same ones on every run, and nothing written to disk
@@ -26,19 +27,25 @@ _FEW = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def schedules(draw, max_T=60, flat=False):
-    """A linear-beta schedule, sometimes respaced; with flat, sometimes with
-    constant betas and alpha_zero below 1 (ddpm_hat fits only such schedules
-    or coarsely respaced ones)."""
+def full_schedules(draw, max_T=60, flat=False):
+    """A linear-beta schedule; with flat, sometimes with constant betas and
+    alpha_zero below 1 (ddpm_hat fits only such schedules or coarsely
+    respaced ones)."""
     T = draw(st.integers(1, max_T))
     beta_start = draw(st.floats(1e-4, 0.2))
     beta_end = beta_start if flat and draw(st.booleans()) else draw(st.floats(beta_start, 0.3))
     alpha_zero = 1.0
     if flat and draw(st.booleans()):
         alpha_zero = draw(st.floats(np.sqrt(1.0 - beta_start), 1.0))
-    sched = linear_beta_schedule(T, beta_start, beta_end, alpha_zero)
+    return linear_beta_schedule(T, beta_start, beta_end, alpha_zero)
+
+
+@st.composite
+def schedules(draw, max_T=60, flat=False):
+    """A full_schedules schedule, sometimes respaced."""
+    sched = draw(full_schedules(max_T, flat))
     if draw(st.booleans()):
-        sched = respace(sched, draw(st.integers(1, T)),
+        sched = respace(sched, draw(st.integers(1, sched.T)),
                         draw(st.sampled_from(("uniform", "quadratic"))))
     return sched
 
@@ -68,7 +75,7 @@ def mixtures(draw):
 
 def _fitting(sched, config):
     try:
-        StepPlan.build(sched, config)
+        StepPlan.build(sched, config, 1)
     except ValueError:
         return False
     return True
@@ -80,14 +87,14 @@ def _fitting(sched, config):
        configs(eta_modes=("deterministic", "ddpm_unit")))
 def test_plan_of_respace_to_T_equals_full_plan(T, beta_start, spread, mode, K, config):
     full = linear_beta_schedule(T, beta_start, beta_start + spread)
-    want = StepPlan.build(full, config)
-    got = StepPlan.build(respace(full, T, mode), config)
+    want = StepPlan.build(full, config, 1)
+    got = StepPlan.build(respace(full, T, mode), config, 1)
     for name in ("t", "t_prev", "sqrt_alpha", "sqrt_alpha_prev", "mu", "noise",
                  "a", "b", "plain"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     # a shorter subsequence reads its alphas straight from the full arrays
     sub = respace(full, min(K, T), mode)
-    plan = StepPlan.build(sub, config)
+    plan = StepPlan.build(sub, config, 1)
     assert plan.t.tolist() == list(sub.tau[::-1])
     assert plan.sqrt_alpha.tobytes() == np.sqrt(full.alphas_cum[plan.t - 1]).tobytes()
 
@@ -110,7 +117,7 @@ def test_plan_rows_match_their_closed_forms(eta, sched, data):
     # otherwise; every row's coefficients must equal their formulas here
     config = data.draw(configs(eta_modes=(eta,)))
     assume(_fitting(sched, config))
-    plan = StepPlan.build(sched, config)
+    plan = StepPlan.build(sched, config, 1)
     assert plan.t.tolist() == list(sched.tau[::-1])
     assert plan.t_prev.tolist() == [0, *sched.tau[:-1]][::-1]
     for k, (t, t_prev) in enumerate(zip(plan.t.tolist(), plan.t_prev.tolist())):
@@ -149,7 +156,7 @@ def test_plan_build_fails_only_with_value_error_and_validate_names_it(
     except SpecError:
         assume(False)     # alpha_zero not above alpha_1
     try:
-        StepPlan.build(schedule, config)
+        StepPlan.build(schedule, config, 1)
     except ValueError as exc:
         event("the eta mode does not fit")
         assert "at t=" in str(exc)
@@ -215,7 +222,7 @@ def test_block_noise_is_each_chains_default_rng_stream(seed, edge, before, after
     # byte, across a 2048-chain block edge: a numpy release that seeds
     # differently fails here. A K-step plan uses x_T and, unless deterministic,
     # every step's row but the noiseless last one's. A flat beta fits ddpm_hat.
-    plan = StepPlan.build(linear_beta_schedule(K, 0.02, 0.02), SamplerConfig.vanilla(eta))
+    plan = StepPlan.build(linear_beta_schedule(K, 0.02, 0.02), SamplerConfig.vanilla(eta), D)
     rows = 1 if eta == "deterministic" else K
     lo, hi = 2048 * edge - before, 2048 * edge + after
     noise = _block_noise(seed, lo, hi, plan, D)
@@ -252,6 +259,20 @@ def test_mixture_quantile_stops_where_200_halvings_would_end(gmm, levels):
     # the early stop leaves bytes unchanged, including where the cap is reached
     got = mixture_quantile(gmm, levels)
     assert got.tobytes() == quantile_200_halvings(gmm, levels).tobytes()
+
+
+@settings(_FEW, max_examples=20)
+@given(st.sampled_from((2, 16)), st.sampled_from((1, 2, 7, 8192)), st.integers(0, 2**32),
+       st.floats(0.0, 3.0))
+def test_sliced_w1_has_the_bytes_of_its_strided_sort(D, n, seed, shift):
+    # sorting each projection as a contiguous row and averaging the gaps in
+    # their (n, P) order must give the float the column sort gave
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 1.0, (n, D))
+    b = rng.normal(shift, 2.0, (n, D))
+    got = sliced_w1(a, b, 128, np.random.default_rng([seed, 1]))
+    want = sliced_w1_strided(a, b, 128, np.random.default_rng([seed, 1]))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_mixture_quantile_near_zero_reaches_the_cap():
@@ -297,14 +318,15 @@ def test_plan_terms_give_the_bytes_of_a_single_call(case):
     # predicts in reused arrays; both must give each call's own bytes
     gmm, alphas, x = case
     terms = EpsTerms(gmm, alphas)
-    work = EpsWork(terms, x.shape[0])     # one set of arrays for every row
+    rows = eps_rows(terms)
+    work = EpsWork(gmm, x.shape[0])     # one set of arrays for every row
     for row, alpha in enumerate(alphas.tolist()):
         # numpy's SIMD log/exp could round by array length: one alpha is the reference
         for name, value in eps_terms_at(gmm, alpha).items():
             got = getattr(terms, name)[row]
             assert got.tobytes() == np.asarray(value).tobytes(), (name, row)
         fresh = analytic_eps(gmm, x, alpha)
-        reused = analytic_eps(gmm, x, alpha, work, row)
+        reused = analytic_eps(gmm, x, alpha, work, rows[row])
         assert reused.eps_hat.tobytes() == fresh.eps_hat.tobytes(), row
         assert reused.x0_hat.tobytes() == fresh.x0_hat.tobytes(), row
     assert set(vars(terms)) == set(eps_terms_at(gmm, 0.5))
@@ -334,37 +356,114 @@ def test_predictor_has_the_bytes_of_its_general_form(case):
     # with the ufuncs themselves; fresh or in reused arrays, each call must
     # give the einsum / matmul / np.max / np.sum form's bytes
     gmm, alphas, x = case
-    work = EpsWork(EpsTerms(gmm, alphas), x.shape[0])
+    work, rows = EpsWork(gmm, x.shape[0]), eps_rows(EpsTerms(gmm, alphas))
     for row, alpha in enumerate(alphas.tolist()):
         eps_hat, x0_hat = analytic_eps_general(gmm, x, alpha)
-        for pred in (analytic_eps(gmm, x, alpha), analytic_eps(gmm, x, alpha, work, row)):
+        for pred in (analytic_eps(gmm, x, alpha), analytic_eps(gmm, x, alpha, work, rows[row])):
             assert pred.eps_hat.tobytes() == eps_hat.tobytes(), row
             assert pred.x0_hat.tobytes() == x0_hat.tobytes(), row
 
 
+@st.composite
+def sweep_cells(draw):
+    """2-4 cells a sweep could stack: 1-3 values of one axis (K, b, c or
+    eta_mode) times 1-4 seeds, each value with its own step count too, so the
+    cells end at different steps. The values' schedules are one full
+    schedule, as schedules(flat=True) draws it, sometimes respaced by one
+    mode. A value's cells share its schedule and config; cells are in
+    step-count order, largest first."""
+    full = draw(full_schedules(max_T=12, flat=True))
+    mode = draw(st.sampled_from(("uniform", "quadratic")))
+    base = draw(configs())
+    base = replace(base, v_norm=draw(st.sampled_from(("mean_sq", "raw_l2sq"))))
+    axis = draw(st.sampled_from(("K", "b", "c", "eta_mode")))
+    values = []
+    for _ in range(draw(st.integers(1, 3))):
+        K = draw(st.integers(1, full.T))
+        sched = full if K == full.T and draw(st.booleans()) else respace(full, K, mode)
+        config = base
+        if axis != "K":
+            value = {"b": st.floats(0.0, 1.0), "c": st.floats(0.0, 0.5),
+                     "eta_mode": st.sampled_from(ETA_MODES)}[axis]
+            config = replace(base, **{axis: draw(value)})
+        values.append((sched, config))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4, unique=True))
+    cells = [(sched, config, seed) for sched, config in values for seed in seeds][:4]
+    assume(len(cells) >= 2 and all(_fitting(sched, config) for sched, config, _ in cells))
+    return sorted(cells, key=lambda cell: -len(cell[0].tau))
+
+
 @pytest.mark.parametrize("D", [1, 2, 16])
-@settings(_FEW, max_examples=20)
-@given(st.sampled_from((1, 2, 8)), st.sampled_from((1, 7, 300, 1024)),
-       schedules(max_T=12, flat=True), configs(),
-       st.lists(st.integers(0, 2**32), min_size=2, max_size=4, unique=True),
+@settings(_FEW, max_examples=25)
+@given(st.sampled_from((1, 2, 8)), st.sampled_from((1, 7, 300, 1024)), sweep_cells(),
        st.integers(0, 2**32))
-def test_stacked_seeds_give_each_seeds_own_bytes(D, K, n, sched, config, seeds, draw):
-    # a tuple of seeds steps their blocks as one stack; each seed's samples
-    # and tv must be the bytes of its own run, drawn or read from a shared x_T
-    assume(_fitting(sched, config))
+def test_stacked_seeds_give_each_seeds_own_bytes(D, K, n, cells, draw):
+    # a tuple of cells steps their blocks as one stack, each slice on its own
+    # plan's rows; each cell's samples and tv must be the bytes of its own
+    # single-seed run, drawn or read from a shared x_T
     rng = np.random.default_rng(draw)
     w = rng.uniform(0.1, 1.0, K)
     gmm = GaussianMixtureModel(weights=w / w.sum(), means=rng.uniform(-4.0, 4.0, (K, D)),
                                variances=rng.uniform(0.0, 1.0, K) * (rng.uniform(size=K) < 0.7))
+    schedules, configs_, seeds = map(tuple, zip(*cells))
     x_T = {}
-    drawn = run_chains(gmm, sched, config, n, tuple(seeds), x_T=x_T)
-    again = run_chains(gmm, sched, config, n, tuple(seeds), x_T=x_T)
-    assert len(drawn) == len(again) == len(seeds)
-    for seed, *stacked in zip(seeds, drawn, again):
+    drawn = run_chains(gmm, schedules, configs_, n, seeds, x_T=x_T)
+    again = run_chains(gmm, schedules, configs_, n, seeds, x_T=x_T)
+    assert len(drawn) == len(again) == len(cells)
+    for (sched, config, seed), *stacked in zip(cells, drawn, again):
         alone = run_chains(gmm, sched, config, n, seed)
         for got in stacked:
             assert got.samples.tobytes() == alone.samples.tobytes(), seed
             assert got.tv.tobytes() == alone.tv.tobytes(), seed
+
+
+@settings(_FEW, max_examples=40)   # cheap: no chains run
+@given(mixtures(), sweep_cells(), st.integers(0, 8), st.integers(0, 8))
+def test_plan_rows_hold_the_plans_arrays(gmm, cells, lo, span):
+    # a row is every coefficient the kernel and the predictor read at one step:
+    # one plan's arrays at row k as floats, or a stack's per-slice columns
+    built = {}      # a value's cells share its plan and terms, as in a run
+    for sched, config, _ in cells:
+        if (id(sched), id(config)) not in built:
+            plan = StepPlan.build(sched, config, gmm.D)
+            built[id(sched), id(config)] = plan, EpsTerms(gmm, plan.alpha)
+    plans, terms = zip(*(built[id(sched), id(config)] for sched, config, _ in cells))
+    K = plans[-1].K
+    k0 = min(lo, K - 1)
+    k1 = min(k0 + 1 + span, K)
+    same = all(p is plans[0] for p in plans)
+    for stack, stack_terms in (([plans[0]], [terms[0]]), (plans, terms)):
+        rows = plan_rows(stack, stack_terms, k0, k1)
+        assert [row.k for row in rows] == list(range(k0, k1))
+        single = len(stack) == 1 or same
+        for row in rows:
+            k = row.k
+            first = stack[0]
+            assert (row.t, row.t_prev, row.plain, row.noisy) == (
+                int(first.t[k]), int(first.t_prev[k]), bool(first.plain[k]),
+                bool(first.noise[k] != 0.0))
+            for name in ("alpha", "sqrt_alpha", "sqrt_alpha_prev", "mu", "noise", "a", "b",
+                         "c", "zeta", "v_div"):
+                got = getattr(row, name)
+                want = np.array([getattr(p, name)[k] for p in stack])
+                if single:
+                    assert type(got) is float and got == want[0], name
+                else:
+                    shape = (len(stack), 1) + ((1,) if name not in ("c", "zeta", "v_div") else ())
+                    assert got.shape == shape and got.tobytes() == want.tobytes(), name
+            for name in EpsRow._fields:
+                got = getattr(row.eps, name)
+                want = np.stack([getattr(t, name)[k] for t in stack_terms])
+                if single:
+                    want = want[0]
+                    assert (type(got) is float) == (want.ndim == 0), name
+                assert np.asarray(got).tobytes() == want.tobytes(), name
+    # c, zeta and the v divisor are the config's, and D only for mean_sq
+    for plan, (_, config, _) in zip(plans, cells):
+        assert plan.c.tolist() == [float(config.c)] * plan.K
+        assert plan.zeta.tolist() == [float(config.zeta)] * plan.K
+        div = gmm.D if config.v_norm == "mean_sq" else 1
+        assert plan.v_div.tolist() == [float(div)] * plan.K
 
 
 @pytest.mark.xfail(strict=True, reason=(

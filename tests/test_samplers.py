@@ -9,7 +9,7 @@ from difflab.model import EpsTerms, GaussianMixtureModel, analytic_eps
 from difflab.runner import run_chains
 from difflab.samplers import (ETA_DDPM_HAT, ETA_DDPM_UNIT, ETA_DETERMINISTIC,
                               ChainState, SamplerConfig, SecondMomentError,
-                              StepPlan, StepWork, _step_core, sigma)
+                              StepPlan, StepWork, _step_core, plan_rows, sigma)
 from difflab.schedule import NoiseSchedule, linear_beta_schedule, respace
 
 
@@ -22,6 +22,11 @@ def pair_schedule():
 def two_point():
     return GaussianMixtureModel(weights=[0.5, 0.5], means=[[-2.0], [4.0]],
                                 variances=[0.0, 0.0])
+
+
+def rows_of(gmm, plan):
+    """The plan's rows, with the predictor's terms over its alphas."""
+    return plan_rows([plan], [EpsTerms(gmm, plan.alpha)])
 
 
 def ddim_reference(x_t, eps_hat, eps_noise, a_t, a_p, sig):
@@ -67,7 +72,7 @@ def test_sigma_rejects_non_increasing_noise():
 def test_increment_frozen_example():
     # alpha_t=0.5, alpha_prev=0.8, eta=0, eps_hat=1:
     # mu = sqrt(0.2/0.8) - sqrt(0.5/0.5) = -0.5
-    plan = StepPlan.build(pair_schedule(), SamplerConfig.vanilla(ETA_DETERMINISTIC))
+    plan = StepPlan.build(pair_schedule(), SamplerConfig.vanilla(ETA_DETERMINISTIC), 1)
     assert (plan.t[0], plan.t_prev[0]) == (2, 1)
     assert plan.mu[0] == pytest.approx(-0.5, rel=1e-14)
     assert plan.noise[0] == 0.0
@@ -84,14 +89,15 @@ def test_ddim_step_increment_identity():
     for eta, sched in ((ETA_DETERMINISTIC, ramp), (ETA_DDPM_UNIT, ramp),
                        (ETA_DDPM_HAT, flat)):
         cfg = SamplerConfig.vanilla(eta)
-        plan = StepPlan.build(sched, cfg)
+        plan = StepPlan.build(sched, cfg, gmm.D)
+        rows = rows_of(gmm, plan)
         for _ in range(20):
             t = int(rng.integers(2, 51))
             k = sched.T - t
             state = ChainState(t=t, x_bar=rng.uniform(-3, 3, 2), m=np.zeros(2),
                                v=np.ones(()))
             eps = rng.standard_normal(2)
-            _, x_prev, _, dxb = _step_core(state, gmm, sched, cfg, eps, plan, k)
+            _, x_prev, _, dxb = _step_core(state, gmm, sched, cfg, eps, rows[k])
             a_t, a_p = sched.alpha(t), sched.alpha(t - 1)
             x_t = plan.sqrt_alpha[k] * state.x_bar
             eps_hat = analytic_eps(gmm, x_t, a_t).eps_hat
@@ -146,7 +152,7 @@ def test_final_step_is_noiseless():
     sched = linear_beta_schedule(20, 1e-3, 0.05)
     cfg = SamplerConfig.vanilla(ETA_DDPM_UNIT)
     res = run_chains(gmm, sched, cfg, 4, seed=4, trajectory_chains=4)
-    assert StepPlan.build(sched, cfg).noise[-1] == 0.0
+    assert StepPlan.build(sched, cfg, 1).noise[-1] == 0.0
     assert res.trajectories.x0_hats.shape[0] == 4
     for x0, x0_hats in zip(res.samples, res.trajectories.x0_hats):
         assert np.allclose(x0, x0_hats[-1], atol=1e-12)
@@ -232,7 +238,8 @@ def test_config_validation():
 def test_chain_state_init():
     sched = linear_beta_schedule(10, 1e-3, 0.05)
     x_T = np.array([[1.0, 2.0], [3.0, 4.0]])
-    state = ChainState.init(x_T, StepPlan.build(sched, SamplerConfig()))
+    gmm = GaussianMixtureModel(weights=[1.0], means=[[0.0, 0.0]], variances=[1.0])
+    state = ChainState.init(x_T, rows_of(gmm, StepPlan.build(sched, SamplerConfig(), 2))[0])
     assert state.t == 10
     assert np.array_equal(state.x_bar, x_T / math.sqrt(sched.alpha(10)))
     assert np.all(state.m == 0.0)
@@ -255,12 +262,12 @@ def test_second_moment_stays_positive():
     gmm = two_point()
     sched = linear_beta_schedule(60, 1e-3, 0.05)
     cfg = SamplerConfig(method="adaptive", b=0.3, c=0.05)
-    plan = StepPlan.build(sched, cfg)
-    state = ChainState.init(np.random.default_rng(7).standard_normal((16, 1)), plan)
+    rows = rows_of(gmm, StepPlan.build(sched, cfg, 1))
+    state = ChainState.init(np.random.default_rng(7).standard_normal((16, 1)), rows[0])
     rng = np.random.default_rng(8)
-    for k in range(plan.K):
+    for row in rows:
         state, _, _, _ = _step_core(state, gmm, sched, cfg,
-                                    rng.standard_normal(state.x_bar.shape), plan, k)
+                                    rng.standard_normal(state.x_bar.shape), row)
         assert np.all(state.v > 0.0)
     assert state.t == 0
 
@@ -276,7 +283,22 @@ def test_zero_second_moment_raises_named_error():
                        v=np.ones(3))
     with pytest.raises(SecondMomentError, match=r"c=1\.0, zeta=1e-08"):
         _step_core(state, gmm, sched, cfg, np.zeros((3, 1)),
-                   StepPlan.build(sched, cfg), 0)
+                   rows_of(gmm, StepPlan.build(sched, cfg, 1))[0])
+
+
+def test_zero_second_moment_in_a_stack_names_the_slice_that_hit_it():
+    # a stack's rows hold per-slice columns of c; the error names the settings
+    # of the slice whose v reached 0, not the first slice's
+    gmm = GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[0.0])
+    sched = linear_beta_schedule(20, 1e-3, 0.05)
+    plans = [StepPlan.build(sched, SamplerConfig(method="adaptive", eta_mode=ETA_DETERMINISTIC,
+                                                 c=c), 1) for c in (0.5, 1.0)]
+    terms = EpsTerms(gmm, plans[0].alpha)
+    row = plan_rows(plans, [terms, terms], 0, 1)[0]
+    zeros = np.zeros((2, 3, 1))
+    state = ChainState(t=row.t, x_bar=zeros, m=zeros, v=np.ones((2, 3)))
+    with pytest.raises(SecondMomentError, match=r"stack slice 1 \(c=1\.0, zeta=1e-08\)"):
+        _step_core(state, gmm, sched, None, zeros, row)
 
 
 @pytest.mark.parametrize("D", [1, 16])
@@ -289,18 +311,19 @@ def test_step_in_place_gives_the_value_steps_bytes(D, method):
                                variances=[0.0, 0.4])
     sched = linear_beta_schedule(30, 1e-3, 0.05)
     cfg = SamplerConfig(method=method, b=0.3, c=0.05)
-    plan = StepPlan.build(sched, cfg)
+    plan = StepPlan.build(sched, cfg, D)
+    rows = rows_of(gmm, plan)
     n = 9
     x_T = rng.standard_normal((n, D))
-    value, in_place = ChainState.init(x_T, plan), ChainState.init(x_T, plan)
-    work = StepWork((n, D), EpsTerms(gmm, plan.alpha))
+    value, in_place = ChainState.init(x_T, rows[0]), ChainState.init(x_T, rows[0])
+    work = StepWork((n, D), gmm)
     x_before = None
     for k in range(plan.K):
         eps = rng.standard_normal((n, D))
         kept = [a.copy() for a in (value.x_bar, value.m, value.v)]
-        value_next, *value_out = _step_core(value, gmm, sched, cfg, eps, plan, k)
+        value_next, *value_out = _step_core(value, gmm, sched, cfg, eps, rows[k])
         assert all(np.array_equal(a, b) for a, b in zip(kept, (value.x_bar, value.m, value.v)))
-        next_, *out = _step_core(in_place, gmm, sched, cfg, eps, plan, k, work)
+        next_, *out = _step_core(in_place, gmm, sched, cfg, eps, rows[k], work)
         assert in_place.t == plan.t[k]          # the tracer reads the step's t off it
         assert next_.x_bar is in_place.x_bar and next_.m is in_place.m
         for a, b in zip((value_next.x_bar, value_next.m, value_next.v, *value_out),
@@ -314,11 +337,12 @@ def test_vanilla_step_leaves_momentum_untouched():
     gmm = two_point()
     sched = linear_beta_schedule(10, 1e-3, 0.05)
     cfg = SamplerConfig.vanilla()
-    plan = StepPlan.build(sched, cfg)
+    plan = StepPlan.build(sched, cfg, 1)
     assert plan.plain.all()
-    state = ChainState.init(np.array([0.5]), plan)
+    rows = rows_of(gmm, plan)
+    state = ChainState.init(np.array([0.5]), rows[0])
     nxt, _, _, _ = _step_core(state, gmm, sched, cfg,
-                              np.random.default_rng(0).standard_normal(1), plan, 0)
+                              np.random.default_rng(0).standard_normal(1), rows[0])
     assert nxt.t == 9
     assert np.array_equal(nxt.m, state.m)
     assert np.array_equal(nxt.v, state.v)
@@ -349,7 +373,7 @@ def test_respaced_chain_runs_and_uses_subsequence():
 def test_mu_is_negative_for_unit_eta():
     # for eta=1, mu = (a_t - a_p) / (a_p sqrt(1-a_t) sqrt(a_t)) < 0
     sched = linear_beta_schedule(100, 1e-3, 0.05)
-    plan = StepPlan.build(sched, SamplerConfig.vanilla(ETA_DDPM_UNIT))
+    plan = StepPlan.build(sched, SamplerConfig.vanilla(ETA_DDPM_UNIT), 1)
     for t in (2, 50, 100):
         a_t, a_p = sched.alpha(t), sched.alpha(t - 1)
         mu = plan.mu[sched.T - t]
@@ -369,6 +393,6 @@ def test_analytic_eps_drives_steps_consistently():
     manual = ddim_reference(x_t, eps_hat, eps, sched.alpha(t), sched.alpha(t - 1),
                             sigma(sched, t, t - 1, ETA_DDPM_UNIT))
     cfg = SamplerConfig.vanilla()
-    plan = StepPlan.build(sched, cfg)
-    nxt, _, _, _ = _step_core(ChainState.init(x_t, plan), gmm, sched, cfg, eps, plan, 0)
+    row = rows_of(gmm, StepPlan.build(sched, cfg, 1))[0]
+    nxt, _, _, _ = _step_core(ChainState.init(x_t, row), gmm, sched, cfg, eps, row)
     assert np.allclose(math.sqrt(sched.alpha(29)) * nxt.x_bar, manual, atol=1e-12)
