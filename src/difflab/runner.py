@@ -2,22 +2,16 @@
 
 Chains are independent; chain i draws all of its noise from a dedicated
 generator seeded with (master seed, i), so adding chains or changing the
-thread count never perturbs existing ones. The generator states of a block
-are derived in bulk, by numpy's own SeedSequence hash and PCG64 seeding run
-over every chain index at once, and give the same bytes as
-np.random.default_rng([seed, i]). A chain draws only the rows its plan uses,
-a prefix of that stream, so a sweep keeps each seed's x_T (the first row) and
-a cell whose plan uses no noise past x_T reads it there instead of drawing.
-Blocks of chains are stepped vectorized, in place: each worker draws its
-blocks' noise into one reused buffer, each block writes every step into one
-buffer set, and the predictor's alpha-only terms are computed once per run.
-A run of several cells (a sweep's, ordered by step count, largest first)
-steps block lo of as many of them as fit in _BLOCK chains as one (S, n, D)
-stack, each slice on its own plan's rows, so one kernel call serves them all:
-a call covers the slices whose rows are of one kind (plain or momentum, noisy
-or not), a cell that has finished drops off the end of the stack, and each
-cell's chains get the bytes of its own run. File writes happen once, after
-every block has finished.
+thread count never perturbs existing ones. A block's generator states are
+derived in bulk, by numpy's own SeedSequence hash and PCG64 seeding run over
+every chain index at once, with the bytes of np.random.default_rng([seed, i]),
+and a chain draws only the prefix of that stream its plan uses. A run's cells
+(a sweep's, ordered by step count, largest first) are cut into slices of one
+block of chains, and slices of one chain count step as (S, n, D) stacks under
+a noise-store budget, in place, each slice on its own plan's rows: a kernel
+call covers the slices whose rows are of one kind (plain or momentum, noisy or
+not), a cell that has finished drops off the end of its stack, and each cell's
+chains get the bytes of its own run. File writes happen once, at the end.
 """
 
 from __future__ import annotations
@@ -40,6 +34,7 @@ from .samplers import (ChainState, SamplerConfig, StepPlan, StepRow, StepWork, T
 __all__ = ["RunResult", "run_chains", "execute_run", "execute_sweep"]
 
 _BLOCK = 2048  # chains per vectorized block; fixed so results never depend on threads
+_STACK_FLOATS = 1 << 20  # a stack's noise store (8 MiB), unless one full block's is more
 
 
 @dataclass
@@ -131,8 +126,7 @@ def _block_noise(seed: int, lo: int, hi: int, plan: StepPlan, D: int,
     """Chains lo..hi-1's used noise, (hi - lo, rows, D): x_T, then one row per
     step up to the plan's last noisy one. Chain i's rows are the first rows * D
     standard normals of np.random.default_rng([seed, i]). With out, an array of
-    that shape whose every chain's rows are contiguous (the head of a reused
-    store, or one slice of a stack's), the rows are drawn into it."""
+    that shape with each chain's rows contiguous, the rows are drawn into it."""
     seeds = _chain_seeds(seed, lo, hi)
     noise = np.empty((hi - lo, _noise_rows(plan), D)) if out is None else out
     gen = np.random.Generator(np.random.PCG64(0))   # reseeded for every chain
@@ -143,16 +137,16 @@ def _block_noise(seed: int, lo: int, hi: int, plan: StepPlan, D: int,
 
 @dataclass
 class _Stack:
-    """Cells whose blocks one kernel call steps together, slice s being cell s.
+    """Slices one kernel call steps together: slice s is the n chains from
+    block start los[s] of cell cells[s], with seed seeds[s] and plan plans[s].
+    Step counts do not increase along the stack, so the slices still stepping
+    form a prefix: over steps k0..k1-1 of each (k0, k1, active, calls) of
+    segments, slices 0..active-1 step, one kernel call per (s0, s1, schedule,
+    config, rows) of calls, for slices s0..s1-1 of one kind of row."""
 
-    Their plans' step counts do not increase along the stack, so the slices
-    still stepping form a prefix. segments splits the steps into runs
-    (k0, k1, active, calls) of equal shape: over steps k0..k1-1, slices
-    0..active-1 step, one kernel call per (s0, s1, schedule, config, rows) of
-    calls, which covers slices s0..s1-1, all of one kind of row (plain or
-    momentum, noisy or not), with rows their plan_rows over k0..k1-1. The
-    rows are built once per stack; every block of the stack reads them."""
-
+    cells: tuple
+    los: tuple
+    n: int
     seeds: tuple
     plans: tuple
     first: StepRow          # every slice's first row: the chains' x_bar and t
@@ -160,7 +154,21 @@ class _Stack:
     segments: list
 
 
-def _stack(seeds, schedules, configs, plans, terms) -> _Stack:
+def _stack(slices, n, seeds, schedules, configs, plans, terms, built) -> _Stack:
+    """The _Stack of slices, (cell, block start) pairs of n chains, from the
+    run's per-cell tuples; built holds the rows of each plan tuple and range."""
+    cells, los = zip(*slices)
+    seeds, schedules, configs, plans, terms = (
+        tuple(values[c] for c in cells) for values in (seeds, schedules, configs, plans, terms))
+
+    def rows(s0, s1, k0, k1):
+        part = plans[s0:s1]
+        # slices of one plan step on its float rows, whatever their number
+        key = (id(part[0]) if all(p is part[0] for p in part) else tuple(map(id, part)), k0, k1)
+        if key not in built:
+            built[key] = plan_rows(part, terms[s0:s1], k0, k1)
+        return built[key]
+
     S, K = len(plans), plans[0].K
     kind = np.zeros((S, K), dtype=np.int8)  # 0 once done, else 1 + plain + 2 noisy
     for s, plan in enumerate(plans):
@@ -173,47 +181,67 @@ def _stack(seeds, schedules, configs, plans, terms) -> _Stack:
         active = S - kinds.count(0)
         starts = [s for s in range(active) if s == 0 or kinds[s] != kinds[s - 1]]
         segments.append((k0, k1, active, [
-            (s0, s1, schedules[s0], configs[s0], plan_rows(plans[s0:s1], terms[s0:s1], k0, k1))
+            (s0, s1, schedules[s0], configs[s0], rows(s0, s1, k0, k1))
             for s0, s1 in zip(starts, starts[1:] + [active])]))
-    return _Stack(seeds=tuple(seeds), plans=tuple(plans), first=plan_rows(plans, terms, 0, 1)[0],
-                  noise_rows=max(map(_noise_rows, plans)), segments=segments)
+    return _Stack(cells=cells, los=los, n=n, seeds=seeds, plans=plans,
+                  first=rows(0, S, 0, 1)[0], noise_rows=max(map(_noise_rows, plans)),
+                  segments=segments)
 
 
-def _run_block(model: GaussianMixtureModel, stack: _Stack, at, lo: int, hi: int,
-               result: RunResult, store: np.ndarray, x_T: dict | None):
-    """Step chains lo..hi-1 of each of the stack's cells, writing their rows of
-    the result's samples, tv and trajectories in place; returns their heatmap
-    counts (None without a heatmap).
+def _group(plans, n_chains: int, D: int) -> list:
+    """The (n, slices) of each stack of a run of these cells' plans, a slice
+    being a (cell, block start) pair of n chains. Over each cell's blocks in
+    turn, cells by step count, largest first, so that a stack's slices finish
+    in order, a stack takes the next slice of its n while its noise store,
+    (slices, n, its hungriest plan's rows, D) floats, stays within
+    _STACK_FLOATS, or one full block's store of the run's hungriest plan."""
+    rows = [_noise_rows(plan) for plan in plans]
+    budget = max(_STACK_FLOATS, min(_BLOCK, n_chains) * max(rows) * D)
+    blocks = [(lo, min(_BLOCK, n_chains - lo)) for lo in range(0, n_chains, _BLOCK)]
+    groups = []
+    for n in dict.fromkeys(n for _, n in blocks):   # full blocks, then a partial one
+        group, deepest = [], 0
+        for cell in sorted(range(len(plans)), key=lambda c: -plans[c].K):
+            for lo in (lo for lo, size in blocks if size == n):
+                deepest = max(deepest, rows[cell])
+                if group and (len(group) + 1) * n * deepest * D > budget:
+                    groups.append((n, group))
+                    group, deepest = [], rows[cell]
+                group.append((cell, lo))
+        groups.append((n, group))
+    return groups
 
-    result holds every cell of the run, samples (cells, n_chains, D) and tv
-    (cells, n_chains); the slice ``at`` picks the stack's rows. A stack of one
-    cell is (1, n, D): a stacked matmul over one slice is its 2-D call.
 
-    The block's noise is drawn into store, its worker's buffer, as (S, n, rows,
-    D) with the rows of the stack's hungriest plan; a cell whose plan uses x_T
-    only reads it from x_T (see run_chains) where that holds it. The block's
-    state and a StepWork are its one buffer set: every step writes into them,
-    and the loop allocates no array per step.
-    """
-    n, D = hi - lo, model.D
-    noise = store[:len(stack.seeds) * n * stack.noise_rows * D].reshape(
-        len(stack.seeds), n, stack.noise_rows, D)
-    for seed, plan, chains in zip(stack.seeds, stack.plans, noise):
-        rows, key = _noise_rows(plan), (seed, lo)
-        if rows == 1 and x_T is not None and key in x_T:
-            chains[:, 0] = x_T[key]
+def _run_block(model: GaussianMixtureModel, stack: _Stack, result: RunResult,
+               store: np.ndarray):
+    """Step the stack's slices, writing their rows of the result's samples,
+    (cells, n_chains, D), tv and trajectories in place; returns their heatmap
+    counts (None without a heatmap). A stack of one slice is (1, n, D): a
+    stacked matmul over one slice is its 2-D call. The noise is drawn into
+    store, its worker's buffer, as (S, n, the hungriest plan's rows, D); a
+    slice whose plan uses x_T only reads it from an earlier slice of its seed
+    and block start where there is one. The state and a StepWork are the
+    stack's one buffer set, which every step writes into."""
+    S, n, D = len(stack.seeds), stack.n, model.D
+    noise = store[:S * n * stack.noise_rows * D].reshape(S, n, stack.noise_rows, D)
+    drawn = {}      # (seed, block start): the slice that drew that block's x_T
+    for s, (seed, lo, plan, chains) in enumerate(zip(stack.seeds, stack.los, stack.plans,
+                                                     noise)):
+        rows = _noise_rows(plan)
+        if rows == 1 and (seed, lo) in drawn:
+            chains[:, 0] = noise[drawn[seed, lo], :, 0]
         else:
-            _block_noise(seed, lo, hi, plan, D, chains[:, :rows])
-            if x_T is not None and key not in x_T:
-                x_T[key] = chains[:, 0].copy()  # store is overwritten by the next block
+            _block_noise(seed, lo, lo + n, plan, D, chains[:, :rows])
+            drawn.setdefault((seed, lo), s)
     zero = np.zeros(D)          # the noise of a noiseless row
     state = ChainState.init(noise[:, :, 0], stack.first)
     work = StepWork(state.x_bar.shape, model)
 
     record, grid = result.trajectories, result.heatmap
-    n_rec = max(0, min(hi, record.xs.shape[0]) - lo)
-    tv_all = result.tv[at, lo:hi]   # a view: the block adds into its own rows
-    norm_all = np.empty(tv_all.shape)
+    # (slice, block start, chains) that a cell's recorded first chains are in
+    recorded = [(s, lo, min(n, record.xs.shape[0] - lo))
+                for s, lo in enumerate(stack.los) if lo < record.xs.shape[0]]
+    tv_all, norm_all = np.zeros((S, n)), np.empty((S, n))
     counts = None if grid is None else np.zeros_like(grid.counts)
     t_rows = None if grid is None else grid.rows(stack.plans[0].t_prev)
 
@@ -241,45 +269,35 @@ def _run_block(model: GaussianMixtureModel, stack: _Stack, at, lo: int, hi: int,
                 if D > 1:
                     sq = np.add.reduce(sq, axis=-1, out=norm)
                 tv += np.sqrt(sq, out=sq)
-            if n_rec:   # a stack of one cell
-                record.xs[lo:lo + n_rec, k] = x_next[0, :n_rec]
-                record.x0_hats[lo:lo + n_rec, k] = x0_hat[0, :n_rec]
+            for s, lo, m in recorded:   # a run of one cell, one call per step
+                record.xs[lo:lo + m, k] = x_next[s, :m]
+                record.x0_hats[lo:lo + m, k] = x0_hat[s, :m]
             if counts is not None:
                 bin_trajectory_points(grid, t_rows[k], x_next, counts)
 
     # a cell's last x_{t-1} is its x_0; no later step writes over its slice
-    samples = result.samples[at, lo:hi]
-    for s, plan in enumerate(stack.plans):
-        samples[s] = work.x_next[(plan.K - 1) % 2][s]
+    for s, (cell, lo, plan) in enumerate(zip(stack.cells, stack.los, stack.plans)):
+        result.samples[cell, lo:lo + n] = work.x_next[(plan.K - 1) % 2][s]
+        result.tv[cell, lo:lo + n] = tv_all[s]
     return counts
-
-
-def _stack_size(n_chains: int) -> int:
-    """Cells of a run of n_chains whose blocks one kernel call steps together:
-    as many as keep the stack within _BLOCK chains."""
-    return _BLOCK // min(_BLOCK, max(n_chains, 1))
 
 
 def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig | tuple,
                n_chains: int, seed: int | tuple, threads: int = 1,
                trajectory_chains: int = 0,
-               heatmap: dict | None = None, *,
-               x_T: dict | None = None) -> RunResult | list[RunResult]:
+               heatmap: dict | None = None) -> RunResult | list[RunResult]:
     """Run n_chains reverse chains on seeded noise; record the first trajectory_chains.
 
     seed is one seed, with one schedule and one SamplerConfig, which gives one
     RunResult; or a tuple of seeds, with a tuple of as many schedules and one
     of as many configs, one cell per seed, which gives a list of one RunResult
-    per cell, each with the bytes its own run gives. A tuple's cells must not
-    increase in step count. It steps block lo of up to _stack_size(n_chains)
-    of its cells as one stack, so that a kernel call moves up to _BLOCK
-    chains, each slice on its own plan's rows; it records no trajectories and
-    bins no heatmap. Cells of one schedule and equal configs share one plan.
+    per cell, each with the bytes its own run gives; a tuple records no
+    trajectories and bins no heatmap. Cells of one schedule and equal configs
+    share one plan.
 
-    x_T, a dict that runs of one model and chain count may share, maps
-    (seed, block start) to that block's x_T, the first row of its chains'
-    noise. A run stores the x_T of each block it draws, and a block whose
-    plan uses no noise past x_T reads it from there and draws nothing.
+    Each cell's blocks of _BLOCK chains are its slices, and _group stacks
+    slices of one chain count under a noise-store budget, so that one kernel
+    call steps a stack's slices, each on its own plan's rows.
     """
     stacked = isinstance(seed, tuple)
     if stacked:
@@ -299,8 +317,6 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig | tu
             plan = StepPlan.build(sched, cfg, D)
             built[id(sched), cfg] = plan, EpsTerms(model, plan.alpha)
     plans, terms = zip(*(built[id(sched), cfg] for sched, cfg in zip(schedules, configs)))
-    if any(p.K < q.K for p, q in zip(plans, plans[1:])):
-        raise ValueError("a tuple's cells must not increase in step count")
     n_rec = min(trajectory_chains, n_chains)
     trajectories = [Trajectory(ts=plan.t_prev.copy(), xs=np.empty((n_rec, plan.K, D)),
                                x0_hats=np.empty((n_rec, plan.K, D))) for plan in plans]
@@ -310,34 +326,29 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig | tu
         trajectories=trajectories[0],
         heatmap=None if heatmap is None else heatmap_grid(heatmap, schedule.tau[-1], D))
 
-    size = _stack_size(n_chains)
-    stacks = [(s_lo, _stack(*(cells[s_lo:s_lo + size]
-                              for cells in (seeds, schedules, configs, plans, terms))))
-              for s_lo in range(0, len(seeds), size)]
-    # one noise buffer per worker, reused by its blocks: at most `workers` exist,
-    # none bigger than a full block's of the hungriest plan
-    store_size = max(len(stack.seeds) * stack.noise_rows for _, stack in stacks) \
-        * min(_BLOCK, n_chains) * D
+    rows = {}   # each plan tuple's rows over each step range, built once per run
+    stacks = [_stack(slices, n, seeds, schedules, configs, plans, terms, rows)
+              for n, slices in _group(plans, n_chains, D)]
+    # one noise buffer per worker, reused by its stacks: at most `workers` exist
+    store_size = max((len(stack.seeds) * stack.n * stack.noise_rows for stack in stacks),
+                     default=0) * D
     stores = []
 
-    def work(job):
-        s_lo, stack, lo = job
+    def work(stack):
         try:
-            store = stores.pop()        # atomic: no two blocks get one buffer
+            store = stores.pop()        # atomic: no two stacks get one buffer
         except IndexError:              # every buffer is in use
             store = np.empty(store_size)
-        counts = _run_block(model, stack, slice(s_lo, s_lo + len(stack.seeds)), lo,
-                            min(lo + _BLOCK, n_chains), result, store, x_T)
+        counts = _run_block(model, stack, result, store)
         stores.append(store)
         return counts
 
-    jobs = [(s_lo, stack, lo) for s_lo, stack in stacks for lo in range(0, n_chains, _BLOCK)]
-    workers = min(threads, os.cpu_count() or 1)   # map submits every block at once
-    if workers > 1 and len(jobs) > 1:
+    workers = min(threads, os.cpu_count() or 1)   # map submits every stack at once
+    if workers > 1 and len(stacks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(work, jobs))
+            counts = list(pool.map(work, stacks))
     else:
-        counts = [work(job) for job in jobs]
+        counts = [work(stack) for stack in stacks]
 
     if result.heatmap is not None:      # integer sums: the same in any order
         result.heatmap.counts[:] += sum(counts)
@@ -433,21 +444,11 @@ def execute_sweep(sweep: SweepSpec, out_dir) -> list[tuple]:
         specs = [sweep.cell_spec(value, s) for s in range(sweep.seeds_per_cell)]
         schedule, config = specs[0].build_schedule(), specs[0].build_sampler_config()
         cells += [(value, spec, schedule, config) for spec in specs]
-    # largest step count first, so a stack's cells finish in slice order; one
-    # run steps as many cells together as one kernel call takes
-    order = sorted(range(len(cells)), key=lambda i: -len(cells[i][2].tau))
-    size = _stack_size(sweep.base.n_chains)
-    found = [None] * len(cells)
-    x_T = {}    # each seed's x_T, drawn once for the cells that use nothing else
-    for lo in range(0, len(cells), size):
-        part = order[lo:lo + size]
-        _, specs, schedules, configs = zip(*(cells[i] for i in part))
-        results = run_chains(model, schedules, configs, sweep.base.n_chains,
-                             tuple(spec.seed for spec in specs), threads=sweep.base.threads,
-                             x_T=x_T)
-        for i, spec, result in zip(part, specs, results):
-            found[i] = compute_metrics(result, model, spec.seed, quantiles)
-    table = [(value, spec.seed, met) for (value, spec, _, _), met in zip(cells, found)]
+    values, specs, schedules, configs = zip(*cells)
+    results = run_chains(model, schedules, configs, sweep.base.n_chains,
+                         tuple(spec.seed for spec in specs), threads=sweep.base.threads)
+    table = [(value, spec.seed, compute_metrics(result, model, spec.seed, quantiles))
+             for value, spec, result in zip(values, specs, results)]
 
     # per-value mean of the quality metric; the argmin value's cells are marked
     key = "w1" if model.D == 1 else "sliced_w1"

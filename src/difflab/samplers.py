@@ -10,14 +10,14 @@ step (t_prev == 0) is the plain, noiseless generalized step for every method,
 so with alpha(0) = 1 each chain ends on its last predicted clean sample.
 
 All step math broadcasts over leading batch dimensions; a single chain is the
-(D,) special case. The run loop steps each block in place, as (n, D) chains or
-as a stack (S, n, D) of one block of S cells, each slice on its own plan's
-row: a stack's rows hold per-slice columns where its slices' plans differ,
-and Python floats where they share one. A block's state arrays and one
-``StepWork`` are its one buffer set, which every step writes into. Without a
-``StepWork`` the kernel treats states as values. A step pays for numpy calls
-more than for arithmetic at the benchmark's sizes, so the kernel adds no noise
-term on a noiseless row (every deterministic row and the last row of any plan).
+(D,) special case. The run loop steps each stack of S slices of n chains in
+place, as (S, n, D), each slice on its own plan's row: a stack's rows hold
+per-slice columns where its slices' plans differ, and Python floats where
+they share one. A stack's state arrays and one ``StepWork`` are its one
+buffer set; without a ``StepWork`` the kernel treats states as values. A step
+pays for numpy calls more than for arithmetic at the benchmark's sizes, so the
+kernel adds no noise term on a noiseless row (every deterministic row and the
+last row of any plan).
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ class StepPlan:
 
 
 class StepRow(NamedTuple):
-    """Every coefficient of one step of a block: ``StepPlan``'s row k, or a
+    """Every coefficient of one step of a stack: ``StepPlan``'s row k, or a
     stack's per-slice columns of its slices' rows k, and the predictor's terms.
 
     A column is (S, 1, 1) against the (S, n, D) chains, or (S, 1) for c, zeta
@@ -286,9 +286,8 @@ class ChainState(NamedTuple):
     """Per-chain reverse-trajectory state at step t.
 
     ``_step_core`` without a ``StepWork`` treats it as a value and returns a
-    new one. The run loop passes one ``StepWork`` per block instead, and then
-    the step writes into this state's arrays: each step's state holds the
-    block's one set of x_bar, m and v buffers.
+    new one; with one, the step writes into this state's arrays, the stack's
+    one set of x_bar, m and v buffers.
     """
 
     t: int
@@ -305,7 +304,7 @@ class ChainState(NamedTuple):
 
 
 class StepWork:
-    """The buffers a block's steps write into besides its state's arrays, for
+    """The buffers a stack's steps write into besides its state's arrays, for
     chains of shape (n, D) or a stack (S, n, D): d x_bar, a scratch array, the
     second-moment temporary, two x_{t-1} arrays used in turn (the caller reads
     the previous step's while the next is written) and the predictor's

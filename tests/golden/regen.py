@@ -15,6 +15,7 @@ import io
 import json
 import sys
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -128,10 +129,31 @@ def _sweep_c_2d_spec() -> dict:
     return {"base": base, "axis": "c", "values": [0.001, 0.01, 0.1], "seeds_per_cell": 2}
 
 
+def _sweep_b_two_blocks_spec() -> dict:
+    """A noisy adaptive sweep over b of two blocks a cell: 2 values x 2 seeds of
+    2100 chains."""
+    spec = _sweep_b_spec()
+    spec["base"]["n_chains"], spec["seeds_per_cell"] = 2100, 2
+    return spec
+
+
 def toy_fig4(work: Path) -> dict[str, str]:
     """The bundled toy_fig4 spec at seed 0 with 300 chains; every file but the manifest."""
     _cli("run", "toy_fig4", "--seed", 0, "--chains", 300, "--out-dir", work / "out")
     return _digests(work / "out", skip=("manifest.json",))
+
+
+def _toy_fig4_blocks(threads: int):
+    def case(work: Path) -> dict[str, str]:
+        spec = json.loads(resources.files("difflab").joinpath("specs", "toy_fig4.json")
+                          .read_text())
+        spec.update(n_chains=4396, trajectory_chains=2100, threads=threads)
+        _cli("run", _write_spec(work / "spec.json", spec), "--out-dir", work / "out")
+        return _digests(work / "out", skip=("manifest.json",))
+    case.__doc__ = (f"The bundled toy_fig4 spec at 4396 chains (two full blocks and a "
+                    f"partial one), recording 2100, at threads={threads}; every file "
+                    f"but the manifest.")
+    return case
 
 
 def _mix16d(threads: int):
@@ -166,10 +188,13 @@ def verify(work: Path) -> dict[str, str]:
 
 CASES = {
     "toy_fig4": toy_fig4,
+    "toy_fig4_blocks_threads1": _toy_fig4_blocks(1),
+    "toy_fig4_blocks_threads2": _toy_fig4_blocks(2),
     "mix16d_threads1": _mix16d(1),
     "mix16d_threads2": _mix16d(2),
     "sweep_deterministic": _sweep(_sweep_spec),
     "sweep_adaptive_b": _sweep(_sweep_b_spec),
+    "sweep_adaptive_b_two_blocks": _sweep(_sweep_b_two_blocks_spec),
     "sweep_deterministic_2d": _sweep(_sweep_2d_spec),
     "sweep_k_noisy_adaptive": _sweep(_sweep_k_noisy_spec),
     "sweep_eta_mode_mixed": _sweep(_sweep_eta_spec),

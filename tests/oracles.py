@@ -10,8 +10,12 @@ at one scalar alpha, the way a call computed them before a run built them over
 a whole plan at once, and the predictor itself is written out in its
 general-D form: einsum and matmul for the squared distances at every D, and
 np.max and np.sum for the softmax. Sliced W1 is written out as it first was,
-sorting its projections down strided columns.
+sorting its projections down strided columns. The reference sampler steps one
+chain at a time in Python floats, from the paper's update and the mixture
+posterior, sharing no code with the run's plans, rows, kernel or predictor.
 """
+
+import math
 
 import numpy as np
 from scipy.special import ndtr
@@ -139,3 +143,81 @@ def build_heatmap(traj: Trajectory, t_bins: int, x_bins: int,
     reference_bin(np.broadcast_to(traj.ts, traj.xs.shape[:2]).ravel(), traj.xs.ravel(),
                   t_edges, x_edges, counts)
     return HeatmapGrid(t_edges=t_edges, x_edges=x_edges, counts=counts)
+
+
+def _posterior(gmm: GaussianMixtureModel, x: list, alpha: float) -> tuple:
+    """(eps_hat, x0_hat) of one point x in data space at signal level alpha, as
+    the exact posterior means under the mixture, in Python floats."""
+    sa, D = math.sqrt(alpha), len(x)
+    logs, parts = [], []
+    for w, mu, s2 in zip(gmm.weights.tolist(), gmm.means.tolist(), gmm.variances.tolist()):
+        var = alpha * s2 + (1.0 - alpha)         # x | k ~ N(sqrt(alpha) mu_k, var I)
+        diff = [xd - sa * md for xd, md in zip(x, mu)]
+        logs.append(math.log(w) - 0.5 * D * math.log(2.0 * math.pi * var)
+                    - sum(d * d for d in diff) / (2.0 * var))
+        parts.append(([math.sqrt(1.0 - alpha) * d / var for d in diff],
+                      [md + sa * s2 / var * d for md, d in zip(mu, diff)]))
+    top = max(logs)
+    weights = [math.exp(lg - top) for lg in logs]
+    total = sum(weights)
+    return tuple([sum(r * part[j][d] for r, part in zip(weights, parts)) / total
+                  for d in range(D)] for j in (0, 1))
+
+
+def reference_chains(gmm: GaussianMixtureModel, schedule, config, seed: int, n: int) -> tuple:
+    """(samples (n, D), tv (n,), xs (n, K, D), x0_hats (n, K, D)) of chains
+    0..n-1, each stepped alone in Python floats. Chain i's noise is
+    np.random.default_rng([seed, i]): x_T, then one row per step.
+
+    A step from t to t_prev, with a = alpha(t) and p = alpha(t_prev), moves
+    x_bar = x / sqrt(a) by d = mu eps_hat + sigma / sqrt(p) z, where
+    mu = sqrt(1 - p - sigma^2) / sqrt(p) - sqrt((1 - a) / a); vanilla steps,
+    and every method's last step, add d, and the others update
+    v <- (1 - c) v + c |d|^2 / v_div, m <- a_k m + b_k d and add
+    m / (sqrt(v) + zeta). The chain then sits at x_{t-1} = sqrt(p) x_bar, and
+    tv adds up its distance from the step before."""
+    D = gmm.means.shape[1]
+    ts = list(schedule.tau)[::-1]
+    K = len(ts)
+    samples, tvs, xs, x0_hats = [], [], [], []
+    for i in range(n):
+        noise = np.random.default_rng([seed, i]).standard_normal((K + 1, D)).tolist()
+        x_bar = [z / math.sqrt(schedule.alpha(ts[0])) for z in noise[0]]
+        m, v, tv, path, preds = [0.0] * D, 1.0, 0.0, [], []
+        for k, t in enumerate(ts):
+            last = k == K - 1
+            a, p = schedule.alpha(t), schedule.alpha(0 if last else ts[k + 1])
+            if config.eta_mode == "deterministic" or last:
+                sig = 0.0
+            elif config.eta_mode == "ddpm_unit":
+                sig = math.sqrt((1.0 - p) / (1.0 - a) * (1.0 - a / p))
+            else:   # ddpm_hat: its eta cancels to sqrt(1 - a/p), and 0 at p = 1
+                sig = math.sqrt(1.0 - a / p) if p < 1.0 else 0.0
+            mu = math.sqrt(max(1.0 - p - sig * sig, 0.0)) / math.sqrt(p) \
+                - math.sqrt((1.0 - a) / a)
+            eps_hat, x0_hat = _posterior(gmm, [math.sqrt(a) * xb for xb in x_bar], a)
+            d = [mu * e + sig / math.sqrt(p) * z for e, z in zip(eps_hat, noise[k + 1])]
+            if config.method == "vanilla" or last:
+                x_bar = [xb + dd for xb, dd in zip(x_bar, d)]
+            else:
+                b = config.b * k / (K - 1) if config.b_schedule == "linear_ramp" and K > 1 \
+                    else config.b
+                a_k = math.sqrt(1.0 - b * b) if config.a_rule == "spherical" else 1.0 - b
+                if config.a_override is not None:
+                    a_k = config.a_override
+                v_div = D if config.v_norm == "mean_sq" else 1
+                v = (1.0 - config.c) * v + config.c * sum(dd * dd for dd in d) / v_div
+                m = [a_k * md + b * dd for md, dd in zip(m, d)]
+                x_bar = [xb + md / (math.sqrt(v) + config.zeta) for xb, md in zip(x_bar, m)]
+            x = [math.sqrt(p) * xb for xb in x_bar]
+            if path:
+                tv += math.sqrt(sum((u - w) ** 2 for u, w in zip(x, path[-1])))
+            path.append(x)
+            preds.append(x0_hat)
+        samples.append(path[-1])
+        tvs.append(tv)
+        xs.append(path)
+        x0_hats.append(preds)
+    shape = (n, K, D)
+    return (np.array(samples).reshape(n, D), np.array(tvs), np.array(xs).reshape(shape),
+            np.array(x0_hats).reshape(shape))

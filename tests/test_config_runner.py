@@ -6,6 +6,7 @@ import itertools
 import json
 import sys
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -212,24 +213,26 @@ def test_block_noise_draws_the_prefix_its_plan_uses(eta):
         assert got.tobytes() == full[:rows].tobytes()
 
 
-def test_run_chains_steps_a_tuple_of_seeds_in_stacks_of_up_to_a_block(monkeypatch):
-    # 5 seeds x 700 chains: stacks of 2, 2 and 1 seeds, shared out to a pool;
-    # each seed's result is the bytes of its own run
+def test_run_chains_steps_a_tuple_of_seeds_in_stacks_under_a_noise_budget(monkeypatch):
+    # 5 seeds x 700 chains, each slice's noise store 700 x 6 rows: a budget of
+    # two slices gives stacks of 2, 2 and 1 seeds, shared out to a pool; each
+    # seed's result is the bytes of its own run
     gmm = two_point()
     sched = linear_beta_schedule(6, 1e-3, 0.05)
     cfg = SamplerConfig(method="adaptive", b=0.3, c=0.05)
     stacks, block = [], runner._run_block
 
     def watched(*args):
-        stacks.append((args[1].seeds, args[2]))
+        stacks.append((args[1].seeds, args[1].cells, args[1].los))
         return block(*args)
     monkeypatch.setattr(runner, "_run_block", watched)
+    monkeypatch.setattr(runner, "_STACK_FLOATS", 2 * 700 * 6)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
     seeds = (9, 2, 30, 4, 5)
     stacked = run_chains(gmm, (sched,) * 5, (cfg,) * 5, 700, seeds, threads=4)
     # pool threads may run the stacks in any order
-    assert sorted(stacks, key=str) == sorted([((9, 2), slice(0, 2)), ((30, 4), slice(2, 4)),
-                                              ((5,), slice(4, 5))], key=str)
+    assert sorted(stacks) == sorted([((9, 2), (0, 1), (0, 0)), ((30, 4), (2, 3), (0, 0)),
+                                     ((5,), (4,), (0,))])
     assert isinstance(stacked, list) and len(stacked) == 5
     for seed, got in zip(seeds, stacked):
         alone = run_chains(gmm, sched, cfg, 700, seed)
@@ -540,42 +543,39 @@ def test_execute_sweep_computes_the_w1_reference_once(tmp_path, monkeypatch):
 
 def _sweep_draws(tmp_path, monkeypatch, eta_mode, n_chains=2100):
     """The _chain_noise calls of a 3 K x 2 seed sweep of n_chains chains (by
-    default two blocks), and the keys and shapes of its stored x_T after each
-    run_chains call."""
-    calls, stored = [], []
-    chain_noise, run = runner._chain_noise, runner.run_chains
+    default two blocks), and the (n, seeds, block starts) of each stack."""
+    calls, stacks = [], []
+    chain_noise, block = runner._chain_noise, runner._run_block
 
     def counted(*args):
         calls.append(args[1:3])
         return chain_noise(*args)
 
-    def watched(*args, x_T=None, **kwargs):
-        result = run(*args, x_T=x_T, **kwargs)
-        stored.append({key: value.shape for key, value in x_T.items()})
-        return result
+    def watched(*args):
+        stacks.append((args[1].n, args[1].seeds, args[1].los))
+        return block(*args)
     monkeypatch.setattr(runner, "_chain_noise", counted)
-    monkeypatch.setattr(runner, "run_chains", watched)
+    monkeypatch.setattr(runner, "_run_block", watched)
     base = base_spec_dict(trajectory_chains=0, n_chains=n_chains,
                           sampler={"method": "vanilla", "eta_mode": eta_mode})
     execute_sweep(SweepSpec.from_dict({"base": base, "axis": "K", "values": [5, 10, 20],
                                        "seeds_per_cell": 2}), tmp_path)
-    return calls, stored
+    return calls, stacks
 
 
 def test_deterministic_sweep_draws_each_seeds_x_T_once(tmp_path, monkeypatch):
-    calls, stored = _sweep_draws(tmp_path, monkeypatch, "deterministic")
+    # the 6 cells' full blocks are one stack and their partial blocks another;
+    # in each, the first slice of a seed draws its x_T and the others read it
+    calls, stacks = _sweep_draws(tmp_path, monkeypatch, "deterministic")
     assert len(calls) == len(set(calls)) == 2 * 2100     # 6 cells, two seeds
-    # one (chains, D) array per seed, in its blocks, from the first cell on
-    blocks = {(3, 0): (2048, 1), (3, 2048): (52, 1), (4, 0): (2048, 1), (4, 2048): (52, 1)}
-    assert stored == [{k: v for k, v in blocks.items() if k[0] == 3}] + [blocks] * 5
+    assert stacks == [(2048, (3, 4) * 3, (0,) * 6), (52, (3, 4) * 3, (2048,) * 6)]
 
 
 def test_deterministic_stacked_sweep_draws_each_seeds_x_T_once(tmp_path, monkeypatch):
-    # 512 chains: the cells run in two calls, K = 20, 20, 10, 10 stepped as
-    # one stack and K = 5, 5 as another
-    calls, stored = _sweep_draws(tmp_path, monkeypatch, "deterministic", n_chains=512)
+    # 512 chains: the cells, K = 20, 20, 10, 10, 5, 5, step as one stack
+    calls, stacks = _sweep_draws(tmp_path, monkeypatch, "deterministic", n_chains=512)
     assert len(calls) == len(set(calls)) == 2 * 512
-    assert stored == [{(3, 0): (512, 1), (4, 0): (512, 1)}] * 2
+    assert stacks == [(512, (3, 4) * 3, (0,) * 6)]
 
 
 def _counted_sweep(tmp_path, monkeypatch, sweep):
@@ -605,24 +605,24 @@ def test_stacked_sweep_builds_one_plan_and_steps_once_per_value(tmp_path, monkey
     sweep = SweepSpec.from_dict({"base": base_spec_dict(trajectory_chains=0, n_chains=512),
                                  "axis": "K", "values": [10, 25], "seeds_per_cell": 2})
     plans, eps_calls = _counted_sweep(tmp_path, monkeypatch, sweep)
-    assert plans == [25, 10]
+    assert plans == [10, 25]     # built in value order; run largest first
     assert eps_calls == [(4, 512, 1)] * 9 + [(2, 512, 1)] * (2 + 15)
 
 
-def test_sweep_k_shape_makes_1300_predictor_calls(tmp_path, monkeypatch):
+def test_sweep_k_shape_makes_1000_predictor_calls(tmp_path, monkeypatch):
     # the benchmark's K sweep: 5 values x 2 seeds of 512 deterministic vanilla
-    # chains run as the stacks {1000, 1000, 500, 500}, {250, 250, 100, 100}
-    # and {50, 50}; one call per step of each stack's longest cell
+    # chains run as one stack; one call per step of its longest cell, each
+    # over the cells still stepping
     base = base_spec_dict(trajectory_chains=0, n_chains=512,
                           schedule={"T": 1000, "beta_start": 1e-4, "beta_end": 0.02},
                           sampler={"method": "vanilla", "eta_mode": "deterministic"})
     sweep = SweepSpec.from_dict({"base": base, "axis": "K", "values": [50, 100, 250, 500, 1000],
                                  "seeds_per_cell": 2})
     plans, eps_calls = _counted_sweep(tmp_path, monkeypatch, sweep)
-    assert plans == [1000, 500, 250, 100, 50]
-    assert len(eps_calls) == 1000 + 250 + 50 == 1300
-    assert eps_calls == ([(4, 512, 1)] * 500 + [(2, 512, 1)] * 500 + [(4, 512, 1)] * 100
-                         + [(2, 512, 1)] * 150 + [(2, 512, 1)] * 50)
+    assert plans == [50, 100, 250, 500, 1000]
+    assert len(eps_calls) == 1000
+    assert eps_calls == ([(10, 512, 1)] * 50 + [(8, 512, 1)] * 50 + [(6, 512, 1)] * 150
+                         + [(4, 512, 1)] * 250 + [(2, 512, 1)] * 500)
 
 
 def test_equal_configs_share_one_plan_and_step_on_float_rows(monkeypatch):
@@ -650,6 +650,85 @@ def test_equal_configs_share_one_plan_and_step_on_float_rows(monkeypatch):
 
 
 def test_noisy_sweep_draws_for_every_cell(tmp_path, monkeypatch):
-    calls, stored = _sweep_draws(tmp_path, monkeypatch, "ddpm_unit")
-    assert len(calls) == 6 * 2100
-    assert len(stored[-1]) == 4
+    # a noisy slice uses rows past x_T, so each of the 6 cells draws its own
+    calls, stacks = _sweep_draws(tmp_path, monkeypatch, "ddpm_unit")
+    assert len(calls) == 6 * 2100 and len(set(calls)) == 2 * 2100
+    assert stacks == [(2048, (3, 4) * 3, (0,) * 6), (52, (3, 4) * 3, (2048,) * 6)]
+
+
+def _fig4_spec(**over) -> dict:
+    spec = json.loads(resources.files("difflab").joinpath("specs", "toy_fig4.json").read_text())
+    spec.update(over)
+    return spec
+
+
+def test_grouping_stacks_each_benchmark_shape():
+    # fig4 (10,000 chains, D=1, 200 rows of noise a chain): two 2048-chain
+    # slices' noise fits the 8 MiB store and three do not, and the partial
+    # block stacks alone
+    fig4 = RunSpec.from_dict(_fig4_spec())
+    plan = StepPlan.build(fig4.build_schedule(), fig4.build_sampler_config(), 1)
+    assert runner._group([plan], 10000, 1) == [
+        (2048, [(0, 0), (0, 2048)]), (2048, [(0, 4096), (0, 6144)]), (1808, [(0, 8192)])]
+    # mix16d (8192 chains, D=16, K=50 ddpm_unit): one slice's noise is past 8 MiB
+    plan = StepPlan.build(respace(linear_beta_schedule(1000, 1e-4, 0.02), 50, "quadratic"),
+                          SamplerConfig.vanilla(), 16)
+    assert runner._group([plan], 8192, 16) == [(2048, [(0, lo)]) for lo in range(0, 8192, 2048)]
+    # sweep_k (10 deterministic cells of 512 chains): each slice holds x_T only
+    full = linear_beta_schedule(1000, 1e-4, 0.02)
+    plans = [StepPlan.build(respace(full, K), SamplerConfig.vanilla("deterministic"), 1)
+             for K in (1000, 1000, 500, 500, 250, 250, 100, 100, 50, 50)]
+    assert runner._group(plans, 512, 1) == [(512, [(cell, 0) for cell in range(10)])]
+
+
+def test_fig4_shape_makes_600_predictor_and_binning_calls(monkeypatch):
+    # the stacks {0, 2048}, {4096, 6144} and {8192} take 200 steps each, one
+    # predictor call and one heatmap binning per step
+    eps_calls, bin_calls = [], []
+    analytic_eps, bin_points = samplers.analytic_eps, runner.bin_trajectory_points
+
+    def counted_eps(*args, **kwargs):
+        eps_calls.append(args[1].shape)
+        return analytic_eps(*args, **kwargs)
+
+    def counted_bin(grid, row, xs, counts):
+        bin_calls.append(xs.shape)
+        return bin_points(grid, row, xs, counts)
+    monkeypatch.setattr(samplers, "analytic_eps", counted_eps)
+    monkeypatch.setattr(runner, "bin_trajectory_points", counted_bin)
+    spec = RunSpec.from_dict(_fig4_spec())
+    result = run_chains(spec.build_model(), spec.build_schedule(), spec.build_sampler_config(),
+                        10000, 0, trajectory_chains=50, heatmap=spec.heatmap)
+    assert eps_calls == bin_calls == [(2, 2048, 1)] * 400 + [(1, 1808, 1)] * 200
+    assert result.heatmap.counts.sum() == 10000 * 200
+
+
+def _run_and_sweep_digests(tmp_path, threads: int) -> dict:
+    """Every file but the manifest of a run of 4 full blocks and a partial one
+    that records 2100 chains, across a stacked slice boundary, and bins a
+    heatmap; and of a noisy adaptive sweep of two blocks a cell."""
+    out = tmp_path / f"run_{threads}"
+    execute_run(RunSpec.from_dict(_fig4_spec(n_chains=8240, trajectory_chains=2100,
+                                             threads=threads)), out)
+    sweep = SweepSpec.from_dict({
+        "base": base_spec_dict(
+            n_chains=2100, trajectory_chains=0, threads=threads, model=_MODEL_1D_SMOOTH,
+            schedule={"T": 40, "beta_start": 1e-3, "beta_end": 0.1},
+            sampler={"method": "adaptive", "eta_mode": "ddpm_unit", "b": 0.3, "c": 0.01}),
+        "axis": "b", "values": [0.2, 0.5], "seeds_per_cell": 2})
+    execute_sweep(sweep, tmp_path / f"sweep_{threads}")
+    return {f"{d.name}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()
+            for d in (out, tmp_path / f"sweep_{threads}") for p in sorted(d.iterdir())
+            if p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 62], ids=["one_slice_a_stack", "unlimited"])
+def test_the_stack_budget_moves_no_byte(tmp_path, monkeypatch, budget):
+    # the noise-store budget sets only how slices stack: at zero every slice
+    # of a run stacks alone, and unlimited every slice of one n stacks together
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+    default = _run_and_sweep_digests(tmp_path / "default", 1)
+    monkeypatch.setattr(runner, "_STACK_FLOATS", budget)
+    for threads in (1, 2):
+        got = _run_and_sweep_digests(tmp_path / f"budget_{threads}", threads)
+        assert {k.replace(f"_{threads}/", "_1/"): v for k, v in got.items()} == default

@@ -5,12 +5,14 @@ import json
 import math
 from dataclasses import fields, replace
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, event, example, given, settings
 from hypothesis import strategies as st
 
+import difflab.runner as runner
 from difflab.config import RunSpec, SpecError
 from difflab.metrics import bin_trajectory_points, heatmap_grid, mixture_quantile, sliced_w1
 from difflab.model import EpsRow, EpsTerms, EpsWork, GaussianMixtureModel, analytic_eps, eps_rows
@@ -19,7 +21,7 @@ from difflab.samplers import StepPlan, SamplerConfig, plan_rows
 from difflab.schedule import linear_beta_schedule, respace
 
 from oracles import (analytic_eps_general, eps_terms_at, quantile_200_halvings, reference_bin,
-                     sliced_w1_strided)
+                     reference_chains, sliced_w1_strided)
 
 ETA_MODES = ("deterministic", "ddpm_unit", "ddpm_hat")
 # few examples, the same ones on every run, and nothing written to disk
@@ -398,23 +400,55 @@ def sweep_cells(draw):
 @given(st.sampled_from((1, 2, 8)), st.sampled_from((1, 7, 300, 1024)), sweep_cells(),
        st.integers(0, 2**32))
 def test_stacked_seeds_give_each_seeds_own_bytes(D, K, n, cells, draw):
-    # a tuple of cells steps their blocks as one stack, each slice on its own
-    # plan's rows; each cell's samples and tv must be the bytes of its own
-    # single-seed run, drawn or read from a shared x_T
+    # a tuple of cells steps its blocks as stacks, each slice on its own plan's
+    # rows; each cell's samples and tv must be the bytes of its own
+    # single-seed run, whether its x_T is drawn or read from another slice, and
+    # whether the stacks hold every slice or one each
     rng = np.random.default_rng(draw)
     w = rng.uniform(0.1, 1.0, K)
     gmm = GaussianMixtureModel(weights=w / w.sum(), means=rng.uniform(-4.0, 4.0, (K, D)),
                                variances=rng.uniform(0.0, 1.0, K) * (rng.uniform(size=K) < 0.7))
     schedules, configs_, seeds = map(tuple, zip(*cells))
-    x_T = {}
-    drawn = run_chains(gmm, schedules, configs_, n, seeds, x_T=x_T)
-    again = run_chains(gmm, schedules, configs_, n, seeds, x_T=x_T)
-    assert len(drawn) == len(again) == len(cells)
-    for (sched, config, seed), *stacked in zip(cells, drawn, again):
+    stacked = run_chains(gmm, schedules, configs_, n, seeds)
+    with mock.patch.object(runner, "_STACK_FLOATS", 0):
+        alone_each = run_chains(gmm, schedules, configs_, n, seeds)
+    assert len(stacked) == len(alone_each) == len(cells)
+    for (sched, config, seed), *runs in zip(cells, stacked, alone_each):
         alone = run_chains(gmm, sched, config, n, seed)
-        for got in stacked:
+        for got in runs:
             assert got.samples.tobytes() == alone.samples.tobytes(), seed
             assert got.tv.tobytes() == alone.tv.tobytes(), seed
+
+
+@pytest.mark.parametrize("layout", ["one_per_stack", "two_per_stack", "one_stack"])
+@pytest.mark.parametrize("method", ["vanilla", "adaptive"])
+@pytest.mark.parametrize("eta", ETA_MODES)
+@settings(_FEW, max_examples=10)
+@given(mixtures(), schedules(max_T=20, flat=True), st.floats(0.0, 1.0),
+       st.sampled_from(("constant", "linear_ramp")), st.sampled_from(("spherical", "affine")),
+       st.floats(1e-3, 0.5), st.integers(0, 2**32), st.integers(5, 13))
+def test_run_chains_matches_the_reference_sampler(layout, method, eta, gmm, sched, b,
+                                                  b_schedule, a_rule, c, seed, n_rec):
+    # what the kernel computes, checked against chains stepped one at a time
+    # in Python floats from the paper's update (oracles.reference_chains).
+    # 13 chains in blocks of 4 (4, 4, 4 and 1), stacked one or two slices at a
+    # time or all full blocks together, record from 5 chains up, so a slice's
+    # block start must reach its noise, its rows and its trajectory rows.
+    # With alpha_zero below 1 the run's noiseless last step keeps the eta
+    # mode's sigma in its drift (see CHANGES.md); the reference drops it
+    config = SamplerConfig(method=method, eta_mode=eta, b=b, b_schedule=b_schedule,
+                           a_rule=a_rule, c=c)
+    assume(_fitting(sched, config) and sched.alpha_zero == 1.0)
+    rows = runner._noise_rows(StepPlan.build(sched, config, gmm.D))
+    budget = {"one_per_stack": 0, "two_per_stack": 2 * 4 * rows * gmm.D, "one_stack": 1 << 20}
+    with mock.patch.multiple(runner, _BLOCK=4, _STACK_FLOATS=budget[layout]):
+        res = run_chains(gmm, sched, config, 13, seed, trajectory_chains=n_rec)
+    samples, tv, xs, x0_hats = reference_chains(gmm, sched, config, seed, 13)
+    for name, got, want in (("samples", res.samples, samples), ("tv", res.tv, tv),
+                            ("xs", res.trajectories.xs, xs[:n_rec]),
+                            ("x0_hats", res.trajectories.x0_hats, x0_hats[:n_rec])):
+        assert got.shape == want.shape, name
+        assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(np.abs(want), 1.0)), name
 
 
 @settings(_FEW, max_examples=40)   # cheap: no chains run
