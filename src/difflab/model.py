@@ -22,8 +22,6 @@ __all__ = [
     "EpsWork",
     "NoisePrediction",
     "analytic_eps",
-    "eps_rows",
-    "eps_columns",
     "log_density_t",
     "sample_marginal",
     "score_x",
@@ -117,8 +115,9 @@ def _check_alpha(alpha, what: str, clean: bool = False) -> None:
 
 
 class EpsRow(NamedTuple):
-    """``analytic_eps``'s alpha-only terms at one signal level, or a stack's
-    per-slice columns of them: what a call reads instead of computing them."""
+    """``analytic_eps``'s alpha-only terms at one signal level, or in a stack
+    a per-slice column of each term its slices differ on: what a call reads
+    instead of computing them."""
 
     sa: float                   # sqrt(alpha); a stack's (S, 1, 1) column
     two_sa: float
@@ -153,22 +152,9 @@ class EpsTerms:
         self.gain_mu = (1.0 - sa * self.gain[:, 0])[:, :, None] * gmm.means   # (R, K, D)
         self.sqrt_1ma = np.sqrt(1.0 - alphas)
 
-
-def eps_rows(terms: EpsTerms, k0: int = 0, k1: int | None = None) -> list[EpsRow]:
-    """Rows k0..k1-1 of terms: one ``EpsRow`` per row, of Python floats and
-    the terms' own row arrays."""
-    cols = (col.tolist() if col.ndim == 1 else list(col)
-            for col in (getattr(terms, name)[k0:k1] for name in EpsRow._fields))
-    return list(map(EpsRow._make, zip(*cols)))
-
-
-def eps_columns(terms, k0: int, k1: int) -> list[np.ndarray]:
-    """``EpsRow``'s fields over rows k0..k1-1 of a stack whose slice s has the
-    terms terms[s], each (rows, S, ...): row i of each is that row's
-    per-slice column, (S, 1, 1) for a scalar term."""
-    return [col[:, :, None, None] if col.ndim == 2 else col
-            for col in (np.stack([getattr(t, name)[k0:k1] for t in terms], axis=1)
-                        for name in EpsRow._fields)]
+    def row(self, i: int) -> EpsRow:
+        """The terms at alphas[i]."""
+        return EpsRow._make(getattr(self, name)[i] for name in EpsRow._fields)
 
 
 class EpsWork:
@@ -212,7 +198,7 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
 
     With work, row holds the terms at alpha (alpha itself is unused) and x
     holds work's points, (n, D) or a stack (S, n, D): the call writes into
-    work's arrays, allocating none. A stack's row may be per-slice columns,
+    work's arrays, allocating none. A stack's row may hold per-slice columns,
     so that each slice has its own alpha. Every (n, D) slice gets the bytes it
     would get alone: the products are stacked matmuls, which run BLAS on each
     slice, and the reductions run over the component axis.
@@ -220,7 +206,7 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     if work is None:
         _check_alpha(alpha, "analytic_eps")
         x = np.asarray(x, dtype=float)
-        work, row = EpsWork(gmm, x.size // gmm.D), eps_rows(EpsTerms(gmm, [alpha]))[0]
+        work, row = EpsWork(gmm, x.size // gmm.D), EpsTerms(gmm, [alpha]).row(0)
     sa, two_sa, sa2_mu_sq, log_norm, s2, gain, gain_mu, sqrt_1ma = row
     x0_hat, eps_hat = work.x0_hat, work.eps_hat
     shape = x0_hat.shape                                            # (..., n, D)

@@ -154,21 +154,12 @@ class _Stack:
     segments: list
 
 
-def _stack(slices, n, seeds, schedules, configs, plans, terms, built) -> _Stack:
+def _stack(slices, n, seeds, schedules, configs, plans, terms) -> _Stack:
     """The _Stack of slices, (cell, block start) pairs of n chains, from the
-    run's per-cell tuples; built holds the rows of each plan tuple and range."""
+    run's per-cell tuples."""
     cells, los = zip(*slices)
     seeds, schedules, configs, plans, terms = (
         tuple(values[c] for c in cells) for values in (seeds, schedules, configs, plans, terms))
-
-    def rows(s0, s1, k0, k1):
-        part = plans[s0:s1]
-        # slices of one plan step on its float rows, whatever their number
-        key = (id(part[0]) if all(p is part[0] for p in part) else tuple(map(id, part)), k0, k1)
-        if key not in built:
-            built[key] = plan_rows(part, terms[s0:s1], k0, k1)
-        return built[key]
-
     S, K = len(plans), plans[0].K
     kind = np.zeros((S, K), dtype=np.int8)  # 0 once done, else 1 + plain + 2 noisy
     for s, plan in enumerate(plans):
@@ -181,10 +172,10 @@ def _stack(slices, n, seeds, schedules, configs, plans, terms, built) -> _Stack:
         active = S - kinds.count(0)
         starts = [s for s in range(active) if s == 0 or kinds[s] != kinds[s - 1]]
         segments.append((k0, k1, active, [
-            (s0, s1, schedules[s0], configs[s0], rows(s0, s1, k0, k1))
+            (s0, s1, schedules[s0], configs[s0], plan_rows(plans[s0:s1], terms[s0:s1], k0, k1))
             for s0, s1 in zip(starts, starts[1:] + [active])]))
     return _Stack(cells=cells, los=los, n=n, seeds=seeds, plans=plans,
-                  first=rows(0, S, 0, 1)[0], noise_rows=max(map(_noise_rows, plans)),
+                  first=plan_rows(plans, terms, 0, 1)[0], noise_rows=max(map(_noise_rows, plans)),
                   segments=segments)
 
 
@@ -309,8 +300,8 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig | tu
     seeds, schedules, configs = (seed, schedule, config) if stacked else (
         (seed,), (schedule,), (config,))
     D = model.D
-    # one plan and the predictor's terms per schedule object and config value: the
-    # cells that share them step on rows of floats (see plan_rows)
+    # one plan and the predictor's terms per schedule object and config value,
+    # built once for the cells that share them
     built = {}
     for sched, cfg in zip(schedules, configs):
         if (id(sched), cfg) not in built:
@@ -326,8 +317,7 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig | tu
         trajectories=trajectories[0],
         heatmap=None if heatmap is None else heatmap_grid(heatmap, schedule.tau[-1], D))
 
-    rows = {}   # each plan tuple's rows over each step range, built once per run
-    stacks = [_stack(slices, n, seeds, schedules, configs, plans, terms, rows)
+    stacks = [_stack(slices, n, seeds, schedules, configs, plans, terms)
               for n, slices in _group(plans, n_chains, D)]
     # one noise buffer per worker, reused by its stacks: at most `workers` exist
     store_size = max((len(stack.seeds) * stack.n * stack.noise_rows for stack in stacks),

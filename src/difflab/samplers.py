@@ -3,21 +3,20 @@ adaptive-momentum variants operating in the rescaled space x_bar = x / sqrt(alph
 
 A ``StepPlan`` holds every per-transition coefficient of one (schedule,
 SamplerConfig) pair at one data dimension, and ``plan_rows`` turns plans into
-``StepRow`` tuples: one per step, holding every coefficient ``_step_core`` and
-the predictor read. The plan owns the per-transition policy: momentum and
-second-moment scaling apply on every transition except the last, and the final
-step (t_prev == 0) is the plain, noiseless generalized step for every method,
-so with alpha(0) = 1 each chain ends on its last predicted clean sample.
+a table of ``StepRow`` tuples: one per step, holding every coefficient
+``_step_core`` and the predictor read. The plan owns the per-transition policy:
+momentum and second-moment scaling apply on every transition except the last,
+and the final step (t_prev == 0) is the plain generalized step with sigma = 0
+for every method, so with alpha(0) = 1 each chain ends on its last predicted
+clean sample.
 
-All step math broadcasts over leading batch dimensions; a single chain is the
-(D,) special case. The run loop steps each stack of S slices of n chains in
-place, as (S, n, D), each slice on its own plan's row: a stack's rows hold
-per-slice columns where its slices' plans differ, and Python floats where
-they share one. A stack's state arrays and one ``StepWork`` are its one
-buffer set; without a ``StepWork`` the kernel treats states as values. A step
-pays for numpy calls more than for arithmetic at the benchmark's sizes, so the
-kernel adds no noise term on a noiseless row (every deterministic row and the
-last row of any plan).
+All step math broadcasts over leading batch dimensions. The run loop steps each
+stack of S slices of n chains in place, as (S, n, D), each slice on its own
+plan's row: a row holds a coefficient once, as a per-slice column only where
+the slices' values differ. A stack's state arrays and one ``StepWork`` are its
+one buffer set. A step pays for numpy calls more than for arithmetic at the
+benchmark's sizes, so the kernel adds no noise term on a noiseless row (every
+deterministic row and the last row of any plan).
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (EpsRow, EpsWork, GaussianMixtureModel, analytic_eps, eps_columns,
-                    eps_rows)
+from .model import EpsRow, EpsWork, GaussianMixtureModel, analytic_eps
 
 __all__ = [
     "SecondMomentError",
@@ -155,6 +153,8 @@ class StepPlan:
     noise = sigma / sqrt(a_prev). Rows flagged ``plain`` take x_bar + d x_bar;
     the others take the momentum + second-moment update with (a[k], b[k]),
     v <- (1 - c) v + c |d x_bar|^2 / v_div and the step m / (sqrt(v) + zeta).
+    The last row takes sigma = 0, in its drift as in its noise: it is the
+    deterministic step onto the predicted clean sample (at alpha(0) = 1).
     """
 
     t: np.ndarray                # (K,) int, from tau[-1] down to tau[0]
@@ -186,6 +186,7 @@ class StepPlan:
         alphas = np.concatenate(([schedule.alpha_zero], schedule.alphas_cum))  # alphas[t]
         a_t, a_p = alphas[t], alphas[t_prev]
         sig = _sigma_from_alphas(a_t, a_p, config.eta_mode)
+        sig[-1] = 0.0       # the final step is noiseless
         dir_sq = 1.0 - a_p - sig * sig
         bad = dir_sq < -_CLAMP
         if np.any(bad):
@@ -197,7 +198,6 @@ class StepPlan:
         dir_coeff = np.sqrt(np.where(dir_sq < 0.0, 0.0, dir_sq))
         sqrt_a_p = np.sqrt(a_p)
         noise = sig / sqrt_a_p
-        noise[-1] = 0.0     # the final step is noiseless
         a, b = config.coeffs(np.arange(t.size), t.size)
         plain = np.full(t.size, config.method == "vanilla")
         plain[-1] = True    # and plain for every method
@@ -212,12 +212,14 @@ class StepPlan:
 
 
 class StepRow(NamedTuple):
-    """Every coefficient of one step of a stack: ``StepPlan``'s row k, or a
-    stack's per-slice columns of its slices' rows k, and the predictor's terms.
+    """Every coefficient of one step of a stack, each slice at its own plan's
+    row k, and the predictor's terms.
 
-    A column is (S, 1, 1) against the (S, n, D) chains, or (S, 1) for c, zeta
-    and v_div against the (S, n) second moments. k, t, t_prev, plain and noisy
-    are the first slice's: a row serves only slices of one kind.
+    A coefficient on which every slice agrees is one value: a Python float, or
+    the terms' row array. One on which they differ is a per-slice column,
+    (S, 1, 1) against the (S, n, D) chains, or (S, 1) for c, zeta and v_div
+    against the (S, n) second moments. k, t, t_prev, plain and noisy are the
+    first slice's: a row serves only slices of one kind.
     """
 
     k: int
@@ -238,57 +240,60 @@ class StepRow(NamedTuple):
     eps: EpsRow
 
 
-# StepPlan's arrays in a row: (S, 1, 1) columns in a stack, then (S, 1) ones
-_CHAIN_COLS = ("alpha", "sqrt_alpha", "sqrt_alpha_prev", "mu", "noise", "a", "b")
-_V_COLS = ("c", "zeta", "v_div")
+# StepPlan's arrays in a row, each with the trailing axes of its per-slice column
+_COEFFS = (("alpha", 2), ("sqrt_alpha", 2), ("sqrt_alpha_prev", 2), ("mu", 2), ("noise", 2),
+           ("a", 2), ("b", 2), ("c", 1), ("zeta", 1), ("v_div", 1))
 
 
-def plan_rows(plans, terms, k0: int = 0, k1: int | None = None):
-    """Rows k0..k1-1 of a stack whose slice s has the plan plans[s] and the
-    predictor's terms terms[s] over that plan's alphas, as a sequence indexed
-    from 0. Where every slice has the same plan object (and so the same
-    terms), the rows are a list of rows of Python floats. Otherwise they are
-    ``ColumnRows``, whose rows hold per-slice columns. Every slice's plan must
-    have at least k1 rows."""
-    first = plans[0]
-    k1 = first.K if k1 is None else k1
-    head = (range(k0, k1), first.t[k0:k1].tolist(), first.t_prev[k0:k1].tolist(),
-            first.plain[k0:k1].tolist(), (first.noise[k0:k1] != 0.0).tolist())
-    if any(p is not first for p in plans):
-        return ColumnRows(list(zip(*head)), plans, terms, k0, k1)
-    return list(map(StepRow._make, zip(
-        *head, *(getattr(first, name)[k0:k1].tolist() for name in _CHAIN_COLS + _V_COLS),
-        eps_rows(terms[0], k0, k1))))
+def _column(arrays, k0: int, k1: int, axes: int = 2):
+    """Rows k0..k1-1 of one coefficient of a stack whose slice s holds it over
+    its plan's rows in arrays[s]. Where every slice's rows equal the first's
+    byte for byte (so 0.0 and -0.0 differ), they are the first's: a list of
+    Python floats for a scalar, else its row arrays. Otherwise they are the
+    slices' rows stacked, (rows, S, ...), a scalar's with ``axes`` more axes."""
+    rows = [array[k0:k1] for array in arrays]
+    first = rows[0].tobytes()
+    if all(part.tobytes() == first for part in rows[1:]):
+        return rows[0].tolist() if rows[0].ndim == 1 else rows[0]
+    col = np.stack(rows, axis=1)
+    return col.reshape(col.shape + (1,) * axes) if col.ndim == 2 else col
 
 
-class ColumnRows:
-    """``plan_rows`` of slices whose plans differ. It holds each coefficient
-    stacked once, (rows, S, ...), and makes a row's per-slice column views
-    when the row is read, so a long run of steps holds no view per step."""
+class StepRows:
+    """``plan_rows``: rows k0..k1-1 of a stack, indexed from 0. It holds each
+    coefficient once over the rows, as ``_column`` gives it, and makes a
+    ``StepRow`` when a row is read, so a long run of steps holds no object
+    per step."""
 
-    def __init__(self, heads, plans, terms, k0: int, k1: int):
-        def stacked(name):
-            return np.stack([getattr(p, name)[k0:k1] for p in plans], axis=1)   # (rows, S)
-        self._heads = heads     # (k, t, t_prev, plain, noisy) of each row: the first slice's
-        self._cols = [stacked(name)[:, :, None, None] for name in _CHAIN_COLS] \
-            + [stacked(name)[:, :, None] for name in _V_COLS]
-        self._eps = eps_columns(terms, k0, k1)
+    def __init__(self, plans, terms, k0: int, k1: int):
+        first = plans[0]
+        # (k, t, t_prev, plain, noisy) of each row: the first slice's
+        self._heads = list(zip(range(k0, k1), first.t[k0:k1].tolist(),
+                               first.t_prev[k0:k1].tolist(), first.plain[k0:k1].tolist(),
+                               (first.noise[k0:k1] != 0.0).tolist()))
+        self._cols = [_column([getattr(p, name) for p in plans], k0, k1, axes)
+                      for name, axes in _COEFFS]
+        self._eps = [_column([getattr(t, name) for t in terms], k0, k1)
+                     for name in EpsRow._fields]
 
     def __len__(self) -> int:
         return len(self._heads)
 
     def __getitem__(self, i: int) -> StepRow:
-        return StepRow(*self._heads[i], *(col[i] for col in self._cols),
+        return StepRow(*self._heads[i], *[col[i] for col in self._cols],
                        EpsRow._make([col[i] for col in self._eps]))
 
 
-class ChainState(NamedTuple):
-    """Per-chain reverse-trajectory state at step t.
+def plan_rows(plans, terms, k0: int = 0, k1: int | None = None) -> StepRows:
+    """Rows k0..k1-1 (every row by default) of a stack whose slice s has the
+    plan plans[s] and the predictor's terms terms[s] over that plan's alphas.
+    Every slice's plan must have at least k1 rows."""
+    return StepRows(plans, terms, k0, plans[0].K if k1 is None else k1)
 
-    ``_step_core`` without a ``StepWork`` treats it as a value and returns a
-    new one; with one, the step writes into this state's arrays, the stack's
-    one set of x_bar, m and v buffers.
-    """
+
+class ChainState(NamedTuple):
+    """Per-chain reverse-trajectory state at step t. ``_step_core`` writes into
+    its arrays, a stack's one set of x_bar, m and v buffers."""
 
     t: int
     x_bar: np.ndarray   # (..., D)
@@ -337,12 +342,12 @@ class Trajectory:
 
 def _v_error(row: StepRow, v) -> SecondMomentError:
     """The error for a step whose v is not positive, naming the settings of the
-    first slice whose v is not."""
-    c, zeta = row.c, row.zeta
-    where = f"t={row.t}"
-    if isinstance(c, np.ndarray):   # a stack's columns: find the slice
+    first slice whose v is not where the stack has more than one."""
+    c, zeta, where = row.c, row.zeta, f"t={row.t}"
+    if v.ndim > 1 and len(v) > 1:     # (S, n): find the slice
         s = int(np.argmax(~(np.min(v, axis=-1) > 0.0)))
-        c, zeta, where = float(c[s, 0]), float(zeta[s, 0]), f"step {row.k} of stack slice {s}"
+        c, zeta = (float(np.broadcast_to(x, (len(v), 1))[s, 0]) for x in (c, zeta))
+        where = f"step {row.k} of stack slice {s}"
     return SecondMomentError(
         f"second-moment accumulator v is not positive at {where} "
         f"(c={c}, zeta={zeta}); with c=1, v is the last "
@@ -350,21 +355,14 @@ def _v_error(row: StepRow, v) -> SecondMomentError:
 
 
 def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
-               config: SamplerConfig, eps_noise, row: StepRow,
-               work: StepWork | None = None):
-    """``row`` applied to ``state``; returns (new state, x_{t-1}, x0_hat, d x_bar).
-
-    Without work, state is left as it is and every returned array is new.
-    With work, the step runs in place: the new state holds state's own arrays,
-    updated, and the other three are work's buffers, which later steps
-    overwrite (x_{t-1} only every second step).
+               config: SamplerConfig, eps_noise, row: StepRow, work: StepWork):
+    """``row`` applied to ``state`` in place; returns (new state, x_{t-1},
+    x0_hat, d x_bar). The new state holds state's own arrays, updated, and the
+    other three are work's buffers, which later steps overwrite (x_{t-1} only
+    every second step).
     """
     # schedule and config are unused here: benchmarks/tracer.py reads them by
     # position, as the schedule and config of the row's first slice
-    if work is None:    # value semantics: step a copy, in fresh buffers
-        state = ChainState(state.t, np.array(state.x_bar, dtype=float),
-                           np.array(state.m, dtype=float), np.array(state.v, dtype=float))
-        work = StepWork(state.x_bar.shape, model)
     (k, _, t_prev, plain, noisy, alpha, sqrt_alpha, sqrt_alpha_prev, mu, noise, a, b, c, zeta,
      v_div, eps_row) = row
     _, x_bar, m, v = state

@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 
 from difflab.model import EpsTerms
-from difflab.samplers import ChainState, StepPlan, _step_core, plan_rows
+from difflab.samplers import ChainState, StepPlan, StepWork, _step_core, plan_rows
 
 
 @pytest.fixture()
 def drive_chains():
     """Step chains from chosen starting points through every row of the step
-    plan, one kernel call per row; noise(k, shape) gives row k's noise draw.
-    Returns the final samples and the per-step x0_hat predictions."""
+    plan, one in-place kernel call per row; noise(k, shape) gives row k's noise
+    draw. Returns the final samples and the per-step x0_hat predictions."""
     def drive(model, schedule, config, x_T, noise):
         plan = StepPlan.build(schedule, config, model.D)
         rows = plan_rows([plan], [EpsTerms(model, plan.alpha)])
         state = ChainState.init(x_T, rows[0])
+        work = StepWork(state.x_bar.shape, model)
         x0_hats = []
         for k, row in enumerate(rows):
             state, x_next, x0_hat, _ = _step_core(state, model, schedule, config,
-                                                  noise(k, state.x_bar.shape), row)
-            x0_hats.append(x0_hat)
+                                                  noise(k, state.x_bar.shape), row, work)
+            x0_hats.append(x0_hat.copy())   # the next step writes over work's x0_hat
         return x_next, np.array(x0_hats)
     return drive
 

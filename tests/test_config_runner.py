@@ -627,26 +627,35 @@ def test_sweep_k_shape_makes_1000_predictor_calls(tmp_path, monkeypatch):
 
 def test_equal_configs_share_one_plan_and_step_on_float_rows(monkeypatch):
     # cells of one schedule whose configs are equal but distinct objects get
-    # one plan, so their stack steps on rows of floats, not of columns
+    # one plan; cells of equal schedules that are distinct objects get two
+    # plans of equal values. Either way their stack steps on rows that hold
+    # each coefficient once: floats, and the predictor's terms with no slice axis
     gmm = GaussianMixtureModel(weights=[0.5, 0.5], means=[[-1.0], [2.0]], variances=[0.1, 0.0])
     sched, config = linear_beta_schedule(12, 0.02, 0.02), SamplerConfig()
-    builds, alphas = [], []
+    wants = [run_chains(gmm, sched, config, 5, seed).samples.tobytes() for seed in (1, 2)]
+    builds, rows = [], []
     build, analytic_eps = StepPlan.build.__func__, samplers.analytic_eps
 
     def counted_build(cls, *args):
         builds.append(args[1])
         return build(cls, *args)
 
-    def counted_eps(gmm, x, alpha, *args):
-        alphas.append(alpha)
-        return analytic_eps(gmm, x, alpha, *args)
+    def counted_eps(gmm, x, alpha, work, row):
+        rows.append((alpha, row))
+        return analytic_eps(gmm, x, alpha, work, row)
     monkeypatch.setattr(StepPlan, "build", classmethod(counted_build))
     monkeypatch.setattr(samplers, "analytic_eps", counted_eps)
-    results = run_chains(gmm, (sched, sched), (config, replace(config)), 5, (1, 2))
-    assert builds == [config]
-    assert len(alphas) == 12 and all(type(alpha) is float for alpha in alphas)
-    for seed, got in zip((1, 2), results):
-        assert got.samples.tobytes() == run_chains(gmm, sched, config, 5, seed).samples.tobytes()
+    for schedules, plans in (((sched, sched), 1),
+                             ((sched, linear_beta_schedule(12, 0.02, 0.02)), 2)):
+        builds.clear()
+        rows.clear()
+        results = run_chains(gmm, schedules, (config, replace(config)), 5, (1, 2))
+        assert builds == [config] * plans
+        assert len(rows) == 12
+        for alpha, row in rows:
+            assert type(alpha) is float
+            assert all(type(term) is float or term.ndim == 2 for term in row)
+        assert [got.samples.tobytes() for got in results] == wants
 
 
 def test_noisy_sweep_draws_for_every_cell(tmp_path, monkeypatch):

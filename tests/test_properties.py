@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import difflab.runner as runner
 from difflab.config import RunSpec, SpecError
 from difflab.metrics import bin_trajectory_points, heatmap_grid, mixture_quantile, sliced_w1
-from difflab.model import EpsRow, EpsTerms, EpsWork, GaussianMixtureModel, analytic_eps, eps_rows
+from difflab.model import EpsRow, EpsTerms, EpsWork, GaussianMixtureModel, analytic_eps
 from difflab.runner import _block_noise, run_chains
 from difflab.samplers import StepPlan, SamplerConfig, plan_rows
 from difflab.schedule import linear_beta_schedule, respace
@@ -125,14 +125,14 @@ def test_plan_rows_match_their_closed_forms(eta, sched, data):
     for k, (t, t_prev) in enumerate(zip(plan.t.tolist(), plan.t_prev.tolist())):
         a_t, a_p = sched.alpha(t), sched.alpha(t_prev)
         last = k == plan.K - 1
-        sig = _sigma_closed_form(config.eta_mode, a_t, a_p)
+        sig = 0.0 if last else _sigma_closed_form(config.eta_mode, a_t, a_p)
         drift = math.sqrt(max(1.0 - a_p - sig * sig, 0.0)) / math.sqrt(a_p)
         slope = math.sqrt((1.0 - a_t) / a_t)
         # (formula, the scale its rounding error is relative to)
         want = {"alpha": (a_t, a_t),
                 "sqrt_alpha": (math.sqrt(a_t), math.sqrt(a_t)),
                 "sqrt_alpha_prev": (math.sqrt(a_p), math.sqrt(a_p)),
-                "noise": (0.0 if last else sig / math.sqrt(a_p), sig / math.sqrt(a_p)),
+                "noise": (sig / math.sqrt(a_p), sig / math.sqrt(a_p)),
                 "mu": (drift - slope, drift + slope)}
         for name, (value, scale) in want.items():
             got = float(getattr(plan, name)[k])
@@ -320,7 +320,6 @@ def test_plan_terms_give_the_bytes_of_a_single_call(case):
     # predicts in reused arrays; both must give each call's own bytes
     gmm, alphas, x = case
     terms = EpsTerms(gmm, alphas)
-    rows = eps_rows(terms)
     work = EpsWork(gmm, x.shape[0])     # one set of arrays for every row
     for row, alpha in enumerate(alphas.tolist()):
         # numpy's SIMD log/exp could round by array length: one alpha is the reference
@@ -328,7 +327,7 @@ def test_plan_terms_give_the_bytes_of_a_single_call(case):
             got = getattr(terms, name)[row]
             assert got.tobytes() == np.asarray(value).tobytes(), (name, row)
         fresh = analytic_eps(gmm, x, alpha)
-        reused = analytic_eps(gmm, x, alpha, work, rows[row])
+        reused = analytic_eps(gmm, x, alpha, work, terms.row(row))
         assert reused.eps_hat.tobytes() == fresh.eps_hat.tobytes(), row
         assert reused.x0_hat.tobytes() == fresh.x0_hat.tobytes(), row
     assert set(vars(terms)) == set(eps_terms_at(gmm, 0.5))
@@ -358,29 +357,32 @@ def test_predictor_has_the_bytes_of_its_general_form(case):
     # with the ufuncs themselves; fresh or in reused arrays, each call must
     # give the einsum / matmul / np.max / np.sum form's bytes
     gmm, alphas, x = case
-    work, rows = EpsWork(gmm, x.shape[0]), eps_rows(EpsTerms(gmm, alphas))
+    work, terms = EpsWork(gmm, x.shape[0]), EpsTerms(gmm, alphas)
     for row, alpha in enumerate(alphas.tolist()):
         eps_hat, x0_hat = analytic_eps_general(gmm, x, alpha)
-        for pred in (analytic_eps(gmm, x, alpha), analytic_eps(gmm, x, alpha, work, rows[row])):
+        for pred in (analytic_eps(gmm, x, alpha),
+                     analytic_eps(gmm, x, alpha, work, terms.row(row))):
             assert pred.eps_hat.tobytes() == eps_hat.tobytes(), row
             assert pred.x0_hat.tobytes() == x0_hat.tobytes(), row
 
 
 @st.composite
-def sweep_cells(draw):
-    """2-4 cells a sweep could stack: 1-3 values of one axis (K, b, c or
+def sweep_cells(draw, min_values=1):
+    """2-4 cells a sweep could stack: min_values-3 values of one axis (K, b, c or
     eta_mode) times 1-4 seeds, each value with its own step count too, so the
     cells end at different steps. The values' schedules are one full
     schedule, as schedules(flat=True) draws it, sometimes respaced by one
-    mode. A value's cells share its schedule and config; cells are in
-    step-count order, largest first."""
+    mode; their base config sometimes overrides a, and draws v_norm and zeta.
+    A value's cells share its schedule and config; the first 4 cells are
+    taken seed by seed, and put in step-count order, largest first."""
     full = draw(full_schedules(max_T=12, flat=True))
     mode = draw(st.sampled_from(("uniform", "quadratic")))
-    base = draw(configs())
-    base = replace(base, v_norm=draw(st.sampled_from(("mean_sq", "raw_l2sq"))))
+    base = replace(draw(configs()), v_norm=draw(st.sampled_from(("mean_sq", "raw_l2sq"))),
+                   a_override=draw(st.none() | st.floats(0.0, 1.0)),
+                   zeta=draw(st.sampled_from((0.0, 1e-8)) | st.floats(1e-3, 1.0)))
     axis = draw(st.sampled_from(("K", "b", "c", "eta_mode")))
     values = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(min_values, 3))):
         K = draw(st.integers(1, full.T))
         sched = full if K == full.T and draw(st.booleans()) else respace(full, K, mode)
         config = base
@@ -390,7 +392,7 @@ def sweep_cells(draw):
             config = replace(base, **{axis: draw(value)})
         values.append((sched, config))
     seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4, unique=True))
-    cells = [(sched, config, seed) for sched, config in values for seed in seeds][:4]
+    cells = [(sched, config, seed) for seed in seeds for sched, config in values][:4]
     assume(len(cells) >= 2 and all(_fitting(sched, config) for sched, config, _ in cells))
     return sorted(cells, key=lambda cell: -len(cell[0].tau))
 
@@ -434,11 +436,9 @@ def test_run_chains_matches_the_reference_sampler(layout, method, eta, gmm, sche
     # 13 chains in blocks of 4 (4, 4, 4 and 1), stacked one or two slices at a
     # time or all full blocks together, record from 5 chains up, so a slice's
     # block start must reach its noise, its rows and its trajectory rows.
-    # With alpha_zero below 1 the run's noiseless last step keeps the eta
-    # mode's sigma in its drift (see CHANGES.md); the reference drops it
     config = SamplerConfig(method=method, eta_mode=eta, b=b, b_schedule=b_schedule,
                            a_rule=a_rule, c=c)
-    assume(_fitting(sched, config) and sched.alpha_zero == 1.0)
+    assume(_fitting(sched, config))
     rows = runner._noise_rows(StepPlan.build(sched, config, gmm.D))
     budget = {"one_per_stack": 0, "two_per_stack": 2 * 4 * rows * gmm.D, "one_stack": 1 << 20}
     with mock.patch.multiple(runner, _BLOCK=4, _STACK_FLOATS=budget[layout]):
@@ -451,11 +451,62 @@ def test_run_chains_matches_the_reference_sampler(layout, method, eta, gmm, sche
         assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(np.abs(want), 1.0)), name
 
 
+@settings(_FEW, max_examples=60)
+@given(mixtures(), sweep_cells(min_values=2))
+def test_stacked_cells_of_different_plans_match_the_reference_sampler(gmm, cells):
+    # a tuple of cells of different plans, each held to chains stepped one at a
+    # time in Python floats: a coefficient that one slice reads off another's
+    # plan, or a row of the wrong step, moves some cell off its reference.
+    # 13 chains a cell in blocks of 4, stacked one slice at a time, two at a
+    # time, or every slice of a chain count together
+    schedules, configs_, seeds = map(tuple, zip(*cells))
+    rows = max(runner._noise_rows(StepPlan.build(sched, config, gmm.D))
+               for sched, config in zip(schedules, configs_))
+    refs = [reference_chains(gmm, *cell, 13)[:2] for cell in cells]
+    for budget in (0, 2 * 4 * rows * gmm.D, 1 << 20):
+        with mock.patch.multiple(runner, _BLOCK=4, _STACK_FLOATS=budget):
+            results = run_chains(gmm, schedules, configs_, 13, seeds)
+        for res, (samples, tv) in zip(results, refs):
+            for name, got, want in (("samples", res.samples, samples), ("tv", res.tv, tv)):
+                assert got.shape == want.shape, name
+                assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(np.abs(want), 1.0)), \
+                    (name, budget)
+
+
+_PLAN_COEFFS = ("alpha", "sqrt_alpha", "sqrt_alpha_prev", "mu", "noise", "a", "b",
+                "c", "zeta", "v_div")
+
+
+def _rows_coefficients(plans, terms):
+    """(name, its value in a row, each slice's array over its plan's rows, the
+    trailing axes of a per-slice scalar column) of every coefficient of a row."""
+    for name in _PLAN_COEFFS:
+        axes = 1 if name in ("c", "zeta", "v_div") else 2
+        yield name, lambda row, name=name: getattr(row, name), \
+            [getattr(p, name) for p in plans], axes
+    for name in EpsRow._fields:
+        yield f"eps.{name}", lambda row, name=name: getattr(row.eps, name), \
+            [getattr(t, name) for t in terms], 2
+
+
+_TWO_MODES = GaussianMixtureModel(weights=[0.5, 0.5], means=[[-1.0], [2.0]],
+                                 variances=[0.1, 0.0])
+_FLAT = linear_beta_schedule(8, 0.02, 0.02)
+_RAMP = SamplerConfig(b_schedule="linear_ramp")
+
+
 @settings(_FEW, max_examples=40)   # cheap: no chains run
 @given(mixtures(), sweep_cells(), st.integers(0, 8), st.integers(0, 8))
+# slices that agree at row k0 and differ after it: a K sweep's cells all start
+# at t = T, and a linear ramp's b values all start at b = 0
+@example(_TWO_MODES, [(_FLAT, _RAMP, 1), (respace(_FLAT, 4), _RAMP, 1)], 0, 2)
+@example(_TWO_MODES, [(_FLAT, _RAMP, 1), (_FLAT, replace(_RAMP, b=0.3), 1)], 0, 3)
 def test_plan_rows_hold_the_plans_arrays(gmm, cells, lo, span):
-    # a row is every coefficient the kernel and the predictor read at one step:
-    # one plan's arrays at row k as floats, or a stack's per-slice columns
+    # a row is every coefficient the kernel and the predictor read at one step,
+    # each slice at its own plan's row k. Where every slice's values over the
+    # rows agree byte for byte, the row holds the first slice's value: a
+    # Python float for a scalar, the terms' row array otherwise. Where they
+    # differ, it holds a per-slice column.
     built = {}      # a value's cells share its plan and terms, as in a run
     for sched, config, _ in cells:
         if (id(sched), id(config)) not in built:
@@ -465,39 +516,54 @@ def test_plan_rows_hold_the_plans_arrays(gmm, cells, lo, span):
     K = plans[-1].K
     k0 = min(lo, K - 1)
     k1 = min(k0 + 1 + span, K)
-    same = all(p is plans[0] for p in plans)
     for stack, stack_terms in (([plans[0]], [terms[0]]), (plans, terms)):
         rows = plan_rows(stack, stack_terms, k0, k1)
+        assert len(rows) == k1 - k0
         assert [row.k for row in rows] == list(range(k0, k1))
-        single = len(stack) == 1 or same
+        first = stack[0]
         for row in rows:
             k = row.k
-            first = stack[0]
             assert (row.t, row.t_prev, row.plain, row.noisy) == (
                 int(first.t[k]), int(first.t_prev[k]), bool(first.plain[k]),
                 bool(first.noise[k] != 0.0))
-            for name in ("alpha", "sqrt_alpha", "sqrt_alpha_prev", "mu", "noise", "a", "b",
-                         "c", "zeta", "v_div"):
-                got = getattr(row, name)
-                want = np.array([getattr(p, name)[k] for p in stack])
-                if single:
-                    assert type(got) is float and got == want[0], name
-                else:
-                    shape = (len(stack), 1) + ((1,) if name not in ("c", "zeta", "v_div") else ())
-                    assert got.shape == shape and got.tobytes() == want.tobytes(), name
-            for name in EpsRow._fields:
-                got = getattr(row.eps, name)
-                want = np.stack([getattr(t, name)[k] for t in stack_terms])
-                if single:
+        for name, read, arrays, axes in _rows_coefficients(stack, stack_terms):
+            agree = len({a[k0:k1].tobytes() for a in arrays}) == 1
+            event(f"{name} is {'one value' if agree else 'a column'}")
+            for row in rows:
+                got, want = read(row), np.stack([a[row.k] for a in arrays])
+                if agree:
                     want = want[0]
                     assert (type(got) is float) == (want.ndim == 0), name
-                assert np.asarray(got).tobytes() == want.tobytes(), name
+                    assert np.asarray(got).tobytes() == want.tobytes(), name
+                else:
+                    shape = want.shape + (1,) * axes if want.ndim == 1 else want.shape
+                    assert got.shape == shape and got.tobytes() == want.tobytes(), name
     # c, zeta and the v divisor are the config's, and D only for mean_sq
     for plan, (_, config, _) in zip(plans, cells):
         assert plan.c.tolist() == [float(config.c)] * plan.K
         assert plan.zeta.tolist() == [float(config.zeta)] * plan.K
         div = gmm.D if config.v_norm == "mean_sq" else 1
         assert plan.v_div.tolist() == [float(div)] * plan.K
+
+
+@pytest.mark.parametrize("axis, values, columns", [
+    ("b", (0.1, 0.3), {"a", "b"}),
+    ("c", (0.01, 0.2), {"c"}),
+    ("eta_mode", ("ddpm_unit", "ddpm_hat"), {"mu", "noise"}),
+])
+def test_a_sweeps_rows_hold_columns_only_where_its_values_differ(axis, values, columns):
+    # the cells of a b, c or eta-mode sweep have plans of their own, with equal
+    # alphas: their rows stack what the axis moves and hold every other
+    # coefficient once, the predictor's terms included
+    plans = [StepPlan.build(_FLAT, SamplerConfig(**{axis: value}), 1) for value in values]
+    terms = [EpsTerms(_TWO_MODES, plan.alpha) for plan in plans]
+    rows = plan_rows(plans, terms, 0, 7)     # the momentum rows, as a run's call holds them
+    for row in rows:
+        stacked = {name for name in _PLAN_COEFFS if isinstance(getattr(row, name), np.ndarray)}
+        assert stacked == columns, row.k
+        # a scalar term is a float, and each other one a row of the terms: (K, 1),
+        # (1, K) or (K, D), with no slice axis
+        assert all(type(value) is float or value.ndim == 2 for value in row.eps), row.k
 
 
 @pytest.mark.xfail(strict=True, reason=(

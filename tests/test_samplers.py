@@ -96,10 +96,11 @@ def test_ddim_step_increment_identity():
             k = sched.T - t
             state = ChainState(t=t, x_bar=rng.uniform(-3, 3, 2), m=np.zeros(2),
                                v=np.ones(()))
+            x_t = plan.sqrt_alpha[k] * state.x_bar     # the step writes over x_bar
             eps = rng.standard_normal(2)
-            _, x_prev, _, dxb = _step_core(state, gmm, sched, cfg, eps, rows[k])
+            _, x_prev, _, dxb = _step_core(state, gmm, sched, cfg, eps, rows[k],
+                                           StepWork((2,), gmm))
             a_t, a_p = sched.alpha(t), sched.alpha(t - 1)
-            x_t = plan.sqrt_alpha[k] * state.x_bar
             eps_hat = analytic_eps(gmm, x_t, a_t).eps_hat
             ref = ddim_reference(x_t, eps_hat, eps, a_t, a_p, sigma(sched, t, t - 1, eta))
             assert np.allclose(x_prev, ref, rtol=0, atol=1e-10)
@@ -264,10 +265,11 @@ def test_second_moment_stays_positive():
     cfg = SamplerConfig(method="adaptive", b=0.3, c=0.05)
     rows = rows_of(gmm, StepPlan.build(sched, cfg, 1))
     state = ChainState.init(np.random.default_rng(7).standard_normal((16, 1)), rows[0])
+    work = StepWork((16, 1), gmm)
     rng = np.random.default_rng(8)
     for row in rows:
         state, _, _, _ = _step_core(state, gmm, sched, cfg,
-                                    rng.standard_normal(state.x_bar.shape), row)
+                                    rng.standard_normal(state.x_bar.shape), row, work)
         assert np.all(state.v > 0.0)
     assert state.t == 0
 
@@ -283,7 +285,7 @@ def test_zero_second_moment_raises_named_error():
                        v=np.ones(3))
     with pytest.raises(SecondMomentError, match=r"c=1\.0, zeta=1e-08"):
         _step_core(state, gmm, sched, cfg, np.zeros((3, 1)),
-                   rows_of(gmm, StepPlan.build(sched, cfg, 1))[0])
+                   rows_of(gmm, StepPlan.build(sched, cfg, 1))[0], StepWork((3, 1), gmm))
 
 
 def test_zero_second_moment_in_a_stack_names_the_slice_that_hit_it():
@@ -295,42 +297,33 @@ def test_zero_second_moment_in_a_stack_names_the_slice_that_hit_it():
                                                  c=c), 1) for c in (0.5, 1.0)]
     terms = EpsTerms(gmm, plans[0].alpha)
     row = plan_rows(plans, [terms, terms], 0, 1)[0]
-    zeros = np.zeros((2, 3, 1))
-    state = ChainState(t=row.t, x_bar=zeros, m=zeros, v=np.ones((2, 3)))
+    assert row.c.shape == (2, 1)
+    state = ChainState(t=row.t, x_bar=np.zeros((2, 3, 1)), m=np.zeros((2, 3, 1)),
+                       v=np.ones((2, 3)))
     with pytest.raises(SecondMomentError, match=r"stack slice 1 \(c=1\.0, zeta=1e-08\)"):
-        _step_core(state, gmm, sched, None, zeros, row)
+        _step_core(state, gmm, sched, None, np.zeros((2, 3, 1)), row, StepWork((2, 3, 1), gmm))
 
 
-@pytest.mark.parametrize("D", [1, 16])
-@pytest.mark.parametrize("method", ["vanilla", "adaptive"])
-def test_step_in_place_gives_the_value_steps_bytes(D, method):
-    # the run loop steps a block in place, in one StepWork; a caller without one
-    # gets new arrays and keeps its state. Both must give the same bytes.
-    rng = np.random.default_rng(D)
-    gmm = GaussianMixtureModel(weights=[0.3, 0.7], means=rng.normal(0.0, 2.0, (2, D)),
-                               variances=[0.0, 0.4])
-    sched = linear_beta_schedule(30, 1e-3, 0.05)
-    cfg = SamplerConfig(method=method, b=0.3, c=0.05)
-    plan = StepPlan.build(sched, cfg, D)
-    rows = rows_of(gmm, plan)
-    n = 9
-    x_T = rng.standard_normal((n, D))
-    value, in_place = ChainState.init(x_T, rows[0]), ChainState.init(x_T, rows[0])
-    work = StepWork((n, D), gmm)
-    x_before = None
-    for k in range(plan.K):
-        eps = rng.standard_normal((n, D))
-        kept = [a.copy() for a in (value.x_bar, value.m, value.v)]
-        value_next, *value_out = _step_core(value, gmm, sched, cfg, eps, rows[k])
-        assert all(np.array_equal(a, b) for a, b in zip(kept, (value.x_bar, value.m, value.v)))
-        next_, *out = _step_core(in_place, gmm, sched, cfg, eps, rows[k], work)
-        assert in_place.t == plan.t[k]          # the tracer reads the step's t off it
-        assert next_.x_bar is in_place.x_bar and next_.m is in_place.m
-        for a, b in zip((value_next.x_bar, value_next.m, value_next.v, *value_out),
-                        (next_.x_bar, next_.m, next_.v, *out)):
-            assert a.tobytes() == b.tobytes(), k
-        assert out[0] is not x_before           # two x_{t-1} buffers take turns
-        value, in_place, x_before = value_next, next_, out[0]
+def test_zero_second_moment_names_the_slice_where_the_slices_share_c():
+    # slices of different K with one config share a float c and zeta, and
+    # their rows differ in t: the error still names the slice whose v reached
+    # 0, by its index, c and zeta, not the first slice's t
+    gmm = GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[0.0])
+    full = linear_beta_schedule(20, 1e-3, 0.05)
+    cfg = SamplerConfig(method="adaptive", eta_mode=ETA_DETERMINISTIC, c=1.0, zeta=0.25)
+    plans = [StepPlan.build(sched, cfg, 1) for sched in (full, respace(full, 5))]
+    rows = plan_rows(plans, [EpsTerms(gmm, plan.alpha) for plan in plans], 0, 2)
+    assert type(rows[1].c) is float and type(rows[1].zeta) is float
+    assert rows[1].t == 19 and isinstance(rows[1].alpha, np.ndarray)
+    state = ChainState.init(np.ones((2, 3, 1)), rows[0])
+    work = StepWork((2, 3, 1), gmm)
+    state, *_ = _step_core(state, gmm, full, cfg, np.zeros((2, 3, 1)), rows[0], work)
+    assert np.all(state.v > 0.0)
+    # slice 1's chains now sit on the point mass, where a step with eta = 0 moves none
+    state.x_bar[1] = 0.0
+    with pytest.raises(SecondMomentError,
+                       match=r"at step 1 of stack slice 1 \(c=1\.0, zeta=0\.25\)"):
+        _step_core(state, gmm, full, cfg, np.zeros((2, 3, 1)), rows[1], work)
 
 
 def test_vanilla_step_leaves_momentum_untouched():
@@ -341,11 +334,13 @@ def test_vanilla_step_leaves_momentum_untouched():
     assert plan.plain.all()
     rows = rows_of(gmm, plan)
     state = ChainState.init(np.array([0.5]), rows[0])
+    m, v = state.m.copy(), state.v.copy()
     nxt, _, _, _ = _step_core(state, gmm, sched, cfg,
-                              np.random.default_rng(0).standard_normal(1), rows[0])
+                              np.random.default_rng(0).standard_normal(1), rows[0],
+                              StepWork((1,), gmm))
     assert nxt.t == 9
-    assert np.array_equal(nxt.m, state.m)
-    assert np.array_equal(nxt.v, state.v)
+    assert nxt.m.tobytes() == m.tobytes()
+    assert nxt.v.tobytes() == v.tobytes()
 
 
 def test_trajectory_recording_shapes():
@@ -394,5 +389,6 @@ def test_analytic_eps_drives_steps_consistently():
                             sigma(sched, t, t - 1, ETA_DDPM_UNIT))
     cfg = SamplerConfig.vanilla()
     row = rows_of(gmm, StepPlan.build(sched, cfg, 1))[0]
-    nxt, _, _, _ = _step_core(ChainState.init(x_t, row), gmm, sched, cfg, eps, row)
+    nxt, _, _, _ = _step_core(ChainState.init(x_t, row), gmm, sched, cfg, eps, row,
+                              StepWork((1,), gmm))
     assert np.allclose(math.sqrt(sched.alpha(29)) * nxt.x_bar, manual, atol=1e-12)
