@@ -319,21 +319,20 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig | tu
 
     stacks = [_stack(slices, n, seeds, schedules, configs, plans, terms)
               for n, slices in _group(plans, n_chains, D)]
-    # one noise buffer per worker, reused by its stacks: at most `workers` exist
+    workers = min(threads, os.cpu_count() or 1)   # map submits every stack at once
+    # one noise buffer per worker, reused by its stacks, made here before any
+    # runs: a pool thread's would stay in its own malloc arena once freed
     store_size = max((len(stack.seeds) * stack.n * stack.noise_rows for stack in stacks),
                      default=0) * D
-    stores = []
+    stores = [np.empty(store_size) for _ in range(min(workers, len(stacks)))]
 
     def work(stack):
+        store = stores.pop()            # atomic: no two stacks get one buffer
         try:
-            store = stores.pop()        # atomic: no two stacks get one buffer
-        except IndexError:              # every buffer is in use
-            store = np.empty(store_size)
-        counts = _run_block(model, stack, result, store)
-        stores.append(store)
-        return counts
+            return _run_block(model, stack, result, store)
+        finally:
+            stores.append(store)
 
-    workers = min(threads, os.cpu_count() or 1)   # map submits every stack at once
     if workers > 1 and len(stacks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(work, stacks))

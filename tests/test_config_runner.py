@@ -4,9 +4,13 @@ import csv
 import hashlib
 import itertools
 import json
+import os
+import subprocess
 import sys
+import threading
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from difflab.config import RunSpec, SpecError, SweepSpec
 from difflab.model import GaussianMixtureModel
 from difflab.runner import (_block_noise, _write_samples_csv, _write_trajectories_csv,
                             compute_metrics, execute_run, execute_sweep, run_chains)
-from difflab.samplers import SamplerConfig, StepPlan, Trajectory
+from difflab.samplers import SamplerConfig, SecondMomentError, StepPlan, Trajectory
 from difflab.schedule import linear_beta_schedule, respace
 
 from oracles import build_heatmap, trajectory_total_variation
@@ -166,6 +170,103 @@ def test_workers_never_share_a_noise_buffer(monkeypatch):
         sys.setswitchinterval(interval)
     assert np.array_equal(pooled, serial)
 
+
+
+@pytest.mark.parametrize("threads,n_chains,n_stacks,n_buffers",
+                         [(1, 3 * 2048 + 5, 4, 1), (2, 700, 1, 1), (2, 4 * 2048, 4, 2)],
+                         ids=["serial", "one-stack", "pool"])
+def test_noise_buffers_are_made_on_the_calling_thread(monkeypatch, threads, n_chains,
+                                                      n_stacks, n_buffers):
+    # one buffer per worker, made on run_chains' calling thread before any
+    # stack runs, and every stack draws into one of them
+    events, empty, block = [], np.empty, runner._run_block
+
+    def recorded_empty(*args, **kwargs):
+        array = empty(*args, **kwargs)
+        events.append(("empty", threading.get_ident(), array))
+        return array
+
+    def watched(model, stack, result, store):
+        events.append(("block", threading.get_ident(), store))
+        return block(model, stack, result, store)
+    monkeypatch.setattr(runner, "_run_block", watched)
+    monkeypatch.setattr(runner, "_STACK_FLOATS", 0)     # one block a stack
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+    gmm, sched, cfg = two_point(), linear_beta_schedule(3, 1e-3, 0.05), SamplerConfig.vanilla()
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", recorded_empty)
+        run_chains(gmm, sched, cfg, n_chains, seed=5, threads=threads)
+    first = next(i for i, (kind, _, _) in enumerate(events) if kind == "block")
+    stores = [store for kind, _, store in events if kind == "block"]
+    buffers = [store for i, store in enumerate(stores)
+               if not any(store is other for other in stores[:i])]
+    assert len(stores) == n_stacks and len(buffers) == n_buffers
+    made = [array for kind, thread, array in events[:first]
+            if kind == "empty" and thread == threading.get_ident()]
+    assert all(any(buffer is array for array in made) for buffer in buffers)
+
+
+def test_a_stack_that_raises_in_the_pool_surfaces_its_own_error(monkeypatch):
+    # four cells, a stack each, on a pool of two. On a mixture this wide an
+    # increment squares to 0 and adds nothing to x_bar, so no step moves a
+    # chain, and cell 2's v (c=1: the last squared increment) reaches 0. Its
+    # error surfaces, not one from the buffer list, and the next run gives
+    # the bytes of a fresh one.
+    monkeypatch.setattr(runner, "_STACK_FLOATS", 0)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+    gmm = GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[1e300])
+    sched = linear_beta_schedule(6, 1e-3, 0.05)
+    cfgs = [SamplerConfig(method="adaptive", eta_mode="deterministic", c=c, zeta=zeta)
+            for c, zeta in ((0.5, 1e-8), (0.0, 0.0), (1.0, 0.0), (0.5, 1e-8))]
+    seeds, good = (1, 2, 3, 4), (*cfgs[:2], cfgs[0], cfgs[3])
+
+    def run(configs):
+        return run_chains(gmm, (sched,) * 4, configs, 700, seeds, threads=2)
+    fresh = run(good)
+    with pytest.raises(SecondMomentError, match=r"\(c=1\.0, zeta=0\.0\)"):
+        run(tuple(cfgs))
+    for got, want in zip(run(good), fresh):
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.tv.tobytes() == want.tv.tobytes()
+
+
+_REPEATED_POOLED_RUNS = """
+import os, resource, sys
+import numpy as np
+from difflab.config import RunSpec
+from difflab.runner import execute_run
+os.cpu_count = lambda: 2    # a pool of two workers on any machine
+rng = np.random.default_rng([1, 16])
+spec = RunSpec.from_dict({
+    "model": {"weights": [0.125] * 8, "means": rng.normal(0.0, 1.5, (8, 16)).tolist(),
+              "variances": rng.uniform(0.05, 0.5, 8).tolist()},
+    "schedule": {"T": 1000, "beta_start": 1e-4, "beta_end": 0.02,
+                 "respace_k": 50, "respace_mode": "quadratic"},
+    "sampler": {"method": "vanilla", "eta_mode": "ddpm_unit"},
+    "n_chains": 8192, "seed": 1, "threads": 2,
+    "trajectories": False, "heatmap": None, "metrics": True})
+peaks = []
+for i in range(3):
+    execute_run(spec, os.path.join(sys.argv[1], f"run{i}"))
+    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+print(peaks[2] - peaks[0])
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_repeated_pooled_runs_hold_no_second_set_of_noise_buffers(tmp_path):
+    # three mix16d-shaped runs (8192 chains, D=16, K=50, a pool of two) in a
+    # fresh interpreter: from the first to the third, the peak RSS grows by
+    # less than one worker's noise buffer, 2048 chains x 50 rows x 16 floats.
+    # Buffers made on pool threads stayed in those threads' malloc arenas
+    # once freed, and later runs grew the main heap past them.
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", _REPEATED_POOLED_RUNS, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) * 1024 < 2048 * 50 * 16 * 8
 
 def test_run_chains_extension_stability():
     # adding chains never perturbs earlier ones
