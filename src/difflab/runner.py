@@ -11,7 +11,8 @@ block of chains, and slices of one chain count step as (S, n, D) stacks under
 a noise-store budget, in place, each slice on its own plan's rows: a kernel
 call covers the slices whose rows are of one kind (plain or momentum, noisy or
 not), a cell that has finished drops off the end of its stack, and each cell's
-chains get the bytes of its own run. File writes happen once, at the end.
+chains get the bytes of its own run. The calling thread makes a run's noise
+buffers, one per worker, before any stack runs. File writes happen once, at the end.
 """
 
 from __future__ import annotations
@@ -320,8 +321,8 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig | tu
     stacks = [_stack(slices, n, seeds, schedules, configs, plans, terms)
               for n, slices in _group(plans, n_chains, D)]
     workers = min(threads, os.cpu_count() or 1)   # map submits every stack at once
-    # one noise buffer per worker, reused by its stacks, made here before any
-    # runs: a pool thread's would stay in its own malloc arena once freed
+    # one noise buffer per worker, made here before any stack runs and reused by
+    # its stacks: a pool thread's malloc arena kept a buffer's pages once freed
     store_size = max((len(stack.seeds) * stack.n * stack.noise_rows for stack in stacks),
                      default=0) * D
     stores = [np.empty(store_size) for _ in range(min(workers, len(stacks)))]

@@ -171,7 +171,6 @@ def test_workers_never_share_a_noise_buffer(monkeypatch):
     assert np.array_equal(pooled, serial)
 
 
-
 @pytest.mark.parametrize("threads,n_chains,n_stacks,n_buffers",
                          [(1, 3 * 2048 + 5, 4, 1), (2, 700, 1, 1), (2, 4 * 2048, 4, 2)],
                          ids=["serial", "one-stack", "pool"])
@@ -267,6 +266,7 @@ def test_repeated_pooled_runs_hold_no_second_set_of_noise_buffers(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) * 1024 < 2048 * 50 * 16 * 8
+
 
 def test_run_chains_extension_stability():
     # adding chains never perturbs earlier ones
