@@ -1,8 +1,12 @@
 """Golden output digests: the cases test_golden.py pins, and how to rewrite the pins.
 
 Each case runs one `difflab` command through `difflab.cli.main` in a scratch
-directory and returns the sha256 of the files it wrote. Rewrite the pins only
-when a change is meant to move output bytes, and say so in CHANGES.md:
+directory and returns the sha256 of the files it wrote. The pins hold for
+numpy 2.4.6 with OpenBLAS built with DYNAMIC_ARCH, whose kernels round the
+predictor's sums, and for numpy's float64 `exp` loop, which the smooth 1-D W1's
+normal CDF uses (an AVX-512F path on the x86-64 machine the pins were taken on;
+another path may differ from it in the last bits). Rewrite the pins only when a
+change is meant to move output bytes, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/golden/regen.py
 """

@@ -5,7 +5,8 @@ The runner adds each step's total-variation increment and heatmap counts as it
 goes; these recompute both from the recorded trajectories after the fact, by a
 different route (one norm per recorded step; digitize + np.add.at binning), so
 the tests can compare the two bit for bit. The quantile reference bisects a
-fixed 200 times, with no early stop. The predictor's terms are written out
+fixed 200 times, with no early stop, on difflab's own normal CDF, which
+test_metrics holds to scipy's. The predictor's terms are written out
 at one scalar alpha, the way a call computed them before a run built them over
 a whole plan at once, and the predictor itself is written out in its
 general-D form: einsum and matmul for the squared distances at every D, and
@@ -18,9 +19,7 @@ posterior, sharing no code with the run's plans, rows, kernel or predictor.
 import math
 
 import numpy as np
-from scipy.special import ndtr
-
-from difflab.metrics import HeatmapGrid
+from difflab.metrics import HeatmapGrid, _ndtr
 from difflab.model import GaussianMixtureModel
 from difflab.samplers import Trajectory
 
@@ -91,7 +90,7 @@ def quantile_200_halvings(gmm: GaussianMixtureModel, u) -> np.ndarray:
 
     def cdf(x):
         terms = np.where(sigs > 0.0,
-                         ndtr((x[..., None] - mus) / np.where(sigs > 0.0, sigs, 1.0)),
+                         _ndtr((x[..., None] - mus) / np.where(sigs > 0.0, sigs, 1.0)),
                          (x[..., None] >= mus).astype(float))
         return terms @ gmm.weights
 

@@ -255,17 +255,19 @@ def test_non_finite_model_exits_2_before_running(spec_file, tmp_path, capsys, fi
     assert not (out / "samples.csv").exists()
 
 
-def _assert_run_loads_no(prefix: str, spec_path, out) -> None:
-    """In a fresh interpreter, neither importing the CLI nor running the spec
-    loads a module whose name starts with prefix."""
+def _assert_run_loads_no(module: str, *commands) -> None:
+    """In a fresh interpreter, neither importing the CLI nor running the
+    commands (argument lists for difflab.cli.main, one after another) loads
+    module or any submodule of it."""
     code = (
         "import sys\n"
         "import difflab.cli\n"
-        f"assert not [m for m in sys.modules if m.startswith({prefix!r})], 'on import'\n"
-        f"assert difflab.cli.main(['run', {str(spec_path)!r}, '--out-dir', "
-        f"{str(out)!r}]) == 0\n"
-        f"loaded = sorted(m for m in sys.modules if m.startswith({prefix!r}))\n"
-        "assert not loaded, loaded[:5]\n"
+        f"def loaded(): return sorted(m for m in sys.modules if m == {module!r} "
+        f"or m.startswith({module + '.'!r}))\n"
+        "assert not loaded(), ('on import', loaded()[:5])\n"
+        f"for args in {[[str(a) for a in c] for c in commands]!r}:\n"
+        "    assert difflab.cli.main(args) == 0, args\n"
+        "    assert not loaded(), (args[0], loaded()[:5])\n"
     )
     src = str(Path(difflab.__file__).resolve().parents[1])
     env = {**os.environ,
@@ -276,18 +278,23 @@ def _assert_run_loads_no(prefix: str, spec_path, out) -> None:
 
 
 def test_cli_import_and_point_mass_run_load_no_scipy(spec_file, tmp_path):
-    # scipy is imported lazily, only by the paths that need it
-    _assert_run_loads_no("scipy", spec_file, tmp_path / "out")
+    # scipy is a test dependency only: no difflab command imports it
+    _assert_run_loads_no("scipy", ["run", spec_file, "--out-dir", tmp_path / "out"])
 
 
-def test_smooth_1d_run_with_metrics_loads_no_scipy_stats(spec_file, tmp_path):
-    # the smooth-mixture W1 needs only scipy.special's normal CDF
+def test_smooth_1d_run_and_sweep_with_metrics_load_no_scipy(spec_file, tmp_path):
+    # the smooth-mixture W1 inverts the mixture CDF on difflab's own normal CDF
     spec = json.loads(spec_file.read_text())
     spec["model"]["variances"] = [0.25, 0.25]
-    path = tmp_path / "smooth.json"
-    path.write_text(json.dumps(spec))
-    _assert_run_loads_no("scipy.stats", path, tmp_path / "out")
-    assert json.loads((tmp_path / "out" / "metrics.json").read_text())["w1"] > 0.0
+    run = tmp_path / "smooth.json"
+    run.write_text(json.dumps(spec))
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"base": spec, "axis": "K", "values": [10, 30]}))
+    _assert_run_loads_no("scipy", ["run", run, "--out-dir", tmp_path / "run"],
+                         ["sweep", sweep, "--out-dir", tmp_path / "sweep"])
+    assert json.loads((tmp_path / "run" / "metrics.json").read_text())["w1"] > 0.0
+    with open(tmp_path / "sweep" / "sweep.csv", newline="") as fh:
+        assert all(float(row["w1"]) > 0.0 for row in csv.DictReader(fh))
 
 
 def _toy_fig4(**sampler):

@@ -1,9 +1,11 @@
 """Golden digests: full sha256 of the files a few fixed commands write.
 
 Any change to a pinned byte fails here, whichever layer moved it. The pins
-hold for numpy 2.4.6 with OpenBLAS built with DYNAMIC_ARCH: another numpy or
-BLAS may round the predictor's sums differently. tests/golden/regen.py holds
-the cases and rewrites tests/golden/pins.json.
+hold for numpy 2.4.6 with OpenBLAS built with DYNAMIC_ARCH and for the float64
+`exp` loop numpy picks on the machine: another numpy or BLAS may round the
+predictor's sums differently, and another `exp` path the smooth 1-D W1.
+tests/golden/regen.py holds the cases, states the pins' scope and rewrites
+tests/golden/pins.json.
 """
 
 import importlib.util

@@ -2,13 +2,17 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scipy.special import ndtr
 from scipy.stats import wasserstein_distance
 
-from difflab.metrics import (HeatmapGrid, bin_trajectory_points, heatmap_grid,
+from difflab.metrics import (HeatmapGrid, _ndtr, bin_trajectory_points, heatmap_grid,
                              mixture_quantile, mode_statistics, sliced_w1, wasserstein1_1d)
 from difflab.model import GaussianMixtureModel
 from difflab.samplers import Trajectory
@@ -73,6 +77,54 @@ def test_mixture_quantile_refuses_levels_outside_the_open_unit_interval(level):
                                variances=[0.25, 0.25])
     with pytest.raises(ValueError, match="strictly inside"):
         mixture_quantile(gmm, [0.3, level])
+
+
+def _assert_ndtr_matches_scipy(a):
+    """_ndtr against scipy's ndtr: bit for bit where |a| < sqrt(2), which takes
+    no exp, and where numpy's exp(-z^2) equals libm's, z = max(|a / sqrt(2)|, 1);
+    within 3 ulp elsewhere. Exact bits catch a mistyped coefficient that moves
+    the result by less than the ulp bound."""
+    a = np.asarray(a, dtype=float)
+    got, want = _ndtr(a), ndtr(a)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    z = np.maximum(np.abs(a * math.sqrt(0.5)), 1.0)
+    with np.errstate(over="ignore"):
+        w = z * z
+    libm = np.array([math.exp(-v) for v in w.tolist()])
+    exact = (np.abs(a) < math.sqrt(2.0)) | (np.exp(-w) == libm)
+    # the CDF is >= 0, where a float's bits order like an integer's
+    ulps = np.abs(np.abs(got).view(np.int64) - np.abs(want).view(np.int64))[~nan]
+    assert ulps[exact[~nan]].max(initial=0) == 0, a[~nan][exact[~nan] & (ulps > 0)]
+    assert ulps.max(initial=0) <= 3, a[~nan][ulps > 3]
+
+
+# the branch edges: erf below |a| = sqrt(2), erfc's P/Q below 8 sqrt(2) and
+# R/S above, and 0 past sqrt(2 MAXLOG) = 37.677...
+_NDTR_EDGES = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.68,
+                        math.sqrt(2.0 * 709.782712893384)])
+
+
+def test_ndtr_matches_scipy_on_branch_edges_non_finite_inputs_and_a_dense_sample():
+    edges = np.concatenate([np.nextafter(_NDTR_EDGES, 0.0), _NDTR_EDGES,
+                            np.nextafter(_NDTR_EDGES, np.inf)])
+    # a coefficient's last digits move few results: 0.4% of the dense sample
+    # for an ulp-sized slip in U's second coefficient
+    rng = np.random.default_rng(2308)
+    dense = np.concatenate([rng.uniform(-40.0, 40.0, 100_000), rng.uniform(-1.5, 1.5, 100_000)])
+    a = np.concatenate([edges, -edges, dense, [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # the branches a value skips stay silent
+        _assert_ndtr_matches_scipy(a)
+        assert _ndtr(a[-5:-1]).tolist() == [0.5, 0.5, 1.0, 0.0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.floats(-40.0, 40.0),
+                          st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=64))
+def test_ndtr_matches_scipy_on_finite_floats(values):
+    _assert_ndtr_matches_scipy(values)
 
 
 def test_empty_samples_rejected():
