@@ -123,7 +123,7 @@ class EpsRow(NamedTuple):
     two_sa: float
     sa2_mu_sq: np.ndarray       # (K, 1), broadcasting over the points; (S, K, 1)
     log_norm: np.ndarray        # (K, 1); (S, K, 1)
-    s2: np.ndarray              # (K, 1); (S, K, 1)
+    two_s2: np.ndarray          # 2 s2_k, (K, 1); (S, K, 1)
     gain: np.ndarray            # (1, K) g_k; (S, 1, K)
     gain_mu: np.ndarray         # (K, D); (S, K, D)
     sqrt_1ma: float             # sqrt(1 - alpha); (S, 1, 1)
@@ -147,7 +147,7 @@ class EpsTerms:
         # (R, K, 1) columns: a row's is (K, 1), broadcasting over the points
         self.sa2_mu_sq = ((sa * sa) * gmm.mean_sq_norms)[:, :, None]
         self.log_norm = _log_norm(gmm, s2)[:, :, None]
-        self.s2 = s2[:, :, None]
+        self.two_s2 = (2.0 * s2)[:, :, None]
         self.gain = (sa * gmm.variances / s2)[:, None, :]          # (R, 1, K) g_k
         self.gain_mu = (1.0 - sa * self.gain[:, 0])[:, :, None] * gmm.means   # (R, K, D)
         self.sqrt_1ma = np.sqrt(1.0 - alphas)
@@ -207,7 +207,7 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
         _check_alpha(alpha, "analytic_eps")
         x = np.asarray(x, dtype=float)
         work, row = EpsWork(gmm, x.size // gmm.D), EpsTerms(gmm, [alpha]).row(0)
-    sa, two_sa, sa2_mu_sq, log_norm, s2, gain, gain_mu, sqrt_1ma = row
+    sa, two_sa, sa2_mu_sq, log_norm, two_s2, gain, gain_mu, sqrt_1ma = row
     x0_hat, eps_hat = work.x0_hat, work.eps_hat
     shape = x0_hat.shape                                            # (..., n, D)
     xf = x if x.shape == shape else x.reshape(shape)
@@ -224,9 +224,9 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     np.multiply(two_sa, kn, out=kn)
     np.subtract(work.n_col, kn, out=kn)
     np.add(kn, sa2_mu_sq, out=kn)                                   # (..., K, n)
-    # log_p as _log_joint has it
-    np.multiply(0.5, kn, out=kn)
-    np.divide(kn, s2, out=kn)
+    # log_p as _log_joint has it: 0.5 sq / s2 and sq / (2 s2) are one correctly
+    # rounded quotient wherever halving sq is exact (sq = 0 or |sq| >= 2**-1021)
+    np.divide(kn, two_s2, out=kn)
     np.subtract(log_norm, kn, out=kn)
     # responsibilities: softmax with max subtraction, stable at small alpha;
     # the ufunc reductions are np.max and np.sum without their wrappers

@@ -244,8 +244,6 @@ def _run_block(model: GaussianMixtureModel, stack: _Stack, result: RunResult,
                   work.slices(s0, s1)] for s0, s1, schedule, config, rows in calls]
         xs = [buf[:active] for buf in work.x_next]
         tv, norm = tv_all[:active], norm_all[:active]
-        if D == 1:      # a sum of one square is the square: no reduce over D
-            tv = tv[..., None]
         for k in range(k0, k1):
             for call in parts:
                 call_state, schedule, config, rows, eps, call_work = call
@@ -254,13 +252,16 @@ def _run_block(model: GaussianMixtureModel, stack: _Stack, result: RunResult,
                     zero if eps is None else eps[..., k + 1, :], rows[k - k0], call_work)
             x_next = xs[k % 2]
             if k:
-                # np.linalg.norm(x_next - prev_x, axis=-1), op for op, written over
-                # prev_x: the next step writes its x_{t-1} there anyway
+                # np.linalg.norm(x_next - prev_x, axis=-1), written over prev_x: the
+                # next step writes its x_{t-1} there anyway. Op for op at D > 1; at
+                # D = 1, |diff|, which is sqrt(diff * diff) wherever diff * diff is
+                # a normal float (|diff| >= 2**-511, or diff = 0)
                 diff = np.subtract(x_next, xs[1 - k % 2], out=xs[1 - k % 2])
-                sq = np.multiply(diff, diff, out=diff)
-                if D > 1:
-                    sq = np.add.reduce(sq, axis=-1, out=norm)
-                tv += np.sqrt(sq, out=sq)
+                if D == 1:
+                    tv += np.abs(diff[..., 0], out=norm)
+                else:
+                    sq = np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1, out=norm)
+                    tv += np.sqrt(sq, out=sq)
             for s, lo, m in recorded:   # a run of one cell, one call per step
                 record.xs[lo:lo + m, k] = x_next[s, :m]
                 record.x0_hats[lo:lo + m, k] = x0_hat[s, :m]

@@ -16,7 +16,8 @@ plan's row: a row holds a coefficient once, as a per-slice column only where
 the slices' values differ. A stack's state arrays and one ``StepWork`` are its
 one buffer set. A step pays for numpy calls more than for arithmetic at the
 benchmark's sizes, so the kernel adds no noise term on a noiseless row (every
-deterministic row and the last row of any plan).
+deterministic row and the last row of any plan), and at D = 1 a momentum row
+takes |d x_bar|^2 as one product, with no sum over D and no division by v_div.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ class StepPlan:
     b: np.ndarray
     c: np.ndarray                # second-moment weight, SamplerConfig.c
     zeta: np.ndarray             # SamplerConfig.zeta
-    v_div: np.ndarray            # D for v_norm "mean_sq", 1 for "raw_l2sq"
+    v_div: np.ndarray            # D for v_norm "mean_sq", 1 for "raw_l2sq": 1 at D = 1
     plain: np.ndarray            # bool: every row for vanilla, the last row always
 
     @property
@@ -376,8 +377,12 @@ def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
     if plain:
         np.add(x_bar, dxb, out=x_bar)
     else:
-        sq = np.add.reduce(np.multiply(dxb, dxb, out=tmp), axis=-1, out=work.sq)
-        np.divide(sq, v_div, out=sq)
+        sq = work.sq
+        if dxb.shape[-1] == 1:  # |d x_bar|^2 is one square, and v_div is 1 at D = 1
+            np.multiply(dxb[..., 0], dxb[..., 0], out=sq)
+        else:
+            np.add.reduce(np.multiply(dxb, dxb, out=tmp), axis=-1, out=sq)
+            np.divide(sq, v_div, out=sq)
         np.add(np.multiply(1.0 - c, v, out=v), np.multiply(c, sq, out=sq), out=v)
         if not np.minimum.reduce(v, axis=None, initial=np.inf) > 0.0:    # NaN too
             raise _v_error(row, v)

@@ -1,7 +1,12 @@
 """Golden output digests: the cases test_golden.py pins, and how to rewrite the pins.
 
 Each case runs one `difflab` command through `difflab.cli.main` in a scratch
-directory and returns the sha256 of the files it wrote. The pins hold for
+directory and returns the sha256 of the files it wrote. A run's manifest is
+pinned apart from them, under MANIFEST, without its `version`, so that a
+release moves no pin but a change to how a spec is written does. For each
+pinned `samples.csv`, the first REFERENCE_ROWS rows are kept beside the pins
+(reference_path), so that a mismatch can say by how much the samples moved,
+not only that their hash did. The pins hold for
 numpy 2.4.6 with OpenBLAS built with DYNAMIC_ARCH, whose kernels round the
 predictor's sums, and for numpy's float64 `exp` loop, which the smooth 1-D W1's
 normal CDF uses (an AVX-512F path on the x86-64 machine the pins were taken on;
@@ -9,6 +14,8 @@ another path may differ from it in the last bits). Rewrite the pins only when a
 change is meant to move output bytes, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/golden/regen.py
+
+It rewrites the kept rows too.
 """
 
 from __future__ import annotations
@@ -20,16 +27,35 @@ import json
 import sys
 import tempfile
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 PINS = Path(__file__).resolve().with_name("pins.json")
+MANIFEST = "manifest.json without version"
+REFERENCE_ROWS = 256
+
+
+def reference_path(digest: str) -> Path:
+    """Where the first rows of the samples.csv whose sha256 is digest are kept."""
+    return PINS.with_name(f"samples-{digest[:16]}.csv")
 
 
 def _digests(out: Path, skip=()) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir()) if p.is_file() and p.name not in skip}
+
+
+def _run_digests(out: Path) -> dict[str, str]:
+    """A run's digests: every file's but the manifest's, and under MANIFEST
+    the manifest's with its version taken out, written as write_json writes it."""
+    digests = _digests(out, skip=("manifest.json",))
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["version"]
+    digests[MANIFEST] = hashlib.sha256((json.dumps(manifest, indent=2) + "\n").encode()
+                                       ).hexdigest()
+    return digests
 
 
 def _cli(*args) -> None:
@@ -142,9 +168,9 @@ def _sweep_b_two_blocks_spec() -> dict:
 
 
 def toy_fig4(work: Path) -> dict[str, str]:
-    """The bundled toy_fig4 spec at seed 0 with 300 chains; every file but the manifest."""
+    """The bundled toy_fig4 spec at seed 0 with 300 chains."""
     _cli("run", "toy_fig4", "--seed", 0, "--chains", 300, "--out-dir", work / "out")
-    return _digests(work / "out", skip=("manifest.json",))
+    return _run_digests(work / "out")
 
 
 def _toy_fig4_blocks(threads: int):
@@ -153,10 +179,9 @@ def _toy_fig4_blocks(threads: int):
                           .read_text())
         spec.update(n_chains=4396, trajectory_chains=2100, threads=threads)
         _cli("run", _write_spec(work / "spec.json", spec), "--out-dir", work / "out")
-        return _digests(work / "out", skip=("manifest.json",))
+        return _run_digests(work / "out")
     case.__doc__ = (f"The bundled toy_fig4 spec at 4396 chains (two full blocks and a "
-                    f"partial one), recording 2100, at threads={threads}; every file "
-                    f"but the manifest.")
+                    f"partial one), recording 2100, at threads={threads}.")
     return case
 
 
@@ -164,8 +189,8 @@ def _mix16d(threads: int):
     def case(work: Path) -> dict[str, str]:
         spec = _write_spec(work / "spec.json", _mix16d_spec())
         _cli("run", spec, "--threads", threads, "--out-dir", work / "out")
-        return _digests(work / "out", skip=("manifest.json",))
-    case.__doc__ = f"A mix16d-like run at threads={threads}; every file but the manifest."
+        return _run_digests(work / "out")
+    case.__doc__ = f"A mix16d-like run at threads={threads}."
     return case
 
 
@@ -209,12 +234,20 @@ CASES = {
 
 
 def main() -> int:
-    pins = {}
+    pins, kept = {}, set()
     for name, case in CASES.items():
         with tempfile.TemporaryDirectory() as work:
             pins[name] = case(Path(work))
+            if "samples.csv" in pins[name]:
+                path = reference_path(pins[name]["samples.csv"])
+                with open(Path(work) / "out" / "samples.csv", newline="") as fh:
+                    path.write_text("".join(islice(fh, 1 + REFERENCE_ROWS)), newline="")
+                kept.add(path)
+    for path in set(PINS.parent.glob(reference_path("*").name)) - kept:
+        path.unlink()
     PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {sum(map(len, pins.values()))} digests of {len(pins)} cases to {PINS}")
+    print(f"wrote {sum(map(len, pins.values()))} digests of {len(pins)} cases to {PINS}, "
+          f"and the first rows of {len(kept)} samples.csv beside it")
     return 0
 
 

@@ -33,14 +33,16 @@ def eps_terms_at(gmm: GaussianMixtureModel, alpha: float) -> dict:
     gain = sa * gmm.variances / s2
     return {"sa": sa, "two_sa": 2.0 * sa, "sa2_mu_sq": (sa * sa) * gmm.mean_sq_norms,
             "log_norm": gmm.log_weights - 0.5 * gmm.D * (np.log(s2) + _LOG_2PI),
-            "s2": s2, "gain": gain, "gain_mu": (1.0 - sa * gain)[:, None] * gmm.means,
+            "two_s2": 2.0 * s2, "gain": gain, "gain_mu": (1.0 - sa * gain)[:, None] * gmm.means,
             "sqrt_1ma": np.sqrt(1.0 - alpha)}
 
 
 def analytic_eps_general(gmm: GaussianMixtureModel, x, alpha: float) -> tuple:
     """(eps_hat, x0_hat) of model.analytic_eps at one alpha, by the einsum,
-    matmul, np.max and np.sum route at every D, operation for operation."""
+    matmul, np.max and np.sum route at every D, operation for operation, but
+    for the log joint's 0.5 sq / s2, which it halves and divides unfused."""
     t = eps_terms_at(gmm, alpha)
+    s2 = alpha * gmm.variances + (1.0 - alpha)
     x = np.asarray(x, dtype=float)
     xf = x.reshape(-1, gmm.D)
     nb, kn = np.empty(xf.shape[0]), np.empty((gmm.n_components, xf.shape[0]))
@@ -50,7 +52,7 @@ def analytic_eps_general(gmm: GaussianMixtureModel, x, alpha: float) -> tuple:
     np.subtract(nb, kn, out=kn)
     np.add(kn, t["sa2_mu_sq"][:, None], out=kn)
     np.multiply(0.5, kn, out=kn)
-    np.divide(kn, t["s2"][:, None], out=kn)
+    np.divide(kn, s2[:, None], out=kn)
     np.subtract(t["log_norm"][:, None], kn, out=kn)
     np.subtract(kn, np.max(kn, axis=0, out=nb), out=kn)
     np.exp(kn, out=kn)

@@ -62,8 +62,9 @@ def configs(draw, eta_modes=ETA_MODES):
 
 
 @st.composite
-def mixtures(draw):
-    D = draw(st.integers(1, 2))
+def mixtures(draw, D=None):
+    """A mixture of 1-3 components in D dimensions, 1 or 2 unless given."""
+    D = draw(st.integers(1, 2)) if D is None else D
     k = draw(st.integers(1, 3))
     w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
     w /= w.sum()
@@ -439,6 +440,10 @@ def test_run_chains_matches_the_reference_sampler(layout, method, eta, gmm, sche
     config = SamplerConfig(method=method, eta_mode=eta, b=b, b_schedule=b_schedule,
                            a_rule=a_rule, c=c)
     assume(_fitting(sched, config))
+    _assert_matches_the_reference_sampler(gmm, sched, config, layout, seed, n_rec)
+
+
+def _assert_matches_the_reference_sampler(gmm, sched, config, layout, seed, n_rec):
     rows = runner._noise_rows(StepPlan.build(sched, config, gmm.D))
     budget = {"one_per_stack": 0, "two_per_stack": 2 * 4 * rows * gmm.D, "one_stack": 1 << 20}
     with mock.patch.multiple(runner, _BLOCK=4, _STACK_FLOATS=budget[layout]):
@@ -449,6 +454,25 @@ def test_run_chains_matches_the_reference_sampler(layout, method, eta, gmm, sche
                             ("x0_hats", res.trajectories.x0_hats, x0_hats[:n_rec])):
         assert got.shape == want.shape, name
         assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(np.abs(want), 1.0)), name
+
+
+@pytest.mark.parametrize("method, v_norm", [("vanilla", "mean_sq"), ("adaptive", "mean_sq"),
+                                            ("adaptive", "raw_l2sq")])
+@settings(_FEW, max_examples=8)
+@given(mixtures(D=16), schedules(max_T=20, flat=True), st.sampled_from(ETA_MODES),
+       st.floats(0.0, 1.0), st.sampled_from(("constant", "linear_ramp")),
+       st.sampled_from(("spherical", "affine")), st.floats(1e-3, 0.5),
+       st.sampled_from(("one_per_stack", "two_per_stack", "one_stack")),
+       st.integers(0, 2**32), st.integers(5, 13))
+def test_run_chains_matches_the_reference_sampler_at_d16(method, v_norm, gmm, sched, eta, b,
+                                                         b_schedule, a_rule, c, layout, seed,
+                                                         n_rec):
+    # the kernel's D > 1 paths, |d x_bar|^2 summed over D and divided by
+    # v_div, against the same reference at D = 16
+    config = SamplerConfig(method=method, eta_mode=eta, b=b, b_schedule=b_schedule,
+                           a_rule=a_rule, c=c, v_norm=v_norm)
+    assume(_fitting(sched, config))
+    _assert_matches_the_reference_sampler(gmm, sched, config, layout, seed, n_rec)
 
 
 @settings(_FEW, max_examples=60)
