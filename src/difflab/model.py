@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "GaussianMixtureModel",
-    "EpsRow",
     "EpsTerms",
     "EpsWork",
     "NoisePrediction",
@@ -114,27 +113,16 @@ def _check_alpha(alpha, what: str, clean: bool = False) -> None:
         raise ValueError(f"{what} needs 0 < alpha {'<=' if clean else '<'} 1, not {alpha!r}")
 
 
-class EpsRow(NamedTuple):
-    """``analytic_eps``'s alpha-only terms at one signal level, or in a stack
-    a per-slice column of each term its slices differ on: what a call reads
-    instead of computing them."""
-
-    sa: float                   # sqrt(alpha); a stack's (S, 1, 1) column
-    two_sa: float
-    sa2_mu_sq: np.ndarray       # (K, 1), broadcasting over the points; (S, K, 1)
-    log_norm: np.ndarray        # (K, 1); (S, K, 1)
-    two_s2: np.ndarray          # 2 s2_k, (K, 1); (S, K, 1)
-    gain: np.ndarray            # (1, K) g_k; (S, 1, K)
-    gain_mu: np.ndarray         # (K, D); (S, K, D)
-    sqrt_1ma: float             # sqrt(1 - alpha); (S, 1, 1)
-
-
 class EpsTerms:
     """``analytic_eps``'s alpha-only terms at each of alphas (each 0 < alpha < 1),
     one row per alpha: everything a call computes before it looks at x. One
     vectorized pass builds them, so a run builds them once per plan row, not
     once per call; each term is the same operations on the same operands as
-    at one alpha. Each attribute is one of ``EpsRow``'s fields over the rows."""
+    at one alpha. Each of ``names`` is an attribute over the rows, which a
+    call at row i reads at [i]; a stack's ``StepRows`` holds the same names,
+    where a row of a term its slices differ on is a per-slice column."""
+
+    names = ("sa", "two_sa", "sa2_mu_sq", "log_norm", "two_s2", "gain", "gain_mu", "sqrt_1ma")
 
     def __init__(self, gmm: GaussianMixtureModel, alphas):
         alphas = np.asarray(alphas, dtype=float).reshape(-1)
@@ -142,19 +130,16 @@ class EpsTerms:
         if bad.size:
             _check_alpha(float(bad[0]), "analytic_eps")
         sa, s2 = _marginal_params(gmm, alphas[:, None])          # (R, 1), (R, K)
-        self.sa = sa[:, 0]                                        # sqrt(alpha)
+        # a row of a stack's per-slice column has the shape given after the ";"
+        self.sa = sa[:, 0]                                        # sqrt(alpha); (S, 1, 1)
         self.two_sa = 2.0 * self.sa
-        # (R, K, 1) columns: a row's is (K, 1), broadcasting over the points
+        # (R, K, 1): a row's (K, 1) broadcasts over the points; (S, K, 1)
         self.sa2_mu_sq = ((sa * sa) * gmm.mean_sq_norms)[:, :, None]
         self.log_norm = _log_norm(gmm, s2)[:, :, None]
-        self.two_s2 = (2.0 * s2)[:, :, None]
-        self.gain = (sa * gmm.variances / s2)[:, None, :]          # (R, 1, K) g_k
+        self.two_s2 = (2.0 * s2)[:, :, None]                      # 2 s2_k
+        self.gain = (sa * gmm.variances / s2)[:, None, :]          # (R, 1, K) g_k; (S, 1, K)
         self.gain_mu = (1.0 - sa * self.gain[:, 0])[:, :, None] * gmm.means   # (R, K, D)
-        self.sqrt_1ma = np.sqrt(1.0 - alphas)
-
-    def row(self, i: int) -> EpsRow:
-        """The terms at alphas[i]."""
-        return EpsRow._make(getattr(self, name)[i] for name in EpsRow._fields)
+        self.sqrt_1ma = np.sqrt(1.0 - alphas)                     # sqrt(1 - alpha); (S, 1, 1)
 
 
 class EpsWork:
@@ -186,7 +171,8 @@ class EpsWork:
 
 
 def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
-                 work: EpsWork | None = None, row: EpsRow | None = None) -> NoisePrediction:
+                 work: EpsWork | None = None, terms: EpsTerms | None = None,
+                 i: int = 0) -> NoisePrediction:
     """Bayes-optimal noise prediction for the noised mixture marginal at
     cumulative signal level alpha (0 < alpha < 1).
 
@@ -196,18 +182,18 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     x0_hat = sum_k r_k ((1 - sqrt(alpha) g_k) mu_k + g_k x); point masses are
     the g_k = 0 case.
 
-    With work, row holds the terms at alpha (alpha itself is unused) and x
-    holds work's points, (n, D) or a stack (S, n, D): the call writes into
-    work's arrays, allocating none. A stack's row may hold per-slice columns,
-    so that each slice has its own alpha. Every (n, D) slice gets the bytes it
-    would get alone: the products are stacked matmuls, which run BLAS on each
-    slice, and the reductions run over the component axis.
+    With work, row i of terms holds the terms at alpha (alpha itself is
+    unused) and x holds work's points, (n, D) or a stack (S, n, D): the call
+    writes into work's arrays, allocating none. terms is an ``EpsTerms`` or a
+    stack's ``StepRows``, whose row may hold per-slice columns, so that each
+    slice has its own alpha. Every (n, D) slice gets the bytes it would get
+    alone: the products are stacked matmuls, which run BLAS on each slice, and
+    the reductions run over the component axis.
     """
     if work is None:
         _check_alpha(alpha, "analytic_eps")
         x = np.asarray(x, dtype=float)
-        work, row = EpsWork(gmm, x.size // gmm.D), EpsTerms(gmm, [alpha]).row(0)
-    sa, two_sa, sa2_mu_sq, log_norm, two_s2, gain, gain_mu, sqrt_1ma = row
+        work, terms, i = EpsWork(gmm, x.size // gmm.D), EpsTerms(gmm, [alpha]), 0
     x0_hat, eps_hat = work.x0_hat, work.eps_hat
     shape = x0_hat.shape                                            # (..., n, D)
     xf = x if x.shape == shape else x.reshape(shape)
@@ -221,13 +207,13 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     else:
         np.einsum("...d,...d->...", xf, xf, out=nb)
         np.matmul(gmm.means, xf.mT, out=kn)
-    np.multiply(two_sa, kn, out=kn)
+    np.multiply(terms.two_sa[i], kn, out=kn)
     np.subtract(work.n_col, kn, out=kn)
-    np.add(kn, sa2_mu_sq, out=kn)                                   # (..., K, n)
+    np.add(kn, terms.sa2_mu_sq[i], out=kn)                          # (..., K, n)
     # log_p as _log_joint has it: 0.5 sq / s2 and sq / (2 s2) are one correctly
     # rounded quotient wherever halving sq is exact (sq = 0 or |sq| >= 2**-1021)
-    np.divide(kn, two_s2, out=kn)
-    np.subtract(log_norm, kn, out=kn)
+    np.divide(kn, terms.two_s2[i], out=kn)
+    np.subtract(terms.log_norm[i], kn, out=kn)
     # responsibilities: softmax with max subtraction, stable at small alpha;
     # the ufunc reductions are np.max and np.sum without their wrappers
     np.maximum.reduce(kn, axis=-2, out=nb)
@@ -235,12 +221,12 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     np.exp(kn, out=kn)
     np.add.reduce(kn, axis=-2, out=nb)
     np.divide(kn, work.n_col, out=kn)
-    np.matmul(kn.mT, gain_mu, out=x0_hat)
-    np.matmul(gain, kn, out=work.n_col)                             # gain @ r
+    np.matmul(kn.mT, terms.gain_mu[i], out=x0_hat)
+    np.matmul(terms.gain[i], kn, out=work.n_col)                    # gain @ r
     np.add(x0_hat, np.multiply(work.n_row, xf, out=eps_hat), out=x0_hat)
-    np.multiply(sa, x0_hat, out=eps_hat)
+    np.multiply(terms.sa[i], x0_hat, out=eps_hat)
     np.subtract(xf, eps_hat, out=eps_hat)
-    np.divide(eps_hat, sqrt_1ma, out=eps_hat)
+    np.divide(eps_hat, terms.sqrt_1ma[i], out=eps_hat)
     if x.shape != shape:
         return NoisePrediction(eps_hat.reshape(x.shape), x0_hat.reshape(x.shape))
     return NoisePrediction(eps_hat, x0_hat)

@@ -29,7 +29,7 @@ from .files import FLOAT, fresh_out_dir, write_csv, write_json
 from .metrics import (HeatmapGrid, bin_trajectory_points, heatmap_grid,
                       mode_statistics, sliced_w1, w1_quantiles, wasserstein1_1d)
 from .model import EpsTerms, GaussianMixtureModel, sample_marginal
-from .samplers import (ChainState, SamplerConfig, StepPlan, StepRow, StepWork, Trajectory,
+from .samplers import (ChainState, SamplerConfig, StepPlan, StepRows, StepWork, Trajectory,
                        _step_core, plan_rows)
 
 __all__ = ["RunResult", "run_chains", "execute_run", "execute_sweep"]
@@ -150,7 +150,7 @@ class _Stack:
     n: int
     seeds: tuple
     plans: tuple
-    first: StepRow          # every slice's first row: the chains' x_bar and t
+    first: StepRows         # every slice's first row: the chains' x_bar and t
     noise_rows: int         # the most noise rows a slice uses
     segments: list
 
@@ -176,7 +176,7 @@ def _stack(slices, n, seeds, schedules, configs, plans, terms) -> _Stack:
             (s0, s1, schedules[s0], configs[s0], plan_rows(plans[s0:s1], terms[s0:s1], k0, k1))
             for s0, s1 in zip(starts, starts[1:] + [active])]))
     return _Stack(cells=cells, los=los, n=n, seeds=seeds, plans=plans,
-                  first=plan_rows(plans, terms, 0, 1)[0], noise_rows=max(map(_noise_rows, plans)),
+                  first=plan_rows(plans, terms, 0, 1), noise_rows=max(map(_noise_rows, plans)),
                   segments=segments)
 
 
@@ -239,8 +239,8 @@ def _run_block(model: GaussianMixtureModel, stack: _Stack, result: RunResult,
 
     for k0, k1, active, calls in stack.segments:
         # per call: [its slices' state, schedule, config, rows, noise, work]
-        parts = [[ChainState(rows[0].t, state.x_bar[s0:s1], state.m[s0:s1], state.v[s0:s1]),
-                  schedule, config, rows, noise[s0:s1] if rows[0].noisy else None,
+        parts = [[ChainState(rows.t[0], state.x_bar[s0:s1], state.m[s0:s1], state.v[s0:s1]),
+                  schedule, config, rows, noise[s0:s1] if rows.noisy[0] else None,
                   work.slices(s0, s1)] for s0, s1, schedule, config, rows in calls]
         xs = [buf[:active] for buf in work.x_next]
         tv, norm = tv_all[:active], norm_all[:active]
@@ -249,7 +249,7 @@ def _run_block(model: GaussianMixtureModel, stack: _Stack, result: RunResult,
                 call_state, schedule, config, rows, eps, call_work = call
                 call[0], _, x0_hat, _ = _step_core(
                     call_state, model, schedule, config,
-                    zero if eps is None else eps[..., k + 1, :], rows[k - k0], call_work)
+                    zero if eps is None else eps[..., k + 1, :], rows, k - k0, call_work)
             x_next = xs[k % 2]
             if k:
                 # np.linalg.norm(x_next - prev_x, axis=-1), written over prev_x: the

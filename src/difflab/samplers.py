@@ -3,12 +3,12 @@ adaptive-momentum variants operating in the rescaled space x_bar = x / sqrt(alph
 
 A ``StepPlan`` holds every per-transition coefficient of one (schedule,
 SamplerConfig) pair at one data dimension, and ``plan_rows`` turns plans into
-a table of ``StepRow`` tuples: one per step, holding every coefficient
-``_step_core`` and the predictor read. The plan owns the per-transition policy:
-momentum and second-moment scaling apply on every transition except the last,
-and the final step (t_prev == 0) is the plain generalized step with sigma = 0
-for every method, so with alpha(0) = 1 each chain ends on its last predicted
-clean sample.
+one column table, ``StepRows``, of every coefficient ``_step_core`` and the
+predictor read, which both index by row. The plan owns the per-transition
+policy: momentum and second-moment scaling apply on every transition except the
+last, and the final step (t_prev == 0) is the plain generalized step with
+sigma = 0 for every method, so with alpha(0) = 1 each chain ends on its last
+predicted clean sample.
 
 All step math broadcasts over leading batch dimensions. The run loop steps each
 stack of S slices of n chains in place, as (S, n, D), each slice on its own
@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import EpsRow, EpsWork, GaussianMixtureModel, analytic_eps
+from .model import EpsTerms, EpsWork, GaussianMixtureModel, analytic_eps
 
 __all__ = [
     "SecondMomentError",
@@ -37,7 +37,6 @@ __all__ = [
     "ETA_DDPM_HAT",
     "SamplerConfig",
     "StepPlan",
-    "StepRow",
     "plan_rows",
     "ChainState",
     "StepWork",
@@ -212,35 +211,6 @@ class StepPlan:
                    v_div=full(D if config.v_norm == "mean_sq" else 1), plain=plain)
 
 
-class StepRow(NamedTuple):
-    """Every coefficient of one step of a stack, each slice at its own plan's
-    row k, and the predictor's terms.
-
-    A coefficient on which every slice agrees is one value: a Python float, or
-    the terms' row array. One on which they differ is a per-slice column,
-    (S, 1, 1) against the (S, n, D) chains, or (S, 1) for c, zeta and v_div
-    against the (S, n) second moments. k, t, t_prev, plain and noisy are the
-    first slice's: a row serves only slices of one kind.
-    """
-
-    k: int
-    t: int
-    t_prev: int
-    plain: bool
-    noisy: bool                  # noise != 0
-    alpha: float
-    sqrt_alpha: float
-    sqrt_alpha_prev: float
-    mu: float
-    noise: float
-    a: float
-    b: float
-    c: float
-    zeta: float
-    v_div: float
-    eps: EpsRow
-
-
 # StepPlan's arrays in a row, each with the trailing axes of its per-slice column
 _COEFFS = (("alpha", 2), ("sqrt_alpha", 2), ("sqrt_alpha_prev", 2), ("mu", 2), ("noise", 2),
            ("a", 2), ("b", 2), ("c", 1), ("zeta", 1), ("v_div", 1))
@@ -261,28 +231,26 @@ def _column(arrays, k0: int, k1: int, axes: int = 2):
 
 
 class StepRows:
-    """``plan_rows``: rows k0..k1-1 of a stack, indexed from 0. It holds each
-    coefficient once over the rows, as ``_column`` gives it, and makes a
-    ``StepRow`` when a row is read, so a long run of steps holds no object
-    per step."""
+    """``plan_rows``: rows k0..k1-1 of a stack, indexed from 0, as one column
+    table that the kernel and the predictor read at row i. Each of k, t,
+    t_prev, plain and noisy (noise != 0) is the first slice's, a list over the
+    rows: a row serves only slices of one kind. Each of ``StepPlan``'s
+    coefficients and each of ``EpsTerms.names`` is held once over the rows, as
+    ``_column`` gives it: where every slice agrees, a row is one value, a
+    Python float or the terms' row array; where they differ, a per-slice
+    column, (S, 1, 1) against the (S, n, D) chains, or (S, 1) for c, zeta and
+    v_div against the (S, n) second moments. So a run's table is itself the
+    predictor's terms, and a step builds no object of its own."""
 
     def __init__(self, plans, terms, k0: int, k1: int):
         first = plans[0]
-        # (k, t, t_prev, plain, noisy) of each row: the first slice's
-        self._heads = list(zip(range(k0, k1), first.t[k0:k1].tolist(),
-                               first.t_prev[k0:k1].tolist(), first.plain[k0:k1].tolist(),
-                               (first.noise[k0:k1] != 0.0).tolist()))
-        self._cols = [_column([getattr(p, name) for p in plans], k0, k1, axes)
-                      for name, axes in _COEFFS]
-        self._eps = [_column([getattr(t, name) for t in terms], k0, k1)
-                     for name in EpsRow._fields]
-
-    def __len__(self) -> int:
-        return len(self._heads)
-
-    def __getitem__(self, i: int) -> StepRow:
-        return StepRow(*self._heads[i], *[col[i] for col in self._cols],
-                       EpsRow._make([col[i] for col in self._eps]))
+        self.k = range(k0, k1)
+        self.t, self.t_prev = first.t[k0:k1].tolist(), first.t_prev[k0:k1].tolist()
+        self.plain, self.noisy = first.plain[k0:k1].tolist(), (first.noise[k0:k1] != 0.0).tolist()
+        for name, axes in _COEFFS:
+            setattr(self, name, _column([getattr(p, name) for p in plans], k0, k1, axes))
+        for name in EpsTerms.names:
+            setattr(self, name, _column([getattr(t, name) for t in terms], k0, k1))
 
 
 def plan_rows(plans, terms, k0: int = 0, k1: int | None = None) -> StepRows:
@@ -302,11 +270,12 @@ class ChainState(NamedTuple):
     v: np.ndarray       # (...,), scalar second-moment accumulator
 
     @classmethod
-    def init(cls, x_T, row: StepRow) -> "ChainState":
-        """Chains at row's step, from data-space x_T: a plan's first row, or a
-        stack's, whose columns give each slice its own plan's first row."""
-        x_bar = np.asarray(x_T, dtype=float) / row.sqrt_alpha
-        return cls(row.t, x_bar, np.zeros_like(x_bar), np.ones(x_bar.shape[:-1]))
+    def init(cls, x_T, rows: StepRows) -> "ChainState":
+        """Chains at the step of rows' row 0, from data-space x_T: a plan's
+        first row, or a stack's, whose columns give each slice its own plan's
+        first row."""
+        x_bar = np.asarray(x_T, dtype=float) / rows.sqrt_alpha[0]
+        return cls(rows.t[0], x_bar, np.zeros_like(x_bar), np.ones(x_bar.shape[:-1]))
 
 
 class StepWork:
@@ -341,14 +310,14 @@ class Trajectory:
     x0_hats: np.ndarray     # (n_rec, K, D) predicted clean sample per chain and step
 
 
-def _v_error(row: StepRow, v) -> SecondMomentError:
-    """The error for a step whose v is not positive, naming the settings of the
-    first slice whose v is not where the stack has more than one."""
-    c, zeta, where = row.c, row.zeta, f"t={row.t}"
+def _v_error(rows: StepRows, i: int, v) -> SecondMomentError:
+    """The error for row i's step, whose v is not positive, naming the settings
+    of the first slice whose v is not where the stack has more than one."""
+    c, zeta, where = rows.c[i], rows.zeta[i], f"t={rows.t[i]}"
     if v.ndim > 1 and len(v) > 1:     # (S, n): find the slice
         s = int(np.argmax(~(np.min(v, axis=-1) > 0.0)))
         c, zeta = (float(np.broadcast_to(x, (len(v), 1))[s, 0]) for x in (c, zeta))
-        where = f"step {row.k} of stack slice {s}"
+        where = f"step {rows.k[i]} of stack slice {s}"
     return SecondMomentError(
         f"second-moment accumulator v is not positive at {where} "
         f"(c={c}, zeta={zeta}); with c=1, v is the last "
@@ -356,39 +325,37 @@ def _v_error(row: StepRow, v) -> SecondMomentError:
 
 
 def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
-               config: SamplerConfig, eps_noise, row: StepRow, work: StepWork):
-    """``row`` applied to ``state`` in place; returns (new state, x_{t-1},
-    x0_hat, d x_bar). The new state holds state's own arrays, updated, and the
-    other three are work's buffers, which later steps overwrite (x_{t-1} only
-    every second step).
+               config: SamplerConfig, eps_noise, rows: StepRows, i: int, work: StepWork):
+    """Row i of rows applied to ``state`` in place; returns (new state,
+    x_{t-1}, x0_hat, d x_bar). The new state holds state's own arrays, updated,
+    and the other three are work's buffers, which later steps overwrite
+    (x_{t-1} only every second step).
     """
     # schedule and config are unused here: benchmarks/tracer.py reads them by
     # position, as the schedule and config of the row's first slice
-    (k, _, t_prev, plain, noisy, alpha, sqrt_alpha, sqrt_alpha_prev, mu, noise, a, b, c, zeta,
-     v_div, eps_row) = row
     _, x_bar, m, v = state
     dxb, tmp = work.dxb, work.scratch
-    pred = analytic_eps(model, np.multiply(sqrt_alpha, x_bar, out=tmp), alpha, work.eps_work,
-                        eps_row)
-    np.multiply(mu, pred.eps_hat, out=dxb)
-    if noisy:   # a noiseless row adds nothing: no 0 * eps_noise term
-        np.add(dxb, np.multiply(noise, eps_noise, out=tmp), out=dxb)
+    pred = analytic_eps(model, np.multiply(rows.sqrt_alpha[i], x_bar, out=tmp), rows.alpha[i],
+                        work.eps_work, rows, i)
+    np.multiply(rows.mu[i], pred.eps_hat, out=dxb)
+    if rows.noisy[i]:   # a noiseless row adds nothing: no 0 * eps_noise term
+        np.add(dxb, np.multiply(rows.noise[i], eps_noise, out=tmp), out=dxb)
 
-    if plain:
+    if rows.plain[i]:
         np.add(x_bar, dxb, out=x_bar)
     else:
-        sq = work.sq
+        sq, c = work.sq, rows.c[i]
         if dxb.shape[-1] == 1:  # |d x_bar|^2 is one square, and v_div is 1 at D = 1
             np.multiply(dxb[..., 0], dxb[..., 0], out=sq)
         else:
             np.add.reduce(np.multiply(dxb, dxb, out=tmp), axis=-1, out=sq)
-            np.divide(sq, v_div, out=sq)
+            np.divide(sq, rows.v_div[i], out=sq)
         np.add(np.multiply(1.0 - c, v, out=v), np.multiply(c, sq, out=sq), out=v)
         if not np.minimum.reduce(v, axis=None, initial=np.inf) > 0.0:    # NaN too
-            raise _v_error(row, v)
-        np.add(np.multiply(a, m, out=m), np.multiply(b, dxb, out=tmp), out=m)
-        np.add(np.sqrt(v, out=sq), zeta, out=sq)
+            raise _v_error(rows, i, v)
+        np.add(np.multiply(rows.a[i], m, out=m), np.multiply(rows.b[i], dxb, out=tmp), out=m)
+        np.add(np.sqrt(v, out=sq), rows.zeta[i], out=sq)
         np.add(x_bar, np.divide(m, sq[..., None], out=tmp), out=x_bar)
 
-    x_next = np.multiply(sqrt_alpha_prev, x_bar, out=work.x_next[k % 2])
-    return ChainState(t_prev, x_bar, m, v), x_next, pred.x0_hat, dxb
+    x_next = np.multiply(rows.sqrt_alpha_prev[i], x_bar, out=work.x_next[rows.k[i] % 2])
+    return ChainState(rows.t_prev[i], x_bar, m, v), x_next, pred.x0_hat, dxb

@@ -139,7 +139,7 @@ def midpoint_equivalence(lam: float, n_steps: int, drift, noise_seq) -> float:
     model = GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[0.0])
     rows = plan_rows([plan], [EpsTerms(model, plan.alpha)])
     # the momentum path: one chain at rest, stepped in place as a run steps it
-    state = ChainState.init(np.zeros((1, 1)), rows[0])
+    state = ChainState.init(np.zeros((1, 1)), rows)
     work = StepWork((1, 1), model)
     # midpoint path: eta_{t+0.5} = -m, started at rest
     x_mid, eta = 0.0, 0.0
@@ -147,7 +147,7 @@ def midpoint_equivalence(lam: float, n_steps: int, drift, noise_seq) -> float:
     max_dev = 0.0
     for k in range(n_steps):
         g = float(drift(k)) + float(noise_seq[k])
-        state, x_m, _, _ = _step_core(state, model, None, None, np.array([[g]]), rows[k], work)
+        state, x_m, _, _ = _step_core(state, model, None, None, np.array([[g]]), rows, k, work)
         eta = ((1.0 - half) * eta + g) / (1.0 + half)
         x_mid = x_mid - eta
         max_dev = max(max_dev, abs(float(x_m[0, 0]) - x_mid), abs(float(state.m[0, 0]) + eta))

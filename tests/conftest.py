@@ -15,12 +15,12 @@ def drive_chains():
     def drive(model, schedule, config, x_T, noise):
         plan = StepPlan.build(schedule, config, model.D)
         rows = plan_rows([plan], [EpsTerms(model, plan.alpha)])
-        state = ChainState.init(x_T, rows[0])
+        state = ChainState.init(x_T, rows)
         work = StepWork(state.x_bar.shape, model)
         x0_hats = []
-        for k, row in enumerate(rows):
+        for k in rows.k:
             state, x_next, x0_hat, _ = _step_core(state, model, schedule, config,
-                                                  noise(k, state.x_bar.shape), row, work)
+                                                  noise(k, state.x_bar.shape), rows, k, work)
             x0_hats.append(x0_hat.copy())   # the next step writes over work's x0_hat
         return x_next, np.array(x0_hats)
     return drive

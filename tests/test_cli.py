@@ -1,5 +1,6 @@
 """Command-line interface: commands, overrides, exit codes."""
 
+import copy
 import csv
 import json
 import os
@@ -162,8 +163,10 @@ def test_verify_fails_a_kernel_that_drops_momentum_b(tmp_path, capsys, monkeypat
     # fails verify
     kernel = difflab.verification._step_core
 
-    def dropped_b(state, model, schedule, config, eps_noise, row, work=None):
-        return kernel(state, model, schedule, config, eps_noise, row._replace(b=1.0), work)
+    def dropped_b(state, model, schedule, config, eps_noise, rows, i, work):
+        table = copy.copy(rows)
+        table.b = [1.0] * len(rows.b)
+        return kernel(state, model, schedule, config, eps_noise, table, i, work)
     monkeypatch.setattr(difflab.verification, "_step_core", dropped_b)
     code = main(["verify", "--out", str(tmp_path / "report.json")])
     out = capsys.readouterr().out

@@ -19,7 +19,7 @@ import difflab.metrics as metrics
 import difflab.runner as runner
 import difflab.samplers as samplers
 from difflab.config import RunSpec, SpecError, SweepSpec
-from difflab.model import GaussianMixtureModel
+from difflab.model import EpsTerms, GaussianMixtureModel
 from difflab.runner import (_block_noise, _write_samples_csv, _write_trajectories_csv,
                             compute_metrics, execute_run, execute_sweep, run_chains)
 from difflab.samplers import SamplerConfig, SecondMomentError, StepPlan, Trajectory
@@ -734,27 +734,28 @@ def test_equal_configs_share_one_plan_and_step_on_float_rows(monkeypatch):
     gmm = GaussianMixtureModel(weights=[0.5, 0.5], means=[[-1.0], [2.0]], variances=[0.1, 0.0])
     sched, config = linear_beta_schedule(12, 0.02, 0.02), SamplerConfig()
     wants = [run_chains(gmm, sched, config, 5, seed).samples.tobytes() for seed in (1, 2)]
-    builds, rows = [], []
+    builds, calls = [], []
     build, analytic_eps = StepPlan.build.__func__, samplers.analytic_eps
 
     def counted_build(cls, *args):
         builds.append(args[1])
         return build(cls, *args)
 
-    def counted_eps(gmm, x, alpha, work, row):
-        rows.append((alpha, row))
-        return analytic_eps(gmm, x, alpha, work, row)
+    def counted_eps(gmm, x, alpha, work, terms, i):
+        calls.append((alpha, terms, i))
+        return analytic_eps(gmm, x, alpha, work, terms, i)
     monkeypatch.setattr(StepPlan, "build", classmethod(counted_build))
     monkeypatch.setattr(samplers, "analytic_eps", counted_eps)
     for schedules, plans in (((sched, sched), 1),
                              ((sched, linear_beta_schedule(12, 0.02, 0.02)), 2)):
         builds.clear()
-        rows.clear()
+        calls.clear()
         results = run_chains(gmm, schedules, (config, replace(config)), 5, (1, 2))
         assert builds == [config] * plans
-        assert len(rows) == 12
-        for alpha, row in rows:
+        assert len(calls) == 12
+        for alpha, terms, i in calls:
             assert type(alpha) is float
+            row = [getattr(terms, name)[i] for name in EpsTerms.names]
             assert all(type(term) is float or term.ndim == 2 for term in row)
         assert [got.samples.tobytes() for got in results] == wants
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import difflab.runner as runner
 from difflab.config import RunSpec, SpecError
 from difflab.metrics import bin_trajectory_points, heatmap_grid, mixture_quantile, sliced_w1
-from difflab.model import EpsRow, EpsTerms, EpsWork, GaussianMixtureModel, analytic_eps
+from difflab.model import EpsTerms, EpsWork, GaussianMixtureModel, analytic_eps
 from difflab.runner import _block_noise, run_chains
 from difflab.samplers import StepPlan, SamplerConfig, plan_rows
 from difflab.schedule import linear_beta_schedule, respace
@@ -328,10 +328,10 @@ def test_plan_terms_give_the_bytes_of_a_single_call(case):
             got = getattr(terms, name)[row]
             assert got.tobytes() == np.asarray(value).tobytes(), (name, row)
         fresh = analytic_eps(gmm, x, alpha)
-        reused = analytic_eps(gmm, x, alpha, work, terms.row(row))
+        reused = analytic_eps(gmm, x, alpha, work, terms, row)
         assert reused.eps_hat.tobytes() == fresh.eps_hat.tobytes(), row
         assert reused.x0_hat.tobytes() == fresh.x0_hat.tobytes(), row
-    assert set(vars(terms)) == set(eps_terms_at(gmm, 0.5))
+    assert set(vars(terms)) == set(EpsTerms.names) == set(eps_terms_at(gmm, 0.5))
 
 
 @st.composite
@@ -362,7 +362,7 @@ def test_predictor_has_the_bytes_of_its_general_form(case):
     for row, alpha in enumerate(alphas.tolist()):
         eps_hat, x0_hat = analytic_eps_general(gmm, x, alpha)
         for pred in (analytic_eps(gmm, x, alpha),
-                     analytic_eps(gmm, x, alpha, work, terms.row(row))):
+                     analytic_eps(gmm, x, alpha, work, terms, row)):
             assert pred.eps_hat.tobytes() == eps_hat.tobytes(), row
             assert pred.x0_hat.tobytes() == x0_hat.tobytes(), row
 
@@ -502,15 +502,13 @@ _PLAN_COEFFS = ("alpha", "sqrt_alpha", "sqrt_alpha_prev", "mu", "noise", "a", "b
 
 
 def _rows_coefficients(plans, terms):
-    """(name, its value in a row, each slice's array over its plan's rows, the
-    trailing axes of a per-slice scalar column) of every coefficient of a row."""
+    """(name, each slice's array over its plan's rows, the trailing axes of a
+    per-slice scalar column) of every coefficient of a row."""
     for name in _PLAN_COEFFS:
         axes = 1 if name in ("c", "zeta", "v_div") else 2
-        yield name, lambda row, name=name: getattr(row, name), \
-            [getattr(p, name) for p in plans], axes
-    for name in EpsRow._fields:
-        yield f"eps.{name}", lambda row, name=name: getattr(row.eps, name), \
-            [getattr(t, name) for t in terms], 2
+        yield name, [getattr(p, name) for p in plans], axes
+    for name in EpsTerms.names:
+        yield name, [getattr(t, name) for t in terms], 2
 
 
 _TWO_MODES = GaussianMixtureModel(weights=[0.5, 0.5], means=[[-1.0], [2.0]],
@@ -542,19 +540,21 @@ def test_plan_rows_hold_the_plans_arrays(gmm, cells, lo, span):
     k1 = min(k0 + 1 + span, K)
     for stack, stack_terms in (([plans[0]], [terms[0]]), (plans, terms)):
         rows = plan_rows(stack, stack_terms, k0, k1)
-        assert len(rows) == k1 - k0
-        assert [row.k for row in rows] == list(range(k0, k1))
+        assert list(rows.k) == list(range(k0, k1))
+        for name in ("t", "t_prev", "plain", "noisy"):
+            assert len(getattr(rows, name)) == k1 - k0, name
         first = stack[0]
-        for row in rows:
-            k = row.k
-            assert (row.t, row.t_prev, row.plain, row.noisy) == (
+        for i, k in enumerate(rows.k):
+            assert (rows.t[i], rows.t_prev[i], rows.plain[i], rows.noisy[i]) == (
                 int(first.t[k]), int(first.t_prev[k]), bool(first.plain[k]),
                 bool(first.noise[k] != 0.0))
-        for name, read, arrays, axes in _rows_coefficients(stack, stack_terms):
+        for name, arrays, axes in _rows_coefficients(stack, stack_terms):
             agree = len({a[k0:k1].tobytes() for a in arrays}) == 1
             event(f"{name} is {'one value' if agree else 'a column'}")
-            for row in rows:
-                got, want = read(row), np.stack([a[row.k] for a in arrays])
+            column = getattr(rows, name)
+            assert len(column) == k1 - k0, name
+            for i, k in enumerate(rows.k):
+                got, want = column[i], np.stack([a[k] for a in arrays])
                 if agree:
                     want = want[0]
                     assert (type(got) is float) == (want.ndim == 0), name
@@ -582,12 +582,14 @@ def test_a_sweeps_rows_hold_columns_only_where_its_values_differ(axis, values, c
     plans = [StepPlan.build(_FLAT, SamplerConfig(**{axis: value}), 1) for value in values]
     terms = [EpsTerms(_TWO_MODES, plan.alpha) for plan in plans]
     rows = plan_rows(plans, terms, 0, 7)     # the momentum rows, as a run's call holds them
-    for row in rows:
-        stacked = {name for name in _PLAN_COEFFS if isinstance(getattr(row, name), np.ndarray)}
-        assert stacked == columns, row.k
+    for i in range(len(rows.k)):
+        stacked = {name for name in _PLAN_COEFFS
+                   if isinstance(getattr(rows, name)[i], np.ndarray)}
+        assert stacked == columns, i
         # a scalar term is a float, and each other one a row of the terms: (K, 1),
         # (1, K) or (K, D), with no slice axis
-        assert all(type(value) is float or value.ndim == 2 for value in row.eps), row.k
+        assert all(type(value) is float or value.ndim == 2
+                   for value in (getattr(rows, name)[i] for name in EpsTerms.names)), i
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -98,7 +98,7 @@ def test_ddim_step_increment_identity():
                                v=np.ones(()))
             x_t = plan.sqrt_alpha[k] * state.x_bar     # the step writes over x_bar
             eps = rng.standard_normal(2)
-            _, x_prev, _, dxb = _step_core(state, gmm, sched, cfg, eps, rows[k],
+            _, x_prev, _, dxb = _step_core(state, gmm, sched, cfg, eps, rows, k,
                                            StepWork((2,), gmm))
             a_t, a_p = sched.alpha(t), sched.alpha(t - 1)
             eps_hat = analytic_eps(gmm, x_t, a_t).eps_hat
@@ -240,7 +240,7 @@ def test_chain_state_init():
     sched = linear_beta_schedule(10, 1e-3, 0.05)
     x_T = np.array([[1.0, 2.0], [3.0, 4.0]])
     gmm = GaussianMixtureModel(weights=[1.0], means=[[0.0, 0.0]], variances=[1.0])
-    state = ChainState.init(x_T, rows_of(gmm, StepPlan.build(sched, SamplerConfig(), 2))[0])
+    state = ChainState.init(x_T, rows_of(gmm, StepPlan.build(sched, SamplerConfig(), 2)))
     assert state.t == 10
     assert np.array_equal(state.x_bar, x_T / math.sqrt(sched.alpha(10)))
     assert np.all(state.m == 0.0)
@@ -264,12 +264,12 @@ def test_second_moment_stays_positive():
     sched = linear_beta_schedule(60, 1e-3, 0.05)
     cfg = SamplerConfig(method="adaptive", b=0.3, c=0.05)
     rows = rows_of(gmm, StepPlan.build(sched, cfg, 1))
-    state = ChainState.init(np.random.default_rng(7).standard_normal((16, 1)), rows[0])
+    state = ChainState.init(np.random.default_rng(7).standard_normal((16, 1)), rows)
     work = StepWork((16, 1), gmm)
     rng = np.random.default_rng(8)
-    for row in rows:
+    for k in rows.k:
         state, _, _, _ = _step_core(state, gmm, sched, cfg,
-                                    rng.standard_normal(state.x_bar.shape), row, work)
+                                    rng.standard_normal(state.x_bar.shape), rows, k, work)
         assert np.all(state.v > 0.0)
     assert state.t == 0
 
@@ -285,7 +285,7 @@ def test_zero_second_moment_raises_named_error():
                        v=np.ones(3))
     with pytest.raises(SecondMomentError, match=r"c=1\.0, zeta=1e-08"):
         _step_core(state, gmm, sched, cfg, np.zeros((3, 1)),
-                   rows_of(gmm, StepPlan.build(sched, cfg, 1))[0], StepWork((3, 1), gmm))
+                   rows_of(gmm, StepPlan.build(sched, cfg, 1)), 0, StepWork((3, 1), gmm))
 
 
 def test_zero_second_moment_in_a_stack_names_the_slice_that_hit_it():
@@ -296,12 +296,13 @@ def test_zero_second_moment_in_a_stack_names_the_slice_that_hit_it():
     plans = [StepPlan.build(sched, SamplerConfig(method="adaptive", eta_mode=ETA_DETERMINISTIC,
                                                  c=c), 1) for c in (0.5, 1.0)]
     terms = EpsTerms(gmm, plans[0].alpha)
-    row = plan_rows(plans, [terms, terms], 0, 1)[0]
-    assert row.c.shape == (2, 1)
-    state = ChainState(t=row.t, x_bar=np.zeros((2, 3, 1)), m=np.zeros((2, 3, 1)),
+    rows = plan_rows(plans, [terms, terms], 0, 1)
+    assert rows.c[0].shape == (2, 1)
+    state = ChainState(t=rows.t[0], x_bar=np.zeros((2, 3, 1)), m=np.zeros((2, 3, 1)),
                        v=np.ones((2, 3)))
     with pytest.raises(SecondMomentError, match=r"stack slice 1 \(c=1\.0, zeta=1e-08\)"):
-        _step_core(state, gmm, sched, None, np.zeros((2, 3, 1)), row, StepWork((2, 3, 1), gmm))
+        _step_core(state, gmm, sched, None, np.zeros((2, 3, 1)), rows, 0,
+                   StepWork((2, 3, 1), gmm))
 
 
 def test_zero_second_moment_names_the_slice_where_the_slices_share_c():
@@ -313,17 +314,17 @@ def test_zero_second_moment_names_the_slice_where_the_slices_share_c():
     cfg = SamplerConfig(method="adaptive", eta_mode=ETA_DETERMINISTIC, c=1.0, zeta=0.25)
     plans = [StepPlan.build(sched, cfg, 1) for sched in (full, respace(full, 5))]
     rows = plan_rows(plans, [EpsTerms(gmm, plan.alpha) for plan in plans], 0, 2)
-    assert type(rows[1].c) is float and type(rows[1].zeta) is float
-    assert rows[1].t == 19 and isinstance(rows[1].alpha, np.ndarray)
-    state = ChainState.init(np.ones((2, 3, 1)), rows[0])
+    assert type(rows.c[1]) is float and type(rows.zeta[1]) is float
+    assert rows.t[1] == 19 and isinstance(rows.alpha[1], np.ndarray)
+    state = ChainState.init(np.ones((2, 3, 1)), rows)
     work = StepWork((2, 3, 1), gmm)
-    state, *_ = _step_core(state, gmm, full, cfg, np.zeros((2, 3, 1)), rows[0], work)
+    state, *_ = _step_core(state, gmm, full, cfg, np.zeros((2, 3, 1)), rows, 0, work)
     assert np.all(state.v > 0.0)
     # slice 1's chains now sit on the point mass, where a step with eta = 0 moves none
     state.x_bar[1] = 0.0
     with pytest.raises(SecondMomentError,
                        match=r"at step 1 of stack slice 1 \(c=1\.0, zeta=0\.25\)"):
-        _step_core(state, gmm, full, cfg, np.zeros((2, 3, 1)), rows[1], work)
+        _step_core(state, gmm, full, cfg, np.zeros((2, 3, 1)), rows, 1, work)
 
 
 def test_vanilla_step_leaves_momentum_untouched():
@@ -333,10 +334,10 @@ def test_vanilla_step_leaves_momentum_untouched():
     plan = StepPlan.build(sched, cfg, 1)
     assert plan.plain.all()
     rows = rows_of(gmm, plan)
-    state = ChainState.init(np.array([0.5]), rows[0])
+    state = ChainState.init(np.array([0.5]), rows)
     m, v = state.m.copy(), state.v.copy()
     nxt, _, _, _ = _step_core(state, gmm, sched, cfg,
-                              np.random.default_rng(0).standard_normal(1), rows[0],
+                              np.random.default_rng(0).standard_normal(1), rows, 0,
                               StepWork((1,), gmm))
     assert nxt.t == 9
     assert nxt.m.tobytes() == m.tobytes()
@@ -388,7 +389,7 @@ def test_analytic_eps_drives_steps_consistently():
     manual = ddim_reference(x_t, eps_hat, eps, sched.alpha(t), sched.alpha(t - 1),
                             sigma(sched, t, t - 1, ETA_DDPM_UNIT))
     cfg = SamplerConfig.vanilla()
-    row = rows_of(gmm, StepPlan.build(sched, cfg, 1))[0]
-    nxt, _, _, _ = _step_core(ChainState.init(x_t, row), gmm, sched, cfg, eps, row,
+    rows = rows_of(gmm, StepPlan.build(sched, cfg, 1))
+    nxt, _, _, _ = _step_core(ChainState.init(x_t, rows), gmm, sched, cfg, eps, rows, 0,
                               StepWork((1,), gmm))
     assert np.allclose(math.sqrt(sched.alpha(29)) * nxt.x_bar, manual, atol=1e-12)
