@@ -4,12 +4,13 @@ Wasserstein-1 plays the role a feature-space metric would play at image
 scale: in 1D against the data mixture by the midpoint-quantile rule, which
 is not the exact W1 (see wasserstein1_1d), sliced in higher dimensions.
 
-The normal CDF under the smooth-mixture quantiles is the module's own numpy port
-of Cephes' ndtr, so no metric needs scipy.
+The normal CDF under the smooth-mixture quantiles is the C library's erfc, through
+Python's math module, so no metric needs scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,62 +30,11 @@ __all__ = [
 ]
 
 
-# Cephes' ndtr (S. L. Moshier, Methods and Programs for Mathematical Functions,
-# 1989), as scipy.special.ndtr evaluates it: its coefficients, branches and
-# Horner order. Only exp(-z^2) differs: numpy's exp may differ from libm's in the
-# last bits, so the result may differ from scipy's by a few ulp where |a| >= sqrt(2).
-_SQRT1_2 = 7.07106781186547524401E-1
-_MAXLOG = 7.09782712893383996843E2
-# erfc(z) = exp(-z^2) P(z) / Q(z) for 1 <= z < 8
-_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
-      4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
-      9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
-_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
-      9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
-      1.65666309194161350182E3, 5.57535340817727675546E2)
-# erfc(z) = exp(-z^2) R(z) / S(z) for z >= 8
-_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
-      6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
-_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
-      1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
-# erf(w) = w T(w^2) / U(w^2) for |w| < 1
-_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
-      7.00332514112805075473E3, 5.55923013010394962768E4)
-_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
-      2.26290000613890934246E4, 4.92673942608635921086E4)
-
-
-def _horner(x, coefs):
-    """Cephes' polevl, highest power first; with a leading 1.0 it is p1evl,
-    whose first step is x + c1 (1.0 * x is x)."""
-    ans = x + coefs[1] if coefs[0] == 1.0 else coefs[0] * x + coefs[1]
-    for c in coefs[2:]:
-        ans *= x
-        ans += c
-    return ans
-
-
 def _ndtr(a) -> np.ndarray:
-    """The standard normal CDF, elementwise; NaN stays NaN, -inf and inf give 0 and 1.
-
-    Every branch is evaluated on the whole array and np.where picks each
-    element's; the branches a value does not take may overflow, unseen.
-    """
-    x = np.multiply(a, _SQRT1_2)
-    z = np.abs(x)
-    top = float(np.fmax.reduce(z.ravel(), initial=0.0))    # the largest z, NaN aside
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = z * z
-        erf = x * _horner(w, _T) / _horner(w, _U)
-        e = np.exp(-w)
-        erfc = e * _horner(z, _P) / _horner(z, _Q)
-        if top >= 8.0:
-            erfc = np.where(z < 8.0, erfc, e * _horner(z, _R) / _horner(z, _S))
-    if top * top > _MAXLOG:     # Cephes' erfc is 0 where -z^2 < -MAXLOG
-        erfc = np.where(w > _MAXLOG, 0.0, erfc)
-    erfc = np.where(z < 1.0, 1.0 - np.abs(erf), erfc)   # erf(z) = |erf(x)|
-    y = 0.5 * erfc
-    return np.where(z < _SQRT1_2, 0.5 + 0.5 * erf, np.where(x > 0.0, 1.0 - y, y))
+    """The standard normal CDF, elementwise, as 0.5 * erfc(-a / sqrt(2)) with the
+    C library's erfc; NaN stays NaN, -inf and inf give 0 and 1."""
+    z = np.multiply(a, -math.sqrt(0.5))
+    return 0.5 * np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
 
 
 def mixture_quantile(gmm: GaussianMixtureModel, u) -> np.ndarray:
@@ -114,13 +64,10 @@ def mixture_quantile(gmm: GaussianMixtureModel, u) -> np.ndarray:
     smooth = sigs > 0.0
     mus_k = mus[:, None]
     scale = np.where(smooth, sigs, 1.0)[:, None]
-    if np.all(smooth):
-        def cdf(x):
-            return np.ascontiguousarray(_ndtr((x - mus_k) / scale).T) @ gmm.weights
-    else:
-        def cdf(x):
-            terms = np.where(smooth[:, None], _ndtr((x - mus_k) / scale), x >= mus_k)
-            return np.ascontiguousarray(terms.T) @ gmm.weights
+
+    def cdf(x):
+        terms = np.where(smooth[:, None], _ndtr((x - mus_k) / scale), x >= mus_k)
+        return np.ascontiguousarray(terms.T) @ gmm.weights
 
     span = np.max(np.abs(mus)) + 12.0 * max(np.max(sigs), 1.0)
     lo = np.full(u.shape, -span)
@@ -248,7 +195,8 @@ def heatmap_grid(heatmap: dict, t_max: float, D: int) -> HeatmapGrid:
 
 
 def mode_statistics(samples, modes) -> list[dict]:
-    """Nearest-mode assignment fractions and mean absolute deviations."""
+    """Nearest-mode assignment fractions and mean absolute deviations; a mode
+    no sample is nearest to has mean_abs_dev None, which JSON writes as null."""
     s = np.asarray(samples, dtype=float).ravel()
     m = np.asarray(modes, dtype=float).ravel()
     if m.size == 0:
@@ -260,7 +208,7 @@ def mode_statistics(samples, modes) -> list[dict]:
     for k, mode in enumerate(m):
         mask = nearest == k
         n_k = int(mask.sum())
-        dev = float(np.mean(np.abs(s[mask] - mode))) if n_k else float("nan")
+        dev = float(np.mean(np.abs(s[mask] - mode))) if n_k else None
         out.append({"mode": float(mode), "fraction": n_k / s.size,
                     "count": n_k, "mean_abs_dev": dev})
     return out

@@ -8,10 +8,12 @@ pinned `samples.csv`, the first REFERENCE_ROWS rows are kept beside the pins
 (reference_path), so that a mismatch can say by how much the samples moved,
 not only that their hash did. The pins hold for
 numpy 2.4.6 with OpenBLAS built with DYNAMIC_ARCH, whose kernels round the
-predictor's sums, and for numpy's float64 `exp` loop, which the smooth 1-D W1's
-normal CDF uses (an AVX-512F path on the x86-64 machine the pins were taken on;
-another path may differ from it in the last bits). Rewrite the pins only when a
-change is meant to move output bytes, and say so in CHANGES.md:
+predictor's sums; for numpy's float64 `exp` loop, which the predictor's softmax
+uses (an AVX-512F path on the x86-64 machine the pins were taken on; another
+path may differ from it in the last bits), so every sample; and for the C
+library's `erfc` (glibc 2.36), which the smooth 1-D W1's normal CDF calls
+through Python's `math.erfc`. Rewrite the pins only when a change is meant to
+move output bytes, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/golden/regen.py
 

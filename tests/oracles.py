@@ -5,11 +5,11 @@ The runner adds each step's total-variation increment and heatmap counts as it
 goes; these recompute both from the recorded trajectories after the fact, by a
 different route (one norm per recorded step; digitize + np.add.at binning), so
 the tests can compare the two bit for bit. The quantile reference bisects a
-fixed 200 times, with no early stop, on difflab's own normal CDF, which
-test_metrics holds to scipy's. The predictor's terms are written out
-at one scalar alpha, the way a call computed them before a run built them over
-a whole plan at once, and the predictor itself is written out in its
-general-D form: einsum and matmul for the squared distances at every D, and
+fixed 200 times, with no early stop, on difflab's normal CDF, the C library's
+erfc, which test_metrics holds to scipy's ndtr. The predictor's terms are
+written out at one scalar alpha, the way a call computed them before a run
+built them over a whole plan at once, and the predictor itself is written out
+in its general-D form: einsum and matmul for the squared distances at every D, and
 np.max and np.sum for the softmax. Sliced W1 is written out as it first was,
 sorting its projections down strided columns. The reference sampler steps one
 chain at a time in Python floats, from the paper's update and the mixture

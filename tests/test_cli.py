@@ -300,6 +300,21 @@ def test_smooth_1d_run_and_sweep_with_metrics_load_no_scipy(spec_file, tmp_path)
         assert all(float(row["w1"]) > 0.0 for row in csv.DictReader(fh))
 
 
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_one_chain_run_writes_strict_json_for_the_mode_no_sample_is_near(tmp_path, capsys):
+    # one chain fills one of toy_fig4's two modes; the other's mean_abs_dev is null, not NaN
+    out = tmp_path / "out"
+    assert main(["run", "toy_fig4", "--chains", "1", "--out-dir", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text(), parse_constant=_refuse_constant)
+    assert sorted(m["count"] for m in metrics["mode_stats"]) == [0, 1]
+    assert [m["mean_abs_dev"] is None for m in metrics["mode_stats"]].count(True) == 1
+    printed = capsys.readouterr().out
+    json.loads(printed[printed.index("{"):], parse_constant=_refuse_constant)
+
+
 def _toy_fig4(**sampler):
     spec = json.loads(resources.files("difflab").joinpath("specs", "toy_fig4.json")
                       .read_text())

@@ -2,7 +2,6 @@
 
 import csv
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -79,52 +78,38 @@ def test_mixture_quantile_refuses_levels_outside_the_open_unit_interval(level):
         mixture_quantile(gmm, [0.3, level])
 
 
-def _assert_ndtr_matches_scipy(a):
-    """_ndtr against scipy's ndtr: bit for bit where |a| < sqrt(2), which takes
-    no exp, and where numpy's exp(-z^2) equals libm's, z = max(|a / sqrt(2)|, 1);
-    within 3 ulp elsewhere. Exact bits catch a mistyped coefficient that moves
-    the result by less than the ulp bound."""
+def _assert_ndtr_is_libm_erfc(a):
+    """_ndtr against the scalar 0.5 * erfc(-a / sqrt(2)) bit for bit, shape and
+    NaN kept; and within 2e-13 relative of scipy's ndtr wherever scipy's value is
+    a normal float. What is left there is Cephes' rounding of z^2 in exp(-z^2)."""
     a = np.asarray(a, dtype=float)
-    got, want = _ndtr(a), ndtr(a)
-    nan = np.isnan(want)
-    assert np.array_equal(np.isnan(got), nan)
-    z = np.maximum(np.abs(a * math.sqrt(0.5)), 1.0)
-    with np.errstate(over="ignore"):
-        w = z * z
-    libm = np.array([math.exp(-v) for v in w.tolist()])
-    exact = (np.abs(a) < math.sqrt(2.0)) | (np.exp(-w) == libm)
-    # the CDF is >= 0, where a float's bits order like an integer's
-    ulps = np.abs(np.abs(got).view(np.int64) - np.abs(want).view(np.int64))[~nan]
-    assert ulps[exact[~nan]].max(initial=0) == 0, a[~nan][exact[~nan] & (ulps > 0)]
-    assert ulps.max(initial=0) <= 3, a[~nan][ulps > 3]
+    got = _ndtr(a)
+    want = np.array([0.5 * math.erfc(-v * math.sqrt(0.5)) for v in a.ravel().tolist()])
+    assert got.shape == a.shape
+    assert np.array_equal(got, want.reshape(a.shape), equal_nan=True)
+    assert np.array_equal(np.isnan(got), np.isnan(a))
+    ref = ndtr(a)
+    normal = ref >= np.finfo(float).tiny        # NaN fails the comparison
+    rel = np.abs(got - ref)[normal] / ref[normal]
+    assert rel.max(initial=0.0) <= 2e-13, a[normal][rel > 2e-13]
 
 
-# the branch edges: erf below |a| = sqrt(2), erfc's P/Q below 8 sqrt(2) and
-# R/S above, and 0 past sqrt(2 MAXLOG) = 37.677...
-_NDTR_EDGES = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), 37.68,
-                        math.sqrt(2.0 * 709.782712893384)])
-
-
-def test_ndtr_matches_scipy_on_branch_edges_non_finite_inputs_and_a_dense_sample():
-    edges = np.concatenate([np.nextafter(_NDTR_EDGES, 0.0), _NDTR_EDGES,
-                            np.nextafter(_NDTR_EDGES, np.inf)])
-    # a coefficient's last digits move few results: 0.4% of the dense sample
-    # for an ulp-sized slip in U's second coefficient
+def test_ndtr_is_libm_erfc_on_non_finite_inputs_shapes_and_a_dense_sample():
     rng = np.random.default_rng(2308)
     dense = np.concatenate([rng.uniform(-40.0, 40.0, 100_000), rng.uniform(-1.5, 1.5, 100_000)])
-    a = np.concatenate([edges, -edges, dense, [0.0, -0.0, np.inf, -np.inf, np.nan]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")      # the branches a value skips stay silent
-        _assert_ndtr_matches_scipy(a)
-        assert _ndtr(a[-5:-1]).tolist() == [0.5, 0.5, 1.0, 0.0]
+    special = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan])
+    for a in (dense, dense[:30].reshape(3, 10), np.float64(-1.7), special):
+        _assert_ndtr_is_libm_erfc(a)
+    got = _ndtr(special)
+    assert got[:4].tolist() == [1.0, 0.0, 0.5, 0.5] and np.isnan(got[4])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.one_of(st.floats(-40.0, 40.0),
                           st.floats(allow_nan=False, allow_infinity=False)),
                 min_size=1, max_size=64))
-def test_ndtr_matches_scipy_on_finite_floats(values):
-    _assert_ndtr_matches_scipy(values)
+def test_ndtr_is_libm_erfc_on_finite_floats(values):
+    _assert_ndtr_is_libm_erfc(values)
 
 
 def test_empty_samples_rejected():
@@ -199,6 +184,9 @@ def test_mode_statistics():
     assert stats[1]["mean_abs_dev"] == pytest.approx(0.075)
     with pytest.raises(ValueError):
         mode_statistics(np.array([]), [-2.0])
+    # a mode no sample is nearest to: no deviation to average, None rather than NaN
+    empty = mode_statistics(s, [-2.0, 4.0, 40.0])[2]
+    assert empty == {"mode": 40.0, "fraction": 0.0, "count": 0, "mean_abs_dev": None}
 
 
 @pytest.mark.parametrize("x_range,x_bins", [((-6.0, 6.0), 120), ((-2.0, 4.0), 3),
