@@ -18,7 +18,6 @@ buffers, one per worker, before any stack runs. File writes happen once, at the 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -336,6 +335,7 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig | tu
             stores.append(store)
 
     if workers > 1 and len(stacks) > 1:
+        from concurrent.futures import ThreadPoolExecutor    # only a pool needs it
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(work, stacks))
     else:

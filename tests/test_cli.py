@@ -300,6 +300,17 @@ def test_smooth_1d_run_and_sweep_with_metrics_load_no_scipy(spec_file, tmp_path)
         assert all(float(row["w1"]) > 0.0 for row in csv.DictReader(fh))
 
 
+def test_one_thread_run_and_sweep_load_no_thread_pool(spec_file, tmp_path):
+    # concurrent.futures is imported only where the block pool runs
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"base": json.loads(spec_file.read_text()), "axis": "K",
+                                 "values": [10, 30]}))
+    _assert_run_loads_no("concurrent",
+                         ["run", spec_file, "--chains", "5000", "--threads", "1",
+                          "--out-dir", tmp_path / "run"],
+                         ["sweep", sweep, "--threads", "1", "--out-dir", tmp_path / "sweep"])
+
+
 def _refuse_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 

@@ -1,5 +1,6 @@
 """Run/sweep specs, batch execution, reproducibility, and file emission."""
 
+import concurrent.futures
 import csv
 import hashlib
 import itertools
@@ -598,12 +599,12 @@ def test_run_chains_pool_is_never_wider_than_the_machine(monkeypatch, cpus, widt
     # three blocks and 100000 threads asked for: the pool gets one worker per cpu,
     # and with no cpu count known the blocks run on the calling thread
     widths = []
-    pool = runner.ThreadPoolExecutor
+    pool = concurrent.futures.ThreadPoolExecutor
 
     def recorded(max_workers):
         widths.append(max_workers)
         return pool(max_workers=max_workers)
-    monkeypatch.setattr(runner, "ThreadPoolExecutor", recorded)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
     gmm, sched, cfg = two_point(), linear_beta_schedule(4, 1e-3, 0.05), SamplerConfig.vanilla()
     samples = run_chains(gmm, sched, cfg, 4100, seed=1, threads=100000).samples

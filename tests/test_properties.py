@@ -264,18 +264,42 @@ def test_mixture_quantile_stops_where_200_halvings_would_end(gmm, levels):
     assert got.tobytes() == quantile_200_halvings(gmm, levels).tobytes()
 
 
-@settings(_FEW, max_examples=20)
-@given(st.sampled_from((2, 16)), st.sampled_from((1, 2, 7, 8192)), st.integers(0, 2**32),
-       st.floats(0.0, 3.0))
-def test_sliced_w1_has_the_bytes_of_its_strided_sort(D, n, seed, shift):
-    # sorting each projection as a contiguous row and averaging the gaps in
-    # their (n, P) order must give the float the column sort gave
+@settings(_FEW, max_examples=4)
+@given(st.integers(0, 2**32), st.floats(0.0, 3.0))
+def test_sliced_w1_has_the_bytes_of_its_strided_sort(seed, shift):
+    # projecting in row blocks, sorting each projection as a contiguous row and
+    # averaging the gaps in their (n, P) order must give the float the single
+    # product's column sort gave, at every dimension and at cloud sizes around
+    # the 128-row blocks, the last of which takes the remainder
     rng = np.random.default_rng(seed)
-    a = rng.normal(0.0, 1.0, (n, D))
-    b = rng.normal(shift, 2.0, (n, D))
-    got = sliced_w1(a, b, 128, np.random.default_rng([seed, 1]))
-    want = sliced_w1_strided(a, b, 128, np.random.default_rng([seed, 1]))
-    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    for D in (2, 3, 16, 33):
+        for n in (1, 2, 7, 127, 128, 129, 255, 256, 257, 8192, 8193):
+            a = rng.normal(0.0, 1.0, (n, D))
+            b = rng.normal(shift, 2.0, (n, D))
+            got = sliced_w1(a, b, 128, np.random.default_rng([seed, n, D]))
+            want = sliced_w1_strided(a, b, 128, np.random.default_rng([seed, n, D]))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (D, n)
+
+
+@pytest.mark.parametrize("n", [8192, 300])
+def test_sliced_w1_projects_in_blocks_below_the_blas_helper_size(n, monkeypatch):
+    # numpy's OpenBLAS wakes a helper thread, which then spins, for a product of
+    # 2**19 multiply-adds or more; no block may reach that at D = 16
+    shapes = []
+    matmul = np.matmul
+
+    def recording(x, y, *args, **kwargs):
+        shapes.append((np.shape(x), np.shape(y)))
+        return matmul(x, y, *args, **kwargs)
+
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=(n, 16)), rng.normal(size=(n, 16))
+    monkeypatch.setattr(np, "matmul", recording)
+    sliced_w1(a, b, 128, np.random.default_rng(1))
+    assert sum(rows for (rows, _), _ in shapes) == 2 * n
+    for (rows, d), (d2, p) in shapes:
+        assert d == d2 == 16 and p == 128
+        assert rows * d * p < 2**19 and min(128, n) <= rows
 
 
 def test_mixture_quantile_near_zero_reaches_the_cap():
