@@ -167,7 +167,7 @@ class RunSpec:
         schedule = self.build_schedule()
         config = self.build_sampler_config()
         try:
-            StepPlan.build(schedule, config, model.D)
+            StepPlan.build(schedule, config, model)
         except ValueError as exc:
             raise SpecError(f"sampler.eta_mode: {exc}") from exc
         if not 0 <= self.n_chains <= 2**32:   # the runner's chain indices are uint32

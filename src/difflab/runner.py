@@ -27,9 +27,8 @@ from .config import RunSpec, SweepSpec
 from .files import FLOAT, fresh_out_dir, write_csv, write_json
 from .metrics import (HeatmapGrid, bin_trajectory_points, heatmap_grid,
                       mode_statistics, sliced_w1, w1_quantiles, wasserstein1_1d)
-from .model import EpsTerms, GaussianMixtureModel, sample_marginal
-from .samplers import (ChainState, SamplerConfig, StepPlan, StepRows, StepWork, Trajectory,
-                       _step_core, plan_rows)
+from .model import GaussianMixtureModel, sample_marginal
+from .samplers import ChainState, StepPlan, StepRows, StepWork, Trajectory, _step_core
 
 __all__ = ["RunResult", "run_chains", "execute_run", "execute_sweep"]
 
@@ -149,17 +148,16 @@ class _Stack:
     n: int
     seeds: tuple
     plans: tuple
-    first: StepRows         # every slice's first row: the chains' x_bar and t
     noise_rows: int         # the most noise rows a slice uses
     segments: list
 
 
-def _stack(slices, n, seeds, schedules, configs, plans, terms) -> _Stack:
+def _stack(slices, n, seeds, schedules, configs, plans) -> _Stack:
     """The _Stack of slices, (cell, block start) pairs of n chains, from the
     run's per-cell tuples."""
     cells, los = zip(*slices)
-    seeds, schedules, configs, plans, terms = (
-        tuple(values[c] for c in cells) for values in (seeds, schedules, configs, plans, terms))
+    seeds, schedules, configs, plans = (
+        tuple(values[c] for c in cells) for values in (seeds, schedules, configs, plans))
     S, K = len(plans), plans[0].K
     kind = np.zeros((S, K), dtype=np.int8)  # 0 once done, else 1 + plain + 2 noisy
     for s, plan in enumerate(plans):
@@ -172,11 +170,10 @@ def _stack(slices, n, seeds, schedules, configs, plans, terms) -> _Stack:
         active = S - kinds.count(0)
         starts = [s for s in range(active) if s == 0 or kinds[s] != kinds[s - 1]]
         segments.append((k0, k1, active, [
-            (s0, s1, schedules[s0], configs[s0], plan_rows(plans[s0:s1], terms[s0:s1], k0, k1))
+            (s0, s1, schedules[s0], configs[s0], StepRows(plans[s0:s1], k0, k1))
             for s0, s1 in zip(starts, starts[1:] + [active])]))
     return _Stack(cells=cells, los=los, n=n, seeds=seeds, plans=plans,
-                  first=plan_rows(plans, terms, 0, 1), noise_rows=max(map(_noise_rows, plans)),
-                  segments=segments)
+                  noise_rows=max(map(_noise_rows, plans)), segments=segments)
 
 
 def _group(plans, n_chains: int, D: int) -> list:
@@ -224,8 +221,7 @@ def _run_block(model: GaussianMixtureModel, stack: _Stack, result: RunResult,
         else:
             _block_noise(seed, lo, lo + n, plan, D, chains[:, :rows])
             drawn.setdefault((seed, lo), s)
-    zero = np.zeros(D)          # the noise of a noiseless row
-    state = ChainState.init(noise[:, :, 0], stack.first)
+    state = ChainState.init(noise[:, :, 0], StepRows(stack.plans, 0, 1))
     work = StepWork(state.x_bar.shape, model)
 
     record, grid = result.trajectories, result.heatmap
@@ -248,7 +244,7 @@ def _run_block(model: GaussianMixtureModel, stack: _Stack, result: RunResult,
                 call_state, schedule, config, rows, eps, call_work = call
                 call[0], _, x0_hat, _ = _step_core(
                     call_state, model, schedule, config,
-                    zero if eps is None else eps[..., k + 1, :], rows, k - k0, call_work)
+                    None if eps is None else eps[..., k + 1, :], rows, k - k0, call_work)
             x_next = xs[k % 2]
             if k:
                 # np.linalg.norm(x_next - prev_x, axis=-1), written over prev_x: the
@@ -274,41 +270,32 @@ def _run_block(model: GaussianMixtureModel, stack: _Stack, result: RunResult,
     return counts
 
 
-def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig | tuple,
-               n_chains: int, seed: int | tuple, threads: int = 1,
-               trajectory_chains: int = 0,
-               heatmap: dict | None = None) -> RunResult | list[RunResult]:
-    """Run n_chains reverse chains on seeded noise; record the first trajectory_chains.
-
-    seed is one seed, with one schedule and one SamplerConfig, which gives one
-    RunResult; or a tuple of seeds, with a tuple of as many schedules and one
-    of as many configs, one cell per seed, which gives a list of one RunResult
-    per cell, each with the bytes its own run gives; a tuple records no
-    trajectories and bins no heatmap. Cells of one schedule and equal configs
-    share one plan.
+def run_chains(model: GaussianMixtureModel, schedules: tuple, configs: tuple, n_chains: int,
+               seeds: tuple, threads: int = 1, trajectory_chains: int = 0,
+               heatmap: dict | None = None) -> list[RunResult]:
+    """Run n_chains reverse chains on seeded noise per cell, a cell being a
+    seed of seeds with the schedule and SamplerConfig at its place in
+    schedules and configs; gives a list of one RunResult per cell, each with
+    the bytes the cell's own run gives. Only a run of one cell records its
+    first trajectory_chains chains or bins a heatmap. Cells of one schedule
+    and equal configs share one plan.
 
     Each cell's blocks of _BLOCK chains are its slices, and _group stacks
     slices of one chain count under a noise-store budget, so that one kernel
     call steps a stack's slices, each on its own plan's rows.
     """
-    stacked = isinstance(seed, tuple)
-    if stacked:
-        if trajectory_chains > 0 or heatmap is not None:
-            raise ValueError("a tuple of seeds runs without trajectories and without a heatmap")
-        if not (isinstance(schedule, tuple) and isinstance(config, tuple)
-                and len(schedule) == len(config) == len(seed)):
-            raise ValueError("a tuple of seeds needs a tuple of as many schedules and configs")
-    seeds, schedules, configs = (seed, schedule, config) if stacked else (
-        (seed,), (schedule,), (config,))
+    if not len(schedules) == len(configs) == len(seeds):
+        raise ValueError("need as many schedules and as many configs as seeds")
+    if len(seeds) > 1 and (trajectory_chains > 0 or heatmap is not None):
+        raise ValueError("a run of more than one cell records no trajectories and no heatmap")
     D = model.D
-    # one plan and the predictor's terms per schedule object and config value,
-    # built once for the cells that share them
+    # one plan per schedule object and config value, built once for the cells
+    # that share it
     built = {}
     for sched, cfg in zip(schedules, configs):
         if (id(sched), cfg) not in built:
-            plan = StepPlan.build(sched, cfg, D)
-            built[id(sched), cfg] = plan, EpsTerms(model, plan.alpha)
-    plans, terms = zip(*(built[id(sched), cfg] for sched, cfg in zip(schedules, configs)))
+            built[id(sched), cfg] = StepPlan.build(sched, cfg, model)
+    plans = tuple(built[id(sched), cfg] for sched, cfg in zip(schedules, configs))
     n_rec = min(trajectory_chains, n_chains)
     trajectories = [Trajectory(ts=plan.t_prev.copy(), xs=np.empty((n_rec, plan.K, D)),
                                x0_hats=np.empty((n_rec, plan.K, D))) for plan in plans]
@@ -316,9 +303,9 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig | tu
     result = RunResult(
         samples=np.zeros((len(seeds), n_chains, D)), tv=np.zeros((len(seeds), n_chains)),
         trajectories=trajectories[0],
-        heatmap=None if heatmap is None else heatmap_grid(heatmap, schedule.tau[-1], D))
+        heatmap=None if heatmap is None else heatmap_grid(heatmap, schedules[0].tau[-1], D))
 
-    stacks = [_stack(slices, n, seeds, schedules, configs, plans, terms)
+    stacks = [_stack(slices, n, seeds, schedules, configs, plans)
               for n, slices in _group(plans, n_chains, D)]
     workers = min(threads, os.cpu_count() or 1)   # map submits every stack at once
     # one noise buffer per worker, made here before any stack runs and reused by
@@ -343,9 +330,8 @@ def run_chains(model: GaussianMixtureModel, schedule, config: SamplerConfig | tu
 
     if result.heatmap is not None:      # integer sums: the same in any order
         result.heatmap.counts[:] += sum(counts)
-    results = [RunResult(samples, tv, traj, result.heatmap)
-               for samples, tv, traj in zip(result.samples, result.tv, trajectories)]
-    return results if stacked else results[0]
+    return [RunResult(samples, tv, traj, result.heatmap)
+            for samples, tv, traj in zip(result.samples, result.tv, trajectories)]
 
 
 def compute_metrics(result: RunResult, model: GaussianMixtureModel, seed: int,
@@ -405,9 +391,8 @@ def execute_run(spec: RunSpec, out_dir) -> RunResult:
     n_rec = 0
     if spec.trajectories:
         n_rec = spec.n_chains if spec.trajectory_chains is None else spec.trajectory_chains
-    result = run_chains(model, schedule, config, spec.n_chains, spec.seed,
-                        threads=spec.threads, trajectory_chains=n_rec,
-                        heatmap=spec.heatmap)
+    result, = run_chains(model, (schedule,), (config,), spec.n_chains, (spec.seed,),
+                         threads=spec.threads, trajectory_chains=n_rec, heatmap=spec.heatmap)
 
     _write_samples_csv(out / "samples.csv", result.samples)
     if spec.trajectories:

@@ -2,10 +2,10 @@
 adaptive-momentum variants operating in the rescaled space x_bar = x / sqrt(alpha).
 
 A ``StepPlan`` holds every per-transition coefficient of one (schedule,
-SamplerConfig) pair at one data dimension, and ``plan_rows`` turns plans into
-one column table, ``StepRows``, of every coefficient ``_step_core`` and the
-predictor read, which both index by row. The plan owns the per-transition
-policy: momentum and second-moment scaling apply on every transition except the
+SamplerConfig) pair for one model, the predictor's terms among them, and
+``StepRows`` turns plans into one column table of every coefficient
+``_step_core`` and the predictor read, which both index by row. The plan owns
+the per-transition policy: momentum and second-moment scaling apply on every transition except the
 last, and the final step (t_prev == 0) is the plain generalized step with
 sigma = 0 for every method, so with alpha(0) = 1 each chain ends on its last
 predicted clean sample.
@@ -37,7 +37,7 @@ __all__ = [
     "ETA_DDPM_HAT",
     "SamplerConfig",
     "StepPlan",
-    "plan_rows",
+    "StepRows",
     "ChainState",
     "StepWork",
     "Trajectory",
@@ -144,8 +144,8 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class StepPlan:
-    """Per-transition coefficients of one (schedule, SamplerConfig) pair at data
-    dimension D.
+    """Per-transition coefficients of one (schedule, SamplerConfig) pair for one
+    model, of data dimension D.
 
     Row k is the k-th reverse step, from t[k] down to t_prev[k]. In x_bar
     space the step's increment is d x_bar = mu eps_hat + noise eps, with
@@ -160,7 +160,6 @@ class StepPlan:
     t: np.ndarray                # (K,) int, from tau[-1] down to tau[0]
     t_prev: np.ndarray           # (K,) int, 0 on the last row
     alpha: np.ndarray            # alpha(t), the predictor's signal level
-    sqrt_alpha: np.ndarray       # sqrt(alpha(t))
     sqrt_alpha_prev: np.ndarray  # sqrt(alpha(t_prev))
     mu: np.ndarray               # drift coefficient of eps_hat
     noise: np.ndarray            # coefficient of the noise draw; 0 on the last row
@@ -170,13 +169,15 @@ class StepPlan:
     zeta: np.ndarray             # SamplerConfig.zeta
     v_div: np.ndarray            # D for v_norm "mean_sq", 1 for "raw_l2sq": 1 at D = 1
     plain: np.ndarray            # bool: every row for vanilla, the last row always
+    terms: EpsTerms              # the predictor's terms at alpha; sa is sqrt(alpha)
 
     @property
     def K(self) -> int:
         return int(self.t.size)
 
     @classmethod
-    def build(cls, schedule, config: SamplerConfig, D: int) -> "StepPlan":
+    def build(cls, schedule, config: SamplerConfig,
+              model: GaussianMixtureModel) -> "StepPlan":
         """Raises ValueError, naming t, where the eta mode does not fit the
         schedule. The schedule's alphas decrease along tau and alpha(0)
         exceeds them all, so every row has alpha_t < alpha_prev."""
@@ -204,16 +205,16 @@ class StepPlan:
 
         def full(value):
             return np.full(t.size, value, dtype=float)
-        return cls(t=t, t_prev=t_prev, alpha=a_t, sqrt_alpha=np.sqrt(a_t),
-                   sqrt_alpha_prev=sqrt_a_p,
+        return cls(t=t, t_prev=t_prev, alpha=a_t, sqrt_alpha_prev=sqrt_a_p,
                    mu=dir_coeff / sqrt_a_p - np.sqrt((1.0 - a_t) / a_t), noise=noise,
                    a=full(a), b=full(b), c=full(config.c), zeta=full(config.zeta),
-                   v_div=full(D if config.v_norm == "mean_sq" else 1), plain=plain)
+                   v_div=full(model.D if config.v_norm == "mean_sq" else 1), plain=plain,
+                   terms=EpsTerms(model, a_t))
 
 
 # StepPlan's arrays in a row, each with the trailing axes of its per-slice column
-_COEFFS = (("alpha", 2), ("sqrt_alpha", 2), ("sqrt_alpha_prev", 2), ("mu", 2), ("noise", 2),
-           ("a", 2), ("b", 2), ("c", 1), ("zeta", 1), ("v_div", 1))
+_COEFFS = (("sqrt_alpha_prev", 2), ("mu", 2), ("noise", 2), ("a", 2), ("b", 2),
+           ("c", 1), ("zeta", 1), ("v_div", 1))
 
 
 def _column(arrays, k0: int, k1: int, axes: int = 2):
@@ -231,33 +232,29 @@ def _column(arrays, k0: int, k1: int, axes: int = 2):
 
 
 class StepRows:
-    """``plan_rows``: rows k0..k1-1 of a stack, indexed from 0, as one column
-    table that the kernel and the predictor read at row i. Each of k, t,
+    """Rows k0..k1-1 (every row by default) of a stack whose slice s has the
+    plan plans[s], each plan of at least k1 rows, as one column table indexed
+    from 0 that the kernel and the predictor read at row i. Each of k, t,
     t_prev, plain and noisy (noise != 0) is the first slice's, a list over the
     rows: a row serves only slices of one kind. Each of ``StepPlan``'s
-    coefficients and each of ``EpsTerms.names`` is held once over the rows, as
-    ``_column`` gives it: where every slice agrees, a row is one value, a
-    Python float or the terms' row array; where they differ, a per-slice
-    column, (S, 1, 1) against the (S, n, D) chains, or (S, 1) for c, zeta and
-    v_div against the (S, n) second moments. So a run's table is itself the
-    predictor's terms, and a step builds no object of its own."""
+    coefficients and each of its terms' ``EpsTerms.names`` (sqrt(alpha) is
+    ``sa``) is held once over the rows, as ``_column`` gives it: where every
+    slice agrees, a row is one value, a Python float or the terms' row array;
+    where they differ, a per-slice column, (S, 1, 1) against the (S, n, D)
+    chains, or (S, 1) for c, zeta and v_div against the (S, n) second moments.
+    So a run's table is itself the predictor's terms, and a step builds no
+    object of its own."""
 
-    def __init__(self, plans, terms, k0: int, k1: int):
+    def __init__(self, plans, k0: int = 0, k1: int | None = None):
         first = plans[0]
+        k1 = first.K if k1 is None else k1
         self.k = range(k0, k1)
         self.t, self.t_prev = first.t[k0:k1].tolist(), first.t_prev[k0:k1].tolist()
         self.plain, self.noisy = first.plain[k0:k1].tolist(), (first.noise[k0:k1] != 0.0).tolist()
         for name, axes in _COEFFS:
             setattr(self, name, _column([getattr(p, name) for p in plans], k0, k1, axes))
         for name in EpsTerms.names:
-            setattr(self, name, _column([getattr(t, name) for t in terms], k0, k1))
-
-
-def plan_rows(plans, terms, k0: int = 0, k1: int | None = None) -> StepRows:
-    """Rows k0..k1-1 (every row by default) of a stack whose slice s has the
-    plan plans[s] and the predictor's terms terms[s] over that plan's alphas.
-    Every slice's plan must have at least k1 rows."""
-    return StepRows(plans, terms, k0, plans[0].K if k1 is None else k1)
+            setattr(self, name, _column([getattr(p.terms, name) for p in plans], k0, k1))
 
 
 class ChainState(NamedTuple):
@@ -274,7 +271,7 @@ class ChainState(NamedTuple):
         """Chains at the step of rows' row 0, from data-space x_T: a plan's
         first row, or a stack's, whose columns give each slice its own plan's
         first row."""
-        x_bar = np.asarray(x_T, dtype=float) / rows.sqrt_alpha[0]
+        x_bar = np.asarray(x_T, dtype=float) / rows.sa[0]
         return cls(rows.t[0], x_bar, np.zeros_like(x_bar), np.ones(x_bar.shape[:-1]))
 
 
@@ -335,10 +332,10 @@ def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
     # position, as the schedule and config of the row's first slice
     _, x_bar, m, v = state
     dxb, tmp = work.dxb, work.scratch
-    pred = analytic_eps(model, np.multiply(rows.sqrt_alpha[i], x_bar, out=tmp), rows.alpha[i],
-                        work.eps_work, rows, i)
+    pred = analytic_eps(model, np.multiply(rows.sa[i], x_bar, out=tmp), None, work.eps_work,
+                        rows, i)
     np.multiply(rows.mu[i], pred.eps_hat, out=dxb)
-    if rows.noisy[i]:   # a noiseless row adds nothing: no 0 * eps_noise term
+    if rows.noisy[i]:   # a noiseless row adds nothing, and its eps_noise is None
         np.add(dxb, np.multiply(rows.noise[i], eps_noise, out=tmp), out=dxb)
 
     if rows.plain[i]:

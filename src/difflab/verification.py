@@ -22,8 +22,8 @@ import numpy as np
 from . import model as gm
 from .model import EpsTerms, GaussianMixtureModel
 from .runner import run_chains
-from .samplers import (ETA_DDPM_UNIT, ChainState, SamplerConfig, StepPlan, StepWork, _step_core,
-                       plan_rows)
+from .samplers import (ETA_DDPM_UNIT, ChainState, SamplerConfig, StepPlan, StepRows, StepWork,
+                       _step_core)
 from .schedule import linear_beta_schedule
 
 __all__ = [
@@ -71,7 +71,7 @@ def drift_consistency(schedule, gmm: GaussianMixtureModel, n_points: int, rng) -
     """
     T = schedule.T
     ts = np.arange(1, T + 1)
-    plan = StepPlan.build(schedule, SamplerConfig.vanilla(ETA_DDPM_UNIT), gmm.D)  # row T - t
+    plan = StepPlan.build(schedule, SamplerConfig.vanilla(ETA_DDPM_UNIT), gmm)  # row T - t
     betas = np.zeros(T)
     drift_mis = np.zeros(T)
     diff_ratio = np.full(T, np.nan)
@@ -106,7 +106,7 @@ def drift_consistency(schedule, gmm: GaussianMixtureModel, n_points: int, rng) -
     }
 
 
-def _friction_plan(fm: FrictionMapping, n_steps: int) -> StepPlan:
+def _friction_plan(fm: FrictionMapping, n_steps: int, model: GaussianMixtureModel) -> StepPlan:
     """n_steps momentum rows that make the step kernel the bare recursion
     m <- a m + b g, x_bar <- x_bar + m, for a one-chain state whose noise row is
     the forcing g: mu = 0 drops the predictor, noise = 1 passes g through,
@@ -116,10 +116,10 @@ def _friction_plan(fm: FrictionMapping, n_steps: int) -> StepPlan:
     def const(value):
         return np.full(n_steps, value, dtype=float)
     t = np.arange(n_steps, 0, -1)
-    return StepPlan(t=t, t_prev=t - 1, alpha=const(0.5), sqrt_alpha=const(1.0),
-                    sqrt_alpha_prev=const(1.0), mu=const(0.0), noise=const(1.0),
-                    a=const(fm.a), b=const(fm.b), c=const(0.0), zeta=const(0.0),
-                    v_div=const(1.0), plain=np.zeros(n_steps, dtype=bool))
+    return StepPlan(t=t, t_prev=t - 1, alpha=const(0.5), sqrt_alpha_prev=const(1.0),
+                    mu=const(0.0), noise=const(1.0), a=const(fm.a), b=const(fm.b),
+                    c=const(0.0), zeta=const(0.0), v_div=const(1.0),
+                    plain=np.zeros(n_steps, dtype=bool), terms=EpsTerms(model, const(0.5)))
 
 
 def midpoint_equivalence(lam: float, n_steps: int, drift, noise_seq) -> float:
@@ -134,10 +134,9 @@ def midpoint_equivalence(lam: float, n_steps: int, drift, noise_seq) -> float:
     noise_seq = np.asarray(noise_seq, dtype=float)
     if noise_seq.size < n_steps:
         raise ValueError("noise_seq shorter than n_steps")
-    plan = _friction_plan(fm, n_steps)
     # any model will do: mu = 0 cancels its prediction
     model = GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[0.0])
-    rows = plan_rows([plan], [EpsTerms(model, plan.alpha)])
+    rows = StepRows([_friction_plan(fm, n_steps, model)])
     # the momentum path: one chain at rest, stepped in place as a run steps it
     state = ChainState.init(np.zeros((1, 1)), rows)
     work = StepWork((1, 1), model)
@@ -248,8 +247,8 @@ def check_degeneracy(tol: float = 1e-12, T: int = 50, n_chains: int = 16,
     schedule = linear_beta_schedule(T, 1e-3, 0.05)
     worst = 0.0
     for eta in ("deterministic", "ddpm_unit"):
-        van = run_chains(gmm, schedule, SamplerConfig.vanilla(eta), n_chains, seed)
-        ada = run_chains(gmm, schedule, degenerate_config(eta), n_chains, seed)
+        van, = run_chains(gmm, (schedule,), (SamplerConfig.vanilla(eta),), n_chains, (seed,))
+        ada, = run_chains(gmm, (schedule,), (degenerate_config(eta),), n_chains, (seed,))
         worst = max(worst, float(np.max(np.abs(van.samples - ada.samples))))
     return _result("degeneracy-equivalence", worst <= tol, worst, f"<= {tol}")
 

@@ -1,10 +1,31 @@
-"""Shared test helpers."""
+"""Shared test helpers, and the hypothesis profile "no-shrink"."""
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
-from difflab.model import EpsTerms
-from difflab.samplers import ChainState, StepPlan, StepWork, _step_core, plan_rows
+import difflab.runner as runner
+from difflab.model import GaussianMixtureModel
+from difflab.samplers import ChainState, StepPlan, StepRows, StepWork, _step_core
+
+# `pytest --hypothesis-profile=no-shrink` reports a failing property's first
+# falsifying example without shrinking it: for mutation checks, where a broken
+# kernel fails many properties and shrinking each takes minutes. Registering it
+# changes nothing unless that option selects it.
+settings.register_profile("no-shrink",
+                          phases=[phase for phase in Phase if phase is not Phase.shrink])
+
+
+def unit_gaussian(D=1):
+    """One standard Gaussian in D dimensions: a model for plans whose predictor
+    terms a test does not read."""
+    return GaussianMixtureModel(weights=[1.0], means=[[0.0] * D], variances=[1.0])
+
+
+def run_one(model, schedule, config, n_chains, seed, **kwargs):
+    """The RunResult of a run_chains call with one cell: schedule, config and seed."""
+    result, = runner.run_chains(model, (schedule,), (config,), n_chains, (seed,), **kwargs)
+    return result
 
 
 @pytest.fixture()
@@ -13,8 +34,7 @@ def drive_chains():
     plan, one in-place kernel call per row; noise(k, shape) gives row k's noise
     draw. Returns the final samples and the per-step x0_hat predictions."""
     def drive(model, schedule, config, x_T, noise):
-        plan = StepPlan.build(schedule, config, model.D)
-        rows = plan_rows([plan], [EpsTerms(model, plan.alpha)])
+        rows = StepRows([StepPlan.build(schedule, config, model)])
         state = ChainState.init(x_T, rows)
         work = StepWork(state.x_bar.shape, model)
         x0_hats = []

@@ -13,11 +13,13 @@ import numpy as np
 
 from difflab.config import RunSpec
 from difflab.model import GaussianMixtureModel
-from difflab.runner import execute_run, run_chains
+from difflab.runner import execute_run
 from difflab.samplers import SamplerConfig
 from difflab.schedule import linear_beta_schedule, respace
 from difflab.verification import (check_midpoint_equivalence,
                                   check_score_consistency, degenerate_config)
+
+from conftest import run_one
 
 
 def _report(label, passed, detail, elapsed, budget):
@@ -56,10 +58,10 @@ def test_degenerate_adaptive_matches_vanilla_everywhere():
         for d in (1, 2):
             gmm = two_point(d)
             for eta, sched in cases:
-                van = run_chains(gmm, sched, SamplerConfig.vanilla(eta),
-                                 n_chains, seed=5)
-                ada = run_chains(gmm, sched, degenerate_config(eta),
-                                 n_chains, seed=5)
+                van = run_one(gmm, sched, SamplerConfig.vanilla(eta),
+                              n_chains, seed=5)
+                ada = run_one(gmm, sched, degenerate_config(eta),
+                              n_chains, seed=5)
                 worst = max(worst, float(np.max(np.abs(van.samples - ada.samples))))
     elapsed = time.perf_counter() - start
     _report("degeneracy-equivalence", worst <= 1e-12,
@@ -81,12 +83,12 @@ def test_noise_predictor_matches_finite_difference_score():
 def _two_mode_runs(seed):
     gmm = two_point()
     sched = linear_beta_schedule(200, 5e-4, 0.1)
-    van = run_chains(gmm, sched, SamplerConfig.vanilla("ddpm_unit"),
-                     10000, seed=seed)
-    ada = run_chains(gmm, sched,
-                     SamplerConfig(method="adaptive", eta_mode="ddpm_unit",
-                                   b=0.4, c=0.003),
-                     10000, seed=seed)
+    van = run_one(gmm, sched, SamplerConfig.vanilla("ddpm_unit"),
+                  10000, seed=seed)
+    ada = run_one(gmm, sched,
+                  SamplerConfig(method="adaptive", eta_mode="ddpm_unit",
+                                b=0.4, c=0.003),
+                  10000, seed=seed)
     return van, ada
 
 
@@ -169,8 +171,8 @@ def test_single_gaussian_deterministic_convergence():
     start = time.perf_counter()
     gmm = GaussianMixtureModel(weights=[1.0], means=[[1.0]], variances=[0.25])
     sched = linear_beta_schedule(1000, 1e-4, 0.02)
-    res = run_chains(gmm, sched, SamplerConfig.vanilla("deterministic"),
-                     10000, seed=0)
+    res = run_one(gmm, sched, SamplerConfig.vanilla("deterministic"),
+                  10000, seed=0)
     from difflab.metrics import wasserstein1_1d
     w1 = wasserstein1_1d(res.samples[:, 0], gmm)
     elapsed = time.perf_counter() - start
@@ -221,8 +223,8 @@ def test_history_coefficient_sweep_has_interior_optimum():
     for b in bs:
         vals = []
         for seed in range(3):
-            res = run_chains(gmm, sched, SamplerConfig(b=b, c=0.0, zeta=0.0),
-                             4000, seed=seed)
+            res = run_one(gmm, sched, SamplerConfig(b=b, c=0.0, zeta=0.0),
+                          4000, seed=seed)
             vals.append(wasserstein1_1d(res.samples[:, 0], gmm))
         means.append(float(np.mean(vals)))
     argmin = int(np.argmin(means))
@@ -240,14 +242,14 @@ def test_respacing_identity_and_degradation():
     gmm = smooth_two_gauss()
     full = linear_beta_schedule(1000, 1e-4, 0.02)
     cfg = SamplerConfig.vanilla("ddpm_unit")
-    a = run_chains(gmm, full, cfg, 2000, seed=4).samples
-    b = run_chains(gmm, respace(full, 1000), cfg, 2000, seed=4).samples
+    a = run_one(gmm, full, cfg, 2000, seed=4).samples
+    b = run_one(gmm, respace(full, 1000), cfg, 2000, seed=4).samples
     identical = np.array_equal(a, b)
 
     from difflab.metrics import wasserstein1_1d
     w1 = {}
     for K in (25, 50):
-        res = run_chains(gmm, respace(full, K), cfg, 10000, seed=4)
+        res = run_one(gmm, respace(full, K), cfg, 10000, seed=4)
         w1[K] = wasserstein1_1d(res.samples[:, 0], gmm)
     elapsed = time.perf_counter() - start
     _report("respacing-sanity", identical and w1[25] > w1[50],

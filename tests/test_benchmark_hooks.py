@@ -38,9 +38,11 @@ def test_tracer_finds_every_hook():
         assert tracer.missing == {}
     finally:
         tracer.uninstall()
-    # the tracer reads the step kernel's first five arguments by position
+    # the tracer reads the step kernel's first five arguments by position, and
+    # run_chains' thread count as its sixth when it is not a keyword
     params = list(inspect.signature(runner._step_core).parameters)[:5]
     assert params == ["state", "model", "schedule", "config", "eps_noise"]
+    assert list(inspect.signature(runner.run_chains).parameters)[5] == "threads"
 
 
 def test_tracer_sees_every_per_step_call():
@@ -51,8 +53,8 @@ def test_tracer_sees_every_per_step_call():
     try:
         gmm = GaussianMixtureModel(weights=[0.5, 0.5], means=[[-2.0], [4.0]],
                                    variances=[0.0, 0.0])
-        runner.run_chains(gmm, linear_beta_schedule(20, 1e-3, 0.05), SamplerConfig.vanilla(),
-                          2100, seed=0, threads=2,
+        runner.run_chains(gmm, (linear_beta_schedule(20, 1e-3, 0.05),),
+                          (SamplerConfig.vanilla(),), 2100, (0,), threads=2,
                           heatmap={"t_bins": 5, "x_bins": 12, "x_min": -6, "x_max": 6})
         spans, _ = tracer.take()
     finally:
@@ -69,8 +71,8 @@ def _traced(gmm, config, n_chains, threads=1):
     tracer = _load_tracer().Tracer()
     tracer.install(difflab)
     try:
-        runner.run_chains(gmm, linear_beta_schedule(20, 1e-3, 0.05), config,
-                          n_chains, seed=0, threads=threads)
+        runner.run_chains(gmm, (linear_beta_schedule(20, 1e-3, 0.05),), (config,),
+                          n_chains, (0,), threads=threads)
         return tracer.take()
     finally:
         tracer.uninstall()
@@ -125,7 +127,8 @@ def test_tracer_counts_a_stacked_noisy_sweeps_used_noise_as_its_plans_imply(tmp_
     used = 0
     for value in sweep.values:
         spec = sweep.cell_spec(value, 0)
-        plan = StepPlan.build(spec.build_schedule(), spec.build_sampler_config(), 1)
+        plan = StepPlan.build(spec.build_schedule(), spec.build_sampler_config(),
+                              spec.build_model())
         used += sweep.seeds_per_cell * 300 * (1 + np.count_nonzero(plan.noise))
     tracer = _load_tracer().Tracer()
     tracer.install(difflab)

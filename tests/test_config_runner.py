@@ -26,6 +26,7 @@ from difflab.runner import (_block_noise, _write_samples_csv, _write_trajectorie
 from difflab.samplers import SamplerConfig, SecondMomentError, StepPlan, Trajectory
 from difflab.schedule import linear_beta_schedule, respace
 
+from conftest import run_one, unit_gaussian
 from oracles import build_heatmap, trajectory_total_variation
 
 
@@ -135,7 +136,7 @@ def test_run_chains_matches_single_chain_loop(drive_chains):
         # ddpm_hat needs a non-expanding per-step rate, so a flat beta
         sched = linear_beta_schedule(30, 1e-3, 1e-3 if eta == "ddpm_hat" else 0.05)
         cfg = SamplerConfig(method="adaptive", eta_mode=eta, b=0.3, c=0.01)
-        res = run_chains(gmm, sched, cfg, n_chains=5, seed=seed)
+        res = run_one(gmm, sched, cfg, n_chains=5, seed=seed)
         for i in range(5):
             rng = np.random.default_rng([seed, i])
             noise = rng.standard_normal((len(sched.tau) + 1, 1))
@@ -147,7 +148,7 @@ def test_run_chains_thread_invariance():
     gmm = two_point()
     sched = linear_beta_schedule(20, 1e-3, 0.05)
     cfg = SamplerConfig.vanilla()
-    runs = [run_chains(gmm, sched, cfg, 4100, seed=1, threads=k).samples
+    runs = [run_one(gmm, sched, cfg, 4100, seed=1, threads=k).samples
             for k in (1, 2, 8)]
     assert np.array_equal(runs[0], runs[1])
     assert np.array_equal(runs[0], runs[2])
@@ -161,12 +162,12 @@ def test_workers_never_share_a_noise_buffer(monkeypatch):
     sched = linear_beta_schedule(3, 1e-3, 0.05)
     cfg = SamplerConfig.vanilla()
     n = 12 * 2048 + 5
-    serial = run_chains(gmm, sched, cfg, n, seed=4).samples
+    serial = run_one(gmm, sched, cfg, n, seed=4).samples
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pooled = run_chains(gmm, sched, cfg, n, seed=4, threads=8).samples
+        pooled = run_one(gmm, sched, cfg, n, seed=4, threads=8).samples
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(pooled, serial)
@@ -195,7 +196,7 @@ def test_noise_buffers_are_made_on_the_calling_thread(monkeypatch, threads, n_ch
     gmm, sched, cfg = two_point(), linear_beta_schedule(3, 1e-3, 0.05), SamplerConfig.vanilla()
     with monkeypatch.context() as patch:
         patch.setattr(np, "empty", recorded_empty)
-        run_chains(gmm, sched, cfg, n_chains, seed=5, threads=threads)
+        run_one(gmm, sched, cfg, n_chains, seed=5, threads=threads)
     first = next(i for i, (kind, _, _) in enumerate(events) if kind == "block")
     stores = [store for kind, _, store in events if kind == "block"]
     buffers = [store for i, store in enumerate(stores)
@@ -274,15 +275,16 @@ def test_run_chains_extension_stability():
     gmm = two_point()
     sched = linear_beta_schedule(20, 1e-3, 0.05)
     cfg = SamplerConfig.vanilla()
-    small = run_chains(gmm, sched, cfg, 50, seed=9).samples
-    big = run_chains(gmm, sched, cfg, 200, seed=9).samples
+    small = run_one(gmm, sched, cfg, 50, seed=9).samples
+    big = run_one(gmm, sched, cfg, 200, seed=9).samples
     assert np.array_equal(big[:50], small)
 
 
 def test_block_noise_refuses_chain_indices_from_2_to_the_32():
     # the bulk seeding hashes a chain index as one uint32 word; past it, it would wrap
     top = 2**32
-    plan = StepPlan.build(linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla(), 2)
+    plan = StepPlan.build(linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla(),
+                          unit_gaussian(2))
     noise = _block_noise(5, top - 3, top, plan, 2)
     for i, rows in zip(range(top - 3, top), noise):
         assert rows.tobytes() == np.random.default_rng([5, i]).standard_normal((5, 2)).tobytes()
@@ -293,7 +295,8 @@ def test_block_noise_refuses_chain_indices_from_2_to_the_32():
 def test_block_noise_draws_into_the_head_of_a_reused_store():
     # a worker's noise buffer is sized for a whole block and reused by each of
     # its blocks; a partial block draws into its head, over the last block's rows
-    plan = StepPlan.build(linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla(), 2)
+    plan = StepPlan.build(linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla(),
+                          unit_gaussian(2))
     store = np.full(7 * 5 * 2, np.nan)
     noise = _block_noise(5, 10, 13, plan, 2, store[:30].reshape(3, 5, 2))
     assert noise.shape == (3, 5, 2) and np.shares_memory(noise, store[:30])
@@ -305,7 +308,7 @@ def test_block_noise_draws_the_prefix_its_plan_uses(eta):
     # x_T and one row per step up to the last noisy step, the prefix of each
     # chain's full stream; no noisy step is left without its row
     sched = respace(linear_beta_schedule(40, 0.02, 0.02), 12, "quadratic")   # fits ddpm_hat
-    plan = StepPlan.build(sched, SamplerConfig.vanilla(eta), 2)
+    plan = StepPlan.build(sched, SamplerConfig.vanilla(eta), unit_gaussian(2))
     noise = _block_noise(8, 3, 7, plan, 2)
     rows = noise.shape[1]
     assert rows == {"deterministic": 1, "ddpm_unit": 12, "ddpm_hat": 12}[eta]
@@ -337,7 +340,7 @@ def test_run_chains_steps_a_tuple_of_seeds_in_stacks_under_a_noise_budget(monkey
                                      ((5,), (4,), (0,))])
     assert isinstance(stacked, list) and len(stacked) == 5
     for seed, got in zip(seeds, stacked):
-        alone = run_chains(gmm, sched, cfg, 700, seed)
+        alone = run_one(gmm, sched, cfg, 700, seed)
         assert got.samples.tobytes() == alone.samples.tobytes()
         assert got.tv.tobytes() == alone.tv.tobytes()
 
@@ -345,17 +348,28 @@ def test_run_chains_steps_a_tuple_of_seeds_in_stacks_under_a_noise_budget(monkey
 @pytest.mark.parametrize("kwargs", [{"trajectory_chains": 1},
                                     {"heatmap": {"t_bins": 2, "x_bins": 4,
                                                  "x_min": -1.0, "x_max": 1.0}}])
-def test_a_tuple_of_seeds_records_no_trajectories_or_heatmap(kwargs):
-    # one trajectory array or heatmap could hold only one seed's chains
-    with pytest.raises(ValueError, match="tuple of seeds"):
-        run_chains(two_point(), linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla(),
-                   10, (1, 2), **kwargs)
+def test_a_run_of_two_cells_records_no_trajectories_or_heatmap(kwargs):
+    # one trajectory array or heatmap could hold only one cell's chains; a
+    # run of one cell records them
+    sched, config = linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla()
+    with pytest.raises(ValueError, match="more than one cell"):
+        run_chains(two_point(), (sched, sched), (config, config), 10, (1, 2), **kwargs)
+    assert len(run_chains(two_point(), (sched,), (config,), 10, (1,), **kwargs)) == 1
+
+
+@pytest.mark.parametrize("lengths", [(1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 3)])
+def test_run_chains_needs_as_many_schedules_and_configs_as_seeds(lengths):
+    sched, config = linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla()
+    n_scheds, n_configs, n_seeds = lengths
+    with pytest.raises(ValueError, match="as many schedules and as many configs as seeds"):
+        run_chains(two_point(), (sched,) * n_scheds, (config,) * n_configs, 10,
+                   tuple(range(n_seeds)))
 
 
 def test_run_chains_zero_chains():
     gmm = two_point()
     sched = linear_beta_schedule(10, 1e-3, 0.05)
-    res = run_chains(gmm, sched, SamplerConfig.vanilla(), 0, seed=0)
+    res = run_one(gmm, sched, SamplerConfig.vanilla(), 0, seed=0)
     assert res.samples.shape == (0, 1)
     assert res.tv.shape == (0,)
     assert res.trajectories.xs.shape == (0, len(sched.tau), 1)
@@ -365,8 +379,8 @@ def test_run_chains_heatmap_counts_conserved():
     gmm = two_point()
     sched = linear_beta_schedule(15, 1e-3, 0.05)
     n = 40
-    res = run_chains(gmm, sched, SamplerConfig.vanilla(), n, seed=2,
-                     heatmap={"t_bins": 5, "x_bins": 12, "x_min": -6, "x_max": 6})
+    res = run_one(gmm, sched, SamplerConfig.vanilla(), n, seed=2,
+                  heatmap={"t_bins": 5, "x_bins": 12, "x_min": -6, "x_max": 6})
     assert res.heatmap.counts.sum() == n * len(sched.tau)
 
 
@@ -377,8 +391,8 @@ def test_run_chains_heatmap_matches_build_heatmap():
     sched = respace(linear_beta_schedule(100, 1e-3, 0.05), 30, "quadratic")
     heat = {"t_bins": 7, "x_bins": 24, "x_min": -3.0, "x_max": 5.0}
     for n, threads in ((300, 1), (2100, 2)):
-        res = run_chains(gmm, sched, SamplerConfig(), n, seed=4, threads=threads,
-                         trajectory_chains=n, heatmap=heat)
+        res = run_one(gmm, sched, SamplerConfig(), n, seed=4, threads=threads,
+                      trajectory_chains=n, heatmap=heat)
         assert res.trajectories.xs.shape == (n, len(sched.tau), 1)
         grid = build_heatmap(res.trajectories, t_bins=7, x_bins=24, x_range=(-3.0, 5.0),
                              t_range=(0.0, float(sched.tau[-1])))
@@ -400,7 +414,7 @@ def test_run_chains_tv_matches_trajectory_total_variation(D, respaced):
     if respaced:
         sched = respace(sched, 20, "quadratic")
     for n in (60, 2100):
-        res = run_chains(gmm, sched, SamplerConfig(), n, seed=6, trajectory_chains=n)
+        res = run_one(gmm, sched, SamplerConfig(), n, seed=6, trajectory_chains=n)
         ref = trajectory_total_variation(res.trajectories)
         assert ref.shape == (n,)
         assert np.array_equal(res.tv, ref)
@@ -411,8 +425,8 @@ def test_respaced_k_equals_t_matches_full_schedule():
     full = linear_beta_schedule(100, 1e-3, 0.05)
     sub = respace(full, 100, "uniform")
     cfg = SamplerConfig.vanilla()
-    a = run_chains(gmm, full, cfg, 32, seed=5).samples
-    b = run_chains(gmm, sub, cfg, 32, seed=5).samples
+    a = run_one(gmm, full, cfg, 32, seed=5).samples
+    b = run_one(gmm, sub, cfg, 32, seed=5).samples
     assert np.array_equal(a, b)
 
 
@@ -562,8 +576,8 @@ def test_sweep_csv_bytes_match_csv_writer_reference(tmp_path, axis, values, base
         for s in range(2):
             spec = sweep.cell_spec(value, s)
             model = spec.build_model()
-            result = run_chains(model, spec.build_schedule(), spec.build_sampler_config(),
-                                spec.n_chains, spec.seed, threads=spec.threads)
+            result = run_one(model, spec.build_schedule(), spec.build_sampler_config(),
+                             spec.n_chains, spec.seed, threads=spec.threads)
             cells.append((value, spec.seed, compute_metrics(result, model, spec.seed)))
     key = "w1" if model.D == 1 else "sliced_w1"
     means = {v: np.mean([met[key] for value, _, met in cells if value == v])
@@ -607,9 +621,9 @@ def test_run_chains_pool_is_never_wider_than_the_machine(monkeypatch, cpus, widt
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recorded)
     monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
     gmm, sched, cfg = two_point(), linear_beta_schedule(4, 1e-3, 0.05), SamplerConfig.vanilla()
-    samples = run_chains(gmm, sched, cfg, 4100, seed=1, threads=100000).samples
+    samples = run_one(gmm, sched, cfg, 4100, seed=1, threads=100000).samples
     assert widths == ([] if width is None else [width])
-    assert np.array_equal(samples, run_chains(gmm, sched, cfg, 4100, seed=1).samples)
+    assert np.array_equal(samples, run_one(gmm, sched, cfg, 4100, seed=1).samples)
 
 
 def test_execute_sweep_builds_the_model_once(tmp_path, monkeypatch):
@@ -734,7 +748,7 @@ def test_equal_configs_share_one_plan_and_step_on_float_rows(monkeypatch):
     # each coefficient once: floats, and the predictor's terms with no slice axis
     gmm = GaussianMixtureModel(weights=[0.5, 0.5], means=[[-1.0], [2.0]], variances=[0.1, 0.0])
     sched, config = linear_beta_schedule(12, 0.02, 0.02), SamplerConfig()
-    wants = [run_chains(gmm, sched, config, 5, seed).samples.tobytes() for seed in (1, 2)]
+    wants = [run_one(gmm, sched, config, 5, seed).samples.tobytes() for seed in (1, 2)]
     builds, calls = [], []
     build, analytic_eps = StepPlan.build.__func__, samplers.analytic_eps
 
@@ -755,7 +769,7 @@ def test_equal_configs_share_one_plan_and_step_on_float_rows(monkeypatch):
         assert builds == [config] * plans
         assert len(calls) == 12
         for alpha, terms, i in calls:
-            assert type(alpha) is float
+            assert alpha is None    # the predictor reads row i of terms
             row = [getattr(terms, name)[i] for name in EpsTerms.names]
             assert all(type(term) is float or term.ndim == 2 for term in row)
         assert [got.samples.tobytes() for got in results] == wants
@@ -779,16 +793,17 @@ def test_grouping_stacks_each_benchmark_shape():
     # slices' noise fits the 8 MiB store and three do not, and the partial
     # block stacks alone
     fig4 = RunSpec.from_dict(_fig4_spec())
-    plan = StepPlan.build(fig4.build_schedule(), fig4.build_sampler_config(), 1)
+    plan = StepPlan.build(fig4.build_schedule(), fig4.build_sampler_config(),
+                          fig4.build_model())
     assert runner._group([plan], 10000, 1) == [
         (2048, [(0, 0), (0, 2048)]), (2048, [(0, 4096), (0, 6144)]), (1808, [(0, 8192)])]
     # mix16d (8192 chains, D=16, K=50 ddpm_unit): one slice's noise is past 8 MiB
     plan = StepPlan.build(respace(linear_beta_schedule(1000, 1e-4, 0.02), 50, "quadratic"),
-                          SamplerConfig.vanilla(), 16)
+                          SamplerConfig.vanilla(), unit_gaussian(16))
     assert runner._group([plan], 8192, 16) == [(2048, [(0, lo)]) for lo in range(0, 8192, 2048)]
     # sweep_k (10 deterministic cells of 512 chains): each slice holds x_T only
     full = linear_beta_schedule(1000, 1e-4, 0.02)
-    plans = [StepPlan.build(respace(full, K), SamplerConfig.vanilla("deterministic"), 1)
+    plans = [StepPlan.build(respace(full, K), SamplerConfig.vanilla("deterministic"), two_point())
              for K in (1000, 1000, 500, 500, 250, 250, 100, 100, 50, 50)]
     assert runner._group(plans, 512, 1) == [(512, [(cell, 0) for cell in range(10)])]
 
@@ -809,8 +824,8 @@ def test_fig4_shape_makes_600_predictor_and_binning_calls(monkeypatch):
     monkeypatch.setattr(samplers, "analytic_eps", counted_eps)
     monkeypatch.setattr(runner, "bin_trajectory_points", counted_bin)
     spec = RunSpec.from_dict(_fig4_spec())
-    result = run_chains(spec.build_model(), spec.build_schedule(), spec.build_sampler_config(),
-                        10000, 0, trajectory_chains=50, heatmap=spec.heatmap)
+    result = run_one(spec.build_model(), spec.build_schedule(), spec.build_sampler_config(),
+                     10000, 0, trajectory_chains=50, heatmap=spec.heatmap)
     assert eps_calls == bin_calls == [(2, 2048, 1)] * 400 + [(1, 1808, 1)] * 200
     assert result.heatmap.counts.sum() == 10000 * 200
 

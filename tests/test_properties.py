@@ -17,9 +17,10 @@ from difflab.config import RunSpec, SpecError
 from difflab.metrics import bin_trajectory_points, heatmap_grid, mixture_quantile, sliced_w1
 from difflab.model import EpsTerms, EpsWork, GaussianMixtureModel, analytic_eps
 from difflab.runner import _block_noise, run_chains
-from difflab.samplers import StepPlan, SamplerConfig, plan_rows
-from difflab.schedule import linear_beta_schedule, respace
+from difflab.samplers import StepPlan, SamplerConfig, StepRows
+from difflab.schedule import NoiseSchedule, linear_beta_schedule, respace
 
+from conftest import run_one, unit_gaussian
 from oracles import (analytic_eps_general, eps_terms_at, quantile_200_halvings, reference_bin,
                      reference_chains, sliced_w1_strided)
 
@@ -78,7 +79,7 @@ def mixtures(draw, D=None):
 
 def _fitting(sched, config):
     try:
-        StepPlan.build(sched, config, 1)
+        StepPlan.build(sched, config, unit_gaussian())
     except ValueError:
         return False
     return True
@@ -90,16 +91,17 @@ def _fitting(sched, config):
        configs(eta_modes=("deterministic", "ddpm_unit")))
 def test_plan_of_respace_to_T_equals_full_plan(T, beta_start, spread, mode, K, config):
     full = linear_beta_schedule(T, beta_start, beta_start + spread)
-    want = StepPlan.build(full, config, 1)
-    got = StepPlan.build(respace(full, T, mode), config, 1)
-    for name in ("t", "t_prev", "sqrt_alpha", "sqrt_alpha_prev", "mu", "noise",
-                 "a", "b", "plain"):
+    want = StepPlan.build(full, config, unit_gaussian())
+    got = StepPlan.build(respace(full, T, mode), config, unit_gaussian())
+    for name in ("t", "t_prev", "sqrt_alpha_prev", "mu", "noise", "a", "b", "plain"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in EpsTerms.names:
+        assert getattr(got.terms, name).tobytes() == getattr(want.terms, name).tobytes(), name
     # a shorter subsequence reads its alphas straight from the full arrays
     sub = respace(full, min(K, T), mode)
-    plan = StepPlan.build(sub, config, 1)
+    plan = StepPlan.build(sub, config, unit_gaussian())
     assert plan.t.tolist() == list(sub.tau[::-1])
-    assert plan.sqrt_alpha.tobytes() == np.sqrt(full.alphas_cum[plan.t - 1]).tobytes()
+    assert plan.terms.sa.tobytes() == np.sqrt(full.alphas_cum[plan.t - 1]).tobytes()
 
 
 def _sigma_closed_form(eta_mode, a_t, a_p):
@@ -120,7 +122,7 @@ def test_plan_rows_match_their_closed_forms(eta, sched, data):
     # otherwise; every row's coefficients must equal their formulas here
     config = data.draw(configs(eta_modes=(eta,)))
     assume(_fitting(sched, config))
-    plan = StepPlan.build(sched, config, 1)
+    plan = StepPlan.build(sched, config, unit_gaussian())
     assert plan.t.tolist() == list(sched.tau[::-1])
     assert plan.t_prev.tolist() == [0, *sched.tau[:-1]][::-1]
     for k, (t, t_prev) in enumerate(zip(plan.t.tolist(), plan.t_prev.tolist())):
@@ -131,12 +133,12 @@ def test_plan_rows_match_their_closed_forms(eta, sched, data):
         slope = math.sqrt((1.0 - a_t) / a_t)
         # (formula, the scale its rounding error is relative to)
         want = {"alpha": (a_t, a_t),
-                "sqrt_alpha": (math.sqrt(a_t), math.sqrt(a_t)),
+                "sa": (math.sqrt(a_t), math.sqrt(a_t)),
                 "sqrt_alpha_prev": (math.sqrt(a_p), math.sqrt(a_p)),
                 "noise": (sig / math.sqrt(a_p), sig / math.sqrt(a_p)),
                 "mu": (drift - slope, drift + slope)}
         for name, (value, scale) in want.items():
-            got = float(getattr(plan, name)[k])
+            got = float(getattr(plan.terms if name == "sa" else plan, name)[k])
             assert abs(got - value) <= 1e-14 * scale, (name, k, got, value)
         assert bool(plan.plain[k]) == (config.method == "vanilla" or last), k
 
@@ -159,7 +161,7 @@ def test_plan_build_fails_only_with_value_error_and_validate_names_it(
     except SpecError:
         assume(False)     # alpha_zero not above alpha_1
     try:
-        StepPlan.build(schedule, config, 1)
+        StepPlan.build(schedule, config, spec.build_model())
     except ValueError as exc:
         event("the eta mode does not fit")
         assert "at t=" in str(exc)
@@ -225,7 +227,8 @@ def test_block_noise_is_each_chains_default_rng_stream(seed, edge, before, after
     # byte, across a 2048-chain block edge: a numpy release that seeds
     # differently fails here. A K-step plan uses x_T and, unless deterministic,
     # every step's row but the noiseless last one's. A flat beta fits ddpm_hat.
-    plan = StepPlan.build(linear_beta_schedule(K, 0.02, 0.02), SamplerConfig.vanilla(eta), D)
+    plan = StepPlan.build(linear_beta_schedule(K, 0.02, 0.02), SamplerConfig.vanilla(eta),
+                          unit_gaussian(D))
     rows = 1 if eta == "deterministic" else K
     lo, hi = 2048 * edge - before, 2048 * edge + after
     noise = _block_noise(seed, lo, hi, plan, D)
@@ -315,8 +318,8 @@ def test_degenerate_adaptive_equals_vanilla(gmm, sched, eta, seed):
     assume(_fitting(sched, vanilla))
     degen = SamplerConfig(method="adaptive", eta_mode=eta, b=1.0, a_rule="spherical",
                           c=0.0, zeta=0.0)
-    van = run_chains(gmm, sched, vanilla, 8, seed).samples
-    ada = run_chains(gmm, sched, degen, 8, seed).samples
+    van = run_one(gmm, sched, vanilla, 8, seed).samples
+    ada = run_one(gmm, sched, degen, 8, seed).samples
     assert np.max(np.abs(van - ada)) <= 1e-12
 
 
@@ -341,12 +344,19 @@ def predictor_cases(draw):
 @example((GaussianMixtureModel(weights=[0.5, 0.5], means=[[-2.0], [4.0]], variances=[0.0, 0.0]),
           np.array([1e-5, 0.3, 1.0 - 1e-6]), np.array([[0.0], [1.0], [-7.0]])))
 def test_plan_terms_give_the_bytes_of_a_single_call(case):
-    # a run computes the predictor's alpha-only terms once over its plan and
-    # predicts in reused arrays; both must give each call's own bytes
+    # a plan computes the predictor's alpha-only terms once over its rows, and
+    # a run predicts in reused arrays; both must give each call's own bytes.
+    # The plan's schedule steps through the drawn signal levels, each as the
+    # cumulative product of its betas rounds it, less those within a relative
+    # 1e-12 of the next higher one, which the product could round onto it
     gmm, alphas, x = case
-    terms = EpsTerms(gmm, alphas)
+    levels = np.unique(alphas)[::-1]
+    levels = levels[np.concatenate(([True], levels[1:] < levels[:-1] * (1.0 - 1e-12)))]
+    sched = NoiseSchedule(betas=1.0 - levels / np.concatenate(([1.0], levels[:-1])))
+    plan = StepPlan.build(sched, SamplerConfig.vanilla("deterministic"), gmm)
+    terms = plan.terms
     work = EpsWork(gmm, x.shape[0])     # one set of arrays for every row
-    for row, alpha in enumerate(alphas.tolist()):
+    for row, alpha in enumerate(plan.alpha.tolist()):
         # numpy's SIMD log/exp could round by array length: one alpha is the reference
         for name, value in eps_terms_at(gmm, alpha).items():
             got = getattr(terms, name)[row]
@@ -441,7 +451,7 @@ def test_stacked_seeds_give_each_seeds_own_bytes(D, K, n, cells, draw):
         alone_each = run_chains(gmm, schedules, configs_, n, seeds)
     assert len(stacked) == len(alone_each) == len(cells)
     for (sched, config, seed), *runs in zip(cells, stacked, alone_each):
-        alone = run_chains(gmm, sched, config, n, seed)
+        alone = run_one(gmm, sched, config, n, seed)
         for got in runs:
             assert got.samples.tobytes() == alone.samples.tobytes(), seed
             assert got.tv.tobytes() == alone.tv.tobytes(), seed
@@ -468,10 +478,10 @@ def test_run_chains_matches_the_reference_sampler(layout, method, eta, gmm, sche
 
 
 def _assert_matches_the_reference_sampler(gmm, sched, config, layout, seed, n_rec):
-    rows = runner._noise_rows(StepPlan.build(sched, config, gmm.D))
+    rows = runner._noise_rows(StepPlan.build(sched, config, gmm))
     budget = {"one_per_stack": 0, "two_per_stack": 2 * 4 * rows * gmm.D, "one_stack": 1 << 20}
     with mock.patch.multiple(runner, _BLOCK=4, _STACK_FLOATS=budget[layout]):
-        res = run_chains(gmm, sched, config, 13, seed, trajectory_chains=n_rec)
+        res = run_one(gmm, sched, config, 13, seed, trajectory_chains=n_rec)
     samples, tv, xs, x0_hats = reference_chains(gmm, sched, config, seed, 13)
     for name, got, want in (("samples", res.samples, samples), ("tv", res.tv, tv),
                             ("xs", res.trajectories.xs, xs[:n_rec]),
@@ -508,7 +518,7 @@ def test_stacked_cells_of_different_plans_match_the_reference_sampler(gmm, cells
     # 13 chains a cell in blocks of 4, stacked one slice at a time, two at a
     # time, or every slice of a chain count together
     schedules, configs_, seeds = map(tuple, zip(*cells))
-    rows = max(runner._noise_rows(StepPlan.build(sched, config, gmm.D))
+    rows = max(runner._noise_rows(StepPlan.build(sched, config, gmm))
                for sched, config in zip(schedules, configs_))
     refs = [reference_chains(gmm, *cell, 13)[:2] for cell in cells]
     for budget in (0, 2 * 4 * rows * gmm.D, 1 << 20):
@@ -521,18 +531,17 @@ def test_stacked_cells_of_different_plans_match_the_reference_sampler(gmm, cells
                     (name, budget)
 
 
-_PLAN_COEFFS = ("alpha", "sqrt_alpha", "sqrt_alpha_prev", "mu", "noise", "a", "b",
-                "c", "zeta", "v_div")
+_PLAN_COEFFS = ("sqrt_alpha_prev", "mu", "noise", "a", "b", "c", "zeta", "v_div")
 
 
-def _rows_coefficients(plans, terms):
+def _rows_coefficients(plans):
     """(name, each slice's array over its plan's rows, the trailing axes of a
     per-slice scalar column) of every coefficient of a row."""
     for name in _PLAN_COEFFS:
         axes = 1 if name in ("c", "zeta", "v_div") else 2
         yield name, [getattr(p, name) for p in plans], axes
     for name in EpsTerms.names:
-        yield name, [getattr(t, name) for t in terms], 2
+        yield name, [getattr(p.terms, name) for p in plans], 2
 
 
 _TWO_MODES = GaussianMixtureModel(weights=[0.5, 0.5], means=[[-1.0], [2.0]],
@@ -553,18 +562,18 @@ def test_plan_rows_hold_the_plans_arrays(gmm, cells, lo, span):
     # rows agree byte for byte, the row holds the first slice's value: a
     # Python float for a scalar, the terms' row array otherwise. Where they
     # differ, it holds a per-slice column.
-    built = {}      # a value's cells share its plan and terms, as in a run
+    built = {}      # a value's cells share its plan, as in a run
     for sched, config, _ in cells:
         if (id(sched), id(config)) not in built:
-            plan = StepPlan.build(sched, config, gmm.D)
-            built[id(sched), id(config)] = plan, EpsTerms(gmm, plan.alpha)
-    plans, terms = zip(*(built[id(sched), id(config)] for sched, config, _ in cells))
+            built[id(sched), id(config)] = StepPlan.build(sched, config, gmm)
+    plans = [built[id(sched), id(config)] for sched, config, _ in cells]
     K = plans[-1].K
     k0 = min(lo, K - 1)
     k1 = min(k0 + 1 + span, K)
-    for stack, stack_terms in (([plans[0]], [terms[0]]), (plans, terms)):
-        rows = plan_rows(stack, stack_terms, k0, k1)
+    for stack in ([plans[0]], plans):
+        rows = StepRows(stack, k0, k1)
         assert list(rows.k) == list(range(k0, k1))
+        assert not hasattr(rows, "alpha") and not hasattr(rows, "sqrt_alpha")  # sa holds it
         for name in ("t", "t_prev", "plain", "noisy"):
             assert len(getattr(rows, name)) == k1 - k0, name
         first = stack[0]
@@ -572,7 +581,7 @@ def test_plan_rows_hold_the_plans_arrays(gmm, cells, lo, span):
             assert (rows.t[i], rows.t_prev[i], rows.plain[i], rows.noisy[i]) == (
                 int(first.t[k]), int(first.t_prev[k]), bool(first.plain[k]),
                 bool(first.noise[k] != 0.0))
-        for name, arrays, axes in _rows_coefficients(stack, stack_terms):
+        for name, arrays, axes in _rows_coefficients(stack):
             agree = len({a[k0:k1].tobytes() for a in arrays}) == 1
             event(f"{name} is {'one value' if agree else 'a column'}")
             column = getattr(rows, name)
@@ -603,9 +612,9 @@ def test_a_sweeps_rows_hold_columns_only_where_its_values_differ(axis, values, c
     # the cells of a b, c or eta-mode sweep have plans of their own, with equal
     # alphas: their rows stack what the axis moves and hold every other
     # coefficient once, the predictor's terms included
-    plans = [StepPlan.build(_FLAT, SamplerConfig(**{axis: value}), 1) for value in values]
-    terms = [EpsTerms(_TWO_MODES, plan.alpha) for plan in plans]
-    rows = plan_rows(plans, terms, 0, 7)     # the momentum rows, as a run's call holds them
+    plans = [StepPlan.build(_FLAT, SamplerConfig(**{axis: value}), _TWO_MODES)
+             for value in values]
+    rows = StepRows(plans, 0, 7)     # the momentum rows, as a run's call holds them
     for i in range(len(rows.k)):
         stacked = {name for name in _PLAN_COEFFS
                    if isinstance(getattr(rows, name)[i], np.ndarray)}
@@ -625,8 +634,8 @@ def test_a_sweeps_rows_hold_columns_only_where_its_values_differ(axis, values, c
        st.integers(0, 20), st.integers(0, 20))
 def test_chain_prefix_is_stable(gmm, sched, config, seed, m, extra):
     assume(_fitting(sched, config))
-    small = run_chains(gmm, sched, config, m, seed).samples
-    big = run_chains(gmm, sched, config, m + extra, seed).samples
+    small = run_one(gmm, sched, config, m, seed).samples
+    big = run_one(gmm, sched, config, m + extra, seed).samples
     assert np.array_equal(big[:m], small)
 
 

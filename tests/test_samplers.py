@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from difflab.model import EpsTerms, GaussianMixtureModel, analytic_eps
-from difflab.runner import run_chains
+from difflab.model import GaussianMixtureModel, analytic_eps
 from difflab.samplers import (ETA_DDPM_HAT, ETA_DDPM_UNIT, ETA_DETERMINISTIC,
                               ChainState, SamplerConfig, SecondMomentError,
-                              StepPlan, StepWork, _step_core, plan_rows, sigma)
+                              StepPlan, StepRows, StepWork, _step_core, sigma)
 from difflab.schedule import NoiseSchedule, linear_beta_schedule, respace
+
+from conftest import run_one
 
 
 def pair_schedule():
@@ -22,11 +23,6 @@ def pair_schedule():
 def two_point():
     return GaussianMixtureModel(weights=[0.5, 0.5], means=[[-2.0], [4.0]],
                                 variances=[0.0, 0.0])
-
-
-def rows_of(gmm, plan):
-    """The plan's rows, with the predictor's terms over its alphas."""
-    return plan_rows([plan], [EpsTerms(gmm, plan.alpha)])
 
 
 def ddim_reference(x_t, eps_hat, eps_noise, a_t, a_p, sig):
@@ -72,7 +68,8 @@ def test_sigma_rejects_non_increasing_noise():
 def test_increment_frozen_example():
     # alpha_t=0.5, alpha_prev=0.8, eta=0, eps_hat=1:
     # mu = sqrt(0.2/0.8) - sqrt(0.5/0.5) = -0.5
-    plan = StepPlan.build(pair_schedule(), SamplerConfig.vanilla(ETA_DETERMINISTIC), 1)
+    plan = StepPlan.build(pair_schedule(), SamplerConfig.vanilla(ETA_DETERMINISTIC),
+                          two_point())
     assert (plan.t[0], plan.t_prev[0]) == (2, 1)
     assert plan.mu[0] == pytest.approx(-0.5, rel=1e-14)
     assert plan.noise[0] == 0.0
@@ -89,14 +86,14 @@ def test_ddim_step_increment_identity():
     for eta, sched in ((ETA_DETERMINISTIC, ramp), (ETA_DDPM_UNIT, ramp),
                        (ETA_DDPM_HAT, flat)):
         cfg = SamplerConfig.vanilla(eta)
-        plan = StepPlan.build(sched, cfg, gmm.D)
-        rows = rows_of(gmm, plan)
+        plan = StepPlan.build(sched, cfg, gmm)
+        rows = StepRows([plan])
         for _ in range(20):
             t = int(rng.integers(2, 51))
             k = sched.T - t
             state = ChainState(t=t, x_bar=rng.uniform(-3, 3, 2), m=np.zeros(2),
                                v=np.ones(()))
-            x_t = plan.sqrt_alpha[k] * state.x_bar     # the step writes over x_bar
+            x_t = plan.terms.sa[k] * state.x_bar     # the step writes over x_bar
             eps = rng.standard_normal(2)
             _, x_prev, _, dxb = _step_core(state, gmm, sched, cfg, eps, rows, k,
                                            StepWork((2,), gmm))
@@ -152,8 +149,8 @@ def test_final_step_is_noiseless():
     gmm = two_point()
     sched = linear_beta_schedule(20, 1e-3, 0.05)
     cfg = SamplerConfig.vanilla(ETA_DDPM_UNIT)
-    res = run_chains(gmm, sched, cfg, 4, seed=4, trajectory_chains=4)
-    assert StepPlan.build(sched, cfg, 1).noise[-1] == 0.0
+    res = run_one(gmm, sched, cfg, 4, seed=4, trajectory_chains=4)
+    assert StepPlan.build(sched, cfg, gmm).noise[-1] == 0.0
     assert res.trajectories.x0_hats.shape[0] == 4
     for x0, x0_hats in zip(res.samples, res.trajectories.x0_hats):
         assert np.allclose(x0, x0_hats[-1], atol=1e-12)
@@ -182,7 +179,7 @@ def test_final_step_is_noiseless_for_every_method(method, eta, respaced):
     if respaced:
         sched = respace(sched, 10)
     cfg = _FINAL_STEP_CONFIGS[method](eta)
-    res = run_chains(gmm, sched, cfg, 4, seed=4, trajectory_chains=4)
+    res = run_one(gmm, sched, cfg, 4, seed=4, trajectory_chains=4)
     assert res.trajectories.ts[-1] == 0
     assert res.trajectories.x0_hats.shape[0] == 4
     for x0, x0_hats in zip(res.samples, res.trajectories.x0_hats):
@@ -240,7 +237,7 @@ def test_chain_state_init():
     sched = linear_beta_schedule(10, 1e-3, 0.05)
     x_T = np.array([[1.0, 2.0], [3.0, 4.0]])
     gmm = GaussianMixtureModel(weights=[1.0], means=[[0.0, 0.0]], variances=[1.0])
-    state = ChainState.init(x_T, rows_of(gmm, StepPlan.build(sched, SamplerConfig(), 2)))
+    state = ChainState.init(x_T, StepRows([StepPlan.build(sched, SamplerConfig(), gmm)]))
     assert state.t == 10
     assert np.array_equal(state.x_bar, x_T / math.sqrt(sched.alpha(10)))
     assert np.all(state.m == 0.0)
@@ -254,8 +251,8 @@ def test_degenerate_adaptive_equals_vanilla():
     sched = linear_beta_schedule(40, 1e-3, 0.05)
     for eta in (ETA_DETERMINISTIC, ETA_DDPM_UNIT):
         degen = SamplerConfig(method="adaptive", eta_mode=eta, b=1.0, c=0.0, zeta=0.0)
-        van = run_chains(gmm, sched, SamplerConfig.vanilla(eta), 5, seed=100).samples
-        ada = run_chains(gmm, sched, degen, 5, seed=100).samples
+        van = run_one(gmm, sched, SamplerConfig.vanilla(eta), 5, seed=100).samples
+        ada = run_one(gmm, sched, degen, 5, seed=100).samples
         assert np.max(np.abs(van - ada)) <= 1e-12
 
 
@@ -263,7 +260,7 @@ def test_second_moment_stays_positive():
     gmm = two_point()
     sched = linear_beta_schedule(60, 1e-3, 0.05)
     cfg = SamplerConfig(method="adaptive", b=0.3, c=0.05)
-    rows = rows_of(gmm, StepPlan.build(sched, cfg, 1))
+    rows = StepRows([StepPlan.build(sched, cfg, gmm)])
     state = ChainState.init(np.random.default_rng(7).standard_normal((16, 1)), rows)
     work = StepWork((16, 1), gmm)
     rng = np.random.default_rng(8)
@@ -285,7 +282,7 @@ def test_zero_second_moment_raises_named_error():
                        v=np.ones(3))
     with pytest.raises(SecondMomentError, match=r"c=1\.0, zeta=1e-08"):
         _step_core(state, gmm, sched, cfg, np.zeros((3, 1)),
-                   rows_of(gmm, StepPlan.build(sched, cfg, 1)), 0, StepWork((3, 1), gmm))
+                   StepRows([StepPlan.build(sched, cfg, gmm)]), 0, StepWork((3, 1), gmm))
 
 
 def test_zero_second_moment_in_a_stack_names_the_slice_that_hit_it():
@@ -294,9 +291,8 @@ def test_zero_second_moment_in_a_stack_names_the_slice_that_hit_it():
     gmm = GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[0.0])
     sched = linear_beta_schedule(20, 1e-3, 0.05)
     plans = [StepPlan.build(sched, SamplerConfig(method="adaptive", eta_mode=ETA_DETERMINISTIC,
-                                                 c=c), 1) for c in (0.5, 1.0)]
-    terms = EpsTerms(gmm, plans[0].alpha)
-    rows = plan_rows(plans, [terms, terms], 0, 1)
+                                                 c=c), gmm) for c in (0.5, 1.0)]
+    rows = StepRows(plans, 0, 1)
     assert rows.c[0].shape == (2, 1)
     state = ChainState(t=rows.t[0], x_bar=np.zeros((2, 3, 1)), m=np.zeros((2, 3, 1)),
                        v=np.ones((2, 3)))
@@ -312,10 +308,10 @@ def test_zero_second_moment_names_the_slice_where_the_slices_share_c():
     gmm = GaussianMixtureModel(weights=[1.0], means=[[0.0]], variances=[0.0])
     full = linear_beta_schedule(20, 1e-3, 0.05)
     cfg = SamplerConfig(method="adaptive", eta_mode=ETA_DETERMINISTIC, c=1.0, zeta=0.25)
-    plans = [StepPlan.build(sched, cfg, 1) for sched in (full, respace(full, 5))]
-    rows = plan_rows(plans, [EpsTerms(gmm, plan.alpha) for plan in plans], 0, 2)
+    plans = [StepPlan.build(sched, cfg, gmm) for sched in (full, respace(full, 5))]
+    rows = StepRows(plans, 0, 2)
     assert type(rows.c[1]) is float and type(rows.zeta[1]) is float
-    assert rows.t[1] == 19 and isinstance(rows.alpha[1], np.ndarray)
+    assert rows.t[1] == 19 and isinstance(rows.sa[1], np.ndarray)
     state = ChainState.init(np.ones((2, 3, 1)), rows)
     work = StepWork((2, 3, 1), gmm)
     state, *_ = _step_core(state, gmm, full, cfg, np.zeros((2, 3, 1)), rows, 0, work)
@@ -331,9 +327,9 @@ def test_vanilla_step_leaves_momentum_untouched():
     gmm = two_point()
     sched = linear_beta_schedule(10, 1e-3, 0.05)
     cfg = SamplerConfig.vanilla()
-    plan = StepPlan.build(sched, cfg, 1)
+    plan = StepPlan.build(sched, cfg, gmm)
     assert plan.plain.all()
-    rows = rows_of(gmm, plan)
+    rows = StepRows([plan])
     state = ChainState.init(np.array([0.5]), rows)
     m, v = state.m.copy(), state.v.copy()
     nxt, _, _, _ = _step_core(state, gmm, sched, cfg,
@@ -348,7 +344,7 @@ def test_trajectory_recording_shapes():
     gmm = two_point()
     sched = linear_beta_schedule(25, 1e-3, 0.05)
     cfg = SamplerConfig(method="adaptive", b=0.2)
-    res = run_chains(gmm, sched, cfg, 3, seed=9, trajectory_chains=2)
+    res = run_one(gmm, sched, cfg, 3, seed=9, trajectory_chains=2)
     traj = res.trajectories
     assert traj.ts.shape == (25,)
     assert traj.xs.shape == (2, 25, 1)
@@ -361,7 +357,7 @@ def test_respaced_chain_runs_and_uses_subsequence():
     gmm = two_point()
     sub = respace(linear_beta_schedule(100, 1e-3, 0.05), 10)
     cfg = SamplerConfig.vanilla()
-    traj = run_chains(gmm, sub, cfg, 1, seed=10, trajectory_chains=1).trajectories
+    traj = run_one(gmm, sub, cfg, 1, seed=10, trajectory_chains=1).trajectories
     assert traj.xs.shape == (1, 10, 1)
     assert list(traj.ts) == [90, 80, 70, 60, 50, 40, 30, 20, 10, 0]
 
@@ -369,7 +365,7 @@ def test_respaced_chain_runs_and_uses_subsequence():
 def test_mu_is_negative_for_unit_eta():
     # for eta=1, mu = (a_t - a_p) / (a_p sqrt(1-a_t) sqrt(a_t)) < 0
     sched = linear_beta_schedule(100, 1e-3, 0.05)
-    plan = StepPlan.build(sched, SamplerConfig.vanilla(ETA_DDPM_UNIT), 1)
+    plan = StepPlan.build(sched, SamplerConfig.vanilla(ETA_DDPM_UNIT), two_point())
     for t in (2, 50, 100):
         a_t, a_p = sched.alpha(t), sched.alpha(t - 1)
         mu = plan.mu[sched.T - t]
@@ -389,7 +385,7 @@ def test_analytic_eps_drives_steps_consistently():
     manual = ddim_reference(x_t, eps_hat, eps, sched.alpha(t), sched.alpha(t - 1),
                             sigma(sched, t, t - 1, ETA_DDPM_UNIT))
     cfg = SamplerConfig.vanilla()
-    rows = rows_of(gmm, StepPlan.build(sched, cfg, 1))
+    rows = StepRows([StepPlan.build(sched, cfg, gmm)])
     nxt, _, _, _ = _step_core(ChainState.init(x_t, rows), gmm, sched, cfg, eps, rows, 0,
                               StepWork((1,), gmm))
     assert np.allclose(math.sqrt(sched.alpha(29)) * nxt.x_bar, manual, atol=1e-12)

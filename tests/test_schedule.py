@@ -9,10 +9,12 @@ import pytest
 from difflab.samplers import SamplerConfig, StepPlan
 from difflab.schedule import linear_beta_schedule, respace
 
+from conftest import unit_gaussian
+
 
 def transitions(schedule):
     """The (t, t_prev) pairs of the step plan's rows, in reverse order."""
-    plan = StepPlan.build(schedule, SamplerConfig(), 1)
+    plan = StepPlan.build(schedule, SamplerConfig(), unit_gaussian())
     return list(zip(plan.t.tolist(), plan.t_prev.tolist()))
 
 
@@ -76,7 +78,7 @@ def test_uniform_respacing_frozen_tau():
     sub = respace(sched, 25, "uniform")
     assert sub.tau == tuple(range(40, 1001, 40))
     assert len(sub.tau) == 25
-    assert StepPlan.build(sub, SamplerConfig(), 1).K == 25
+    assert StepPlan.build(sub, SamplerConfig(), unit_gaussian()).K == 25
     assert sub.tau[-1] == 1000
 
 
