@@ -82,9 +82,7 @@ class NoisePrediction(NamedTuple):
 def _marginal_params(gmm: GaussianMixtureModel, alpha: float):
     """Mixture parameters of x_t: the mean scale sqrt(alpha) (means sqrt(alpha) mu_k)
     and the variances alpha var_k + 1 - alpha."""
-    sa = np.sqrt(alpha)
-    s2 = alpha * gmm.variances + (1.0 - alpha)
-    return sa, s2
+    return np.sqrt(alpha), alpha * gmm.variances + (1.0 - alpha)
 
 
 def _log_norm(gmm, s2):
@@ -120,26 +118,35 @@ class EpsTerms:
     once per call; each term is the same operations on the same operands as
     at one alpha. Each of ``names`` is an attribute over the rows, which a
     call at row i reads at [i]; a stack's ``StepRows`` holds the same names,
-    where a row of a term its slices differ on is a per-slice column."""
+    where a row of a term its slices differ on is a per-slice column.
 
-    names = ("sa", "two_sa", "sa2_mu_sq", "log_norm", "two_s2", "gain", "gain_mu", "sqrt_1ma")
+    They fold the predictor's per-row constants in x_bar = x / sqrt(alpha). With
+    s2_k = alpha var_k + 1 - alpha, log w_k + log N(x; sqrt(alpha) mu_k, s2_k I) is
+    c0_k + lin_k . x_bar - h_k |x_bar|^2, where h_k = alpha / (2 s2_k),
+    c0_k = log w_k - (D/2) log(2 pi s2_k) - h_k |mu_k|^2 and lin_k = alpha mu_k / s2_k;
+    component k's posterior mean is m_k + q_k x_bar, with q_k = alpha var_k / s2_k
+    and m_k = (1 - q_k) mu_k; and kappa = sqrt(alpha) / sqrt(1 - alpha)."""
+
+    names = ("sa", "c0", "lin", "h", "m", "q", "kappa")
 
     def __init__(self, gmm: GaussianMixtureModel, alphas):
         alphas = np.asarray(alphas, dtype=float).reshape(-1)
         bad = alphas[~((alphas > 0.0) & (alphas < 1.0))]
         if bad.size:
             _check_alpha(float(bad[0]), "analytic_eps")
-        sa, s2 = _marginal_params(gmm, alphas[:, None])          # (R, 1), (R, K)
+        a = alphas[:, None]
+        sa, s2 = _marginal_params(gmm, a)                         # (R, 1), (R, K)
+        h = a / (2.0 * s2)
+        q = a * gmm.variances / s2
         # a row of a stack's per-slice column has the shape given after the ";"
         self.sa = sa[:, 0]                                        # sqrt(alpha); (S, 1, 1)
-        self.two_sa = 2.0 * self.sa
         # (R, K, 1): a row's (K, 1) broadcasts over the points; (S, K, 1)
-        self.sa2_mu_sq = ((sa * sa) * gmm.mean_sq_norms)[:, :, None]
-        self.log_norm = _log_norm(gmm, s2)[:, :, None]
-        self.two_s2 = (2.0 * s2)[:, :, None]                      # 2 s2_k
-        self.gain = (sa * gmm.variances / s2)[:, None, :]          # (R, 1, K) g_k; (S, 1, K)
-        self.gain_mu = (1.0 - sa * self.gain[:, 0])[:, :, None] * gmm.means   # (R, K, D)
-        self.sqrt_1ma = np.sqrt(1.0 - alphas)                     # sqrt(1 - alpha); (S, 1, 1)
+        self.c0 = (_log_norm(gmm, s2) - h * gmm.mean_sq_norms)[:, :, None]
+        self.h = h[:, :, None]
+        self.lin = (a / s2)[:, :, None] * gmm.means               # (R, K, D); (S, K, D)
+        self.m = (1.0 - q)[:, :, None] * gmm.means
+        self.q = q[:, None, :]                                    # (R, 1, K); (S, 1, K)
+        self.kappa = self.sa / np.sqrt(1.0 - alphas)              # (S, 1, 1)
 
 
 class EpsWork:
@@ -149,12 +156,17 @@ class EpsWork:
     so calls on runs of its slices fill one set of buffers.
 
     Components sit on axis -2 of the (..., K, n) buffer, just before the
-    points, so one reduction over them serves a stack as it serves one set."""
+    points, so one reduction over them serves a stack as it serves one set.
+    The work also holds the model's two skip rules: ``two_mu`` (2 mu_k, for
+    the quadratic term) is None where every component has one variance, and
+    ``gain`` is False where every component is a point mass."""
 
     def __init__(self, gmm: GaussianMixtureModel, points):
         points = (points if isinstance(points, tuple) else (points,)) or (1,)  # () is one point
-        self._views(np.empty(points),           # |x|^2, then column max, sum, gain @ r
-                    np.empty(points[:-1] + (gmm.n_components, points[-1])),   # sq, log p, r
+        self.two_mu = None if np.all(gmm.variances == gmm.variances[0]) else 2.0 * gmm.means
+        self.gain = bool(np.any(gmm.variances))
+        self._views(np.empty(points),           # |x_bar|^2, then column max, sum, q @ r
+                    np.empty(points[:-1] + (gmm.n_components, points[-1])),   # log p, r
                     np.empty(points + (gmm.D,)), np.empty(points + (gmm.D,)))
 
     def _views(self, n_buf, kn_buf, x0_hat, eps_hat) -> None:
@@ -165,6 +177,7 @@ class EpsWork:
     def slices(self, lo: int, hi: int) -> "EpsWork":
         """The work of slices lo..hi-1 of a stack: views of this one's arrays."""
         part = object.__new__(EpsWork)
+        part.two_mu, part.gain = self.two_mu, self.gain
         part._views(self.n_buf[lo:hi], self.kn_buf[lo:hi], self.x0_hat[lo:hi],
                     self.eps_hat[lo:hi])
         return part
@@ -174,16 +187,18 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
                  work: EpsWork | None = None, terms: EpsTerms | None = None,
                  i: int = 0) -> NoisePrediction:
     """Bayes-optimal noise prediction for the noised mixture marginal at
-    cumulative signal level alpha (0 < alpha < 1).
+    cumulative signal level alpha (0 < alpha < 1), at data-space points x.
 
     Equals -sqrt(1 - alpha) times the score of log p_alpha, which is the target a
-    perfectly trained eps-predictor converges to. With responsibilities r_k and
-    posterior gains g_k = sqrt(alpha) var_k / s2_k, the posterior mean is
-    x0_hat = sum_k r_k ((1 - sqrt(alpha) g_k) mu_k + g_k x); point masses are
-    the g_k = 0 case.
+    perfectly trained eps-predictor converges to. It runs in x_bar = x / sqrt(alpha)
+    on ``EpsTerms``' folded terms: with responsibilities r_k, x0_hat is
+    sum_k r_k m_k + (sum_k r_k q_k) x_bar and eps_hat = kappa (x_bar - x0_hat). The
+    model alone decides two skips: of the quadratic term where every component
+    has one variance, as one h_k cancels in the softmax, and of x0_hat's x_bar
+    term where every component is a point mass, as every q_k is then 0.
 
-    With work, row i of terms holds the terms at alpha (alpha itself is
-    unused) and x holds work's points, (n, D) or a stack (S, n, D): the call
+    With work, x holds work's points in x_bar, (n, D) or a stack (S, n, D), row
+    i of terms holds the terms at alpha (alpha itself is unused), and the call
     writes into work's arrays, allocating none. terms is an ``EpsTerms`` or a
     stack's ``StepRows``, whose row may hold per-slice columns, so that each
     slice has its own alpha. Every (n, D) slice gets the bytes it would get
@@ -194,26 +209,22 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
         _check_alpha(alpha, "analytic_eps")
         x = np.asarray(x, dtype=float)
         work, terms, i = EpsWork(gmm, x.size // gmm.D), EpsTerms(gmm, [alpha]), 0
+        x = x / terms.sa[0]
     x0_hat, eps_hat = work.x0_hat, work.eps_hat
     shape = x0_hat.shape                                            # (..., n, D)
     xf = x if x.shape == shape else x.reshape(shape)
     nb, kn = work.n_buf, work.kn_buf
-    # |x - sa mu_k|^2 expanded: no (K, N, D) difference array
-    if shape[-1] == 1:
-        # single products, the same bits as einsum and matmul give; a -0.0
-        # cross term, where matmul gives +0.0, is lost in the subtraction below
-        np.multiply(xf[..., 0], xf[..., 0], out=nb)
-        np.multiply(gmm.means, xf.mT, out=kn)
-    else:
+    # single products at D = 1 give matmul's bits, up to a zero's sign, which the next call drops
+    product = np.multiply if shape[-1] == 1 else np.matmul
+    if work.two_mu is None:                                         # log p = c0 + lin . x_bar
+        product(terms.lin[i], xf.mT, out=kn)
+        np.add(kn, terms.c0[i], out=kn)
+    else:                               # c0 - h (|x_bar|^2 - 2 mu . x_bar): no (K, n) temporary
+        product(work.two_mu, xf.mT, out=kn)
         np.einsum("...d,...d->...", xf, xf, out=nb)
-        np.matmul(gmm.means, xf.mT, out=kn)
-    np.multiply(terms.two_sa[i], kn, out=kn)
-    np.subtract(work.n_col, kn, out=kn)
-    np.add(kn, terms.sa2_mu_sq[i], out=kn)                          # (..., K, n)
-    # log_p as _log_joint has it: 0.5 sq / s2 and sq / (2 s2) are one correctly
-    # rounded quotient wherever halving sq is exact (sq = 0 or |sq| >= 2**-1021)
-    np.divide(kn, terms.two_s2[i], out=kn)
-    np.subtract(terms.log_norm[i], kn, out=kn)
+        np.subtract(work.n_col, kn, out=kn)
+        np.multiply(terms.h[i], kn, out=kn)
+        np.subtract(terms.c0[i], kn, out=kn)                        # (..., K, n)
     # responsibilities: softmax with max subtraction, stable at small alpha;
     # the ufunc reductions are np.max and np.sum without their wrappers
     np.maximum.reduce(kn, axis=-2, out=nb)
@@ -221,12 +232,12 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     np.exp(kn, out=kn)
     np.add.reduce(kn, axis=-2, out=nb)
     np.divide(kn, work.n_col, out=kn)
-    np.matmul(kn.mT, terms.gain_mu[i], out=x0_hat)
-    np.matmul(terms.gain[i], kn, out=work.n_col)                    # gain @ r
-    np.add(x0_hat, np.multiply(work.n_row, xf, out=eps_hat), out=x0_hat)
-    np.multiply(terms.sa[i], x0_hat, out=eps_hat)
-    np.subtract(xf, eps_hat, out=eps_hat)
-    np.divide(eps_hat, terms.sqrt_1ma[i], out=eps_hat)
+    np.matmul(kn.mT, terms.m[i], out=x0_hat)
+    if work.gain:
+        np.matmul(terms.q[i], kn, out=work.n_col)                   # q @ r
+        np.add(x0_hat, np.multiply(work.n_row, xf, out=eps_hat), out=x0_hat)
+    np.subtract(xf, x0_hat, out=eps_hat)
+    np.multiply(terms.kappa[i], eps_hat, out=eps_hat)
     if x.shape != shape:
         return NoisePrediction(eps_hat.reshape(x.shape), x0_hat.reshape(x.shape))
     return NoisePrediction(eps_hat, x0_hat)

@@ -332,8 +332,7 @@ def _step_core(state: ChainState, model: GaussianMixtureModel, schedule,
     # position, as the schedule and config of the row's first slice
     _, x_bar, m, v = state
     dxb, tmp = work.dxb, work.scratch
-    pred = analytic_eps(model, np.multiply(rows.sa[i], x_bar, out=tmp), None, work.eps_work,
-                        rows, i)
+    pred = analytic_eps(model, x_bar, None, work.eps_work, rows, i)
     np.multiply(rows.mu[i], pred.eps_hat, out=dxb)
     if rows.noisy[i]:   # a noiseless row adds nothing, and its eps_noise is None
         np.add(dxb, np.multiply(rows.noise[i], eps_noise, out=tmp), out=dxb)

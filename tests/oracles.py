@@ -9,14 +9,17 @@ fixed 200 times, with no early stop, on difflab's normal CDF, the C library's
 erfc, which test_metrics holds to scipy's ndtr. The predictor's terms are
 written out at one scalar alpha, the way a call computed them before a run
 built them over a whole plan at once, and the predictor itself is written out
-in its general-D form: einsum and matmul for the squared distances at every D, and
+in its general-D form: einsum and matmul for the log joint at every D, and
 np.max and np.sum for the softmax. Sliced W1 is written out as it first was,
 sorting its projections down strided columns. The reference sampler steps one
 chain at a time in Python floats, from the paper's update and the mixture
 posterior, sharing no code with the run's plans, rows, kernel or predictor.
+The exact posterior is the mixture's posterior means in decimal arithmetic at
+40 significant digits, for the predictor's accuracy.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from difflab.metrics import HeatmapGrid, _ndtr
@@ -30,41 +33,65 @@ def eps_terms_at(gmm: GaussianMixtureModel, alpha: float) -> dict:
     """model.EpsTerms' fields at one alpha, as scalar-alpha expressions."""
     sa = np.sqrt(alpha)
     s2 = alpha * gmm.variances + (1.0 - alpha)
-    gain = sa * gmm.variances / s2
-    return {"sa": sa, "two_sa": 2.0 * sa, "sa2_mu_sq": (sa * sa) * gmm.mean_sq_norms,
-            "log_norm": gmm.log_weights - 0.5 * gmm.D * (np.log(s2) + _LOG_2PI),
-            "two_s2": 2.0 * s2, "gain": gain, "gain_mu": (1.0 - sa * gain)[:, None] * gmm.means,
-            "sqrt_1ma": np.sqrt(1.0 - alpha)}
+    h = alpha / (2.0 * s2)
+    q = alpha * gmm.variances / s2
+    log_norm = gmm.log_weights - 0.5 * gmm.D * (np.log(s2) + _LOG_2PI)
+    return {"sa": sa, "c0": log_norm - h * gmm.mean_sq_norms, "h": h,
+            "lin": (alpha / s2)[:, None] * gmm.means, "m": (1.0 - q)[:, None] * gmm.means,
+            "q": q, "kappa": sa / np.sqrt(1.0 - alpha)}
 
 
 def analytic_eps_general(gmm: GaussianMixtureModel, x, alpha: float) -> tuple:
-    """(eps_hat, x0_hat) of model.analytic_eps at one alpha, by the einsum,
-    matmul, np.max and np.sum route at every D, operation for operation, but
-    for the log joint's 0.5 sq / s2, which it halves and divides unfused."""
+    """(eps_hat, x0_hat) of model.analytic_eps at one alpha in data space, by
+    the einsum, matmul, np.max and np.sum route at every D, operation for
+    operation, with both of its skip rules: no quadratic term where every
+    component has one variance, and no x_bar term in x0_hat where every
+    component is a point mass."""
     t = eps_terms_at(gmm, alpha)
-    s2 = alpha * gmm.variances + (1.0 - alpha)
+    var = gmm.variances
     x = np.asarray(x, dtype=float)
-    xf = x.reshape(-1, gmm.D)
-    nb, kn = np.empty(xf.shape[0]), np.empty((gmm.n_components, xf.shape[0]))
-    np.einsum("nd,nd->n", xf, xf, out=nb)
-    np.matmul(gmm.means, xf.T, out=kn)
-    np.multiply(t["two_sa"], kn, out=kn)
-    np.subtract(nb, kn, out=kn)
-    np.add(kn, t["sa2_mu_sq"][:, None], out=kn)
-    np.multiply(0.5, kn, out=kn)
-    np.divide(kn, s2[:, None], out=kn)
-    np.subtract(t["log_norm"][:, None], kn, out=kn)
-    np.subtract(kn, np.max(kn, axis=0, out=nb), out=kn)
-    np.exp(kn, out=kn)
-    np.divide(kn, np.sum(kn, axis=0, out=nb), out=kn)
-    x0_hat, eps_hat = np.empty(xf.shape), np.empty(xf.shape)
-    np.matmul(kn.T, t["gain_mu"], out=x0_hat)
-    gain_r = np.matmul(t["gain"], kn, out=nb)
-    np.add(x0_hat, np.multiply(gain_r[:, None], xf, out=eps_hat), out=x0_hat)
-    np.multiply(t["sa"], x0_hat, out=eps_hat)
-    np.subtract(xf, eps_hat, out=eps_hat)
-    np.divide(eps_hat, t["sqrt_1ma"], out=eps_hat)
+    xb = x.reshape(-1, gmm.D) / t["sa"]
+    if np.all(var == var[0]):
+        log_p = np.matmul(t["lin"], xb.T) + t["c0"][:, None]
+    else:
+        sq = np.einsum("nd,nd->n", xb, xb) - np.matmul(2.0 * gmm.means, xb.T)
+        log_p = t["c0"][:, None] - t["h"][:, None] * sq
+    r = np.exp(log_p - np.max(log_p, axis=0))
+    r = r / np.sum(r, axis=0)
+    x0_hat = np.matmul(r.T, t["m"])
+    if np.any(var):
+        x0_hat = x0_hat + np.matmul(t["q"][None, :], r)[0][:, None] * xb
+    eps_hat = t["kappa"] * (xb - x0_hat)
     return eps_hat.reshape(x.shape), x0_hat.reshape(x.shape)
+
+
+def exact_posterior(gmm: GaussianMixtureModel, x, alpha: float, digits: int = 40) -> tuple:
+    """(eps_hat, x0_hat) at data-space points x, (..., D), as the posterior
+    means under the mixture in decimal arithmetic at ``digits`` significant
+    digits, from the exact values of the float inputs, then rounded to floats.
+    The log joint leaves out log(2 pi), which every component shares."""
+    shape = np.shape(x)
+    eps, x0 = [], []
+    with localcontext() as ctx:
+        ctx.prec = digits
+        a = Decimal(alpha)
+        sa, s1 = a.sqrt(), (1 - a).sqrt()
+        comps = [(Decimal(w).ln(), [Decimal(m) for m in mu], Decimal(v), a * Decimal(v) + 1 - a)
+                 for w, mu, v in zip(gmm.weights.tolist(), gmm.means.tolist(),
+                                     gmm.variances.tolist()) if w > 0.0]
+        for point in np.asarray(x, dtype=float).reshape(-1, shape[-1]).tolist():
+            p = [Decimal(c) for c in point]
+            logs, means = [], []
+            for log_w, mu, var, s2 in comps:
+                diff = [pd - sa * md for pd, md in zip(p, mu)]
+                logs.append(log_w - len(p) * s2.ln() / 2 - sum(d * d for d in diff) / (2 * s2))
+                means.append([md + sa * var / s2 * d for md, d in zip(mu, diff)])
+            top = max(logs)
+            r = [(lg - top).exp() for lg in logs]
+            mean = [sum(rk * m[d] for rk, m in zip(r, means)) / sum(r) for d in range(len(p))]
+            x0.append([float(m) for m in mean])
+            eps.append([float((pd - sa * m) / s1) for pd, m in zip(p, mean)])
+    return np.array(eps).reshape(shape), np.array(x0).reshape(shape)
 
 
 def sliced_w1_strided(samples_a, samples_b, n_projections: int, rng) -> float:

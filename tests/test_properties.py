@@ -325,13 +325,17 @@ def test_degenerate_adaptive_equals_vanilla(gmm, sched, eta, seed):
 
 @st.composite
 def predictor_cases(draw):
-    """A mixture with D in {1, 2, 16} and K in {1, 2, 3, 8}, point masses among
-    its components, the signal levels of a plan and points to predict at."""
+    """A mixture with D in {1, 2, 16} and K in {1, 2, 3, 8}, its variances all
+    0, all one value, some 0 or all drawn apart (so each of the predictor's skip
+    rules holds or fails), the signal levels of a plan and points to predict at."""
     D = draw(st.sampled_from((1, 2, 16)))
     K = draw(st.sampled_from((1, 2, 3, 8)))
+    kind = draw(st.sampled_from(("zero", "equal", "mixed", "apart")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     w = rng.uniform(0.1, 1.0, K)
-    variances = rng.uniform(0.0, 2.0, K) * (rng.uniform(size=K) < 0.6)   # some are 0
+    variances = {"zero": np.zeros(K), "equal": np.full(K, rng.uniform(0.1, 2.0)),
+                 "mixed": rng.uniform(0.0, 2.0, K) * (rng.uniform(size=K) < 0.6),
+                 "apart": rng.uniform(0.1, 2.0, K)}[kind]
     gmm = GaussianMixtureModel(weights=w / w.sum(), means=rng.uniform(-5.0, 5.0, (K, D)),
                                variances=variances)
     alphas = np.array(draw(st.lists(st.floats(1e-5, 1.0 - 1e-6), min_size=1, max_size=40)))
@@ -343,9 +347,13 @@ def predictor_cases(draw):
 @given(predictor_cases())
 @example((GaussianMixtureModel(weights=[0.5, 0.5], means=[[-2.0], [4.0]], variances=[0.0, 0.0]),
           np.array([1e-5, 0.3, 1.0 - 1e-6]), np.array([[0.0], [1.0], [-7.0]])))
+@example((GaussianMixtureModel(weights=[0.3, 0.7], means=[[-1.0, 2.0], [3.0, 0.0]],
+                               variances=[0.5, 0.5]),
+          np.array([1e-5, 0.3, 1.0 - 1e-6]), np.array([[0.0, 0.0], [1.0, -2.0]])))
 def test_plan_terms_give_the_bytes_of_a_single_call(case):
     # a plan computes the predictor's alpha-only terms once over its rows, and
-    # a run predicts in reused arrays; both must give each call's own bytes.
+    # a run predicts in reused arrays, from x_bar = x / sqrt(alpha); both must
+    # give each call's own bytes.
     # The plan's schedule steps through the drawn signal levels, each as the
     # cumulative product of its betas rounds it, less those within a relative
     # 1e-12 of the next higher one, which the product could round onto it
@@ -362,7 +370,7 @@ def test_plan_terms_give_the_bytes_of_a_single_call(case):
             got = getattr(terms, name)[row]
             assert got.tobytes() == np.asarray(value).tobytes(), (name, row)
         fresh = analytic_eps(gmm, x, alpha)
-        reused = analytic_eps(gmm, x, alpha, work, terms, row)
+        reused = analytic_eps(gmm, x / terms.sa[row], None, work, terms, row)
         assert reused.eps_hat.tobytes() == fresh.eps_hat.tobytes(), row
         assert reused.x0_hat.tobytes() == fresh.x0_hat.tobytes(), row
     assert set(vars(terms)) == set(EpsTerms.names) == set(eps_terms_at(gmm, 0.5))
@@ -388,15 +396,15 @@ def signed_zero_cases(draw):
                                variances=[0.0, 0.5, 0.0]),
           np.array([1e-5, 0.3, 1.0 - 1e-6]), np.array([[0.0], [-0.0], [-7.0], [2.5]])))
 def test_predictor_has_the_bytes_of_its_general_form(case):
-    # D = 1 computes |x|^2 and mu_k x as single products and every D reduces
-    # with the ufuncs themselves; fresh or in reused arrays, each call must
-    # give the einsum / matmul / np.max / np.sum form's bytes
+    # D = 1 computes lin_k x_bar or 2 mu_k x_bar as single products and every D
+    # reduces with the ufuncs themselves; fresh or in reused arrays (from x_bar),
+    # each call must give the einsum / matmul / np.max / np.sum form's bytes
     gmm, alphas, x = case
     work, terms = EpsWork(gmm, x.shape[0]), EpsTerms(gmm, alphas)
     for row, alpha in enumerate(alphas.tolist()):
         eps_hat, x0_hat = analytic_eps_general(gmm, x, alpha)
         for pred in (analytic_eps(gmm, x, alpha),
-                     analytic_eps(gmm, x, alpha, work, terms, row)):
+                     analytic_eps(gmm, x / terms.sa[row], None, work, terms, row)):
             assert pred.eps_hat.tobytes() == eps_hat.tobytes(), row
             assert pred.x0_hat.tobytes() == x0_hat.tobytes(), row
 
@@ -626,7 +634,7 @@ def test_a_sweeps_rows_hold_columns_only_where_its_values_differ(axis, values, c
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "analytic_eps sums over components with BLAS (r.T @ means, gain @ r), whose "
+    "analytic_eps sums over components with BLAS (r.T @ m, q @ r), whose "
     "rounding depends on the batch size, so chains of a partial block can move by "
     "a few ulps when chains are added; see CHANGES.md"))
 @settings(_FEW, phases=[Phase.generate])
