@@ -34,9 +34,12 @@ class GaussianMixtureModel:
     weights: np.ndarray     # (K,), non-negative, sums to 1
     means: np.ndarray       # (K, D)
     variances: np.ndarray   # (K,), isotropic per component, >= 0
-    # derived once for the predictor: log weights (-inf where 0) and |mu_k|^2
+    # derived once for the predictor: log weights (-inf where 0), |mu_k|^2, 2 mu_k, skip rules
     log_weights: np.ndarray = field(init=False, repr=False, compare=False)
     mean_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    two_means: np.ndarray = field(init=False, repr=False, compare=False)
+    one_variance: bool = field(init=False, repr=False, compare=False)
+    point_masses: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.weights, dtype=float))
@@ -57,11 +60,13 @@ class GaussianMixtureModel:
             raise ValueError("variances must be non-negative")
         with np.errstate(divide="ignore"):
             log_w = np.log(w)
-        stored = ((w, "weights"), (mu, "means"), (var, "variances"),
-                  (log_w, "log_weights"), (np.sum(mu * mu, axis=1), "mean_sq_norms"))
+        stored = ((w, "weights"), (mu, "means"), (var, "variances"), (log_w, "log_weights"),
+                  (np.sum(mu * mu, axis=1), "mean_sq_norms"), (2.0 * mu, "two_means"))
         for arr, name in stored:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "one_variance", bool(np.all(var == var[0])))
+        object.__setattr__(self, "point_masses", not np.any(var))
 
     @property
     def n_components(self) -> int:
@@ -82,7 +87,9 @@ class NoisePrediction(NamedTuple):
 def _marginal_params(gmm: GaussianMixtureModel, alpha: float):
     """Mixture parameters of x_t: the mean scale sqrt(alpha) (means sqrt(alpha) mu_k)
     and the variances alpha var_k + 1 - alpha."""
-    return np.sqrt(alpha), alpha * gmm.variances + (1.0 - alpha)
+    sa = np.sqrt(alpha)
+    s2 = alpha * gmm.variances + (1.0 - alpha)
+    return sa, s2
 
 
 def _log_norm(gmm, s2):
@@ -156,15 +163,10 @@ class EpsWork:
     so calls on runs of its slices fill one set of buffers.
 
     Components sit on axis -2 of the (..., K, n) buffer, just before the
-    points, so one reduction over them serves a stack as it serves one set.
-    The work also holds the model's two skip rules: ``two_mu`` (2 mu_k, for
-    the quadratic term) is None where every component has one variance, and
-    ``gain`` is False where every component is a point mass."""
+    points, so one reduction over them serves a stack as it serves one set."""
 
     def __init__(self, gmm: GaussianMixtureModel, points):
         points = (points if isinstance(points, tuple) else (points,)) or (1,)  # () is one point
-        self.two_mu = None if np.all(gmm.variances == gmm.variances[0]) else 2.0 * gmm.means
-        self.gain = bool(np.any(gmm.variances))
         self._views(np.empty(points),           # |x_bar|^2, then column max, sum, q @ r
                     np.empty(points[:-1] + (gmm.n_components, points[-1])),   # log p, r
                     np.empty(points + (gmm.D,)), np.empty(points + (gmm.D,)))
@@ -177,7 +179,6 @@ class EpsWork:
     def slices(self, lo: int, hi: int) -> "EpsWork":
         """The work of slices lo..hi-1 of a stack: views of this one's arrays."""
         part = object.__new__(EpsWork)
-        part.two_mu, part.gain = self.two_mu, self.gain
         part._views(self.n_buf[lo:hi], self.kn_buf[lo:hi], self.x0_hat[lo:hi],
                     self.eps_hat[lo:hi])
         return part
@@ -193,9 +194,9 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     perfectly trained eps-predictor converges to. It runs in x_bar = x / sqrt(alpha)
     on ``EpsTerms``' folded terms: with responsibilities r_k, x0_hat is
     sum_k r_k m_k + (sum_k r_k q_k) x_bar and eps_hat = kappa (x_bar - x0_hat). The
-    model alone decides two skips: of the quadratic term where every component
-    has one variance, as one h_k cancels in the softmax, and of x0_hat's x_bar
-    term where every component is a point mass, as every q_k is then 0.
+    model alone decides two skips: of the quadratic term where every component has
+    one variance (``gmm.one_variance``: one h_k cancels in the softmax), and of x0_hat's
+    x_bar term where every component is a point mass (``gmm.point_masses``: q = 0).
 
     With work, x holds work's points in x_bar, (n, D) or a stack (S, n, D), row
     i of terms holds the terms at alpha (alpha itself is unused), and the call
@@ -207,20 +208,19 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     """
     if work is None:
         _check_alpha(alpha, "analytic_eps")
-        x = np.asarray(x, dtype=float)
-        work, terms, i = EpsWork(gmm, x.size // gmm.D), EpsTerms(gmm, [alpha]), 0
-        x = x / terms.sa[0]
+        work, terms, i = EpsWork(gmm, np.size(x) // gmm.D), EpsTerms(gmm, [alpha]), 0
+        x = np.divide(x, terms.sa[0], dtype=float)     # also converts x to an array
     x0_hat, eps_hat = work.x0_hat, work.eps_hat
     shape = x0_hat.shape                                            # (..., n, D)
     xf = x if x.shape == shape else x.reshape(shape)
     nb, kn = work.n_buf, work.kn_buf
     # single products at D = 1 give matmul's bits, up to a zero's sign, which the next call drops
     product = np.multiply if shape[-1] == 1 else np.matmul
-    if work.two_mu is None:                                         # log p = c0 + lin . x_bar
+    if gmm.one_variance:                                            # log p = c0 + lin . x_bar
         product(terms.lin[i], xf.mT, out=kn)
         np.add(kn, terms.c0[i], out=kn)
     else:                               # c0 - h (|x_bar|^2 - 2 mu . x_bar): no (K, n) temporary
-        product(work.two_mu, xf.mT, out=kn)
+        product(gmm.two_means, xf.mT, out=kn)
         np.einsum("...d,...d->...", xf, xf, out=nb)
         np.subtract(work.n_col, kn, out=kn)
         np.multiply(terms.h[i], kn, out=kn)
@@ -233,7 +233,7 @@ def analytic_eps(gmm: GaussianMixtureModel, x, alpha: float,
     np.add.reduce(kn, axis=-2, out=nb)
     np.divide(kn, work.n_col, out=kn)
     np.matmul(kn.mT, terms.m[i], out=x0_hat)
-    if work.gain:
+    if not gmm.point_masses:
         np.matmul(terms.q[i], kn, out=work.n_col)                   # q @ r
         np.add(x0_hat, np.multiply(work.n_row, xf, out=eps_hat), out=x0_hat)
     np.subtract(xf, x0_hat, out=eps_hat)

@@ -65,15 +65,15 @@ def analytic_eps_general(gmm: GaussianMixtureModel, x, alpha: float) -> tuple:
     return eps_hat.reshape(x.shape), x0_hat.reshape(x.shape)
 
 
-def exact_posterior(gmm: GaussianMixtureModel, x, alpha: float, digits: int = 40) -> tuple:
+def exact_posterior(gmm: GaussianMixtureModel, x, alpha: float) -> tuple:
     """(eps_hat, x0_hat) at data-space points x, (..., D), as the posterior
-    means under the mixture in decimal arithmetic at ``digits`` significant
-    digits, from the exact values of the float inputs, then rounded to floats.
+    means under the mixture in decimal arithmetic at 40 significant digits,
+    from the exact values of the float inputs, then rounded to floats.
     The log joint leaves out log(2 pi), which every component shares."""
     shape = np.shape(x)
     eps, x0 = [], []
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 40
         a = Decimal(alpha)
         sa, s1 = a.sqrt(), (1 - a).sqrt()
         comps = [(Decimal(w).ln(), [Decimal(m) for m in mu], Decimal(v), a * Decimal(v) + 1 - a)
