@@ -8,10 +8,13 @@ which must not exist, or into a temporary directory that it removes
 afterwards. It runs tier-1 on the unmutated copy, which must pass. Then, one
 mutation at a time, it replaces the row's old text with its new text, runs
 tier-1 against the copy with ``-x -p no:cacheprovider
---hypothesis-profile=no-shrink``, but for test_mutants.py, under a timeout of
-TIMEOUT seconds, and restores the file. It prints one line per mutation:
-killed or survived (or timeout), the seconds taken and the first failing
-test, and exits 1 unless every mutation was killed.
+--hypothesis-profile=no-shrink``, but for test_mutants.py and the golden pins
+(test_golden.py), under a timeout of TIMEOUT seconds, and restores the file.
+A mutation that survives that run is run again with the pins: if they kill
+it, it is ``pin-only``, a fault that only a rewritable digest catches. It
+prints one line per mutation: killed, pin-only or survived (or timeout), the
+seconds taken and the first failing test, and exits 1 unless every mutation
+was killed without the pins.
 
 pytest does not collect this file; test_mutants.py checks that each row's old
 text occurs exactly once in its file, so a change that moves the text must
@@ -45,7 +48,7 @@ class Mutant(NamedTuple):
 
 
 _SAMPLERS, _RUNNER = "src/difflab/samplers.py", "src/difflab/runner.py"
-_MODEL = "src/difflab/model.py"
+_MODEL, _VERIFICATION = "src/difflab/model.py", "src/difflab/verification.py"
 
 MUTANTS = (
     Mutant("x_prev_by_sqrt_alpha_t_on_momentum_rows", _SAMPLERS,
@@ -109,18 +112,43 @@ MUTANTS = (
            "not np.any(var)",
            "not np.all(var)",
            "every q_k is 0 only where every component is a point mass"),
+    Mutant("quantile_at_a_jump_takes_the_upper_mode", "src/difflab/metrics.py",
+           'idx = np.searchsorted(cum, u, side="left")',
+           'idx = np.searchsorted(cum, u, side="right")',
+           "Q(u) = inf{x : F(x) >= u} is the lower mode at a cumulative weight"),
+    Mutant("uniform_respacing_by_ceiling", "src/difflab/schedule.py",
+           "tau = [(k * T) // K for k in range(1, K + 1)]",
+           "tau = [-(-k * T // K) for k in range(1, K + 1)]",
+           "uniform respacing picks tau_k = floor(k T / K)"),
+    Mutant("unknown_spec_field_accepted", "src/difflab/config.py",
+           'raise SpecError(f"{path}{key}: unknown field")',
+           "pass",
+           "a spec field the reader does not know is an error"),
+    Mutant("stale_files_kept", "src/difflab/files.py",
+           "(out / name).unlink(missing_ok=True)",
+           "pass",
+           "a command leaves no earlier command's file of its names"),
+    Mutant("verify_variances_from_a_half", _VERIFICATION,
+           "variances=rng.uniform(0.0, 2.0, k),",
+           "variances=rng.uniform(0.5, 2.0, k),",
+           "score-consistency's mixtures reach near-point masses"),
+    Mutant("verify_degeneracy_tolerance_1e_3", _VERIFICATION,
+           "def check_degeneracy(tol: float = 1e-12,",
+           "def check_degeneracy(tol: float = 1e-3,",
+           "degeneracy-equivalence holds adaptive to vanilla within 1e-12"),
 )
 
 
-def _tier1(root: Path) -> tuple[str, float, str]:
-    """(outcome, seconds, first failing test) of one tier-1 run in root."""
+def _tier1(root: Path, pins: bool = True) -> tuple[str, float, str]:
+    """(outcome, seconds, first failing test) of one tier-1 run in root, with
+    or without the golden pins."""
     shutil.rmtree(root / ".hypothesis", ignore_errors=True)   # no replayed examples
     env = {key: value for key, value in os.environ.items() if not key.startswith("DIFFLAB_")}
     env["PYTHONPATH"] = str(root / "src")
     # test_mutants.py fails on any mutated copy, since the old text is gone
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "--hypothesis-profile=no-shrink", "--continue-on-collection-errors",
-           "--ignore=tests/test_mutants.py"]
+           "--ignore=tests/test_mutants.py", *(() if pins else ("--ignore=tests/test_golden.py",))]
     start = time.perf_counter()
     try:
         done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
@@ -155,7 +183,12 @@ def main(argv=None) -> int:
                                  f"times in {mutant.path}")
             path.write_text(text.replace(mutant.old, mutant.new))
             try:
-                outcome, seconds, first = _tier1(root)
+                outcome, seconds, first = _tier1(root, pins=False)
+                if outcome != "killed":
+                    pinned, more, first = _tier1(root)
+                    seconds += more
+                    if pinned == "killed":
+                        outcome = "pin-only"
             finally:
                 path.write_text(text)
             print(f"{outcome:8} {seconds:6.1f} s  {mutant.name}  {first}", flush=True)

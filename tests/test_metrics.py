@@ -68,6 +68,23 @@ def test_mixture_quantile_point_mixture():
         mixture_quantile(gmm, [0.0])
 
 
+def test_mixture_quantile_at_a_cumulative_weight_is_the_lower_mode():
+    # Q(u) = inf{x : F(x) >= u}, so at a level equal to the weight below a jump,
+    # Q is the lower mode, and just above it the next one. The W1 levels
+    # (i - 0.5) / n reach 0.5 for odd n, where two equal weights jump
+    for weights, means in (([0.5, 0.5], [1.0, -1.0]),
+                           ([0.25, 0.25, 0.5], [2.0, -3.0, 0.5])):
+        gmm = GaussianMixtureModel(weights=weights, means=[[m] for m in means],
+                                   variances=[0.0] * len(means))
+        order = np.argsort(means)
+        cum = np.cumsum(np.asarray(weights)[order])[:-1]
+        lower = np.asarray(means)[order]
+        assert mixture_quantile(gmm, cum).tolist() == lower[:-1].tolist()
+        assert mixture_quantile(gmm, np.nextafter(cum, 1.0)).tolist() == lower[1:].tolist()
+    gmm = GaussianMixtureModel(weights=[0.5, 0.5], means=[[-1.0], [1.0]], variances=[0.0, 0.0])
+    assert mixture_quantile(gmm, (np.arange(1, 4) - 0.5) / 3).tolist() == [-1.0, -1.0, 1.0]
+
+
 @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf],
                          ids=["zero", "one", "below", "above", "nan", "inf"])
 def test_mixture_quantile_refuses_levels_outside_the_open_unit_interval(level):

@@ -82,6 +82,17 @@ def test_uniform_respacing_frozen_tau():
     assert sub.tau[-1] == 1000
 
 
+def test_uniform_respacing_is_the_floor_of_k_T_over_K():
+    # tau_k = floor(k T / K): where K does not divide T, the floor, not the
+    # ceiling or a rounding, picks each step
+    assert respace(linear_beta_schedule(10, 1e-3, 0.05), 3).tau == (3, 6, 10)
+    assert respace(linear_beta_schedule(7, 1e-3, 0.05), 4).tau == (1, 3, 5, 7)
+    for T in range(1, 40):
+        sched = linear_beta_schedule(T, 1e-3, 0.05)
+        for K in range(1, T + 1):
+            assert respace(sched, K, "uniform").tau == tuple(k * T // K for k in range(1, K + 1))
+
+
 def test_respaced_alphas_are_exact_parent_reads():
     sched = linear_beta_schedule(200, 5e-4, 0.1)
     sub = respace(sched, 7, "uniform")

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from difflab import verification
 from difflab.model import GaussianMixtureModel
 from difflab.schedule import linear_beta_schedule
-from difflab.verification import FrictionMapping, drift_consistency, midpoint_equivalence
+from difflab.verification import (FrictionMapping, check_score_consistency, drift_consistency,
+                                  midpoint_equivalence, run_all_checks)
 
 
 def two_point():
@@ -81,3 +83,28 @@ def test_sde_scale_ratio_approaches_one_late():
                                rng=np.random.default_rng(2))
     late = report["sde_scale_ratio"][-100:]
     assert np.all(np.abs(late - 1.0) < 0.02)
+
+
+def test_run_all_checks_holds_each_check_to_its_documented_tolerance():
+    # exact identities to 1e-12 (1e-10 for the drift's relative mismatch), the
+    # finite-difference score to 1e-5, and the noise scale to 2%
+    report = run_all_checks()
+    assert {c["name"]: c["expected"] for c in report["checks"]} == {
+        "score-consistency": "< 1e-05", "drift-identity": "< 1e-10",
+        "diffusion-scale": "< 0.02", "midpoint-equivalence": "< 1e-12",
+        "degeneracy-equivalence": "<= 1e-12"}
+    assert report["passed"] and all(c["passed"] for c in report["checks"])
+
+
+def test_score_consistency_draws_variances_across_0_to_2(monkeypatch):
+    # the mixtures' variances are uniform on [0, 2), so near-point masses are
+    # checked beside wide components
+    seen, fd_score_error = [], verification.fd_score_error
+
+    def recorded(gmm, x, a):
+        seen.append(gmm.variances)
+        return fd_score_error(gmm, x, a)
+    monkeypatch.setattr(verification, "fd_score_error", recorded)
+    check_score_consistency()
+    variances = np.concatenate(seen)
+    assert len(seen) == 100 and variances.min() < 0.05 and variances.max() > 1.9
