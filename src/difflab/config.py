@@ -170,7 +170,7 @@ class RunSpec:
             StepPlan.build(schedule, config, model)
         except ValueError as exc:
             raise SpecError(f"sampler.eta_mode: {exc}") from exc
-        if not 0 <= self.n_chains <= 2**32:   # the runner's chain indices are uint32
+        if not 0 <= self.n_chains <= 2**32:   # 2**32 chains' samples alone take 32 GiB
             raise SpecError("n_chains: must be between 0 and 2**32")
         if self.seed < 0:
             raise SpecError("seed: must be non-negative")

@@ -1,11 +1,10 @@
 """Batch execution of reverse chains and file emission.
 
-Chains are independent; chain i draws all of its noise from a dedicated
-generator seeded with (master seed, i), so adding chains or changing the
-thread count never perturbs existing ones. A block's generator states are
-derived in bulk, by numpy's own SeedSequence hash and PCG64 seeding run over
-every chain index at once, with the bytes of np.random.default_rng([seed, i]),
-and a chain draws only the prefix of that stream its plan uses. A run's cells
+Chains are independent. Chain i's noise is column i % 64 of its group's
+stream, np.random.default_rng([master seed, i // 64]) read row-major as
+(rows, 64, D), so adding chains or changing the thread count never perturbs
+existing ones. A group is drawn in bulk and whole, but only the rows its plan
+uses: x_T, then one row per step up to the last noisy one. A run's cells
 (a sweep's, ordered by step count, largest first) are cut into slices of one
 block of chains, and slices of one chain count step as (S, n, D) stacks under
 a noise-store budget, in place, each slice on its own plan's rows: a kernel
@@ -33,6 +32,7 @@ from .samplers import ChainState, StepPlan, StepRows, StepWork, Trajectory, _ste
 __all__ = ["RunResult", "run_chains", "execute_run", "execute_sweep"]
 
 _BLOCK = 2048  # chains per vectorized block; fixed so results never depend on threads
+_GROUP = 64    # chains per noise stream
 _STACK_FLOATS = 1 << 20  # a stack's noise store (8 MiB), unless one full block's is more
 
 
@@ -45,73 +45,10 @@ class RunResult:
     metrics: dict | None = None
 
 
-# numpy's SeedSequence hash (a pool of four uint32 words) and PCG64's LCG multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = 2**32 - 1, 2**128 - 1
-
-
-def _hash_steps(const: int, mult: int):
-    """The (xor, multiplier) pair of each successive SeedSequence hash call."""
-    while True:
-        nxt = const * mult & _M32
-        yield np.uint32(const), np.uint32(nxt)
-        const = nxt
-
-
-def _hash(value: np.ndarray, steps) -> np.ndarray:
-    xor, mult = next(steps)
-    value = (value ^ xor) * mult
-    return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = x * _MIX_L - y * _MIX_R
-    return value ^ (value >> 16)
-
-
-def _chain_seeds(seed: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """The PCG64 (state, inc) that np.random.default_rng([seed, i]) starts from,
-    for each chain i in lo..hi-1: numpy's SeedSequence run once over the block."""
-    seed = int(seed)
-    if seed < 0 or hi > 2**32:   # a chain index of two uint32 words would wrap
-        raise ValueError(f"need seed >= 0 and chain indices below 2**32, "
-                         f"not seed {seed}, chains {lo}..{hi - 1}")
-    n = hi - lo
-    entropy = [np.full(n, seed >> shift & _M32, np.uint32)    # seed words, low first
-               for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy.append(np.arange(lo, hi, dtype=np.uint64).astype(np.uint32))
-    steps = _hash_steps(_INIT_A, _MULT_A)
-    padded = entropy + [np.zeros(n, np.uint32)] * (4 - len(entropy))
-    pool = [_hash(word, steps) for word in padded[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], steps))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hash(word, steps))
-    steps = _hash_steps(_INIT_B, _MULT_B)
-    words = [_hash(pool[j % 4], steps).astype(np.uint64) for j in range(8)]
-    # little-endian word pairs give PCG64's seed (hi, lo) and increment (hi, lo)
-    seeds = []
-    for s_hi, s_lo, q_hi, q_lo in zip(*((words[2 * j] | words[2 * j + 1] << np.uint64(32))
-                                        .tolist() for j in range(4))):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
-        # PCG64's seeding: one LCG step from 0, add the seed, one more step
-        seeds.append(((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _M128, inc))
-    return seeds
-
-
-def _chain_noise(gen: np.random.Generator, state: int, inc: int,
-                 out: np.ndarray) -> np.ndarray:
-    """Fill one chain's (rows, D) noise rows from the PCG64 state (state, inc)."""
-    gen.bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    return gen.standard_normal(out=out)
+def _chain_noise(seed: int, g: int, out: np.ndarray) -> np.ndarray:
+    """Fill group g's (rows, _GROUP * D) noise rows from the start of its
+    stream, np.random.default_rng([seed, g])."""
+    return np.random.default_rng([seed, g]).standard_normal(out=out)
 
 
 def _noise_rows(plan: StepPlan) -> int:
@@ -122,15 +59,19 @@ def _noise_rows(plan: StepPlan) -> int:
 
 def _block_noise(seed: int, lo: int, hi: int, plan: StepPlan, D: int,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """Chains lo..hi-1's used noise, (hi - lo, rows, D): x_T, then one row per
-    step up to the plan's last noisy one. Chain i's rows are the first rows * D
-    standard normals of np.random.default_rng([seed, i]). With out, an array of
-    that shape with each chain's rows contiguous, the rows are drawn into it."""
-    seeds = _chain_seeds(seed, lo, hi)
-    noise = np.empty((hi - lo, _noise_rows(plan), D)) if out is None else out
-    gen = np.random.Generator(np.random.PCG64(0))   # reseeded for every chain
-    for row, (state, inc) in zip(noise, seeds):
-        _chain_noise(gen, state, inc, row)
+    """Chains lo..hi-1's used noise, (rows, hi - lo, D): x_T, then one row per
+    step up to the plan's last noisy one. Chain i's rows are column i % _GROUP
+    of its group's stream, the first rows * _GROUP * D standard normals of
+    np.random.default_rng([seed, i // _GROUP]) read as (rows, _GROUP, D); a
+    group the block starts or ends inside is drawn whole. With out, an array
+    of that shape, the rows are drawn into it."""
+    rows = _noise_rows(plan)
+    noise = np.empty((rows, hi - lo, D)) if out is None else out
+    group = np.empty((rows, _GROUP, D))
+    for g in range(lo // _GROUP, -(-hi // _GROUP)):
+        first, last = max(lo, g * _GROUP), min(hi, (g + 1) * _GROUP)
+        _chain_noise(seed, g, group.reshape(rows, _GROUP * D))
+        noise[:, first - lo:last - lo] = group[:, first - g * _GROUP:last - g * _GROUP]
     return noise
 
 
@@ -181,7 +122,7 @@ def _group(plans, n_chains: int, D: int) -> list:
     being a (cell, block start) pair of n chains. Over each cell's blocks in
     turn, cells by step count, largest first, so that a stack's slices finish
     in order, a stack takes the next slice of its n while its noise store,
-    (slices, n, its hungriest plan's rows, D) floats, stays within
+    (slices, its hungriest plan's rows, n, D) floats, stays within
     _STACK_FLOATS, or one full block's store of the run's hungriest plan."""
     rows = [_noise_rows(plan) for plan in plans]
     budget = max(_STACK_FLOATS, min(_BLOCK, n_chains) * max(rows) * D)
@@ -206,22 +147,23 @@ def _run_block(model: GaussianMixtureModel, stack: _Stack, result: RunResult,
     (cells, n_chains, D), tv and trajectories in place; returns their heatmap
     counts (None without a heatmap). A stack of one slice is (1, n, D): a
     stacked matmul over one slice is its 2-D call. The noise is drawn into
-    store, its worker's buffer, as (S, n, the hungriest plan's rows, D); a
-    slice whose plan uses x_T only reads it from an earlier slice of its seed
-    and block start where there is one. The state and a StepWork are the
-    stack's one buffer set, which every step writes into."""
+    store, its worker's buffer, as (S, the hungriest plan's rows, n, D), so
+    that step k reads row k + 1 of each slice whole; a slice whose plan uses
+    x_T only reads it from an earlier slice of its seed and block start where
+    there is one. The state and a StepWork are the stack's one buffer set,
+    which every step writes into."""
     S, n, D = len(stack.seeds), stack.n, model.D
-    noise = store[:S * n * stack.noise_rows * D].reshape(S, n, stack.noise_rows, D)
+    noise = store[:S * stack.noise_rows * n * D].reshape(S, stack.noise_rows, n, D)
     drawn = {}      # (seed, block start): the slice that drew that block's x_T
     for s, (seed, lo, plan, chains) in enumerate(zip(stack.seeds, stack.los, stack.plans,
                                                      noise)):
         rows = _noise_rows(plan)
         if rows == 1 and (seed, lo) in drawn:
-            chains[:, 0] = noise[drawn[seed, lo], :, 0]
+            chains[0] = noise[drawn[seed, lo], 0]
         else:
-            _block_noise(seed, lo, lo + n, plan, D, chains[:, :rows])
+            _block_noise(seed, lo, lo + n, plan, D, chains[:rows])
             drawn.setdefault((seed, lo), s)
-    state = ChainState.init(noise[:, :, 0], StepRows(stack.plans, 0, 1))
+    state = ChainState.init(noise[:, 0], StepRows(stack.plans, 0, 1))
     work = StepWork(state.x_bar.shape, model)
 
     record, grid = result.trajectories, result.heatmap
@@ -244,7 +186,7 @@ def _run_block(model: GaussianMixtureModel, stack: _Stack, result: RunResult,
                 call_state, schedule, config, rows, eps, call_work = call
                 call[0], _, x0_hat, _ = _step_core(
                     call_state, model, schedule, config,
-                    None if eps is None else eps[..., k + 1, :], rows, k - k0, call_work)
+                    None if eps is None else eps[:, k + 1], rows, k - k0, call_work)
             x_next = xs[k % 2]
             if k:
                 # np.linalg.norm(x_next - prev_x, axis=-1), written over prev_x: the

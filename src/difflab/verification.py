@@ -159,14 +159,17 @@ def _result(name, passed, observed, expected) -> dict:
 
 
 def _random_mixture(rng, d: int) -> GaussianMixtureModel:
+    """1-3 components whose variances, drawn from [0, 2), are all 0, all one
+    value, 0 for the first two only, or all apart: the predictor skips a term
+    only where every variance is equal or 0."""
     k = int(rng.integers(1, 4))
     w = rng.uniform(0.2, 1.0, k)
     w /= w.sum()
-    return GaussianMixtureModel(
-        weights=w,
-        means=rng.uniform(-4.0, 4.0, (k, d)),
-        variances=rng.uniform(0.0, 2.0, k),
-    )
+    means, spread = rng.uniform(-4.0, 4.0, (k, d)), rng.uniform(0.0, 2.0, k)
+    kind = ("zero", "equal", "mixed", "apart")[int(rng.integers(0, 4))]
+    variances = {"zero": np.zeros(k), "equal": np.full(k, spread[0]),
+                 "mixed": np.where(np.arange(k) < 2, 0.0, spread), "apart": spread}[kind]
+    return GaussianMixtureModel(weights=w, means=means, variances=variances)
 
 
 def fd_score_error(gmm, x, a, h: float = 1e-5) -> float:

@@ -87,10 +87,15 @@ MUTANTS = (
            "enumerate(zip(stack.seeds, stack.los, stack.plans,",
            "enumerate(zip(stack.seeds, stack.los[::-1], stack.plans,",
            "each slice draws the noise of its own block of chains"),
-    Mutant("chain_index_plus_one", _RUNNER,
-           "entropy.append(np.arange(lo, hi, dtype=np.uint64).astype(np.uint32))",
-           "entropy.append(np.arange(lo + 1, hi + 1, dtype=np.uint64).astype(np.uint32))",
-           "chain i's noise is np.random.default_rng([seed, i])"),
+    Mutant("group_index_plus_one", _RUNNER,
+           "_chain_noise(seed, g, group.reshape(rows, _GROUP * D))",
+           "_chain_noise(seed, g + 1, group.reshape(rows, _GROUP * D))",
+           "chain i's noise is from its group's stream, np.random.default_rng([seed, i // 64])"),
+    Mutant("group_stream_read_chain_major", _RUNNER,
+           "= group[:, first - g * _GROUP:last - g * _GROUP]",
+           "= group.reshape(_GROUP, rows, D)[first - g * _GROUP:last - g * _GROUP]"
+           ".transpose(1, 0, 2)",
+           "a group's stream is read row-major, (rows, 64, D)"),
     Mutant("heatmap_x_bin_plus_one", "src/difflab/metrics.py",
            "counts[row] += np.bincount(xi, minlength=counts.shape[1])",
            "counts[row] += np.bincount(np.minimum(xi + 1, counts.shape[1] - 1), "
@@ -128,9 +133,13 @@ MUTANTS = (
            "(out / name).unlink(missing_ok=True)",
            "pass",
            "a command leaves no earlier command's file of its names"),
+    Mutant("verify_mixtures_never_mixed", _VERIFICATION,
+           '"mixed": np.where(np.arange(k) < 2, 0.0, spread)',
+           '"mixed": spread',
+           "score-consistency's mixtures hold point masses beside smooth components"),
     Mutant("verify_variances_from_a_half", _VERIFICATION,
-           "variances=rng.uniform(0.0, 2.0, k),",
-           "variances=rng.uniform(0.5, 2.0, k),",
+           "rng.uniform(0.0, 2.0, k)",
+           "rng.uniform(0.5, 2.0, k)",
            "score-consistency's mixtures reach near-point masses"),
     Mutant("verify_degeneracy_tolerance_1e_3", _VERIFICATION,
            "def check_degeneracy(tol: float = 1e-12,",

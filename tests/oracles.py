@@ -13,7 +13,8 @@ in its general-D form: einsum and matmul for the log joint at every D, and
 np.max and np.sum for the softmax. Sliced W1 is written out as it first was,
 sorting its projections down strided columns. The reference sampler steps one
 chain at a time in Python floats, from the paper's update and the mixture
-posterior, sharing no code with the run's plans, rows, kernel or predictor.
+posterior, sharing no code with the run's plans, rows, kernel or predictor,
+on each chain's noise as the noise contract states it (chain_noise).
 The exact posterior is the mixture's posterior means in decimal arithmetic at
 40 significant digits, for the predictor's accuracy.
 """
@@ -192,10 +193,17 @@ def _posterior(gmm: GaussianMixtureModel, x: list, alpha: float) -> tuple:
                   for d in range(D)] for j in (0, 1))
 
 
+def chain_noise(seed: int, i: int, rows: int, D: int) -> np.ndarray:
+    """Chain i's first rows of noise, (rows, D): column i % 64 of its group's
+    stream, np.random.default_rng([seed, i // 64]), read row-major as
+    (rows, 64, D)."""
+    return np.random.default_rng([seed, i // 64]).standard_normal((rows, 64, D))[:, i % 64]
+
+
 def reference_chains(gmm: GaussianMixtureModel, schedule, config, seed: int, n: int) -> tuple:
     """(samples (n, D), tv (n,), xs (n, K, D), x0_hats (n, K, D)) of chains
     0..n-1, each stepped alone in Python floats. Chain i's noise is
-    np.random.default_rng([seed, i]): x_T, then one row per step.
+    chain_noise(seed, i, K + 1, D): x_T, then one row per step.
 
     A step from t to t_prev, with a = alpha(t) and p = alpha(t_prev), moves
     x_bar = x / sqrt(a) by d = mu eps_hat + sigma / sqrt(p) z, where
@@ -209,7 +217,7 @@ def reference_chains(gmm: GaussianMixtureModel, schedule, config, seed: int, n: 
     K = len(ts)
     samples, tvs, xs, x0_hats = [], [], [], []
     for i in range(n):
-        noise = np.random.default_rng([seed, i]).standard_normal((K + 1, D)).tolist()
+        noise = chain_noise(seed, i, K + 1, D).tolist()
         x_bar = [z / math.sqrt(schedule.alpha(ts[0])) for z in noise[0]]
         m, v, tv, path, preds = [0.0] * D, 1.0, 0.0, [], []
         for k, t in enumerate(ts):

@@ -47,7 +47,8 @@ def test_tracer_finds_every_hook():
 
 def test_tracer_sees_every_per_step_call():
     # a refactor that stops calling a wrapped name would make its metric read
-    # a measured 0 instead of failing: 2 blocks x 20 steps, 2100 chains
+    # a measured 0 instead of failing: 2 blocks x 20 steps, 2100 chains in 33
+    # noise groups
     tracer = _load_tracer().Tracer()
     tracer.install(difflab)
     try:
@@ -63,7 +64,7 @@ def test_tracer_sees_every_per_step_call():
     assert {name: calls[name] for name in ("metrics.heatmap_bin", "samplers.step", "model.eps",
                                            "runner.block", "runner.noise")} == {
         "metrics.heatmap_bin": 40, "samplers.step": 40, "model.eps": 40,
-        "runner.block": 2, "runner.noise": 2100}
+        "runner.block": 2, "runner.noise": 33}
 
 
 def _traced(gmm, config, n_chains, threads=1):
@@ -104,10 +105,20 @@ def test_tracer_sees_one_step_and_one_prediction_per_block_and_step(gmm, config)
 
 def test_tracer_counts_every_drawn_noise_value_as_used():
     # the tracer keys its per-step noise count on the kernel's state.t: a state
-    # that reads the next step's t would undercount the used draws
-    _, counts = _traced(_TWO_POINT, SamplerConfig.vanilla("ddpm_unit"), 300)
-    assert counts["noise_drawn"] == 300 * 20     # x_T and 19 noisy steps
+    # that reads the next step's t would undercount the used draws. 320 chains
+    # are 5 whole noise groups
+    _, counts = _traced(_TWO_POINT, SamplerConfig.vanilla("ddpm_unit"), 320)
+    assert counts["noise_drawn"] == 320 * 20     # x_T and 19 noisy steps
     assert counts["noise_used"] / counts["noise_drawn"] == 1.0
+
+
+def test_tracer_counts_a_partial_groups_unused_chains_as_drawn():
+    # 300 chains draw 5 whole groups, 320 chains' rows. The tracer counts a
+    # group's x_T row as used, so the 20 chains past 300 leave their 19 noisy
+    # rows drawn and unused
+    _, counts = _traced(_TWO_POINT, SamplerConfig.vanilla("ddpm_unit"), 300)
+    assert counts["noise_drawn"] == 320 * 20
+    assert counts["noise_drawn"] - counts["noise_used"] == 20 * 19
 
 
 def test_tracer_counts_a_stacked_noisy_sweeps_used_noise_as_its_plans_imply(tmp_path):
@@ -115,7 +126,9 @@ def test_tracer_counts_a_stacked_noisy_sweeps_used_noise_as_its_plans_imply(tmp_
     # whose cells end at different steps: at steps 2 and 7 the cells on their
     # noiseless last row take a call of their own. The tracer reads each call's
     # first cell's schedule, config and t, so it must count exactly the noise
-    # the plans use: x_T and one row per noisy step of every chain
+    # the plans use: x_T and one row per noisy step of every chain. Each cell
+    # draws 5 whole noise groups, 320 chains, and the tracer counts x_T as
+    # used for all of them
     base = {"model": {"weights": [0.45, 0.55], "means": [[-1.5], [2.5]],
                       "variances": [0.3, 0.2]},
             "schedule": {"T": 200, "beta_start": 1e-4, "beta_end": 0.05},
@@ -124,12 +137,14 @@ def test_tracer_counts_a_stacked_noisy_sweeps_used_noise_as_its_plans_imply(tmp_
             "metrics": True}
     sweep = SweepSpec.from_dict({"base": base, "axis": "K", "values": [3, 8, 20],
                                  "seeds_per_cell": 2})
-    used = 0
+    used = drawn = 0
     for value in sweep.values:
         spec = sweep.cell_spec(value, 0)
         plan = StepPlan.build(spec.build_schedule(), spec.build_sampler_config(),
                               spec.build_model())
-        used += sweep.seeds_per_cell * 300 * (1 + np.count_nonzero(plan.noise))
+        noisy = np.count_nonzero(plan.noise)
+        used += sweep.seeds_per_cell * (320 + 300 * noisy)
+        drawn += sweep.seeds_per_cell * 320 * (1 + noisy)
     tracer = _load_tracer().Tracer()
     tracer.install(difflab)
     try:
@@ -139,4 +154,4 @@ def test_tracer_counts_a_stacked_noisy_sweeps_used_noise_as_its_plans_imply(tmp_
         tracer.uninstall()
     calls = Counter(span[3] for span in spans)
     assert (calls["runner.run_chains"], calls["samplers.step"]) == (1, 20 + 2)
-    assert counts["noise_used"] == counts["noise_drawn"] == used
+    assert (counts["noise_used"], counts["noise_drawn"]) == (used, drawn)

@@ -311,6 +311,16 @@ def test_one_thread_run_and_sweep_load_no_thread_pool(spec_file, tmp_path):
                          ["sweep", sweep, "--threads", "1", "--out-dir", tmp_path / "sweep"])
 
 
+def test_run_and_sweep_load_no_verification(spec_file, tmp_path):
+    # the verification suite is imported only by the verify command
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"base": json.loads(spec_file.read_text()), "axis": "K",
+                                 "values": [10, 30]}))
+    _assert_run_loads_no("difflab.verification",
+                         ["run", spec_file, "--out-dir", tmp_path / "run"],
+                         ["sweep", sweep, "--out-dir", tmp_path / "sweep"])
+
+
 def _refuse_constant(name):
     raise ValueError(f"not strict JSON: {name}")
 
@@ -496,7 +506,9 @@ def test_empty_out_dir_exits_2_leaving_the_working_directory_alone(
 def test_empty_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch, argv, first_work):
     def work(*args):
         raise AssertionError(f"{first_work} ran")
-    monkeypatch.setattr(difflab.cli, first_work, work)
+    # cmd_verify imports the checks when it runs
+    owner = difflab.verification if first_work == "run_all_checks" else difflab.cli
+    monkeypatch.setattr(owner, first_work, work)
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: --out: must not be empty\n"

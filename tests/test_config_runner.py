@@ -27,7 +27,7 @@ from difflab.samplers import SamplerConfig, SecondMomentError, StepPlan, Traject
 from difflab.schedule import linear_beta_schedule, respace
 
 from conftest import run_one, unit_gaussian
-from oracles import build_heatmap, trajectory_total_variation
+from oracles import build_heatmap, chain_noise, trajectory_total_variation
 
 
 def base_spec_dict(**over):
@@ -138,8 +138,7 @@ def test_run_chains_matches_single_chain_loop(drive_chains):
         cfg = SamplerConfig(method="adaptive", eta_mode=eta, b=0.3, c=0.01)
         res = run_one(gmm, sched, cfg, n_chains=5, seed=seed)
         for i in range(5):
-            rng = np.random.default_rng([seed, i])
-            noise = rng.standard_normal((len(sched.tau) + 1, 1))
+            noise = chain_noise(seed, i, len(sched.tau) + 1, 1)
             x0, _ = drive_chains(gmm, sched, cfg, noise[0], lambda k, shape: noise[k + 1])
             assert np.allclose(res.samples[i], x0, rtol=0, atol=1e-12), (eta, i)
 
@@ -179,8 +178,11 @@ def test_workers_never_share_a_noise_buffer(monkeypatch):
 def test_noise_buffers_are_made_on_the_calling_thread(monkeypatch, threads, n_chains,
                                                       n_stacks, n_buffers):
     # one buffer per worker, made on run_chains' calling thread before any
-    # stack runs, and every stack draws into one of them
+    # stack runs, and every stack draws into one of them. The first stack of
+    # each worker waits for the others' first, so that no worker can run
+    # every stack before another starts
     events, empty, block = [], np.empty, runner._run_block
+    started, first_stacks = threading.Barrier(n_buffers), itertools.count()
 
     def recorded_empty(*args, **kwargs):
         array = empty(*args, **kwargs)
@@ -189,6 +191,8 @@ def test_noise_buffers_are_made_on_the_calling_thread(monkeypatch, threads, n_ch
 
     def watched(model, stack, result, store):
         events.append(("block", threading.get_ident(), store))
+        if next(first_stacks) < n_buffers:
+            started.wait(timeout=60)
         return block(model, stack, result, store)
     monkeypatch.setattr(runner, "_run_block", watched)
     monkeypatch.setattr(runner, "_STACK_FLOATS", 0)     # one block a stack
@@ -280,16 +284,22 @@ def test_run_chains_extension_stability():
     assert np.array_equal(big[:50], small)
 
 
-def test_block_noise_refuses_chain_indices_from_2_to_the_32():
-    # the bulk seeding hashes a chain index as one uint32 word; past it, it would wrap
-    top = 2**32
-    plan = StepPlan.build(linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla(),
-                          unit_gaussian(2))
-    noise = _block_noise(5, top - 3, top, plan, 2)
-    for i, rows in zip(range(top - 3, top), noise):
-        assert rows.tobytes() == np.random.default_rng([5, i]).standard_normal((5, 2)).tobytes()
-    with pytest.raises(ValueError, match="below 2\\*\\*32"):
-        _block_noise(5, top - 2, top + 1, plan, 2)
+@pytest.mark.parametrize("block", [4, 100, 2048])
+def test_chains_keep_their_bytes_across_group_and_block_edges(monkeypatch, block):
+    # chain counts at a noise group's edge (63, 64, 65) and past a block's
+    # (2049), with blocks that start inside groups (4, 100) or on their edges:
+    # each chain's samples and tv are the same at 1 and 2 threads, and the
+    # same when chains are added. ddpm_unit steps put noise into tv
+    monkeypatch.setattr(runner, "_BLOCK", block)
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+    gmm, sched = two_point(), linear_beta_schedule(12, 1e-3, 0.05)
+    cfg = SamplerConfig.vanilla("ddpm_unit")
+    full = run_one(gmm, sched, cfg, 2100, seed=6)
+    for n in (63, 64, 65, 2049):
+        for threads in (1, 2):
+            got = run_one(gmm, sched, cfg, n, seed=6, threads=threads)
+            assert got.samples.tobytes() == full.samples[:n].tobytes(), (n, threads)
+            assert got.tv.tobytes() == full.tv[:n].tobytes(), (n, threads)
 
 
 def test_block_noise_draws_into_the_head_of_a_reused_store():
@@ -298,9 +308,9 @@ def test_block_noise_draws_into_the_head_of_a_reused_store():
     plan = StepPlan.build(linear_beta_schedule(5, 1e-3, 0.05), SamplerConfig.vanilla(),
                           unit_gaussian(2))
     store = np.full(7 * 5 * 2, np.nan)
-    noise = _block_noise(5, 10, 13, plan, 2, store[:30].reshape(3, 5, 2))
-    assert noise.shape == (3, 5, 2) and np.shares_memory(noise, store[:30])
-    assert noise.tobytes() == _block_noise(5, 10, 13, plan, 2).tobytes()
+    noise = _block_noise(5, 62, 65, plan, 2, store[:30].reshape(5, 3, 2))
+    assert noise.shape == (5, 3, 2) and np.shares_memory(noise, store[:30])
+    assert noise.tobytes() == _block_noise(5, 62, 65, plan, 2).tobytes()
 
 
 @pytest.mark.parametrize("eta", ["deterministic", "ddpm_unit", "ddpm_hat"])
@@ -309,13 +319,12 @@ def test_block_noise_draws_the_prefix_its_plan_uses(eta):
     # chain's full stream; no noisy step is left without its row
     sched = respace(linear_beta_schedule(40, 0.02, 0.02), 12, "quadratic")   # fits ddpm_hat
     plan = StepPlan.build(sched, SamplerConfig.vanilla(eta), unit_gaussian(2))
-    noise = _block_noise(8, 3, 7, plan, 2)
-    rows = noise.shape[1]
+    noise = _block_noise(8, 60, 70, plan, 2)
+    rows = noise.shape[0]
     assert rows == {"deterministic": 1, "ddpm_unit": 12, "ddpm_hat": 12}[eta]
     assert all(k + 1 < rows for k in np.flatnonzero(plan.noise))
-    for i, got in zip(range(3, 7), noise):
-        full = np.random.default_rng([8, i]).standard_normal((plan.K + 1, 2))
-        assert got.tobytes() == full[:rows].tobytes()
+    for i, got in zip(range(60, 70), noise.transpose(1, 0, 2)):
+        assert got.tobytes() == chain_noise(8, i, plan.K + 1, 2)[:rows].tobytes()
 
 
 def test_run_chains_steps_a_tuple_of_seeds_in_stacks_under_a_noise_budget(monkeypatch):
@@ -658,14 +667,15 @@ def test_execute_sweep_computes_the_w1_reference_once(tmp_path, monkeypatch):
 
 
 def _sweep_draws(tmp_path, monkeypatch, eta_mode, n_chains=2100):
-    """The _chain_noise calls of a 3 K x 2 seed sweep of n_chains chains (by
-    default two blocks), and the (n, seeds, block starts) of each stack."""
+    """The (seed, group) of each _chain_noise call of a 3 K x 2 seed sweep of
+    n_chains chains (by default two blocks, 33 groups), and the (n, seeds,
+    block starts) of each stack."""
     calls, stacks = [], []
-    chain_noise, block = runner._chain_noise, runner._run_block
+    group_noise, block = runner._chain_noise, runner._run_block
 
     def counted(*args):
-        calls.append(args[1:3])
-        return chain_noise(*args)
+        calls.append(args[:2])
+        return group_noise(*args)
 
     def watched(*args):
         stacks.append((args[1].n, args[1].seeds, args[1].los))
@@ -683,14 +693,14 @@ def test_deterministic_sweep_draws_each_seeds_x_T_once(tmp_path, monkeypatch):
     # the 6 cells' full blocks are one stack and their partial blocks another;
     # in each, the first slice of a seed draws its x_T and the others read it
     calls, stacks = _sweep_draws(tmp_path, monkeypatch, "deterministic")
-    assert len(calls) == len(set(calls)) == 2 * 2100     # 6 cells, two seeds
+    assert len(calls) == len(set(calls)) == 2 * 33     # 6 cells, two seeds
     assert stacks == [(2048, (3, 4) * 3, (0,) * 6), (52, (3, 4) * 3, (2048,) * 6)]
 
 
 def test_deterministic_stacked_sweep_draws_each_seeds_x_T_once(tmp_path, monkeypatch):
     # 512 chains: the cells, K = 20, 20, 10, 10, 5, 5, step as one stack
     calls, stacks = _sweep_draws(tmp_path, monkeypatch, "deterministic", n_chains=512)
-    assert len(calls) == len(set(calls)) == 2 * 512
+    assert len(calls) == len(set(calls)) == 2 * 8
     assert stacks == [(512, (3, 4) * 3, (0,) * 6)]
 
 
@@ -778,7 +788,7 @@ def test_equal_configs_share_one_plan_and_step_on_float_rows(monkeypatch):
 def test_noisy_sweep_draws_for_every_cell(tmp_path, monkeypatch):
     # a noisy slice uses rows past x_T, so each of the 6 cells draws its own
     calls, stacks = _sweep_draws(tmp_path, monkeypatch, "ddpm_unit")
-    assert len(calls) == 6 * 2100 and len(set(calls)) == 2 * 2100
+    assert len(calls) == 6 * 33 and len(set(calls)) == 2 * 33
     assert stacks == [(2048, (3, 4) * 3, (0,) * 6), (52, (3, 4) * 3, (2048,) * 6)]
 
 

@@ -215,27 +215,57 @@ def test_heatmap_grid_rejects_x_edges_that_do_not_increase_and_bins_like_digitiz
     assert np.array_equal(got, ref)
 
 
-@settings(_FEW, max_examples=50)   # cheap: a few chains of a few rows
+@settings(_FEW, max_examples=50)   # cheap: a few groups of a few rows
 @given(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**96 - 1),
                  st.integers(2**96, 2**160)),
-       st.integers(1, 2**21 - 1), st.integers(0, 3), st.integers(1, 3),
+       st.integers(1, 2**21 - 1), st.integers(0, 130), st.integers(0, 130),
        st.integers(1, 12), st.integers(1, 4), st.sampled_from(ETA_MODES))
-@example(0, 1, 3, 3, 200, 1, "ddpm_unit")     # fig4's rows across the first block edge
-@example(2**96, 2**21 - 1, 2, 3, 4, 2, "ddpm_hat")   # five hash words, the last block edge
-def test_block_noise_is_each_chains_default_rng_stream(seed, edge, before, after, K, D, eta):
-    # chain i's noise is the start of default_rng([seed, i])'s stream, byte for
-    # byte, across a 2048-chain block edge: a numpy release that seeds
-    # differently fails here. A K-step plan uses x_T and, unless deterministic,
-    # every step's row but the noiseless last one's. A flat beta fits ddpm_hat.
+@example(0, 1, 240, 0, 200, 1, "ddpm_unit")   # fig4's last full block, to a block edge
+@example(0, 4, 0, 1808, 200, 1, "ddpm_unit")  # fig4's partial block, ending mid-group
+@example(2**96, 2**21 - 1, 65, 63, 4, 2, "ddpm_hat")  # across the last block edge
+def test_block_noise_is_each_chains_column_of_its_groups_stream(seed, edge, before, after,
+                                                                K, D, eta):
+    # chain i's noise is column i % 64 of default_rng([seed, i // 64])'s
+    # stream read row-major as (rows, 64, D), byte for byte, for a block that
+    # starts and ends anywhere around a 2048-chain block edge and 64-chain
+    # group edges: a numpy release that seeds differently fails here. A
+    # K-step plan uses x_T and, unless deterministic, every step's row but the
+    # noiseless last one's. A flat beta fits ddpm_hat.
     plan = StepPlan.build(linear_beta_schedule(K, 0.02, 0.02), SamplerConfig.vanilla(eta),
                           unit_gaussian(D))
     rows = 1 if eta == "deterministic" else K
     lo, hi = 2048 * edge - before, 2048 * edge + after
     noise = _block_noise(seed, lo, hi, plan, D)
-    assert noise.shape == (hi - lo, rows, D)
-    for i, got in zip(range(lo, hi), noise):
-        want = np.random.default_rng([seed, i]).standard_normal((rows, D))
-        assert got.tobytes() == want.tobytes(), i
+    assert noise.shape == (rows, hi - lo, D)
+    for g in range(lo // 64, -(-hi // 64)):
+        want = np.random.default_rng([seed, g]).standard_normal((rows, 64, D))
+        first, last = max(lo, 64 * g), min(hi, 64 * g + 64)
+        assert noise[:, first - lo:last - lo].tobytes() == \
+            want[:, first - 64 * g:last - 64 * g].tobytes(), g
+
+
+@pytest.mark.parametrize("block", [4, 100, 2048])
+@pytest.mark.parametrize("n_chains", [63, 64, 65, 2049])
+def test_each_chain_of_a_run_draws_its_groups_column(block, n_chains):
+    # in a run, whatever its blocks, chain i's x_T and noise rows are column
+    # i % 64 of its group's stream; every chain's are drawn, and no group's
+    # stream is read past the rows the plan uses
+    plan = StepPlan.build(linear_beta_schedule(6, 1e-3, 0.05), SamplerConfig.vanilla(),
+                          unit_gaussian(2))
+    got = np.full((6, n_chains, 2), np.nan)
+    block_noise = runner._block_noise
+
+    def recorded(seed, lo, hi, plan, D, out=None):
+        noise = block_noise(seed, lo, hi, plan, D, out)
+        got[:, lo:hi] = noise
+        return noise
+    with mock.patch.multiple(runner, _BLOCK=block, _block_noise=recorded):
+        run_one(unit_gaussian(2), linear_beta_schedule(6, 1e-3, 0.05),
+                SamplerConfig.vanilla(), n_chains, 11)
+    assert runner._noise_rows(plan) == 6
+    want = np.concatenate([np.random.default_rng([11, g]).standard_normal((6, 64, 2))
+                           for g in range(-(-n_chains // 64))], axis=1)
+    assert got.tobytes() == want[:, :n_chains].tobytes()
 
 
 @st.composite

@@ -96,9 +96,10 @@ def test_run_all_checks_holds_each_check_to_its_documented_tolerance():
     assert report["passed"] and all(c["passed"] for c in report["checks"])
 
 
-def test_score_consistency_draws_variances_across_0_to_2(monkeypatch):
-    # the mixtures' variances are uniform on [0, 2), so near-point masses are
-    # checked beside wide components
+def test_score_consistency_draws_each_kind_of_variances(monkeypatch):
+    # the predictor skips its quadratic term where every variance is equal,
+    # and its x_bar term where every one is 0: the check's mixtures must hold
+    # each kind, and some of 3 components where only one variance differs
     seen, fd_score_error = [], verification.fd_score_error
 
     def recorded(gmm, x, a):
@@ -106,5 +107,10 @@ def test_score_consistency_draws_variances_across_0_to_2(monkeypatch):
         return fd_score_error(gmm, x, a)
     monkeypatch.setattr(verification, "fd_score_error", recorded)
     check_score_consistency()
-    variances = np.concatenate(seen)
-    assert len(seen) == 100 and variances.min() < 0.05 and variances.max() > 1.9
+    assert len(seen) == 100
+    kinds = {("zero" if not v.any() else "equal" if np.all(v == v[0]) else
+              "mixed" if not v.all() else "apart") for v in seen if v.size == 3}
+    assert kinds == {"zero", "equal", "mixed", "apart"}
+    assert any(v.size == 3 and not v[:2].any() and v[2] for v in seen)
+    spread = np.concatenate(seen)
+    assert spread.max() < 2.0 and 0.0 < spread[spread > 0.0].min() < 0.1
