@@ -220,7 +220,7 @@ def test_heatmap_grid_rejects_x_edges_that_do_not_increase_and_bins_like_digitiz
                  st.integers(2**96, 2**160)),
        st.integers(1, 2**21 - 1), st.integers(0, 130), st.integers(0, 130),
        st.integers(1, 12), st.integers(1, 4), st.sampled_from(ETA_MODES))
-@example(0, 1, 240, 0, 200, 1, "ddpm_unit")   # fig4's last full block, to a block edge
+@example(0, 1, 240, 0, 200, 1, "ddpm_unit")   # fig4's rows, mid-group to a block edge
 @example(0, 4, 0, 1808, 200, 1, "ddpm_unit")  # fig4's partial block, ending mid-group
 @example(2**96, 2**21 - 1, 65, 63, 4, 2, "ddpm_hat")  # across the last block edge
 def test_block_noise_is_each_chains_column_of_its_groups_stream(seed, edge, before, after,
@@ -249,8 +249,8 @@ def test_block_noise_is_each_chains_column_of_its_groups_stream(seed, edge, befo
 def test_each_chain_of_a_run_draws_its_groups_column(block, n_chains):
     # in a run, whatever its blocks, chain i's x_T and noise rows are column
     # i % 64 of its group's stream; every chain's are drawn, and no group's
-    # stream is read past the rows the plan uses
-    # 6 steps, vanilla ddpm_unit: x_T and 5 noisy rows
+    # stream is read past the rows the plan uses (6 vanilla ddpm_unit steps:
+    # x_T and 5 noisy rows)
     got = np.full((6, n_chains, 2), np.nan)
     block_noise = runner._block_noise
 
